@@ -1,8 +1,8 @@
 // Machine-readable bench output.
 //
 // The figure benches print human tables; the perf-trajectory benches
-// (micro_runtime and friends) additionally emit JSON so CI can archive
-// results and later sessions can diff them. This is a deliberately tiny
+// (micro_phy, campaign, ext_faults) additionally emit JSON so CI can
+// archive results and later runs can diff them. This is a deliberately tiny
 // *writer* — insertion-ordered objects, arrays, scalars, shortest
 // round-trip doubles — not a parser; nothing in the repo consumes JSON.
 #pragma once

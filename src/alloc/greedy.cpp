@@ -1,11 +1,7 @@
 #include "alloc/greedy.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "alloc/assignment.hpp"
 #include "common/contracts.hpp"
-#include "common/thread_pool.hpp"
 
 namespace densevlc::alloc {
 
@@ -28,36 +24,26 @@ GreedyResult greedy_allocate(const channel::ChannelMatrix& h,
   double current_utility =
       channel::sum_log_utility(h, out.allocation, budget);
 
-  constexpr double kUnevaluated = -std::numeric_limits<double>::infinity();
-  std::vector<double> candidate_utility(n * m, kUnevaluated);
   while (remaining >= per_tx) {
-    // Evaluate every open (TX, RX) grant in parallel. Each candidate
-    // scores an independent copy of the current allocation and writes its
-    // own slot, so the utilities match the serial sweep bit for bit.
-    std::fill(candidate_utility.begin(), candidate_utility.end(),
-              kUnevaluated);
-    parallel_for(0, n * m, [&](std::size_t idx) {
-      const std::size_t j = idx / m;
-      const std::size_t k = idx % m;
-      if (used[j] || h.gain(j, k) <= 0.0) return;
-      channel::Allocation trial = out.allocation;
-      trial.set_swing(j, k, max_swing_a);
-      candidate_utility[idx] = channel::sum_log_utility(h, trial, budget);
-    });
-
-    // Serial argmax in candidate order reproduces the serial tie-break
-    // (first strictly-improving-by-margin candidate wins).
+    // Score every open (TX, RX) grant on its own copy of the current
+    // allocation; the first strictly-improving-by-margin candidate in
+    // (TX, RX) order wins ties.
     double best_utility = current_utility;
     std::size_t best_tx = n;
     std::size_t best_rx = 0;
-    for (std::size_t idx = 0; idx < n * m; ++idx) {
-      const double utility = candidate_utility[idx];
-      if (utility == kUnevaluated) continue;
-      ++out.evaluations;
-      if (utility > best_utility + 1e-12) {
-        best_utility = utility;
-        best_tx = idx / m;
-        best_rx = idx % m;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (used[j]) continue;
+      for (std::size_t k = 0; k < m; ++k) {
+        if (h.gain(j, k) <= 0.0) continue;
+        channel::Allocation trial = out.allocation;
+        trial.set_swing(j, k, max_swing_a);
+        const double utility = channel::sum_log_utility(h, trial, budget);
+        ++out.evaluations;
+        if (utility > best_utility + 1e-12) {
+          best_utility = utility;
+          best_tx = j;
+          best_rx = k;
+        }
       }
     }
     if (best_tx == n) break;  // no grant improves the objective

@@ -5,7 +5,6 @@
 
 #include "alloc/assignment.hpp"
 #include "common/contracts.hpp"
-#include "common/thread_pool.hpp"
 
 namespace densevlc::alloc {
 namespace {
@@ -293,20 +292,14 @@ OptimalResult solve_optimal(const channel::ChannelMatrix& h,
     starts.push_back(std::move(random));
   }
 
-  // The starts were built serially above (so the RNG stream is untouched
-  // by threading); each projected-gradient run is deterministic given its
-  // start, and runs are independent — parallelize across them, then pick
-  // the winner with the same ordered scan as the serial path (first
-  // strictly-better run wins, so ties resolve to the lower start index).
-  std::vector<OptimalResult> results(starts.size());
-  parallel_for(0, starts.size(), [&](std::size_t s) {
-    results[s] = run_from(h, std::move(starts[s]), power_budget, budget, cfg);
-  });
-
+  // Run every start in order; the first strictly-better run wins, so ties
+  // resolve to the lower start index.
   OptimalResult best;
   best.utility = -1e300;
   std::size_t total_iters = 0;
-  for (auto& candidate : results) {
+  for (auto& start : starts) {
+    OptimalResult candidate =
+        run_from(h, std::move(start), power_budget, budget, cfg);
     total_iters += candidate.iterations;
     if (candidate.utility > best.utility) best = std::move(candidate);
   }

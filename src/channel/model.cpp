@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/contracts.hpp"
-#include "common/thread_pool.hpp"
 
 namespace densevlc::channel {
 
@@ -20,15 +19,13 @@ ChannelMatrix ChannelMatrix::from_geometry(
     const std::vector<geom::Pose>& tx_poses,
     const std::vector<geom::Pose>& rx_poses,
     const optics::LambertianEmitter& emitter, const optics::Photodiode& pd) {
-  // Parallel over TX rows; each row writes a disjoint slice, so the
-  // result is identical to the serial double loop at any thread count.
   const std::size_t m = rx_poses.size();
   std::vector<double> gains(tx_poses.size() * m, 0.0);
-  parallel_for(0, tx_poses.size(), [&](std::size_t j) {
+  for (std::size_t j = 0; j < tx_poses.size(); ++j) {
     for (std::size_t k = 0; k < m; ++k) {
       gains[j * m + k] = optics::los_gain(emitter, pd, tx_poses[j], rx_poses[k]);
     }
-  });
+  }
   return ChannelMatrix{tx_poses.size(), rx_poses.size(), std::move(gains)};
 }
 
@@ -39,15 +36,13 @@ void ChannelMatrix::update_columns_from_geometry(
     std::span<const std::size_t> dirty_rx) {
   DVLC_EXPECT(tx_poses.size() == num_tx_ && rx_poses.size() == num_rx_,
               "update_columns_from_geometry: dimension mismatch");
-  // Parallel over TX rows like from_geometry; each row writes a disjoint
-  // slice, so the result is thread-count independent.
-  parallel_for(0, num_tx_, [&](std::size_t j) {
+  for (std::size_t j = 0; j < num_tx_; ++j) {
     for (std::size_t k : dirty_rx) {
       DVLC_ASSERT(k < num_rx_, "dirty column out of range");
       gains_[j * num_rx_ + k] =
           optics::los_gain(emitter, pd, tx_poses[j], rx_poses[k]);
     }
-  });
+  }
 }
 
 std::size_t ChannelMatrix::best_tx_for(std::size_t rx) const {

@@ -26,8 +26,7 @@
 // Products and quotients derive dimensions automatically (A * ohm = V,
 // A^2 * ohm = W, lx * m^2 = lm, bit/s / Hz = bit); a fully cancelled
 // dimension collapses to plain double, so ratios read naturally. The
-// wrapper holds a single double with every operation constexpr-inline:
-// zero overhead at -O2 (bench/micro_runtime --quick guards this).
+// wrapper holds a single double with every operation constexpr-inline.
 //
 // The only escape hatch is .value(); bulk storage (std::vector<double>
 // matrices) stays raw by design and re-enters the typed world at the

@@ -1,11 +1,11 @@
 // Fixed-size thread pool with deterministic data-parallel helpers.
 //
-// Every hot loop in the simulator (gain matrices, illuminance rasters,
-// prober sweeps, allocator candidate evaluation) is embarrassingly
-// parallel, but the repo's reproducibility contract demands more than
-// "eventually the same answer": results must be *bit-identical* at any
-// thread count, so a bench run on a laptop and a CI run on a 64-core box
-// pin the same golden numbers.
+// The pool runs the independent Monte-Carlo instances of a campaign
+// (scenario::run_campaign); everything inside one instance is serial. The
+// repo's reproducibility contract demands more than "eventually the same
+// answer": results must be *bit-identical* at any thread count, so a
+// bench run on a laptop and a CI run on a 64-core box pin the same
+// golden numbers.
 //
 // The design choices that make this hold:
 //

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "dsp/correlate.hpp"
 
 namespace densevlc::core {
@@ -132,33 +131,23 @@ channel::ChannelMatrix ChannelProber::probe_matrix_incremental(
   // One fork anchors the whole sweep to the caller's stream position, however
   // many links are skipped, so everything drawn after the sweep (report
   // loss, TX offsets, ...) is unaffected by the mode. Each link then gets
-  // its own split() sub-stream keyed by its global index, so the noise
-  // draws are a function of (sweep, link index) alone — not of the order
-  // (or thread) in which links are probed. Bit-identical at any thread
-  // count.
+  // its own split() sub-stream keyed by its global index, so a link probed
+  // by an incremental sweep draws exactly the noise a full sweep draws for
+  // it, whichever other links are skipped.
   const Rng sweep = rng.fork();
   const std::size_t n = truth.num_tx();
   const std::size_t m = truth.num_rx();
   const bool shape_ok = previous.num_tx() == n && previous.num_rx() == m &&
                         dirty_rx.size() == m;
   channel::ChannelMatrix measured = shape_ok ? previous : truth;
-
-  // Work list of global link indices to probe; split() is keyed by the
-  // same index as the full sweep, so each probed link draws the noise it
-  // would have drawn under probe_matrix.
-  std::vector<std::size_t> work;
-  work.reserve(n * m);
   for (std::size_t idx = 0; idx < n * m; ++idx) {
-    if (!shape_ok || dirty_rx[idx % m]) work.push_back(idx);
-  }
-  parallel_for(0, work.size(), [&](std::size_t w) {
-    const std::size_t idx = work[w];
     const std::size_t j = idx / m;
     const std::size_t k = idx % m;
+    if (shape_ok && !dirty_rx[k]) continue;
     Rng link_rng = sweep.split(idx);
     measured.set_gain(j, k,
                       probe_link(truth.gain(j, k), link_rng).gain_estimate);
-  });
+  }
   return measured;
 }
 

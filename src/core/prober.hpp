@@ -41,10 +41,9 @@ class ChannelProber {
   ProbeResult probe_link(double h, Rng& rng) const;
 
   /// Probes every entry of a true channel matrix, returning the measured
-  /// matrix (undetected links measure 0). Links are probed in parallel on
-  /// the global pool; each link draws from its own split() sub-stream of
-  /// one fork of `rng`, so the measurement is bit-identical at any thread
-  /// count (and `rng` advances by exactly one fork regardless of size).
+  /// matrix (undetected links measure 0). Each link draws from its own
+  /// split() sub-stream of one fork of `rng`, so `rng` advances by exactly
+  /// one fork regardless of size.
   channel::ChannelMatrix probe_matrix(const channel::ChannelMatrix& truth,
                                       Rng& rng) const;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
-#include "common/thread_pool.hpp"
 
 namespace densevlc::illum {
 
@@ -28,16 +27,14 @@ IlluminanceMap::IlluminanceMap(const geom::Room& room,
       per_axis_ > 1 ? room.width / static_cast<double>(per_axis_ - 1) : 0.0;
   const double dy =
       per_axis_ > 1 ? room.depth / static_cast<double>(per_axis_ - 1) : 0.0;
-  // Parallel over raster rows; each row fills a disjoint slice of lux_,
-  // so the map is bit-identical to the serial raster at any thread count.
-  parallel_for(0, per_axis_, [&](std::size_t iy) {
+  for (std::size_t iy = 0; iy < per_axis_; ++iy) {
     for (std::size_t ix = 0; ix < per_axis_; ++ix) {
       lux_[iy * per_axis_ + ix] =
           evaluate(Meters{static_cast<double>(ix) * dx},
                    Meters{static_cast<double>(iy) * dy})
               .value();
     }
-  });
+  }
 }
 
 Lux IlluminanceMap::at(std::size_t ix, std::size_t iy) const {

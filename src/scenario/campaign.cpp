@@ -688,11 +688,10 @@ CampaignRun run_campaign(const CampaignSpec& campaign,
   run.instances.resize(instances.size());
   // One instance per index slot: results land in expansion order no
   // matter which worker ran them, so aggregation below (and the campaign
-  // hash) cannot observe scheduling. Nested parallel_for calls inside
-  // the channel builder degenerate to inline serial execution. The
-  // journal sink serialises appends internally; completion *order* on
-  // disk is scheduling-dependent, which is fine — records are keyed by
-  // expansion index and reduced in index order.
+  // hash) cannot observe scheduling. The journal sink serialises
+  // appends internally; completion *order* on disk is
+  // scheduling-dependent, which is fine — records are keyed by expansion
+  // index and reduced in index order.
   parallel_for(0, instances.size(), [&](std::size_t i) {
     run.instances[i] =
         run_instance(compile(instances[i].spec), instances[i].seed);

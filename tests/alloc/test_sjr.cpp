@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "alloc/assignment.hpp"
-#include "common/thread_pool.hpp"
 #include "scenario/scenarios.hpp"
 
 namespace densevlc::alloc {
@@ -151,40 +150,6 @@ TEST_P(KappaSweep, StructuralInvariants) {
 INSTANTIATE_TEST_SUITE_P(Kappas, KappaSweep,
                          ::testing::Values(0.8, 1.0, 1.1, 1.2, 1.3, 1.4,
                                            1.5, 2.0));
-
-TEST(ParallelDeterminismSjr, RankingAndAllocationStableAcrossThreadCounts) {
-  // The SJR pipeline itself is serial, but its input channel matrix is
-  // built on the global pool — end to end, the ranked list and the
-  // resulting allocation must not depend on the pool size.
-  const auto tb = core::make_simulation_testbed();
-  const auto instances = scenario::random_instances(3, 0.25, tb.room, 0x53A);
-  for (const auto& rx_xy : instances) {
-    std::vector<RankedTx> ref_ranking;
-    std::vector<double> ref_alloc;
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                std::size_t{4}, hardware_threads()}) {
-      set_global_threads(threads);
-      const auto h = tb.channel_for(rx_xy);
-      const auto ranking = rank_transmitters(h, 1.3);
-      AssignmentOptions opts;
-      const auto res =
-          heuristic_allocate(h, 1.3, Watts{0.9}, tb.budget, opts);
-      if (threads == 1) {
-        ref_ranking = ranking;
-        ref_alloc = res.allocation.data();
-        continue;
-      }
-      ASSERT_EQ(ranking.size(), ref_ranking.size());
-      for (std::size_t i = 0; i < ranking.size(); ++i) {
-        EXPECT_EQ(ranking[i].tx, ref_ranking[i].tx);
-        EXPECT_EQ(ranking[i].rx, ref_ranking[i].rx);
-        EXPECT_EQ(ranking[i].sjr, ref_ranking[i].sjr);
-      }
-      EXPECT_EQ(res.allocation.data(), ref_alloc);
-    }
-  }
-  set_global_threads(0);
-}
 
 }  // namespace
 }  // namespace densevlc::alloc

@@ -3,9 +3,8 @@
 // The contract under test: parallel_for / parallel_reduce results are a
 // pure function of the input range — never of the thread count — because
 // chunk boundaries depend only on the range length and partials combine
-// in chunk order. The suite checks the pool mechanics, then the contract
-// on the real workloads that use it (gain matrices, illuminance rasters,
-// prober sweeps).
+// in chunk order. The campaign runner's end-to-end use of the pool is
+// checked by Campaign.BitIdenticalAcrossThreadCounts.
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -17,12 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "channel/model.hpp"
 #include "common/rng.hpp"
-#include "common/units.hpp"
-#include "core/prober.hpp"
-#include "illum/illuminance_map.hpp"
-#include "scenario/scenarios.hpp"
 
 namespace densevlc {
 namespace {
@@ -172,75 +166,6 @@ TEST_F(ThreadPoolTest, ReduceCombinesPartialsInChunkOrder) {
           return a;
         });
     EXPECT_EQ(joined, expected) << threads << " threads";
-  }
-}
-
-// ---------------------------------------------------------------------
-// Determinism of the real parallel workloads across thread counts.
-
-TEST_F(ThreadPoolTest, ChannelMatrixBitIdenticalAcrossThreadCounts) {
-  const auto tb = core::make_simulation_testbed();
-  const auto instances = scenario::random_instances(3, 0.25, tb.room, 0xDE7);
-  for (const auto& rx_xy : instances) {
-    std::vector<std::vector<double>> gains;
-    for (std::size_t threads : sweep_thread_counts()) {
-      set_global_threads(threads);
-      const auto h = tb.channel_for(rx_xy);
-      std::vector<double> flat;
-      for (std::size_t j = 0; j < h.num_tx(); ++j) {
-        for (std::size_t k = 0; k < h.num_rx(); ++k) {
-          flat.push_back(h.gain(j, k));
-        }
-      }
-      gains.push_back(std::move(flat));
-    }
-    for (std::size_t i = 1; i < gains.size(); ++i) {
-      EXPECT_EQ(gains[0], gains[i]);
-    }
-  }
-}
-
-TEST_F(ThreadPoolTest, IlluminanceMapBitIdenticalAcrossThreadCounts) {
-  const auto tb = core::make_simulation_testbed();
-  std::vector<std::vector<double>> rasters;
-  for (std::size_t threads : sweep_thread_counts()) {
-    set_global_threads(threads);
-    const illum::IlluminanceMap map{tb.room,     tb.tx_poses(), tb.emitter,
-                                    tb.led,      Meters{0.8},   41,
-                                    kWhiteLedEfficacy};
-    std::vector<double> flat;
-    for (std::size_t iy = 0; iy < 41; ++iy) {
-      for (std::size_t ix = 0; ix < 41; ++ix) {
-        flat.push_back(map.at(ix, iy).value());
-      }
-    }
-    rasters.push_back(std::move(flat));
-  }
-  for (std::size_t i = 1; i < rasters.size(); ++i) {
-    EXPECT_EQ(rasters[0], rasters[i]);
-  }
-}
-
-TEST_F(ThreadPoolTest, ProbeMatrixBitIdenticalAcrossThreadCounts) {
-  const auto tb = core::make_simulation_testbed();
-  const auto truth = tb.channel_for(scenario::fig7_rx_positions());
-  core::ChannelProber prober{tb.led, phy::OokParams{}, phy::FrontEndConfig{},
-                             0.9};
-  std::vector<std::vector<double>> sweeps;
-  for (std::size_t threads : sweep_thread_counts()) {
-    set_global_threads(threads);
-    Rng rng{0xBEE5};  // same stream position for every sweep
-    const auto measured = prober.probe_matrix(truth, rng);
-    std::vector<double> flat;
-    for (std::size_t j = 0; j < measured.num_tx(); ++j) {
-      for (std::size_t k = 0; k < measured.num_rx(); ++k) {
-        flat.push_back(measured.gain(j, k));
-      }
-    }
-    sweeps.push_back(std::move(flat));
-  }
-  for (std::size_t i = 1; i < sweeps.size(); ++i) {
-    EXPECT_EQ(sweeps[0], sweeps[i]);
   }
 }
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/units.hpp"
 #include "core/testbed.hpp"
+#include "scenario/compile.hpp"
 
 namespace densevlc::illum {
 namespace {
@@ -53,6 +56,19 @@ TEST(Illuminance, MapGridMatchesDirectEvaluation) {
   // Raster point (ix=20, iy=20) of a 41-point grid is the room center.
   EXPECT_NEAR(f.map.at(20, 20).value(),
               f.map.evaluate(Meters{1.5}, Meters{1.5}).value(), 1e-9);
+}
+
+TEST(Illuminance, RasterIsPinned) {
+  // FNV-1a over the bit patterns of the fixture's 41x41 raster, row by
+  // row. Any change to the raster loop or the LOS photometry moves it.
+  Fixture f;
+  std::vector<double> flat;
+  for (std::size_t iy = 0; iy < 41; ++iy) {
+    for (std::size_t ix = 0; ix < 41; ++ix) {
+      flat.push_back(f.map.at(ix, iy).value());
+    }
+  }
+  EXPECT_EQ(scenario::hash_doubles(flat), 651447674749534550ULL);
 }
 
 TEST(Illuminance, ScalesWithBiasDrive) {

@@ -9,7 +9,6 @@
 #include "alloc/greedy.hpp"
 #include "alloc/optimal.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "phy/ofdm.hpp"
 #include "phy/ook.hpp"
 #include "scenario/scenarios.hpp"
@@ -76,19 +75,14 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, InstanceSweep,
                          ::testing::Range<std::size_t>(0, 12));
 
 // ---------------------------------------------------------------------
-// Allocator invariants under randomized geometries, serial and parallel.
-// Parameterized over the global thread count: every invariant must hold
-// identically with the pool at 1 thread and at several.
+// Allocator invariants under randomized geometries.
 
-class AllocatorInvariantSweep
-    : public ::testing::TestWithParam<std::size_t> {
+class AllocatorInvariantSweep : public ::testing::Test {
  protected:
-  void SetUp() override { set_global_threads(GetParam()); }
-  void TearDown() override { set_global_threads(0); }
   core::Testbed tb = core::make_simulation_testbed();
 };
 
-TEST_P(AllocatorInvariantSweep, SwingAndPowerWithinBounds) {
+TEST_F(AllocatorInvariantSweep, SwingAndPowerWithinBounds) {
   constexpr double kMaxSwingA = 0.9;
   const auto instances = scenario::random_instances(5, 0.4, tb.room, 0xA110C);
   alloc::OptimalSolverConfig cfg;
@@ -122,7 +116,7 @@ TEST_P(AllocatorInvariantSweep, SwingAndPowerWithinBounds) {
   }
 }
 
-TEST_P(AllocatorInvariantSweep, GreedyUtilityMonotoneInBudget) {
+TEST_F(AllocatorInvariantSweep, GreedyUtilityMonotoneInBudget) {
   // Greedy's grant sequence for a smaller budget is a prefix of the
   // sequence for a larger one, and every grant improves the objective —
   // utility must be exactly non-decreasing in the budget.
@@ -138,7 +132,7 @@ TEST_P(AllocatorInvariantSweep, GreedyUtilityMonotoneInBudget) {
   }
 }
 
-TEST_P(AllocatorInvariantSweep, HeuristicSinrImprovesWithBudget) {
+TEST_F(AllocatorInvariantSweep, HeuristicSinrImprovesWithBudget) {
   // SINR monotonicity under the ranked-grant heuristic: a larger budget
   // grants a superset of TXs, so system throughput (B log2(1+SINR)
   // summed) must not fall. Small dips can occur when a marginal grant
@@ -160,9 +154,6 @@ TEST_P(AllocatorInvariantSweep, HeuristicSinrImprovesWithBudget) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, AllocatorInvariantSweep,
-                         ::testing::Values(1, 4));
 
 // ---------------------------------------------------------------------
 // OOK frame round trips across chip rates and oversampling ratios.

@@ -3,8 +3,9 @@
 // The contracts under test:
 //   - expansion is point-major with instance seeds derived as
 //     Rng::derive_stream_seed(base seed, expansion index);
-//   - run_campaign() is bit-identical at thread counts {1, 4, hw}
-//     (fingerprints compared double-for-double, not via hashes);
+//   - run_campaign() is bit-identical at thread counts {1, 4, hw}, for an
+//     analytic campaign and the committed fault soak (fingerprints
+//     compared double-for-double, not via hashes);
 //   - results are independent of shard/submission order — reversed and
 //     shuffled instance lists reproduce every fingerprint exactly;
 //   - parse_campaign() rejects malformed [campaign]/[sweep] input and
@@ -85,39 +86,53 @@ TEST(Campaign, ExpansionIsPointMajorWithStreamSeeds) {
 }
 
 TEST(Campaign, BitIdenticalAcrossThreadCounts) {
-  const auto parsed = parse_campaign(kSmallCampaign);
-  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
-  std::vector<CampaignInstance> instances;
-  ASSERT_TRUE(expand_campaign(*parsed.campaign, 3, instances).empty());
-
+  // The small analytic campaign, plus the committed fault soak at one
+  // instance per point, whose per-link probe_matrix noise streams must
+  // not depend on which worker runs the instance.
+  const struct {
+    CampaignParseResult parsed;
+    std::size_t per_point;
+  } inputs[] = {
+      {parse_campaign(kSmallCampaign), 3},
+      {load_campaign_file(std::string{DVLC_SCENARIO_DIR} + "/ext_faults.ini"),
+       1},
+  };
   std::vector<std::size_t> thread_counts{1, 4};
   if (std::find(thread_counts.begin(), thread_counts.end(),
                 hardware_threads()) == thread_counts.end()) {
     thread_counts.push_back(hardware_threads());
   }
-  CampaignRun reference;
-  for (std::size_t threads : thread_counts) {
-    set_global_threads(threads);
-    CampaignRun run = run_campaign(*parsed.campaign, instances);
-    if (threads == thread_counts.front()) {
-      reference = std::move(run);
-      continue;
-    }
-    SCOPED_TRACE("threads = " + std::to_string(threads));
-    ASSERT_EQ(run.instances.size(), reference.instances.size());
-    for (std::size_t i = 0; i < run.instances.size(); ++i) {
-      // Exact doubles, not hashes: any drift must be visible here.
-      EXPECT_EQ(run.instances[i].fingerprint,
-                reference.instances[i].fingerprint)
-          << "instance " << i;
-    }
-    EXPECT_EQ(run.campaign_hash, reference.campaign_hash);
-    ASSERT_EQ(run.points.size(), reference.points.size());
-    for (std::size_t p = 0; p < run.points.size(); ++p) {
-      EXPECT_EQ(run.points[p].point_hash, reference.points[p].point_hash);
-      EXPECT_EQ(run.points[p].system_mbps.mean,
-                reference.points[p].system_mbps.mean);
-      EXPECT_EQ(run.points[p].p99_mbps, reference.points[p].p99_mbps);
+  for (const auto& input : inputs) {
+    ASSERT_TRUE(input.parsed.ok()) << input.parsed.error_text();
+    const CampaignSpec& campaign = *input.parsed.campaign;
+    SCOPED_TRACE("campaign " + campaign.base.name);
+    std::vector<CampaignInstance> instances;
+    ASSERT_TRUE(expand_campaign(campaign, input.per_point, instances).empty());
+
+    CampaignRun reference;
+    for (std::size_t threads : thread_counts) {
+      set_global_threads(threads);
+      CampaignRun run = run_campaign(campaign, instances);
+      if (threads == thread_counts.front()) {
+        reference = std::move(run);
+        continue;
+      }
+      SCOPED_TRACE("threads = " + std::to_string(threads));
+      ASSERT_EQ(run.instances.size(), reference.instances.size());
+      for (std::size_t i = 0; i < run.instances.size(); ++i) {
+        // Exact doubles, not hashes: any drift must be visible here.
+        EXPECT_EQ(run.instances[i].fingerprint,
+                  reference.instances[i].fingerprint)
+            << "instance " << i;
+      }
+      EXPECT_EQ(run.campaign_hash, reference.campaign_hash);
+      ASSERT_EQ(run.points.size(), reference.points.size());
+      for (std::size_t p = 0; p < run.points.size(); ++p) {
+        EXPECT_EQ(run.points[p].point_hash, reference.points[p].point_hash);
+        EXPECT_EQ(run.points[p].system_mbps.mean,
+                  reference.points[p].system_mbps.mean);
+        EXPECT_EQ(run.points[p].p99_mbps, reference.points[p].p99_mbps);
+      }
     }
   }
   set_global_threads(0);

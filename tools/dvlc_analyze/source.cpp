@@ -211,38 +211,31 @@ std::vector<Token> tokenize(const std::string& src) {
 WaiverMap collect_waivers(const std::vector<Token>& tokens,
                           std::vector<WaiverProblem>& problems) {
   WaiverMap waivers;
-  const std::string canonical = "DVLC_LINT_WAIVE(";
-  const std::string legacy = "dvlc-lint: allow(";
+  const std::string tag = "DVLC_LINT_WAIVE(";
   for (const Token& t : tokens) {
     if (t.kind != TokenKind::kComment) continue;
-    for (const std::string& tag : {canonical, legacy}) {
-      std::size_t pos = 0;
-      while ((pos = t.text.find(tag, pos)) != std::string::npos) {
-        const std::size_t open = pos + tag.size();
-        const std::size_t close = t.text.find(')', open);
-        if (close == std::string::npos) break;
-        const std::string rule = t.text.substr(open, close - open);
-        if (tag == canonical) {
-          // The reason after "): " is mandatory: a waiver without a
-          // reason is unauditable.
-          std::size_t after = close + 1;
-          const bool has_colon = after < t.text.size() && t.text[after] == ':';
-          std::size_t text_at = after + 1;
-          while (text_at < t.text.size() &&
-                 std::isspace(static_cast<unsigned char>(t.text[text_at])) != 0) {
-            ++text_at;
-          }
-          if (!has_colon || text_at >= t.text.size()) {
-            problems.push_back(
-                {t.line, "DVLC_LINT_WAIVE(" + rule +
-                             ") is missing its `: reason` tail"});
-            pos = close;
-            continue;
-          }
-        }
-        waivers[rule].insert(t.line);
-        pos = close;
+    std::size_t pos = 0;
+    while ((pos = t.text.find(tag, pos)) != std::string::npos) {
+      const std::size_t open = pos + tag.size();
+      const std::size_t close = t.text.find(')', open);
+      if (close == std::string::npos) break;
+      const std::string rule = t.text.substr(open, close - open);
+      pos = close;
+      // The reason after "): " is mandatory: a waiver without a reason is
+      // unauditable.
+      const std::size_t after = close + 1;
+      const bool has_colon = after < t.text.size() && t.text[after] == ':';
+      std::size_t text_at = after + 1;
+      while (text_at < t.text.size() &&
+             std::isspace(static_cast<unsigned char>(t.text[text_at])) != 0) {
+        ++text_at;
       }
+      if (!has_colon || text_at >= t.text.size()) {
+        problems.push_back({t.line, "DVLC_LINT_WAIVE(" + rule +
+                                        ") is missing its `: reason` tail"});
+        continue;
+      }
+      waivers[rule].insert(t.line);
     }
   }
   return waivers;

@@ -57,8 +57,7 @@ struct WaiverProblem {
 
 /// Collects waivers from comment tokens only. The canonical syntax is
 ///   // DVLC_LINT_WAIVE(<rule>): <reason>
-/// and the reason is mandatory; the legacy `// dvlc-lint: allow(<rule>)`
-/// form is still honoured. Malformed canonical waivers are appended to
+/// and the reason is mandatory. Malformed waivers are appended to
 /// `problems`.
 WaiverMap collect_waivers(const std::vector<Token>& tokens,
                           std::vector<WaiverProblem>& problems);
