@@ -4,6 +4,7 @@
 #include "phy_reference.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -396,6 +397,64 @@ std::optional<ParsedFrame> codec_decode_chips(std::span<const Chip> chips,
   std::copy(restored.begin(), restored.end(),
             wire.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes));
   return parse_frame(wire);
+}
+
+std::optional<dsp::PeakDetection> detect_pattern(
+    std::span<const double> signal, std::span<const double> pattern,
+    double threshold) {
+  if (pattern.empty() || signal.size() < pattern.size()) return std::nullopt;
+  const std::size_t m = pattern.size();
+
+  double pat_mean = 0.0;
+  for (double p : pattern) pat_mean += p;
+  pat_mean /= static_cast<double>(m);
+  std::vector<double> pat(m);
+  double pat_energy = 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    pat[j] = pattern[j] - pat_mean;
+    pat_energy += pat[j] * pat[j];
+  }
+  const std::size_t n = signal.size() - m + 1;
+  std::vector<double> scores(n, 0.0);
+  if (pat_energy > 0.0) {
+    std::vector<double> means(n);
+    std::vector<double> vars(n);
+    double win_sum = 0.0;
+    double win_sq = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      win_sum += signal[j];
+      win_sq += signal[j] * signal[j];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      means[i] = win_sum / static_cast<double>(m);
+      vars[i] = win_sq - win_sum * means[i];
+      if (i + m < signal.size()) {
+        win_sum += signal[i + m] - signal[i];
+        win_sq += signal[i + m] * signal[i + m] - signal[i] * signal[i];
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double var = vars[i];
+      double score = 0.0;
+      if (var > 1e-30) {
+        const double mean = means[i];
+        double dot = 0.0;
+        for (std::size_t j = 0; j < m; ++j) {
+          dot += (signal[i + j] - mean) * pat[j];
+        }
+        score = dot / std::sqrt(var * pat_energy);
+      }
+      scores[i] = score;
+    }
+  }
+
+  std::optional<dsp::PeakDetection> best;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (scores[i] >= threshold && (!best || scores[i] > best->score)) {
+      best = dsp::PeakDetection{i, scores[i]};
+    }
+  }
+  return best;
 }
 
 }  // namespace densevlc::bench::ref

@@ -4,7 +4,8 @@
 // These are verbatim copies of the bit-at-a-time Manchester coder, the
 // per-coefficient GF(256) Reed-Solomon codec, the permutation-vector
 // interleaver, and the allocating frame serializer as they stood before
-// the LUT/zero-allocation rework. They must NOT be "improved": their
+// the LUT/zero-allocation rework, plus the full-scan preamble search as
+// it stood before the pruned search. They must NOT be "improved": their
 // whole value is staying exactly what the production code used to
 // compute, so old-vs-new comparisons are bit-for-bit meaningful.
 #pragma once
@@ -14,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "dsp/correlate.hpp"
 #include "phy/frame.hpp"
 #include "phy/manchester.hpp"
 
@@ -70,5 +72,16 @@ std::vector<phy::Chip> codec_encode_chips(const phy::MacFrame& frame,
 /// parse_frame: the full scalar chips-to-frame RX path.
 std::optional<phy::ParsedFrame> codec_decode_chips(
     std::span<const phy::Chip> chips, std::size_t depth);
+
+// --- Preamble search (full-scan normalized correlation) -----------------
+
+/// Scores every window position with the scalar reference arithmetic —
+/// rolling window mean/energy, per-position dot product accumulated in
+/// pattern order, `dot / sqrt(var * pattern_energy)`, 0 for windows with
+/// var <= 1e-30 — and returns the first position holding the maximum
+/// score that reaches `threshold`.
+std::optional<dsp::PeakDetection> detect_pattern(
+    std::span<const double> signal, std::span<const double> pattern,
+    double threshold);
 
 }  // namespace densevlc::bench::ref

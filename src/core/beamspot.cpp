@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/contracts.hpp"
 #include "dsp/snr_estimator.hpp"
@@ -13,83 +14,103 @@ JointTransmission::JointTransmission(const optics::LedModel& led,
                                      const phy::FrontEndConfig& frontend)
     : led_{led}, ook_{ook}, frontend_{frontend} {}
 
+namespace {
+
+// On-air chips of a frame (preamble + Manchester-coded serialized bytes),
+// counted without building them.
+std::size_t frame_chip_count(const phy::MacFrame& frame) {
+  return phy::kPreambleChips +
+         16 * phy::serialized_frame_bytes(frame.payload.size());
+}
+
+}  // namespace
+
 double JointTransmission::frame_airtime_s(const phy::MacFrame& frame) const {
-  const auto chips = phy::frame_to_chips(frame).size();
-  return static_cast<double>(chips) / ook_.chip_rate_hz;
+  return static_cast<double>(frame_chip_count(frame)) / ook_.chip_rate_hz;
 }
 
 void JointTransmission::render_optical_into(
     std::span<const ServingTx> servers, const phy::MacFrame& frame,
     std::span<const InterfererGroup> interferers, double ambient_optical_w,
-    dsp::Waveform& optical) const {
-  const auto chips = phy::frame_to_chips(frame);
+    dsp::Waveform& optical, RenderScratch& scratch) const {
+  const std::size_t spc = ook_.samples_per_chip;
   const double tx_rate = ook_.sample_rate_hz();
 
   // Every participating chip stream shares one timeline.
-  std::size_t longest_chips = chips.size();
+  std::size_t longest_chips = frame_chip_count(frame);
   double max_offset = 0.0;
   for (const auto& s : servers) {
     max_offset = std::max(max_offset, std::fabs(s.start_offset_s));
   }
-  std::vector<std::vector<phy::Chip>> interferer_chips;
-  interferer_chips.reserve(interferers.size());
   for (const auto& group : interferers) {
-    interferer_chips.push_back(phy::frame_to_chips(group.frame));
-    longest_chips = std::max(longest_chips, interferer_chips.back().size());
+    longest_chips = std::max(longest_chips, frame_chip_count(group.frame));
     for (const auto& s : group.txs) {
       max_offset = std::max(max_offset, std::fabs(s.start_offset_s));
     }
   }
 
-  const std::size_t guard_samples = 16 * ook_.samples_per_chip;
+  const std::size_t guard_samples = 16 * spc;
   const auto offset_samples_max =
       static_cast<std::size_t>(std::ceil(max_offset * tx_rate));
-  const std::size_t total = longest_chips * ook_.samples_per_chip +
-                            2 * guard_samples + 2 * offset_samples_max;
+  const std::size_t total = longest_chips * spc + 2 * guard_samples +
+                            2 * offset_samples_max;
 
   optical.sample_rate_hz = tx_rate;
   optical.samples.assign(total, ambient_optical_w);
 
   const double eta = led_.electrical().wall_plug_efficiency;
   const double bias = led_.operating_point().bias_current_a;
+  const double p_bias = eta * led_.power_at_current(Amperes{bias}).value();
   const auto base_start =
       static_cast<double>(guard_samples + offset_samples_max);
 
-  auto add_stream = [&](const ServingTx& server,
-                        const std::vector<phy::Chip>& stream) {
+  // Adds `level` over samples [from, to), clamped to the timeline.
+  double* const out = optical.samples.data();
+  const auto end = static_cast<std::ptrdiff_t>(total);
+  const auto add_run = [out, end](std::ptrdiff_t from, std::ptrdiff_t to,
+                                  double level) {
+    from = std::clamp<std::ptrdiff_t>(from, 0, end);
+    to = std::clamp<std::ptrdiff_t>(to, 0, end);
+    for (std::ptrdiff_t s = from; s < to; ++s) out[s] += level;
+  };
+
+  // One stream in three parts: idle illumination before the frame, one
+  // run of samples_per_chip per chip, idle illumination after. The three
+  // levels are the products gain * power every sample used to form, and
+  // streams are added in the same order, so each sample sees the same
+  // sequence of additions.
+  const auto add_stream = [&](const ServingTx& server,
+                              std::span<const phy::Chip> stream) {
     if (server.gain <= 0.0) return;
     const auto start = static_cast<std::ptrdiff_t>(
         base_start +
         static_cast<double>(std::llround(server.start_offset_s * tx_rate)));
     const double half = server.swing_a / 2.0;
-    const double p_bias =
-        eta * led_.power_at_current(Amperes{bias}).value();
     const double p_high =
         eta * led_.power_at_current(Amperes{bias + half}).value();
     const double p_low =
         eta * led_.power_at_current(Amperes{bias - half}).value();
-    const auto frame_samples = static_cast<std::ptrdiff_t>(
-        stream.size() * ook_.samples_per_chip);
+    const double idle = server.gain * p_bias;
+    const double high = server.gain * p_high;
+    const double low = server.gain * p_low;
+    const auto run = static_cast<std::ptrdiff_t>(spc);
+    const auto frame_end =
+        start + static_cast<std::ptrdiff_t>(stream.size()) * run;
 
-    for (std::size_t s = 0; s < total; ++s) {
-      const auto rel = static_cast<std::ptrdiff_t>(s) - start;
-      double level;
-      if (rel < 0 || rel >= frame_samples) {
-        level = p_bias;  // idle illumination before/after the frame
-      } else {
-        const auto chip_idx =
-            static_cast<std::size_t>(rel) / ook_.samples_per_chip;
-        level = stream[chip_idx] == phy::Chip::kHigh ? p_high : p_low;
-      }
-      optical.samples[s] += server.gain * level;
+    add_run(0, start, idle);
+    std::ptrdiff_t at = start;
+    for (const phy::Chip chip : stream) {
+      add_run(at, at + run, chip == phy::Chip::kHigh ? high : low);
+      at += run;
     }
+    add_run(frame_end, end, idle);
   };
 
-  for (const auto& server : servers) add_stream(server, chips);
-  for (std::size_t g = 0; g < interferers.size(); ++g) {
-    for (const auto& itx : interferers[g].txs) {
-      add_stream(itx, interferer_chips[g]);
-    }
+  phy::frame_to_chips_into(frame, scratch.chips, scratch.wire);
+  for (const auto& server : servers) add_stream(server, scratch.chips);
+  for (const auto& group : interferers) {
+    phy::frame_to_chips_into(group.frame, scratch.chips, scratch.wire);
+    for (const auto& itx : group.txs) add_stream(itx, scratch.chips);
   }
 }
 
@@ -100,9 +121,10 @@ TransmissionOutcome JointTransmission::transmit(
   TransmissionOutcome out;
   if (servers.empty()) return out;
 
+  RenderScratch render;
   dsp::Waveform optical;
   render_optical_into(servers, frame, interferers, ambient_optical_w,
-                      optical);
+                      optical, render);
 
   phy::ReceiverFrontEnd fe{frontend_, rng.fork()};
   const dsp::Waveform rx = fe.process(optical);
@@ -136,22 +158,29 @@ void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
     outcomes[i] = TransmissionOutcome{};
     if (jobs[i].servers.empty()) continue;  // scalar path never forks here
     render_optical_into(jobs[i].servers, *jobs[i].frame, jobs[i].interferers,
-                        jobs[i].ambient_optical_w, scratch.optical[i]);
+                        jobs[i].ambient_optical_w, scratch.optical[i],
+                        scratch.render);
     scratch.active.push_back(i);
   }
   const std::size_t m = scratch.active.size();
 
   // Rendering draws nothing from `rng`, so forking all noise substreams
   // here — in job order — yields the exact per-lane streams of the
-  // sequential transmit() calls.
-  scratch.fes.clear();
-  scratch.fes.reserve(m);
+  // sequential transmit() calls. A kept front-end of the same
+  // configuration restarts on its stream exactly as a new one would.
   scratch.fe_ptrs.resize(m);
   scratch.optical_ptrs.resize(m);
   scratch.rx_ptrs.resize(m);
   for (std::size_t j = 0; j < m; ++j) {
     const std::size_t lane = scratch.active[j];
-    scratch.fes.emplace_back(frontend_, rng.fork());
+    Rng noise = rng.fork();
+    if (j == scratch.fes.size()) {
+      scratch.fes.emplace_back(frontend_, noise);
+    } else if (scratch.fes[j].config() == frontend_) {
+      scratch.fes[j].restart(noise);
+    } else {
+      scratch.fes[j] = phy::ReceiverFrontEnd{frontend_, noise};
+    }
     scratch.optical_ptrs[j] = &scratch.optical[lane];
     scratch.rx_ptrs[j] = &scratch.rx[lane];
   }

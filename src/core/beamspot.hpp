@@ -75,9 +75,19 @@ class JointTransmission {
     double ambient_optical_w = 0.0;
   };
 
-  /// Batch workspace: per-lane waveforms plus the front-end and
-  /// demodulator batch scratch. Reuse across slots.
+  /// Chip staging for the optical render: one frame's on-air chips and
+  /// its serialized bytes, refilled per stream group.
+  struct RenderScratch {
+    std::vector<phy::Chip> chips;
+    std::vector<std::uint8_t> wire;
+  };
+
+  /// Batch workspace: per-lane waveforms, render staging, the lanes'
+  /// front-ends (restarted on fresh noise streams each call), and the
+  /// front-end and demodulator batch scratch. Reuse across slots; after
+  /// the first call with a given lane count, a call allocates nothing.
   struct TransmitBatchScratch {
+    RenderScratch render;
     std::vector<dsp::Waveform> optical;
     std::vector<dsp::Waveform> rx;
     std::vector<std::size_t> active;
@@ -107,8 +117,8 @@ class JointTransmission {
   void render_optical_into(std::span<const ServingTx> servers,
                            const phy::MacFrame& frame,
                            std::span<const InterfererGroup> interferers,
-                           double ambient_optical_w,
-                           dsp::Waveform& optical) const;
+                           double ambient_optical_w, dsp::Waveform& optical,
+                           RenderScratch& scratch) const;
 
   optics::LedModel led_;
   phy::OokParams ook_;

@@ -18,6 +18,8 @@ struct AdcConfig {
   unsigned bits = 12;           ///< ADS7883 is a 12-bit converter
   double min_volts = 0.0;       ///< bottom of input range
   double max_volts = 3.3;       ///< top of input range
+
+  bool operator==(const AdcConfig&) const = default;
 };
 
 /// Samples and quantizes analog waveforms.

@@ -1,7 +1,9 @@
 // DVLC_HOT — zero-allocation sample path (see common/arena.hpp).
 #include "dsp/correlate.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/arena.hpp"
@@ -26,14 +28,12 @@ std::vector<double> correlate(std::span<const double> signal,
   return out;
 }
 
-void normalized_correlate_into(std::span<const double> signal,
-                               std::span<const double> pattern,
-                               CorrelateScratch& scratch) {
-  arena_clear(scratch.scores);
-  if (pattern.empty() || signal.size() < pattern.size()) return;
-  const std::size_t m = pattern.size();
+namespace {
 
-  // Mean-removed pattern and its energy, computed once.
+// Mean-removed pattern into `scratch.pattern`; returns its energy.
+double stage_pattern(std::span<const double> pattern,
+                     CorrelateScratch& scratch) {
+  const std::size_t m = pattern.size();
   double pat_mean = 0.0;
   for (double p : pattern) pat_mean += p;
   pat_mean /= static_cast<double>(m);
@@ -44,19 +44,16 @@ void normalized_correlate_into(std::span<const double> signal,
     pat[j] = pattern[j] - pat_mean;
     pat_energy += pat[j] * pat[j];
   }
-  const std::size_t n = signal.size() - m + 1;
-  if (pat_energy <= 0.0) {
-    arena_resize(scratch.scores, n);
-    for (double& s : scratch.scores) s = 0.0;
-    return;
-  }
+  return pat_energy;
+}
 
-  // Rolling window sums let each position cost O(m) for the dot product
-  // but O(1) for mean/energy bookkeeping. The statistics recurrence stays
-  // scalar (each step depends on the previous), so the per-position mean
-  // and variance are the reference values regardless of backend; only
-  // the independent per-position dot products are vectorized.
-  arena_resize(scratch.scores, n);
+// Rolling window sums let each position cost O(m) for the dot product
+// but O(1) for mean/energy bookkeeping. The statistics recurrence stays
+// scalar (each step depends on the previous), so the per-position mean
+// and variance are the reference values regardless of backend.
+void window_stats(std::span<const double> signal, std::size_t m,
+                  CorrelateScratch& scratch) {
+  const std::size_t n = signal.size() - m + 1;
   arena_resize(scratch.means, n);
   arena_resize(scratch.vars, n);
   double win_sum = 0.0;
@@ -74,6 +71,46 @@ void normalized_correlate_into(std::span<const double> signal,
       win_sq += signal[i + m] * signal[i + m] - signal[i] * signal[i];
     }
   }
+}
+
+// The reference score of the window starting at `window`: the dot
+// product accumulated in pattern order, normalized by
+// sqrt(var * pat_energy); 0 when the window has no variance. The scalar
+// kernel's own per-position path.
+double exact_score(const double* window, std::span<const double> pat,
+                   double mean, double var, double pat_energy) {
+  double score = 0.0;
+  detail::correlate_scores_kernel<simd::ScalarBackend>(
+      window, pat.data(), pat.size(), &mean, &var, pat_energy, &score, 1);
+  return score;
+}
+
+// gamma_k = k u / (1 - k u): the standard bound on the relative error of
+// k successive floating-point operations (u = unit roundoff).
+double gamma_k(std::size_t k) {
+  const double ku =
+      static_cast<double>(k) * (std::numeric_limits<double>::epsilon() / 2);
+  return ku / (1.0 - ku);
+}
+
+}  // namespace
+
+void normalized_correlate_into(std::span<const double> signal,
+                               std::span<const double> pattern,
+                               CorrelateScratch& scratch) {
+  arena_clear(scratch.scores);
+  if (pattern.empty() || signal.size() < pattern.size()) return;
+  const std::size_t m = pattern.size();
+  const double pat_energy = stage_pattern(pattern, scratch);
+  const std::size_t n = signal.size() - m + 1;
+  arena_resize(scratch.scores, n);
+  if (pat_energy <= 0.0) {
+    for (double& s : scratch.scores) s = 0.0;
+    return;
+  }
+  // Only the independent per-position dot products are vectorized.
+  window_stats(signal, m, scratch);
+  const std::vector<double>& pat = scratch.pattern;
   if (simd::use_vector_kernels()) {
     detail::correlate_scores_vec(signal.data(), pat.data(), m,
                                  scratch.means.data(), scratch.vars.data(),
@@ -95,12 +132,128 @@ std::vector<double> normalized_correlate(std::span<const double> signal,
 std::optional<PeakDetection> detect_pattern_into(
     std::span<const double> signal, std::span<const double> pattern,
     double threshold, CorrelateScratch& scratch) {
-  normalized_correlate_into(signal, pattern, scratch);
+  scratch.rescored = 0;
+  if (pattern.empty() || signal.size() < pattern.size()) return std::nullopt;
+  const std::size_t m = pattern.size();
+  const std::size_t n = signal.size() - m + 1;
+  const double pat_energy = stage_pattern(pattern, scratch);
+  if (pat_energy <= 0.0) {
+    // Every position scores 0, so the first one wins if 0 qualifies.
+    if (0.0 >= threshold) return PeakDetection{0, 0.0};
+    return std::nullopt;
+  }
+  window_stats(signal, m, scratch);
+  const std::vector<double>& pat = scratch.pattern;
+
+  // Run-length form of the mean-removed pattern: with S the signal's
+  // running sums, sum_j x[i+j] pat[j] = sum_t w_t S[i + at_t], one tap per
+  // run boundary (w_t = value before the boundary - value after it).
+  arena_resize(scratch.tap_at, m + 1);
+  arena_resize(scratch.tap_w, m + 1);
+  std::size_t taps = 0;
+  double w_abs = 0.0;
+  double pat_abs = 0.0;
+  double pat_sum = 0.0;
+  double pat_max = 0.0;
+  double prev = 0.0;
+  for (std::size_t j = 0; j <= m; ++j) {
+    const double v = j < m ? pat[j] : 0.0;
+    if (j == 0 || j == m || v != prev) {
+      scratch.tap_at[taps] = j;
+      scratch.tap_w[taps] = prev - v;
+      w_abs += std::fabs(scratch.tap_w[taps]);
+      ++taps;
+    }
+    prev = v;
+    if (j < m) {
+      pat_abs += std::fabs(v);
+      pat_sum += v;
+      pat_max = std::max(pat_max, std::fabs(v));
+    }
+  }
+  arena_resize(scratch.tap_at, taps);
+  arena_resize(scratch.tap_w, taps);
+
+  const std::size_t len = signal.size();
+  arena_resize(scratch.prefix, len + 1);
+  double run = 0.0;
+  double abs_total = 0.0;
+  double prefix_max = 0.0;
+  scratch.prefix[0] = 0.0;
+  for (std::size_t k = 0; k < len; ++k) {
+    run += signal[k];
+    abs_total += std::fabs(signal[k]);
+    prefix_max = std::max(prefix_max, std::fabs(run));
+    scratch.prefix[k + 1] = run;
+  }
+
+  // Bound on |approx_i - dot_i|, where dot_i is the reference kernel's
+  // floating-point dot product (derivation: docs/architecture.md,
+  // "Bit-identity policy"). Every term is an upper bound built from the
+  // standard gamma_k summation bounds; the 1e-9 relative slack covers
+  // the rounding of these few nonnegative sums and products themselves.
+  const double u = std::numeric_limits<double>::epsilon() / 2;
+  const double abs_ub = abs_total / (1.0 - gamma_k(len));
+  const double w_ub = w_abs / (1.0 - gamma_k(taps));
+  const double pat_abs_ub = pat_abs / (1.0 - gamma_k(m));
+  const double sigma = gamma_k(len) * abs_ub;  // any running sum's error
+  const double slack = 1.0 + 1e-9;
+  const double c0 =
+      slack * (w_ub * (sigma + 2.0 * u * (prefix_max + sigma) +
+                       gamma_k(taps) * prefix_max) +
+               gamma_k(m + 1) * pat_max * abs_ub +
+               static_cast<double>(m + taps + 2) *
+                   std::numeric_limits<double>::denorm_min());
+  const double c1 =
+      slack * (std::fabs(pat_sum) + gamma_k(m) * pat_abs_ub +
+               gamma_k(m + 1) * pat_max * static_cast<double>(m));
+
+  arena_resize(scratch.bounds, n);
+  double* bounds = scratch.bounds.data();
+  if (simd::use_vector_kernels()) {
+    detail::tap_sums_vec(scratch.prefix.data(), scratch.tap_at.data(),
+                         scratch.tap_w.data(), taps, bounds, n);
+  } else {
+    detail::tap_sums_kernel<simd::ScalarBackend>(
+        scratch.prefix.data(), scratch.tap_at.data(), scratch.tap_w.data(),
+        taps, bounds, n);
+  }
+
+  // Score interval per position. With delta >= |approx - dot|, rounding
+  // is monotone, so fl(fl(approx +- delta) / den) brackets the reference
+  // fl(dot / den) computed with the very same den. Zero-variance windows
+  // score exactly 0.
+  double lower_max = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    double hi = 0.0;
+    double lo = 0.0;
+    const double var = scratch.vars[i];
+    if (var > 1e-30) {
+      const double delta = c0 + c1 * std::fabs(scratch.means[i]);
+      const double den = std::sqrt(var * pat_energy);
+      hi = (bounds[i] + delta) / den;
+      lo = (bounds[i] - delta) / den;
+    }
+    bounds[i] = hi;
+    if (lo > lower_max) lower_max = lo;
+  }
+
+  // A position whose upper bound is below the threshold, or below some
+  // position's lower bound, can neither qualify nor be the maximum; the
+  // rest are scored exactly, in index order, under the full scan's rule
+  // (>= threshold, strictly greater than the best so far: first max wins).
+  double cutoff = threshold;
+  if (lower_max > cutoff) cutoff = lower_max;
   std::optional<PeakDetection> best;
-  for (std::size_t i = 0; i < scratch.scores.size(); ++i) {
-    if (scratch.scores[i] >= threshold &&
-        (!best || scratch.scores[i] > best->score)) {
-      best = PeakDetection{i, scratch.scores[i]};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double hi = bounds[i];
+    if (hi < cutoff) continue;
+    ++scratch.rescored;
+    const double score =
+        exact_score(signal.data() + i, pat, scratch.means[i],
+                    scratch.vars[i], pat_energy);
+    if (score >= threshold && (!best || score > best->score)) {
+      best = PeakDetection{i, score};
     }
   }
   return best;

@@ -42,13 +42,20 @@ std::optional<PeakDetection> detect_pattern(std::span<const double> signal,
 // --- Zero-allocation overloads (see common/arena.hpp) -------------------
 
 /// Reusable workspace for repeated pattern searches: mean-removed pattern
-/// staging, the score vector, and the per-position rolling window
-/// statistics the SIMD score kernel consumes (aligned for vector loads).
+/// staging, the score vector, the per-position rolling window statistics
+/// the SIMD score kernel consumes (aligned for vector loads), and the
+/// pruned search's run-boundary taps, signal running sums and
+/// per-position score upper bounds.
 struct CorrelateScratch {
   std::vector<double> pattern;
   std::vector<double> scores;
   AlignedVector<double> means;
   AlignedVector<double> vars;
+  std::vector<std::size_t> tap_at;  ///< run-boundary offsets in the pattern
+  std::vector<double> tap_w;        ///< pattern jump at each boundary
+  AlignedVector<double> prefix;     ///< prefix[k] = sum of signal[0..k)
+  AlignedVector<double> bounds;     ///< approximate dots, then score bounds
+  std::size_t rescored = 0;  ///< positions the last search scored exactly
 };
 
 /// normalized_correlate into `scratch.scores`. Bit-identical to the
@@ -57,7 +64,13 @@ void normalized_correlate_into(std::span<const double> signal,
                                std::span<const double> pattern,
                                CorrelateScratch& scratch);
 
-/// detect_pattern running off a reused workspace.
+/// detect_pattern running off a reused workspace. Bit-identical to the
+/// full scan (score every position, keep the first maximum that reaches
+/// `threshold`) without scoring every position: a run-length pass bounds
+/// each position's score from the signal's running sums, and only the
+/// positions whose upper bound can still win are scored with the exact
+/// per-position arithmetic. See docs/architecture.md "Bit-identity
+/// policy" for the bound.
 std::optional<PeakDetection> detect_pattern_into(
     std::span<const double> signal, std::span<const double> pattern,
     double threshold, CorrelateScratch& scratch);

@@ -7,11 +7,11 @@
 // flags. Call sites pick between the two at runtime via
 // `simd::use_vector_kernels()`.
 //
-// Bit-exactness: both float kernels vectorize ACROSS independent streams
-// (4 cascade lanes, 4 correlation window positions), never within one
-// accumulation chain, and the backends use separate mul/add (no FMA), so
-// every per-lane operation sequence matches the scalar reference
-// rounding-for-rounding. See docs/architecture.md "Performance".
+// Bit-exactness: the float kernels vectorize ACROSS independent streams
+// (4 cascade lanes, 4 correlation window positions, 16 tap-sum
+// positions), never within one accumulation chain, and the backends use
+// separate mul/add (no FMA), so every per-lane operation sequence
+// matches the scalar reference rounding-for-rounding. See docs/architecture.md "Performance".
 #pragma once
 
 #include <cmath>
@@ -109,6 +109,44 @@ void correlate_scores_kernel(const double* signal, const double* pat,
   }
 }
 
+/// Run-length approximate dot products for the pruned preamble search:
+/// out[i] = sum over taps t of w[t] * prefix[i + at[t]], accumulated in
+/// tap order. `prefix` holds the signal's running sums, so each tap is
+/// one run boundary of the mean-removed pattern. Sixteen positions per
+/// step (four independent accumulators) hide the add latency; per
+/// position the operation sequence is the scalar tail's, so both
+/// backends produce the same values.
+template <class B>
+void tap_sums_kernel(const double* prefix, const std::size_t* at,
+                     const double* w, std::size_t taps, double* out,
+                     std::size_t n) {
+  using V = typename B::f64x4;
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    V acc0 = B::broadcast4(0.0);
+    V acc1 = acc0;
+    V acc2 = acc0;
+    V acc3 = acc0;
+    for (std::size_t t = 0; t < taps; ++t) {
+      const V wt = B::broadcast4(w[t]);
+      const double* p = prefix + i + at[t];
+      acc0 = B::add4(acc0, B::mul4(wt, B::load4(p)));
+      acc1 = B::add4(acc1, B::mul4(wt, B::load4(p + 4)));
+      acc2 = B::add4(acc2, B::mul4(wt, B::load4(p + 8)));
+      acc3 = B::add4(acc3, B::mul4(wt, B::load4(p + 12)));
+    }
+    B::store4(out + i, acc0);
+    B::store4(out + i + 4, acc1);
+    B::store4(out + i + 8, acc2);
+    B::store4(out + i + 12, acc3);
+  }
+  for (; i < n; ++i) {
+    double acc = 0.0;
+    for (std::size_t t = 0; t < taps; ++t) acc += w[t] * prefix[i + at[t]];
+    out[i] = acc;
+  }
+}
+
 // --- Vector-backend entry points (defined in dsp_simd.cpp) ---------------
 
 void biquad_x4_vec(const double* coeffs, double* states,
@@ -117,6 +155,9 @@ void correlate_scores_vec(const double* signal, const double* pat,
                           std::size_t m, const double* means,
                           const double* vars, double pat_energy,
                           double* scores, std::size_t n);
+void tap_sums_vec(const double* prefix, const std::size_t* at,
+                  const double* w, std::size_t taps, double* out,
+                  std::size_t n);
 
 /// Name of the vector backend dsp_simd.cpp was compiled against
 /// ("avx2", "neon", or "scalar" when no vector ISA is available).

@@ -23,6 +23,12 @@ void correlate_scores_vec(const double* signal, const double* pat,
                                                pat_energy, scores, n);
 }
 
+void tap_sums_vec(const double* prefix, const std::size_t* at,
+                  const double* w, std::size_t taps, double* out,
+                  std::size_t n) {
+  tap_sums_kernel<simd::VectorBackend>(prefix, at, w, taps, out, n);
+}
+
 const char* dsp_vector_backend_name() {
   return simd::VectorBackend::kName;
 }

@@ -179,4 +179,9 @@ void ReceiverFrontEnd::reset() {
   lowpass_.reset();
 }
 
+void ReceiverFrontEnd::restart(Rng rng) {
+  rng_ = rng;
+  reset();
+}
+
 }  // namespace densevlc::phy

@@ -32,6 +32,8 @@ struct FrontEndConfig {
   std::size_t butterworth_order = 7;     ///< anti-aliasing filter order
   double butterworth_corner_hz = 400e3;  ///< LP corner before 1 Msps ADC
   dsp::AdcConfig adc{};                  ///< converter parameters
+
+  bool operator==(const FrontEndConfig&) const = default;
 };
 
 /// Stateful receive chain: optical power waveform in, digitized (and
@@ -57,6 +59,11 @@ class ReceiverFrontEnd {
 
   /// Resets all filter state (fresh reception).
   void reset();
+
+  /// Resets all filter state and continues on noise stream `rng`: the
+  /// state of a fresh ReceiverFrontEnd{config(), rng}, without redesigning
+  /// (and reallocating) the filters.
+  void restart(Rng rng);
 
   /// Batch workspace for process_batch_into: 4-lane interleaved staging
   /// for the vector biquad kernel (see common/arena.hpp).

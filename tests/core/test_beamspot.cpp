@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/testbed.hpp"
@@ -131,6 +134,25 @@ TEST(Beamspot, AirtimeMatchesChipCount) {
   EXPECT_DOUBLE_EQ(airtime, expected);
 }
 
+TEST(Beamspot, AirtimeCountsEveryPayloadSizeExactly) {
+  // The airtime is computed from the frame layout alone; it must equal
+  // the built chip sequence's duration bit for bit at every RS block
+  // boundary.
+  Fixture f;
+  std::vector<std::size_t> sizes{0, 1, phy::kMaxPayload};
+  for (std::size_t at = phy::kRsBlockData; at < phy::kMaxPayload;
+       at += phy::kRsBlockData) {
+    sizes.insert(sizes.end(), {at - 1, at, at + 1});
+  }
+  for (const std::size_t len : sizes) {
+    const auto frame = f.frame(len);
+    EXPECT_EQ(f.jt.frame_airtime_s(frame),
+              static_cast<double>(phy::frame_to_chips(frame).size()) /
+                  f.ook.chip_rate_hz)
+        << "payload " << len;
+  }
+}
+
 TEST(Beamspot, RsCorrectionsReported) {
   // Near-threshold gain: some frames decode only thanks to RS.
   Fixture f;
@@ -144,6 +166,84 @@ TEST(Beamspot, RsCorrectionsReported) {
   // Not asserting a count (noise-dependent) — just that the path runs and
   // reports a sane value.
   EXPECT_LT(corrected_total, 200u);
+}
+
+TEST(Beamspot, TransmitOutcomesArePinned) {
+  // Exact outcome bits of the render edge cases: every idle span, chip
+  // run and clamp of the optical superposition feeds the pinned
+  // correlation and SNR, so any reordered or dropped sample moves them.
+  Fixture f;
+  const auto served = f.frame(60);
+  auto longer = f.frame(200);
+  longer.dst = 1;
+  longer.payload[0] = 0xEE;
+  auto other = f.frame(32);
+  other.dst = 2;
+
+  struct Job {
+    std::vector<ServingTx> servers;
+    std::vector<InterfererGroup> interferers;
+    double ambient_w = 0.0;
+  };
+  std::vector<Job> jobs;
+  jobs.push_back({{{7, 8e-7, 0.9, 0.0}}, {}, 0.0});
+  jobs.push_back({{{7, 6e-7, 0.9, -0.4e-6},
+                   {13, 4e-7, 0.9, 0.7e-6},
+                   {21, 3e-7, 0.9, -2.3e-6}},
+                  {},
+                  0.0});
+  {
+    // The interferer outlasts the served frame and sits furthest off.
+    InterfererGroup late{{{9, 1e-7, 0.9, -15e-6}, {11, 5e-8, 0.9, 9e-6}},
+                         longer};
+    InterfererGroup near{{{30, 2e-8, 0.9, 1.1e-6}}, other};
+    jobs.push_back({{{7, 6e-7, 0.9, 0.2e-6}, {13, 3e-7, 0.9, -0.6e-6}},
+                    {late, near},
+                    0.0});
+  }
+  // Zero- and negative-gain TXs radiate nothing, but their offsets still
+  // size the timeline.
+  jobs.push_back({{{7, 8e-7, 0.9, 0.0},
+                   {8, 0.0, 0.9, 50e-6},
+                   {9, -1e-7, 0.9, -80e-6}},
+                  {},
+                  0.0});
+  jobs.push_back({{{7, 8e-7, 0.9, 0.3e-6}}, {}, 5e-7});
+  jobs.push_back({{{7, 6e-7, 0.5, 0.0}, {13, 5e-7, 0.3, -1.2e-6}}, {}, 0.0});
+  // Marginal links: RS corrections, then below the preamble threshold.
+  jobs.push_back({{{7, 2.6e-8, 0.9, 0.0}}, {}, 0.0});
+  jobs.push_back({{{7, 2.2e-8, 0.9, 0.0}}, {}, 0.0});
+
+  struct Pin {
+    bool delivered;
+    std::size_t corrected_bytes;
+    std::uint64_t correlation_bits;
+    std::uint64_t snr_db_bits;
+  };
+  const std::array<Pin, 8> pins{{
+      {true, 0, 0x3FEF2EC6C644D5DBULL, 0x4028CE2C0496464CULL},
+      {true, 0, 0x3FEE442969F185CAULL, 0x4026ADEFF46CE8A3ULL},
+      {true, 0, 0x3FEEC506EED5F615ULL, 0xC019B32746CA3F93ULL},
+      {true, 0, 0x3FEF47CFAE6934A1ULL, 0x40285DE6EB9CE1FEULL},
+      {true, 0, 0x3FEEA92E1DFEF267ULL, 0x4027CC6A3F30E7A2ULL},
+      {true, 0, 0x3FEE301462AB9F6EULL, 0x402933A531A0F41AULL},
+      {true, 7, 0x3FE6397EAF96368CULL, 0x3FA889E00E32B703ULL},
+      {false, 0, 0, 0},
+  }};
+  ASSERT_EQ(jobs.size(), pins.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    Rng rng{0xB0 + i};
+    const auto out = f.jt.transmit(jobs[i].servers, served, rng,
+                                   jobs[i].interferers, jobs[i].ambient_w);
+    EXPECT_EQ(out.delivered, pins[i].delivered) << "job " << i;
+    EXPECT_EQ(out.corrected_bytes, pins[i].corrected_bytes) << "job " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.correlation),
+              pins[i].correlation_bits)
+        << "job " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.snr_estimate_db),
+              pins[i].snr_db_bits)
+        << "job " << i;
+  }
 }
 
 }  // namespace

@@ -362,26 +362,50 @@ TEST_P(Batch, TransmitBatchMatchesSequential) {
 
   Rng seq_rng{91};
   Rng batch_rng{91};
-  std::vector<core::TransmissionOutcome> expect;
-  for (const auto& job : jobs) {
-    expect.push_back(jt.transmit(job.servers, *job.frame, seq_rng,
-                                 job.interferers, job.ambient_optical_w));
-  }
   std::vector<core::TransmissionOutcome> got(jobs.size());
   core::JointTransmission::TransmitBatchScratch scratch;
-  jt.transmit_batch(jobs, batch_rng, got, scratch);
+  // Round two reuses the warm scratch: its front-ends restart on the new
+  // noise streams and must behave exactly like freshly built ones.
+  for (int round = 0; round < 2; ++round) {
+    std::vector<core::TransmissionOutcome> expect;
+    for (const auto& job : jobs) {
+      expect.push_back(jt.transmit(job.servers, *job.frame, seq_rng,
+                                   job.interferers, job.ambient_optical_w));
+    }
+    jt.transmit_batch(jobs, batch_rng, got, scratch);
 
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(got[i].delivered, expect[i].delivered)
+          << "round " << round << " lane " << i;
+      EXPECT_EQ(got[i].preamble_found, expect[i].preamble_found)
+          << "round " << round << " lane " << i;
+      EXPECT_EQ(got[i].corrected_bytes, expect[i].corrected_bytes)
+          << "round " << round << " lane " << i;
+      EXPECT_EQ(got[i].correlation, expect[i].correlation)
+          << "round " << round << " lane " << i;
+      EXPECT_EQ(got[i].snr_estimate_db, expect[i].snr_estimate_db)
+          << "round " << round << " lane " << i;
+    }
+    EXPECT_TRUE(got[0].delivered);
+    EXPECT_FALSE(got[1].delivered);
+  }
+  // A scratch warmed under another front-end configuration rebuilds its
+  // front-ends instead of restarting them.
+  phy::FrontEndConfig other = frontend;
+  other.tia_gain_ohm = 40e3;
+  const core::JointTransmission jt_other{tb.led, ook, other};
+  std::vector<core::TransmissionOutcome> expect;
+  for (const auto& job : jobs) {
+    expect.push_back(jt_other.transmit(job.servers, *job.frame, seq_rng,
+                                       job.interferers,
+                                       job.ambient_optical_w));
+  }
+  jt_other.transmit_batch(jobs, batch_rng, got, scratch);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(got[i].delivered, expect[i].delivered) << "lane " << i;
-    EXPECT_EQ(got[i].preamble_found, expect[i].preamble_found) << "lane " << i;
-    EXPECT_EQ(got[i].corrected_bytes, expect[i].corrected_bytes)
-        << "lane " << i;
     EXPECT_EQ(got[i].correlation, expect[i].correlation) << "lane " << i;
     EXPECT_EQ(got[i].snr_estimate_db, expect[i].snr_estimate_db)
         << "lane " << i;
   }
-  EXPECT_TRUE(got[0].delivered);
-  EXPECT_FALSE(got[1].delivered);
   // Both Rngs must have consumed the identical number of draws.
   EXPECT_EQ(seq_rng.uniform_int(0, 1 << 30), batch_rng.uniform_int(0, 1 << 30));
 }
@@ -425,6 +449,51 @@ TEST_P(Batch, BatchPipelineSteadyStateIsAllocationFree) {
   run_one();  // warm-up: all batch scratch reaches steady-state capacity
   const std::uint64_t before = bench::alloc_count();
   for (int i = 0; i < 5; ++i) run_one();
+  EXPECT_EQ(bench::alloc_count() - before, 0u);
+}
+
+TEST_P(Batch, TransmitBatchSteadyStateIsAllocationFree) {
+  core::Testbed tb = core::make_experimental_testbed();
+  const phy::OokParams ook{};
+  const phy::FrontEndConfig frontend{};
+  const core::JointTransmission jt{tb.led, ook, frontend};
+
+  Rng frame_rng{0xB8};
+  const auto frame_a = make_frame(120, frame_rng);
+  const auto frame_b = make_frame(200, frame_rng);
+  const auto frame_c = make_frame(300, frame_rng);  // outlasts every lane
+
+  const std::vector<core::ServingTx> spot_a{{7, 6e-7, 0.9, 0.0},
+                                            {13, 4e-7, 0.9, -0.3e-6}};
+  const std::vector<core::ServingTx> spot_b{{21, 8e-7, 0.9, 0.2e-6}};
+  std::vector<core::InterfererGroup> groups(2);
+  groups[0].txs = {{21, 2e-8, 0.9, 14e-6}};
+  groups[0].frame = frame_b;
+  groups[1].txs = {{30, 1e-8, 0.9, -9e-6}, {31, 1e-8, 0.9, 1e-6}};
+  groups[1].frame = frame_c;
+  const std::span<const core::InterfererGroup> both{groups};
+
+  // Four interfered lanes plus one lane with no servers.
+  const std::vector<core::JointTransmission::TransmitJob> jobs = {
+      {spot_a, &frame_a, both, 0.0},
+      {spot_b, &frame_b, both.first(1), 1e-6},
+      {{}, &frame_a, both, 0.0},
+      {spot_a, &frame_b, both.last(1), 0.0},
+      {spot_b, &frame_a, both, 0.0},
+  };
+  std::vector<core::TransmissionOutcome> outcomes(jobs.size());
+  core::JointTransmission::TransmitBatchScratch scratch;
+  Rng rng{93};
+
+  const auto run_one = [&] {
+    jt.transmit_batch(jobs, rng, outcomes, scratch);
+    for (const std::size_t lane : {0u, 1u, 3u, 4u}) {
+      ASSERT_TRUE(outcomes[lane].delivered) << "lane " << lane;
+    }
+  };
+  run_one();  // warm-up: render, front-end and receive scratch settle
+  const std::uint64_t before = bench::alloc_count();
+  for (int i = 0; i < 3; ++i) run_one();
   EXPECT_EQ(bench::alloc_count() - before, 0u);
 }
 

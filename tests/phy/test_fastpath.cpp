@@ -14,14 +14,21 @@
 // bit-identical to each other transitively.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "alloc_hook.hpp"
 #include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "dsp/correlate.hpp"
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
 #include "phy/frame_codec.hpp"
@@ -291,6 +298,207 @@ TEST_P(FastPath, FrontEndProcessIntoMatchesValueApi) {
     EXPECT_EQ(out_a.samples, out_b.samples) << "pass=" << pass;
     EXPECT_EQ(out_a.sample_rate_hz, out_b.sample_rate_hz);
   }
+}
+
+// --- Preamble search -----------------------------------------------------
+
+/// Runs the pruned search and the frozen full scan on one input and
+/// requires the same answer bit for bit; returns the full scan's answer.
+std::optional<dsp::PeakDetection> expect_search_matches(
+    std::span<const double> signal, std::span<const double> tpl,
+    double threshold, dsp::CorrelateScratch& scratch,
+    const std::string& what) {
+  const auto ref = bench::ref::detect_pattern(signal, tpl, threshold);
+  const auto got = dsp::detect_pattern_into(signal, tpl, threshold, scratch);
+  EXPECT_EQ(got.has_value(), ref.has_value()) << what;
+  if (got && ref) {
+    EXPECT_EQ(got->index, ref->index) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got->score),
+              std::bit_cast<std::uint64_t>(ref->score))
+        << what << " score " << got->score << " vs " << ref->score;
+  }
+  return ref;
+}
+
+/// Chip waveform at `spc` samples per chip as optical power: the LED
+/// current levels scaled by `watts_per_amp`, with `guard` idle chips on
+/// either side.
+dsp::Waveform chips_as_optical(std::span<const phy::Chip> chips,
+                               std::size_t spc, double chip_rate_hz,
+                               std::size_t guard, double watts_per_amp) {
+  phy::OokParams params{};
+  params.chip_rate_hz = chip_rate_hz;
+  params.samples_per_chip = spc;
+  const phy::OokModulator mod{params};
+  dsp::Waveform wf = mod.idle(guard);
+  const dsp::Waveform body = mod.modulate(chips);
+  wf.samples.insert(wf.samples.end(), body.samples.begin(),
+                    body.samples.end());
+  const dsp::Waveform tail = mod.idle(guard);
+  wf.samples.insert(wf.samples.end(), tail.samples.begin(),
+                    tail.samples.end());
+  for (double& v : wf.samples) v *= watts_per_amp;
+  return wf;
+}
+
+TEST_P(FastPath, PreambleSearchMatchesFullScan) {
+  Rng rng{0xF1};
+  const phy::OokParams params{};
+  const phy::FrontEndConfig fe_cfg{};
+  const phy::OokDemodulator demod{params.chip_rate_hz,
+                                  fe_cfg.adc.sample_rate_hz};
+  const std::vector<double> tpl = demod.preamble_template();
+  dsp::CorrelateScratch scratch;  // shared: no state may leak across calls
+  std::size_t found = 0;
+  std::size_t missed = 0;
+  const auto tally = [&](const std::optional<dsp::PeakDetection>& ref) {
+    ++(ref ? found : missed);
+  };
+
+  // Frames through the real front end at strong, marginal and
+  // below-threshold gains (optical watts per amp of LED current).
+  std::vector<double> strong_rx;
+  for (const double gain : {1e-6, 8e-8, 3e-8, 1.5e-8, 5e-9}) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const auto f = random_frame(60 + 40 * seed, rng);
+      const auto chips = phy::frame_to_chips(f);
+      const auto optical = chips_as_optical(chips, params.samples_per_chip,
+                                            params.chip_rate_hz, 16, gain);
+      phy::ReceiverFrontEnd fe{fe_cfg, Rng{seed + 1}};
+      const auto rx = fe.process(optical);
+      for (const double threshold : {0.6, 0.3}) {
+        tally(expect_search_matches(
+            rx.samples, tpl, threshold, scratch,
+            "frame gain " + std::to_string(gain) + " seed " +
+                std::to_string(seed) + " thr " + std::to_string(threshold)));
+      }
+      if (gain == 1e-6 && seed == 0) strong_rx = rx.samples;
+    }
+  }
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(missed, 0u);
+
+  // A threshold exactly at the peak score still qualifies it; one ulp
+  // above rejects every position.
+  const auto peak = bench::ref::detect_pattern(strong_rx, tpl, 0.6);
+  ASSERT_TRUE(peak.has_value());
+  EXPECT_TRUE(expect_search_matches(strong_rx, tpl, peak->score, scratch,
+                                    "threshold == peak")
+                  .has_value());
+  EXPECT_FALSE(expect_search_matches(
+                   strong_rx, tpl,
+                   std::nextafter(peak->score,
+                                  std::numeric_limits<double>::infinity()),
+                   scratch, "threshold one ulp above peak")
+                   .has_value());
+
+  // Pattern as long as the signal: a single window position.
+  const std::span<const double> one_window{strong_rx.data() + peak->index,
+                                           tpl.size()};
+  EXPECT_TRUE(
+      expect_search_matches(one_window, tpl, 0.6, scratch, "single window")
+          .has_value());
+  expect_search_matches(std::span<const double>{strong_rx}.first(tpl.size()),
+                        tpl, -1.0, scratch, "single noise window");
+
+  // Pure noise, including thresholds every position reaches (the argmax
+  // then rests on the lower bounds alone).
+  std::vector<double> noise(6000);
+  for (double& v : noise) v = rng.gaussian(0.0, 1.0);
+  for (const double threshold : {0.6, 0.1, 0.0, -1.0}) {
+    expect_search_matches(noise, tpl, threshold, scratch,
+                          "noise thr " + std::to_string(threshold));
+  }
+
+  // Exactly periodic integer signal: window sums are exact, so every
+  // period ties bit for bit and the first index must win.
+  std::vector<double> block(tpl.size() + 77);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block[i] = static_cast<double>(rng.uniform_int(-2, 2)) +
+               (i < tpl.size() ? 3.0 * tpl[i] : 0.0);
+  }
+  std::vector<double> periodic;
+  for (int rep = 0; rep < 5; ++rep) {
+    periodic.insert(periodic.end(), block.begin(), block.end());
+  }
+  for (const double threshold : {0.6, -1.0}) {
+    const auto ref = expect_search_matches(
+        periodic, tpl, threshold, scratch,
+        "periodic thr " + std::to_string(threshold));
+    ASSERT_TRUE(ref.has_value());
+    EXPECT_LT(ref->index, block.size());
+  }
+
+  // Constant stretches (var == 0 windows score exactly 0) around one
+  // copy of the template, and an all-constant signal whose rolling
+  // variance is rounding residue.
+  std::vector<double> padded(3000, 0.0);
+  for (std::size_t j = 0; j < tpl.size(); ++j) padded[1200 + j] = tpl[j];
+  std::vector<double> flat(3000, 3.7);
+  for (const double threshold : {0.6, 0.0, -1.0}) {
+    const std::string thr = " thr " + std::to_string(threshold);
+    expect_search_matches(padded, tpl, threshold, scratch, "padded" + thr);
+    expect_search_matches(flat, tpl, threshold, scratch, "flat" + thr);
+  }
+
+  // Large DC offset under a tiny swing: running sums are huge next to
+  // the mean-removed dot products. At 1e3 the reference still resolves
+  // the copy; at 1e6 its rolling variance is rounding residue.
+  for (const double offset : {1e3, 1e6}) {
+    std::vector<double> dc(4000);
+    for (double& v : dc) v = offset + 1e-4 * rng.gaussian(0.0, 1.0);
+    for (std::size_t j = 0; j < tpl.size(); ++j) dc[2500 + j] += 1e-3 * tpl[j];
+    const auto ref = expect_search_matches(
+        dc, tpl, 0.6, scratch, "dc offset " + std::to_string(offset));
+    if (offset == 1e3) {
+      ASSERT_TRUE(ref.has_value());
+      EXPECT_EQ(ref->index, 2500u);
+    }
+  }
+
+  // The channel prober's template: its DC-balanced 64-chip LFSR burst.
+  std::vector<phy::Chip> probe;
+  unsigned lfsr = 0xACE1u;
+  for (std::size_t i = 0; i < 32; ++i) {
+    const unsigned bit =
+        ((lfsr >> 0) ^ (lfsr >> 2) ^ (lfsr >> 3) ^ (lfsr >> 5)) & 1u;
+    lfsr = (lfsr >> 1) | (bit << 15);
+    probe.push_back(bit ? phy::Chip::kHigh : phy::Chip::kLow);
+    probe.push_back(bit ? phy::Chip::kLow : phy::Chip::kHigh);
+  }
+  const std::vector<double> probe_tpl = demod.pattern_template(probe);
+  for (const double gain : {1e-6, 2e-8, 5e-9}) {
+    const auto optical = chips_as_optical(probe, params.samples_per_chip,
+                                          params.chip_rate_hz, 16, gain);
+    phy::ReceiverFrontEnd fe{fe_cfg, Rng{7}};
+    expect_search_matches(fe.process(optical).samples, probe_tpl, 0.5,
+                          scratch, "probe gain " + std::to_string(gain));
+  }
+
+  // The NLOS pilot template: the pilot at 40 TX samples per chip through
+  // the pilot-band front end, at floor-bounce strength.
+  phy::FrontEndConfig pilot_cfg{};
+  pilot_cfg.butterworth_corner_hz = 200e3;
+  const std::vector<double> pilot_tpl =
+      demod.pattern_template(phy::pilot_pattern());
+  for (const double gain : {2e-8, 4e-9, 1e-9}) {
+    const auto optical =
+        chips_as_optical(phy::pilot_pattern(), 40, 100e3, 8, gain);
+    phy::ReceiverFrontEnd fe{pilot_cfg, Rng{8}};
+    const auto rx = fe.process(optical);
+    for (const double threshold : {0.55, 0.2}) {
+      expect_search_matches(rx.samples, pilot_tpl, threshold, scratch,
+                            "pilot gain " + std::to_string(gain));
+    }
+  }
+
+  // Degenerate shapes.
+  EXPECT_FALSE(dsp::detect_pattern_into(std::span<const double>{}, tpl, 0.6,
+                                        scratch)
+                   .has_value());
+  EXPECT_FALSE(
+      dsp::detect_pattern_into(tpl, std::span<const double>{}, 0.6, scratch)
+          .has_value());
 }
 
 // --- Exhaustive byte-domain sweeps ---------------------------------------
