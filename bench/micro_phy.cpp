@@ -25,6 +25,10 @@
 //                    front end at strong, marginal and sub-threshold
 //                    gains (searches/s); also reports how many positions
 //                    per call were scored exactly
+//   probe_sweep      ChannelProber::probe_matrix over the Fig. 7 36x4
+//                    channel (links/s), against one probe_link per link
+//                    on the same split() sub-streams; a warm sweep may
+//                    allocate only the matrix it returns
 //
 // Fast-path outputs are bit-compared against the scalar baselines; any
 // drift prints MISMATCH and a steady-state allocation prints
@@ -51,6 +55,8 @@
 #include "common/simd.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "core/prober.hpp"
+#include "core/testbed.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
@@ -61,6 +67,7 @@
 #include "phy/ook.hpp"
 #include "phy/reed_solomon.hpp"
 #include "phy_reference.hpp"
+#include "scenario/scenarios.hpp"
 
 namespace {
 
@@ -683,6 +690,65 @@ int main(int argc, char** argv) {
       r.steady_allocs = bench::alloc_count() - allocs0;
       r.rescored_per_call =
           static_cast<double>(rescored) / r.fast.work_items;
+    }
+    results.push_back(std::move(r));
+  }
+
+  // --- probe_sweep: batched channel sweep vs per-link probes -------------
+  {
+    WorkloadResult r{"probe_sweep", "links", {}, {}, true, 0};
+    r.scalar_label = "per-link";
+    const std::size_t reps = quick ? 1 : 20;
+    const auto tb = core::make_simulation_testbed();
+    const auto truth = tb.channel_for(scenario::fig7_rx_positions());
+    const std::size_t n = truth.num_tx();
+    const std::size_t m = truth.num_rx();
+    core::ChannelProber prober{tb.led, phy::OokParams{},
+                               phy::FrontEndConfig{}, 0.9};
+    Rng rng{0x9B0BE};
+
+    {  // per-link timing: the sweep's draws, one probe_link at a time
+      r.scalar.emplace();
+      Rng ref_rng = rng;
+      const auto t0 = Clock::now();
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        const Rng fork = ref_rng.fork();
+        for (std::size_t idx = 0; idx < n * m; ++idx) {
+          Rng link = fork.split(idx);
+          (void)prober.probe_link(truth.gain(idx / m, idx % m), link);
+          r.scalar->work_items += 1.0;
+        }
+      }
+      r.scalar->wall_time_s = seconds_since(t0);
+    }
+
+    // Correctness pass: every entry against its per-link probe.
+    {
+      Rng ref_rng = rng;
+      const Rng fork = ref_rng.fork();
+      const auto measured = prober.probe_matrix(truth, rng);
+      for (std::size_t idx = 0; idx < n * m; ++idx) {
+        Rng link = fork.split(idx);
+        const double expect =
+            prober.probe_link(truth.gain(idx / m, idx % m), link)
+                .gain_estimate;
+        if (std::bit_cast<std::uint64_t>(measured.gain(idx / m, idx % m)) !=
+            std::bit_cast<std::uint64_t>(expect)) {
+          r.identical = false;
+        }
+      }
+    }
+
+    {  // sweep timing (warm from the correctness pass)
+      const std::uint64_t allocs0 = bench::alloc_count();
+      const auto t0 = Clock::now();
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        (void)prober.probe_matrix(truth, rng);
+        r.fast.work_items += static_cast<double>(n * m);
+      }
+      r.fast.wall_time_s = seconds_since(t0);
+      // Each sweep allocates the matrix it returns, and nothing else.
+      r.steady_allocs = bench::alloc_count() - allocs0 - reps;
     }
     results.push_back(std::move(r));
   }

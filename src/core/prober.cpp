@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "dsp/correlate.hpp"
+#include "common/arena.hpp"
 
 namespace densevlc::core {
 namespace {
@@ -71,26 +71,48 @@ ChannelProber::ChannelProber(const optics::LedModel& led,
   samples_per_chip_ = demod.samples_per_chip();
 }
 
-ProbeResult ChannelProber::probe_link(double h, Rng& rng) const {
-  ProbeResult out;
-  if (h <= 0.0) return out;
-
+void ChannelProber::load_lane(std::size_t lane, double h, Rng& rng) {
   // The channel scales the burst; the RX captures it through its chain.
-  dsp::Waveform optical = burst_power_;
-  for (double& s : optical.samples) s = h * eta_ * s;
-  phy::ReceiverFrontEnd fe{frontend_, rng.fork()};
-  const dsp::Waveform rx = fe.process(optical);
+  dsp::Waveform& optical = optical_[lane];
+  optical.sample_rate_hz = burst_power_.sample_rate_hz;
+  arena_resize(optical.samples, burst_power_.samples.size());
+  for (std::size_t i = 0; i < optical.samples.size(); ++i) {
+    optical.samples[i] = h * eta_ * burst_power_.samples[i];
+  }
+  std::optional<phy::ReceiverFrontEnd>& fe = fes_[lane];
+  if (fe) {
+    fe->restart(rng.fork());
+  } else {
+    fe.emplace(frontend_, rng.fork());
+  }
+}
 
+void ChannelProber::run_lanes(std::size_t count, std::span<ProbeResult> out) {
+  phy::ReceiverFrontEnd* fes[kLanes];
+  const dsp::Waveform* in[kLanes];
+  dsp::Waveform* rx[kLanes];
+  for (std::size_t l = 0; l < count; ++l) {
+    fes[l] = &*fes_[l];
+    in[l] = &optical_[l];
+    rx[l] = &rx_[l];
+  }
+  phy::ReceiverFrontEnd::process_batch_into(
+      {fes, count}, {in, count}, {rx, count}, batch_);
+  for (std::size_t l = 0; l < count; ++l) out[l] = estimate(rx_[l].samples);
+}
+
+ProbeResult ChannelProber::estimate(std::span<const double> rx) {
+  ProbeResult out;
   // Locate the probe.
-  const auto peak = dsp::detect_pattern(rx.samples, probe_template_, 0.5);
+  const auto peak =
+      dsp::detect_pattern_into(rx, probe_template_, 0.5, correlate_);
   if (!peak) return out;
   out.detected = true;
 
   // Slice with the known pattern and average sign-corrected amplitudes.
   const auto& pattern = probe_pattern();
   const double spc = samples_per_chip_;
-  std::vector<double> chip_values;
-  chip_values.reserve(pattern.size());
+  std::vector<double>& chip_values = arena_clear(chip_values_);
   for (std::size_t i = 0; i < pattern.size(); ++i) {
     const double start =
         static_cast<double>(peak->index) + static_cast<double>(i) * spc;
@@ -98,8 +120,8 @@ ProbeResult ChannelProber::probe_link(double h, Rng& rng) const {
     const auto hi = static_cast<std::size_t>(start + 0.75 * spc);
     double acc = 0.0;
     std::size_t n = 0;
-    for (std::size_t s = lo; s <= hi && s < rx.samples.size(); ++s) {
-      acc += rx.samples[s];
+    for (std::size_t s = lo; s <= hi && s < rx.size(); ++s) {
+      acc += rx[s];
       ++n;
     }
     if (n > 0) chip_values.push_back(acc / static_cast<double>(n));
@@ -118,8 +140,16 @@ ProbeResult ChannelProber::probe_link(double h, Rng& rng) const {
   return out;
 }
 
+ProbeResult ChannelProber::probe_link(double h, Rng& rng) {
+  ProbeResult out;
+  if (h <= 0.0) return out;
+  load_lane(0, h, rng);
+  run_lanes(1, {&out, 1});
+  return out;
+}
+
 channel::ChannelMatrix ChannelProber::probe_matrix(
-    const channel::ChannelMatrix& truth, Rng& rng) const {
+    const channel::ChannelMatrix& truth, Rng& rng) {
   // The full sweep is the incremental one with nothing to keep.
   return probe_matrix_incremental(truth, rng, {}, {});
 }
@@ -127,7 +157,7 @@ channel::ChannelMatrix ChannelProber::probe_matrix(
 channel::ChannelMatrix ChannelProber::probe_matrix_incremental(
     const channel::ChannelMatrix& truth, Rng& rng,
     const std::vector<bool>& dirty_rx,
-    const channel::ChannelMatrix& previous) const {
+    const channel::ChannelMatrix& previous) {
   // One fork anchors the whole sweep to the caller's stream position, however
   // many links are skipped, so everything drawn after the sweep (report
   // loss, TX offsets, ...) is unaffected by the mode. Each link then gets
@@ -140,14 +170,35 @@ channel::ChannelMatrix ChannelProber::probe_matrix_incremental(
   const bool shape_ok = previous.num_tx() == n && previous.num_rx() == m &&
                         dirty_rx.size() == m;
   channel::ChannelMatrix measured = shape_ok ? previous : truth;
+
+  // Links that need airtime are probed in quads; the front ends are
+  // independent, so grouping changes no draw and no result.
+  std::size_t pending[kLanes];
+  ProbeResult results[kLanes];
+  std::size_t filled = 0;
+  const auto flush = [&] {
+    run_lanes(filled, {results, filled});
+    for (std::size_t l = 0; l < filled; ++l) {
+      measured.set_gain(pending[l] / m, pending[l] % m,
+                        results[l].gain_estimate);
+    }
+    filled = 0;
+  };
   for (std::size_t idx = 0; idx < n * m; ++idx) {
     const std::size_t j = idx / m;
     const std::size_t k = idx % m;
     if (shape_ok && !dirty_rx[k]) continue;
+    const double h = truth.gain(j, k);
+    if (h <= 0.0) {  // probe_link's early out: nothing to receive
+      measured.set_gain(j, k, 0.0);
+      continue;
+    }
     Rng link_rng = sweep.split(idx);
-    measured.set_gain(j, k,
-                      probe_link(truth.gain(j, k), link_rng).gain_estimate);
+    load_lane(filled, h, link_rng);
+    pending[filled++] = idx;
+    if (filled == kLanes) flush();
   }
+  if (filled > 0) flush();
   return measured;
 }
 

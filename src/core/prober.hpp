@@ -10,10 +10,14 @@
 // build their channel matrices from these measurements.
 #pragma once
 
+#include <array>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "channel/model.hpp"
 #include "common/rng.hpp"
+#include "dsp/correlate.hpp"
 #include "dsp/snr_estimator.hpp"
 #include "optics/led_model.hpp"
 #include "phy/frontend.hpp"
@@ -28,7 +32,10 @@ struct ProbeResult {
   bool detected = false;       ///< probe found above the noise floor
 };
 
-/// Measures links by driving the PHY end to end.
+/// Measures links by driving the PHY end to end. Links run four at a time
+/// through ReceiverFrontEnd::process_batch_into on prober-owned scratch,
+/// so a warm prober's sweep allocates only the matrix it returns. The
+/// scratch makes probing a mutating operation: one prober per thread.
 class ChannelProber {
  public:
   /// `ook` fixes chip rate and currents; probes always use full swing.
@@ -37,15 +44,17 @@ class ChannelProber {
 
   /// Probes one link of true gain `h` (from geometry or a fading draw).
   /// Noise and quantization make the estimate imperfect — exactly the
-  /// imperfection the heuristic has to live with in practice.
-  ProbeResult probe_link(double h, Rng& rng) const;
+  /// imperfection the heuristic has to live with in practice. A batch of
+  /// one through the same code as the sweeps.
+  ProbeResult probe_link(double h, Rng& rng);
 
   /// Probes every entry of a true channel matrix, returning the measured
   /// matrix (undetected links measure 0). Each link draws from its own
   /// split() sub-stream of one fork of `rng`, so `rng` advances by exactly
-  /// one fork regardless of size.
+  /// one fork regardless of size. Bit-identical per link to
+  /// probe_link(h, split) on that link's sub-stream.
   channel::ChannelMatrix probe_matrix(const channel::ChannelMatrix& truth,
-                                      Rng& rng) const;
+                                      Rng& rng);
 
   /// Incremental sweep: probes only the RX columns flagged in `dirty_rx`;
   /// clean columns keep the measurements in `previous` (that airtime is
@@ -57,19 +66,40 @@ class ChannelProber {
   channel::ChannelMatrix probe_matrix_incremental(
       const channel::ChannelMatrix& truth, Rng& rng,
       const std::vector<bool>& dirty_rx,
-      const channel::ChannelMatrix& previous) const;
+      const channel::ChannelMatrix& previous);
 
   /// The calibration constant mapping received voltage amplitude back to
   /// channel gain: volts per unit H.
   double volts_per_gain() const { return volts_per_gain_; }
 
  private:
+  static constexpr std::size_t kLanes = 4;
+
+  /// Stages lane `lane` for a probe of gain `h`: the burst scaled by the
+  /// channel, and the lane's front end restarted on `rng.fork()` (built
+  /// on first use).
+  void load_lane(std::size_t lane, double h, Rng& rng);
+  /// Runs lanes [0, count) through the batch front end and estimates each.
+  void run_lanes(std::size_t count, std::span<ProbeResult> out);
+  /// Locates, slices and measures the probe in one received waveform.
+  ProbeResult estimate(std::span<const double> rx);
+
   phy::FrontEndConfig frontend_;
   double eta_;                          ///< LED wall-plug efficiency
   dsp::Waveform burst_power_;           ///< probe burst, LED optical power
   std::vector<double> probe_template_;  ///< probe chips at the ADC rate
   double samples_per_chip_ = 0.0;       ///< at the ADC rate
   double volts_per_gain_ = 0.0;
+
+  // Sweep scratch, reused across calls. The front ends are built by the
+  // first probe rather than here, which keeps construction as cheap as a
+  // prober that never probes.
+  std::array<std::optional<phy::ReceiverFrontEnd>, kLanes> fes_;
+  std::array<dsp::Waveform, kLanes> optical_;
+  std::array<dsp::Waveform, kLanes> rx_;
+  phy::ReceiverFrontEnd::BatchScratch batch_;
+  dsp::CorrelateScratch correlate_;
+  std::vector<double> chip_values_;
 };
 
 }  // namespace densevlc::core

@@ -23,8 +23,58 @@ double BiquadCascade::step(double x) {
   return x;
 }
 
+namespace {
+
+/// N consecutive sections over one block, sample-major. The delay lines
+/// live in locals rather than in members the output could alias, so no
+/// sample waits on a store-to-load round trip, and with N fixed the
+/// sections unroll into independent recurrences that overlap.
+template <std::size_t N>
+void run_sections(Biquad* sec, std::span<double> x) {
+  double b0[N], b1[N], b2[N], a1[N], a2[N], s1[N], s2[N];
+  for (std::size_t s = 0; s < N; ++s) {
+    const BiquadCoeffs& c = sec[s].coeffs();
+    b0[s] = c.b0;
+    b1[s] = c.b1;
+    b2[s] = c.b2;
+    a1[s] = c.a1;
+    a2[s] = c.a2;
+    s1[s] = sec[s].state_s1();
+    s2[s] = sec[s].state_s2();
+  }
+  for (double& v : x) {
+    double u = v;
+    for (std::size_t s = 0; s < N; ++s) {
+      // Biquad::step, operation for operation.
+      const double y = b0[s] * u + s1[s];
+      s1[s] = b1[s] * u - a1[s] * y + s2[s];
+      s2[s] = b2[s] * u - a2[s] * y;
+      u = y;
+    }
+    v = u;
+  }
+  for (std::size_t s = 0; s < N; ++s) sec[s].set_state(s1[s], s2[s]);
+}
+
+}  // namespace
+
 void BiquadCascade::process_block(std::span<double> x) {
-  for (auto& s : sections_) s.process_block(x);
+  // Each section's output depends only on its own state and input
+  // stream, so running the groups one after another is exact.
+  for (std::size_t first = 0; first < sections_.size();
+       first += kMaxBiquadSections) {
+    Biquad* sec = sections_.data() + first;
+    switch (std::min(kMaxBiquadSections, sections_.size() - first)) {
+      case 1: run_sections<1>(sec, x); break;
+      case 2: run_sections<2>(sec, x); break;
+      case 3: run_sections<3>(sec, x); break;
+      case 4: run_sections<4>(sec, x); break;
+      case 5: run_sections<5>(sec, x); break;
+      case 6: run_sections<6>(sec, x); break;
+      case 7: run_sections<7>(sec, x); break;
+      default: run_sections<kMaxBiquadSections>(sec, x); break;
+    }
+  }
 }
 
 void BiquadCascade::process_into(const Waveform& in, Waveform& out) {
@@ -49,15 +99,15 @@ void process_cascades_x4(BiquadCascade* const cascades[4],
   DVLC_EXPECT(interleaved.size() % 4 == 0,
               "x4 block must be 4-lane interleaved");
   const std::size_t sections = cascades[0]->section_count();
-  DVLC_EXPECT(sections <= detail::kMaxBiquadSections,
+  DVLC_EXPECT(sections <= kMaxBiquadSections,
               "cascade too deep for the x4 kernel");
   for (std::size_t l = 1; l < 4; ++l) {
     DVLC_EXPECT(cascades[l]->section_count() == sections,
                 "x4 lanes must share the cascade shape");
   }
   // Stage coefficients and delay-line state into lane-major groups of 4.
-  double coeffs[detail::kMaxBiquadSections * 20];
-  double states[detail::kMaxBiquadSections * 8];
+  double coeffs[kMaxBiquadSections * 20];
+  double states[kMaxBiquadSections * 8];
   for (std::size_t s = 0; s < sections; ++s) {
     for (std::size_t l = 0; l < 4; ++l) {
       const Biquad& sec = cascades[l]->section(s);

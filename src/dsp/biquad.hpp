@@ -5,6 +5,7 @@
 // numerically preferred direct form for double-precision audio-rate work.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -33,11 +34,6 @@ class Biquad {
     return y;
   }
 
-  /// Filters a block in place — same arithmetic as step() per sample.
-  void process_block(std::span<double> x) {
-    for (double& v : x) v = step(v);
-  }
-
   /// Clears the delay line.
   void reset() { s1_ = s2_ = 0.0; }
 
@@ -57,6 +53,10 @@ class Biquad {
   double s1_ = 0.0, s2_ = 0.0;
 };
 
+/// Deepest cascade process_cascades_x4 accepts; callers route deeper
+/// cascades through BiquadCascade::process_block.
+inline constexpr std::size_t kMaxBiquadSections = 8;
+
 /// A cascade of biquad sections applied in series.
 class BiquadCascade {
  public:
@@ -69,10 +69,13 @@ class BiquadCascade {
   /// Filters a whole waveform (stateful: continues from previous state).
   Waveform process(const Waveform& in);
 
-  /// Filters a block in place: one full-block pass per section, so each
-  /// section's coefficients stay in registers for the whole block.
-  /// Bit-identical to chaining step() sample by sample (each section's
-  /// output depends only on its own state and input stream).
+  /// Filters a block in place, sample-major: each sample runs through
+  /// every section before the next sample enters, with coefficients and
+  /// delay lines staged in locals so the sections' recurrences overlap.
+  /// Sections go in groups of at most kMaxBiquadSections, one block pass
+  /// per group, so any depth is handled. Each section performs exactly
+  /// Biquad::step's operations on its own input stream, so the output and
+  /// final state are bit-identical to chaining step() sample by sample.
   void process_block(std::span<double> x);
 
   /// process() into a reused waveform (see common/arena.hpp): zero heap
@@ -96,7 +99,8 @@ class BiquadCascade {
 };
 
 /// Filters four equally-shaped cascades in lockstep over a 4-lane
-/// interleaved block (`interleaved[t*4 + lane]`, length a multiple of 4).
+/// interleaved block (`interleaved[t*4 + lane]`, length a multiple of 4),
+/// each at most kMaxBiquadSections deep.
 /// Stateful like process_block: each cascade's delay lines continue from
 /// and are written back to the cascade objects, so callers may finish a
 /// ragged tail per lane with process_block afterwards. Bit-identical per

@@ -18,12 +18,9 @@
 #include <cstddef>
 
 #include "common/simd.hpp"
+#include "dsp/biquad.hpp"
 
 namespace densevlc::dsp::detail {
-
-/// Upper bound on cascade depth supported by the x4 biquad kernel (the
-/// deepest cascade in the system is the order-7 Butterworth's 4 sections).
-inline constexpr std::size_t kMaxBiquadSections = 8;
 
 /// Four equally-shaped DF2T cascades advanced in lockstep.
 ///
@@ -33,8 +30,9 @@ inline constexpr std::size_t kMaxBiquadSections = 8;
 ///   x[t*4 + lane]  (interleaved samples, filtered in place)
 ///
 /// Per lane this performs exactly Biquad::step's operation sequence for
-/// each sample through each section — a pure dataflow reordering of the
-/// per-section block passes, hence bit-identical.
+/// each sample through each section, in the same sample-major schedule as
+/// BiquadCascade::process_block, hence bit-identical. At most
+/// kMaxBiquadSections sections (dsp/biquad.hpp).
 template <class B>
 void biquad_x4_kernel(const double* coeffs, double* states,
                       std::size_t sections, double* x,

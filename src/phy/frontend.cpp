@@ -105,7 +105,10 @@ void ReceiverFrontEnd::process_batch_into(
   const auto run_quad = [&](const std::size_t lane[4]) {
     ReceiverFrontEnd* fe[4];
     std::size_t min_len = SIZE_MAX;
-    bool same_shape = true;
+    // Cascades deeper than the x4 kernel's staging take the scalar path.
+    bool same_shape =
+        fes[lane[0]]->ac_stage_.section_count() <= dsp::kMaxBiquadSections &&
+        fes[lane[0]]->lowpass_.section_count() <= dsp::kMaxBiquadSections;
     for (std::size_t l = 0; l < 4; ++l) {
       fe[l] = fes[lane[l]];
       min_len = std::min(min_len, out[lane[l]]->samples.size());

@@ -76,7 +76,8 @@ class ReceiverFrontEnd {
   /// (each front-end draws its own noise stream first, in lane order),
   /// but the filter stages run four lanes at a time through the vector
   /// biquad kernel. Lanes are grouped in encounter order; groups with
-  /// mismatched filter shapes and ragged tails fall back to the scalar
+  /// mismatched filter shapes or cascades deeper than
+  /// dsp::kMaxBiquadSections, and ragged tails, fall back to the scalar
   /// cascades, whose state continues seamlessly.
   // DVLC_LINT_WAIVE(api-into-wrapper): batch outputs are caller-owned spans
   static void process_batch_into(std::span<ReceiverFrontEnd* const> fes,

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "alloc_hook.hpp"
 #include "scenario/compile.hpp"
 #include "scenario/scenarios.hpp"
 
@@ -142,6 +148,75 @@ TEST(Prober, SnrDropsWithGain) {
   ASSERT_TRUE(strong.detected);
   if (weak.detected) {
     EXPECT_GT(strong.snr_db, weak.snr_db);
+  }
+}
+
+/// A channel of `n` TXs by `m` RXs with every fifth link dark (zero gain)
+/// and every seventh negative, interleaved with plausible gains.
+channel::ChannelMatrix mixed_channel(std::size_t n, std::size_t m, Rng& rng) {
+  std::vector<double> gains(n * m);
+  for (std::size_t i = 0; i < gains.size(); ++i) {
+    gains[i] = i % 5 == 2   ? 0.0
+               : i % 7 == 3 ? -rng.uniform(1e-8, 1e-6)
+                            : rng.uniform(1e-8, 1e-6);
+  }
+  return {n, m, std::move(gains)};
+}
+
+TEST(Prober, BatchedSweepMatchesPerLinkProbes) {
+  // The quad sweep against one probe_link per link on that link's split()
+  // sub-stream, for link counts that leave partial quads, with full and
+  // incremental masks.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  Fixture f;
+  Rng gains_rng{13};
+  const std::pair<std::size_t, std::size_t> shapes[] = {{5, 3}, {7, 1},
+                                                         {36, 4}};
+  for (const auto& [n, m] : shapes) {
+    const auto truth = mixed_channel(n, m, gains_rng);
+    const channel::ChannelMatrix previous{n, m,
+                                          std::vector<double>(n * m, 42.0)};
+    std::vector<bool> alternate(m);
+    for (std::size_t k = 0; k < m; ++k) alternate[k] = k % 2 == 0;
+    for (const bool incremental : {false, true}) {
+      Rng rng{n * 100 + m};
+      const Rng fork = Rng{rng}.fork();
+      const auto measured =
+          incremental ? f.prober.probe_matrix_incremental(truth, rng,
+                                                          alternate, previous)
+                      : f.prober.probe_matrix(truth, rng);
+      for (std::size_t idx = 0; idx < n * m; ++idx) {
+        const std::size_t j = idx / m;
+        const std::size_t k = idx % m;
+        double expect = previous.gain(j, k);
+        if (!incremental || alternate[k]) {
+          Rng link = fork.split(idx);
+          expect = f.prober.probe_link(truth.gain(j, k), link).gain_estimate;
+        }
+        EXPECT_EQ(bits(measured.gain(j, k)), bits(expect))
+            << n << "x" << m << (incremental ? " incremental" : " full")
+            << " j=" << j << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Prober, WarmSweepAllocatesOnlyItsResult) {
+  Fixture f;
+  Rng rng{14};
+  const auto warm = mixed_channel(36, 4, rng);
+  (void)f.prober.probe_matrix(warm, rng);  // scratch reaches steady state
+  const std::pair<std::size_t, std::size_t> shapes[] = {{36, 4}, {5, 3},
+                                                         {7, 1}};
+  for (const auto& [n, m] : shapes) {
+    const auto truth = mixed_channel(n, m, rng);
+    const std::vector<bool> dirty(m, true);
+    std::uint64_t before = bench::alloc_count();
+    const auto full = f.prober.probe_matrix(truth, rng);
+    EXPECT_EQ(bench::alloc_count() - before, 1u) << n << "x" << m;
+    before = bench::alloc_count();
+    const auto inc = f.prober.probe_matrix_incremental(truth, rng, dirty, full);
+    EXPECT_EQ(bench::alloc_count() - before, 1u) << n << "x" << m;
   }
 }
 

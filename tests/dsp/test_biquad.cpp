@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace densevlc::dsp {
 namespace {
@@ -87,6 +93,58 @@ TEST(Cascade, MagnitudeOfMovingAverageNullsNyquist) {
   BiquadCascade cas{{c}};
   EXPECT_NEAR(cas.magnitude_at(24000.0, 48000.0), 0.0, 1e-12);
   EXPECT_NEAR(cas.magnitude_at(0.0, 48000.0), 1.0, 1e-12);
+}
+
+TEST(Cascade, ProcessBlockMatchesStepChain) {
+  // The sample-major block kernel against a per-sample step() chain, at
+  // depths on both sides of the kernel's section-group size, from random
+  // (stable) coefficients and a non-zero starting state, over blocks split
+  // at arbitrary points so the delay lines carry across calls.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  Rng rng{0xB1C0};
+  for (const std::size_t depth : {0u, 1u, 4u, 8u, 9u, 12u}) {
+    std::vector<BiquadCoeffs> coeffs(depth);
+    for (auto& c : coeffs) {
+      c.b0 = rng.uniform(-1.0, 1.0);
+      c.b1 = rng.uniform(-1.0, 1.0);
+      c.b2 = rng.uniform(-1.0, 1.0);
+      c.a1 = rng.uniform(-0.5, 0.5);
+      c.a2 = rng.uniform(-0.5, 0.5);
+    }
+    BiquadCascade block{coeffs};
+    std::vector<Biquad> chain;
+    for (std::size_t s = 0; s < depth; ++s) {
+      const double s1 = rng.uniform(-1.0, 1.0);
+      const double s2 = rng.uniform(-1.0, 1.0);
+      block.section(s).set_state(s1, s2);
+      chain.emplace_back(coeffs[s]);
+      chain.back().set_state(s1, s2);
+    }
+
+    std::vector<double> x(517);
+    for (double& v : x) v = rng.uniform(-2.0, 2.0);
+    std::vector<double> expect = x;
+    for (double& v : expect) {
+      for (auto& sec : chain) v = sec.step(v);
+    }
+
+    std::size_t at = 0;
+    while (at < x.size()) {
+      const auto len = std::min<std::size_t>(
+          x.size() - at, static_cast<std::size_t>(rng.uniform_int(0, 90)));
+      block.process_block(std::span<double>{x}.subspan(at, len));
+      at += len;
+    }
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(bits(x[i]), bits(expect[i])) << "depth " << depth << " i " << i;
+    }
+    for (std::size_t s = 0; s < depth; ++s) {
+      EXPECT_EQ(bits(block.section(s).state_s1()), bits(chain[s].state_s1()))
+          << "depth " << depth << " section " << s;
+      EXPECT_EQ(bits(block.section(s).state_s2()), bits(chain[s].state_s2()))
+          << "depth " << depth << " section " << s;
+    }
+  }
 }
 
 TEST(Waveform, DurationFromRate) {

@@ -9,6 +9,7 @@
 // sequence transitively.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -326,6 +327,44 @@ TEST_P(Batch, FrontEndBatchMatchesSequential) {
       EXPECT_EQ(got[i].samples, expect[i].samples)
           << "round " << round << " lane " << i;
     }
+  }
+}
+
+TEST_P(Batch, DeepCascadeMatchesScalar) {
+  // An order-24 Butterworth is 12 sections, deeper than the x4 kernel
+  // stages: such quads must take the scalar cascades, bit for bit.
+  Rng rng{0xB6};
+  phy::FrontEndConfig cfg{};
+  cfg.butterworth_order = 24;
+  Rng seq_rng{78};
+  Rng batch_rng{78};
+  // One quad with a ragged lane, then a leftover lane.
+  const std::size_t lens[] = {3000, 3000, 3000, 3007, 1500};
+  std::vector<dsp::Waveform> optical;
+  std::vector<phy::ReceiverFrontEnd> seq_fes;
+  std::vector<phy::ReceiverFrontEnd> batch_fes;
+  for (const std::size_t n : lens) {
+    optical.push_back(make_optical(n, 1e6, rng));
+    seq_fes.emplace_back(cfg, seq_rng.fork());
+    batch_fes.emplace_back(cfg, batch_rng.fork());
+  }
+  std::vector<dsp::Waveform> expect(optical.size());
+  std::vector<dsp::Waveform> got(optical.size());
+  std::vector<phy::ReceiverFrontEnd*> fes;
+  std::vector<const dsp::Waveform*> in;
+  std::vector<dsp::Waveform*> out;
+  for (std::size_t i = 0; i < optical.size(); ++i) {
+    seq_fes[i].process_into(optical[i], expect[i]);
+    fes.push_back(&batch_fes[i]);
+    in.push_back(&optical[i]);
+    out.push_back(&got[i]);
+  }
+  phy::ReceiverFrontEnd::BatchScratch scratch;
+  phy::ReceiverFrontEnd::process_batch_into(fes, in, out, scratch);
+  for (std::size_t i = 0; i < optical.size(); ++i) {
+    ASSERT_EQ(got[i].samples.size(), expect[i].samples.size()) << "lane " << i;
+    EXPECT_EQ(got[i].samples, expect[i].samples) << "lane " << i;
+    for (const double v : got[i].samples) ASSERT_TRUE(std::isfinite(v));
   }
 }
 
