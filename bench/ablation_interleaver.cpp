@@ -11,42 +11,36 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "phy/frame.hpp"
+#include "phy/frame_codec.hpp"
 #include "phy/interleaver.hpp"
-#include "phy/reed_solomon.hpp"
 
 namespace {
 
 using namespace densevlc;
 
 /// Survival rate of `trials` frames against one burst of `burst_len`
-/// corrupted bytes at a random payload offset, optionally interleaved.
-double survival(std::size_t burst_len, bool use_interleaver,
-                std::size_t depth, Rng& rng, std::size_t trials) {
+/// corrupted bytes at a random offset into the body (payload + parity;
+/// the 9-byte header rides in the clear either way), through `codec`.
+double survival(std::size_t burst_len, const phy::FrameCodec& codec, Rng& rng,
+                std::size_t trials) {
   phy::MacFrame frame;
   frame.payload.resize(800);  // 4 RS blocks
   for (std::size_t i = 0; i < frame.payload.size(); ++i) {
     frame.payload[i] = static_cast<std::uint8_t>(i * 13 + 5);
   }
-  const auto clean = phy::serialize_frame(frame);
+  const auto clean = codec.encode(frame);
+  const std::size_t body_bytes = clean.size() - phy::kHeaderBytes;
 
   std::size_t survived = 0;
   for (std::size_t t = 0; t < trials; ++t) {
-    // Protect payload + parity (bytes 9..end); the 9-byte header rides
-    // in the clear either way.
-    std::vector<std::uint8_t> body(clean.begin() + 9, clean.end());
-    auto wire = use_interleaver ? phy::interleave(body, depth) : body;
-
-    const auto start = static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(wire.size() - burst_len)));
+    auto wire = clean;
+    const auto offset = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(body_bytes - burst_len)));
+    const std::size_t start = phy::kHeaderBytes + offset;
     for (std::size_t i = 0; i < burst_len; ++i) {
       wire[start + i] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
     }
-
-    const auto restored =
-        use_interleaver ? phy::deinterleave(wire, depth) : wire;
-    std::vector<std::uint8_t> bytes(clean.begin(), clean.begin() + 9);
-    bytes.insert(bytes.end(), restored.begin(), restored.end());
-    const auto parsed = phy::parse_frame(bytes);
+    const auto parsed = codec.decode(wire);
     survived += parsed && parsed->frame == frame ? 1 : 0;
   }
   return static_cast<double>(survived) / static_cast<double>(trials);
@@ -66,8 +60,8 @@ int main() {
   const std::size_t depth = 4;
   const std::size_t tolerance = phy::burst_tolerance(depth, 8);
   for (std::size_t burst : {4u, 8u, 12u, 16u, 24u, 32u, 40u, 64u}) {
-    const double without = survival(burst, false, depth, rng, 200);
-    const double with = survival(burst, true, depth, rng, 200);
+    const double without = survival(burst, phy::FrameCodec{0}, rng, 200);
+    const double with = survival(burst, phy::FrameCodec{depth}, rng, 200);
     table.add_row({std::to_string(burst), fmt(100.0 * without, 0) + "%",
                    fmt(100.0 * with, 0) + "%",
                    burst <= tolerance ? "protected" : "beyond"});

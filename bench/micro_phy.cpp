@@ -5,9 +5,10 @@
 // phy_reference.{hpp,cpp} and checks two contracts on every run:
 //
 //   frame_codec      headline: serialize + interleave + Manchester chips
-//                    and back, old scalar path vs LUT fast path
-//                    (frames/s; the >= 3x acceptance figure)
-//   frame_codec_batch  the same pipeline through the batch-of-frames API
+//                    and back, old scalar path vs the per-frame fast path
+//                    (one-lane encode_frames_batch / decode_frames_batch
+//                    on a kept FrameBatch; frames/s; the >= 3x figure)
+//   frame_codec_batch  the same pipeline with every frame in one batch
 //                    (phy/frame_batch.hpp) with native SIMD dispatch,
 //                    against the per-frame path pinned onto the LUT
 //                    kernels (simd::set_force_scalar) — the >= 2x
@@ -16,10 +17,14 @@
 //                    batch-size sweep reports scaling in full mode.
 //   rs_codec         RS(216, 200) encode + 4-error decode (bytes/s)
 //   manchester       byte round trip, bit loops vs 256-entry LUTs
-//   frontend_filter  TIA + AC + Butterworth + ADC chain (samples/s)
-//   frame_wave       full modulate -> front-end -> demodulate chain on
-//                    the fast path only, asserting zero steady-state
-//                    heap allocations via the alloc_hook counter
+//   frontend_filter  TIA + AC + Butterworth + ADC chain (samples/s),
+//                    allocating process() vs a warm one-lane
+//                    process_batch_into
+//   frame_wave       the per-frame joint transmission the ARQ loop runs:
+//                    a warm one-lane JointTransmission::transmit_batch
+//                    (render -> front end -> demodulate -> parse), fast
+//                    path only, asserting every frame is delivered and
+//                    zero steady-state heap allocations via alloc_hook
 //   preamble_search  the pruned detect_pattern_into against the frozen
 //                    full scan, on frames received through the real
 //                    front end at strong, marginal and sub-threshold
@@ -55,6 +60,7 @@
 #include "common/simd.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "core/beamspot.hpp"
 #include "core/prober.hpp"
 #include "core/testbed.hpp"
 #include "dsp/correlate.hpp"
@@ -148,30 +154,39 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   bool zero_alloc_ok = true;
 
+  // The per-frame codec round trip: one-lane encode_frames_batch, chips,
+  // lenient decode back to bytes, one-lane decode_frames_batch, all on
+  // kept buffers. True when the frame decodes.
+  const phy::FrameCodec codec{depth};
+  phy::FrameBatch lane_batch;
+  std::vector<phy::Chip> chips;
+  std::vector<std::uint8_t> bytes;
+  phy::ParsedFrame parsed;
+  const auto per_frame_round_trip = [&](const phy::MacFrame& f) {
+    const phy::MacFrame* const lane[] = {&f};
+    phy::encode_frames_batch(codec, lane, lane_batch);
+    const auto wire = lane_batch.lane_wire(0);
+    arena_resize(chips, wire.size() * 16);
+    phy::manchester_encode_bytes(wire, chips);
+    arena_resize(bytes, chips.size() / 16);
+    phy::manchester_decode_bytes_lenient(chips, bytes);
+    const std::span<const std::uint8_t> in[] = {bytes};
+    std::uint8_t ok = 0;
+    return phy::decode_frames_batch(codec, in, {&parsed, 1}, {&ok, 1},
+                                    lane_batch) == 1;
+  };
+
   // --- frame_codec: the headline scalar-vs-LUT comparison ----------------
   {
     WorkloadResult r{"frame_codec", "frames", {}, {}, true, 0};
     const std::size_t reps = quick ? 3 : 60;
-    const phy::FrameCodec codec{depth};
-    phy::FrameCodec::Scratch cscr;
-    std::vector<std::uint8_t> wire;
-    std::vector<phy::Chip> chips;
-    std::vector<std::uint8_t> bytes;
-    phy::ParsedFrame parsed;
 
     // Correctness pass: fast chips and decode must match the frozen
     // scalar pipeline bit for bit on every frame.
     for (const auto& f : frames) {
       const auto ref_chips = bench::ref::codec_encode_chips(f, depth);
       const auto ref_parsed = bench::ref::codec_decode_chips(ref_chips, depth);
-
-      codec.encode_into(f, wire, cscr);
-      arena_resize(chips, wire.size() * 16);
-      phy::manchester_encode_bytes(wire, chips);
-      arena_resize(bytes, chips.size() / 16);
-      phy::manchester_decode_bytes_lenient(chips, bytes);
-      const bool ok = codec.decode_into(bytes, parsed, cscr);
-
+      const bool ok = per_frame_round_trip(f);
       if (chips != ref_chips || !ref_parsed || !ok ||
           parsed.frame != ref_parsed->frame ||
           parsed.frame.payload != f.payload) {
@@ -193,25 +208,12 @@ int main(int argc, char** argv) {
       r.scalar->wall_time_s = seconds_since(t0);
     }
 
-    {  // fast timing, with the zero-allocation assertion after warm-up
-      for (const auto& f : frames) {  // warm-up rep (buffers grow here)
-        codec.encode_into(f, wire, cscr);
-        arena_resize(chips, wire.size() * 16);
-        phy::manchester_encode_bytes(wire, chips);
-        arena_resize(bytes, chips.size() / 16);
-        phy::manchester_decode_bytes_lenient(chips, bytes);
-        if (!codec.decode_into(bytes, parsed, cscr)) r.identical = false;
-      }
+    {  // fast timing (warm from the correctness pass), zero allocations
       const std::uint64_t allocs0 = bench::alloc_count();
       const auto t0 = Clock::now();
       for (std::size_t rep = 0; rep < reps; ++rep) {
         for (const auto& f : frames) {
-          codec.encode_into(f, wire, cscr);
-          arena_resize(chips, wire.size() * 16);
-          phy::manchester_encode_bytes(wire, chips);
-          arena_resize(bytes, chips.size() / 16);
-          phy::manchester_decode_bytes_lenient(chips, bytes);
-          if (!codec.decode_into(bytes, parsed, cscr)) r.identical = false;
+          if (!per_frame_round_trip(f)) r.identical = false;
           r.fast.work_items += 1.0;
         }
       }
@@ -229,7 +231,6 @@ int main(int argc, char** argv) {
     const std::size_t reps = quick ? 4 : 40;
     const std::size_t batch_size = quick ? 8 : 32;
     const auto bframes = make_frames(batch_size, kPayloadBytes);
-    const phy::FrameCodec codec{depth};
 
     // One independent batch pipeline per shard; `--threads N` runs the
     // shards on a pool. Shard boundaries depend only on the lane count,
@@ -287,16 +288,14 @@ int main(int argc, char** argv) {
     }
 
     // Correctness pass: batch wire bytes and decodes must equal the
-    // per-frame fast path lane for lane.
+    // per-frame (one-lane) path lane for lane.
     {
-      phy::FrameCodec::Scratch cscr;
-      std::vector<std::uint8_t> wire;
       for (auto& s : shards) {
         // Compare wire bytes right after the encode: the decode half of
         // run_shard reuses the FrameBatch staging and overwrites lanes.
         phy::encode_frames_batch(codec, s.ptrs, s.batch);
         for (std::size_t i = 0; i < s.ptrs.size(); ++i) {
-          codec.encode_into(*s.ptrs[i], wire, cscr);
+          const auto wire = codec.encode(*s.ptrs[i]);
           const auto got = s.batch.lane_wire(i);
           if (got.size() != wire.size() ||
               !std::equal(got.begin(), got.end(), wire.begin())) {
@@ -311,20 +310,10 @@ int main(int argc, char** argv) {
     {  // LUT baseline: the per-frame path pinned onto the scalar kernels
       simd::set_force_scalar(true);
       r.scalar.emplace();
-      phy::FrameCodec::Scratch cscr;
-      std::vector<std::uint8_t> wire;
-      std::vector<phy::Chip> chips;
-      std::vector<std::uint8_t> bytes;
-      phy::ParsedFrame parsed;
       const auto t0 = Clock::now();
       for (std::size_t rep = 0; rep < reps; ++rep) {
         for (const auto& f : bframes) {
-          codec.encode_into(f, wire, cscr);
-          arena_resize(chips, wire.size() * 16);
-          phy::manchester_encode_bytes(wire, chips);
-          arena_resize(bytes, chips.size() / 16);
-          phy::manchester_decode_bytes_lenient(chips, bytes);
-          if (!codec.decode_into(bytes, parsed, cscr)) r.identical = false;
+          if (!per_frame_round_trip(f)) r.identical = false;
           r.scalar->work_items += 1.0;
         }
       }
@@ -528,36 +517,44 @@ int main(int argc, char** argv) {
     }
 
     const phy::FrontEndConfig cfg{};  // default noisy front end
-    // process() and process_into() from identically seeded front ends
-    // must agree bit for bit (same noise stream, same filter states).
+    // One lane through process_batch_into on kept buffers: the front end,
+    // its input and output, and the batch scratch.
+    phy::ReceiverFrontEnd fe{cfg, Rng{42}};
+    dsp::Waveform out;
+    phy::ReceiverFrontEnd::BatchScratch scratch;
+    phy::ReceiverFrontEnd* const fe_lane[] = {&fe};
+    const dsp::Waveform* const in_lane[] = {&optical};
+    dsp::Waveform* const out_lane[] = {&out};
+    // process() and the kept one-lane batch from identically seeded front
+    // ends must agree bit for bit over back-to-back calls (same noise
+    // stream, same filter states).
     {
       phy::ReceiverFrontEnd fe_a{cfg, Rng{42}};
-      phy::ReceiverFrontEnd fe_b{cfg, Rng{42}};
-      const auto out_a = fe_a.process(optical);
-      dsp::Waveform out_b;
-      fe_b.process_into(optical, out_b);
-      if (out_a.samples != out_b.samples) r.identical = false;
+      for (int pass = 0; pass < 2; ++pass) {
+        const auto out_a = fe_a.process(optical);
+        phy::ReceiverFrontEnd::process_batch_into(fe_lane, in_lane, out_lane,
+                                                  scratch);
+        if (out_a.samples != out.samples) r.identical = false;
+      }
     }
 
     {  // scalar timing (allocating process())
       r.scalar.emplace();
-      phy::ReceiverFrontEnd fe{cfg, Rng{42}};
+      phy::ReceiverFrontEnd value_fe{cfg, Rng{42}};
       const auto t0 = Clock::now();
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        const auto out = fe.process(optical);
-        r.scalar->work_items += static_cast<double>(out.samples.size());
+        const auto rx = value_fe.process(optical);
+        r.scalar->work_items += static_cast<double>(rx.samples.size());
       }
       r.scalar->wall_time_s = seconds_since(t0);
     }
 
-    {  // fast timing
-      phy::ReceiverFrontEnd fe{cfg, Rng{42}};
-      dsp::Waveform out;
-      fe.process_into(optical, out);  // warm-up
+    {  // fast timing (warm from the correctness pass)
       const std::uint64_t allocs0 = bench::alloc_count();
       const auto t0 = Clock::now();
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        fe.process_into(optical, out);
+        phy::ReceiverFrontEnd::process_batch_into(fe_lane, in_lane, out_lane,
+                                                  scratch);
         r.fast.work_items += static_cast<double>(out.samples.size());
       }
       r.fast.wall_time_s = seconds_since(t0);
@@ -566,46 +563,29 @@ int main(int argc, char** argv) {
     results.push_back(std::move(r));
   }
 
-  // --- frame_wave: full TX -> front end -> RX chain, fast path only ------
+  // --- frame_wave: one-lane joint transmission, fast path only ----------
   {
     WorkloadResult r{"frame_wave", "frames", {}, {}, true, 0};
     const std::size_t reps = quick ? 3 : 20;
 
-    const phy::OokParams params{};
-    const phy::OokModulator mod{params};
-    phy::FrontEndConfig fcfg{};
-    fcfg.noise_psd_a2_per_hz = 0.0;  // quiet: decode must always succeed
-    phy::ReceiverFrontEnd fe{fcfg, Rng{7}};
-    const phy::OokDemodulator demod{params.chip_rate_hz,
-                                    fcfg.adc.sample_rate_hz};
-    // LED current [A] -> received optical power [W]: chosen so the
-    // 0.9 A swing lands around 1 V peak-to-peak after the 400 kV/W
-    // receive gain (R 0.4 A/W x TIA 50 kOhm x AC gain 20).
-    constexpr double kOpticalWPerAmp = 2.78e-6;
-    // Long guards let the AC-coupling transient die out before the
-    // preamble on the very first frame (corner 1 kHz ~ 160 samples).
-    constexpr std::size_t kGuardChips = 64;
-
-    phy::OokModulator::TxScratch txs;
-    phy::OokDemodulator::RxScratch rxs;
-    phy::OokDemodulator::RxResult rx;
-    dsp::Waveform wf;
-    dsp::Waveform optical;
-    dsp::Waveform rx_wf;
+    // One serving TX on a strong link through the default noisy front end:
+    // every frame must be delivered.
+    const auto tb = core::make_experimental_testbed();
+    const core::JointTransmission jt{tb.led, phy::OokParams{},
+                                     phy::FrontEndConfig{}};
+    const std::vector<core::ServingTx> servers{{7, 8e-7, 0.9, 0.0}};
+    core::JointTransmission::TransmitBatchScratch scratch;
+    core::TransmissionOutcome outcome;
+    Rng rng{7};
 
     const auto run_one = [&](const phy::MacFrame& f) {
-      mod.modulate_frame_into(f, false, 0, kGuardChips, wf, txs);
-      optical.sample_rate_hz = wf.sample_rate_hz;
-      arena_resize(optical.samples, wf.samples.size());
-      for (std::size_t i = 0; i < wf.samples.size(); ++i) {
-        optical.samples[i] = kOpticalWPerAmp * wf.samples[i];
-      }
-      fe.process_into(optical, rx_wf);
-      if (!demod.receive_frame_into(rx_wf.samples, rx, rxs)) return false;
-      return rx.parsed.frame.payload == f.payload;
+      const core::JointTransmission::TransmitJob job[] = {
+          {servers, &f, {}, 0.0}};
+      jt.transmit_batch(job, rng, {&outcome, 1}, scratch);
+      return outcome.delivered;
     };
 
-    for (std::size_t i = 0; i < 2; ++i) {  // warm-up (and filter settling)
+    for (std::size_t i = 0; i < 2; ++i) {  // warm-up: scratch settles
       if (!run_one(frames[i % frames.size()])) r.identical = false;
     }
     const std::uint64_t allocs0 = bench::alloc_count();
@@ -637,12 +617,10 @@ int main(int argc, char** argv) {
     // strong, a marginal and a sub-threshold link, each through its own
     // noisy front end.
     std::vector<std::vector<double>> signals;
-    phy::OokModulator::TxScratch txs;
-    dsp::Waveform wf;
     std::uint64_t fe_seed = 1;
     for (const double watts_per_amp : {2.78e-6, 2e-8, 4e-9}) {
       for (std::size_t i = 0; i < (quick ? 2u : frames.size()); ++i) {
-        mod.modulate_frame_into(frames[i], false, 0, 64, wf, txs);
+        dsp::Waveform wf = mod.modulate_frame(frames[i], false, 0, 64);
         for (double& v : wf.samples) v *= watts_per_amp;
         phy::ReceiverFrontEnd fe{fcfg, Rng{fe_seed++}};
         signals.push_back(fe.process(wf).samples);

@@ -118,29 +118,10 @@ TransmissionOutcome JointTransmission::transmit(
     std::span<const ServingTx> servers, const phy::MacFrame& frame,
     Rng& rng, std::span<const InterfererGroup> interferers,
     double ambient_optical_w) const {
+  const TransmitJob job[] = {{servers, &frame, interferers, ambient_optical_w}};
   TransmissionOutcome out;
-  if (servers.empty()) return out;
-
-  RenderScratch render;
-  dsp::Waveform optical;
-  render_optical_into(servers, frame, interferers, ambient_optical_w,
-                      optical, render);
-
-  phy::ReceiverFrontEnd fe{frontend_, rng.fork()};
-  const dsp::Waveform rx = fe.process(optical);
-
-  const phy::OokDemodulator demod{ook_.chip_rate_hz,
-                                  frontend_.adc.sample_rate_hz};
-  const auto result = demod.receive_frame(rx.samples);
-  if (!result) return out;
-
-  out.preamble_found = true;
-  out.correlation = result->correlation;
-  out.corrected_bytes = result->parsed.corrected_bytes;
-  out.delivered = result->parsed.frame == frame;
-  if (const auto snr = dsp::m2m4_snr(rx.samples)) {
-    out.snr_estimate_db = snr->snr_db;
-  }
+  TransmitBatchScratch scratch;
+  transmit_batch(job, rng, {&out, 1}, scratch);
   return out;
 }
 
@@ -156,7 +137,7 @@ void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
   scratch.active.clear();
   for (std::size_t i = 0; i < n; ++i) {
     outcomes[i] = TransmissionOutcome{};
-    if (jobs[i].servers.empty()) continue;  // scalar path never forks here
+    if (jobs[i].servers.empty()) continue;  // no stream, no noise fork
     render_optical_into(jobs[i].servers, *jobs[i].frame, jobs[i].interferers,
                         jobs[i].ambient_optical_w, scratch.optical[i],
                         scratch.render);
@@ -165,9 +146,9 @@ void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
   const std::size_t m = scratch.active.size();
 
   // Rendering draws nothing from `rng`, so forking all noise substreams
-  // here — in job order — yields the exact per-lane streams of the
-  // sequential transmit() calls. A kept front-end of the same
-  // configuration restarts on its stream exactly as a new one would.
+  // here — in job order — yields the exact per-lane streams of one-lane
+  // calls in sequence. A kept front-end of the same configuration
+  // restarts on its stream exactly as a new one would.
   scratch.fe_ptrs.resize(m);
   scratch.optical_ptrs.resize(m);
   scratch.rx_ptrs.resize(m);
@@ -202,7 +183,7 @@ void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
                            scratch.rx_scratch);
 
   for (std::size_t j = 0; j < m; ++j) {
-    if (scratch.ok[j] == 0) continue;  // scalar leaves the default outcome
+    if (scratch.ok[j] == 0) continue;  // undecoded: the default outcome
     const std::size_t lane = scratch.active[j];
     const phy::OokDemodulator::RxResult& r = scratch.results[j];
     TransmissionOutcome& out = outcomes[lane];

@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "optics/led_model.hpp"
 #include "phy/frame.hpp"
+#include "phy/frame_batch.hpp"
 #include "phy/frontend.hpp"
 #include "phy/ook.hpp"
 
@@ -52,10 +53,10 @@ class JointTransmission {
                     const phy::FrontEndConfig& frontend);
 
   /// Transmits `frame` from every serving TX simultaneously (up to their
-  /// start offsets) and attempts reception. `interferers` radiate their
-  /// own frames on the same timeline. `ambient_optical_w` adds a constant
-  /// ambient-light term (stripped by AC coupling but consuming ADC
-  /// headroom).
+  /// start offsets) and attempts reception: a one-lane transmit_batch on
+  /// a fresh scratch. `interferers` radiate their own frames on the same
+  /// timeline. `ambient_optical_w` adds a constant ambient-light term
+  /// (stripped by AC coupling but consuming ADC headroom).
   TransmissionOutcome transmit(std::span<const ServingTx> servers,
                                const phy::MacFrame& frame, Rng& rng,
                                std::span<const InterfererGroup> interferers = {},
@@ -79,7 +80,7 @@ class JointTransmission {
   /// its serialized bytes, refilled per stream group.
   struct RenderScratch {
     std::vector<phy::Chip> chips;
-    std::vector<std::uint8_t> wire;
+    phy::FrameBatch wire;
   };
 
   /// Batch workspace: per-lane waveforms, render staging, the lanes'
@@ -103,11 +104,11 @@ class JointTransmission {
   };
 
   /// Transmits every job and fills outcomes[i] exactly as the equivalent
-  /// sequence of transmit() calls would — bit-identical outcomes and Rng
-  /// stream (lanes render first, which draws nothing; noise substreams
-  /// fork in job order, skipping lanes with no servers, exactly like the
-  /// sequential early-return). The receive side runs the batch front-end
-  /// and demodulator paths.
+  /// sequence of one-lane calls would — bit-identical outcomes and Rng
+  /// stream: lanes render first, which draws nothing, then one noise
+  /// substream forks from `rng` per lane in job order, skipping lanes
+  /// with no servers (their outcome stays the default). The receive side
+  /// runs the batch front-end and demodulator paths.
   void transmit_batch(std::span<const TransmitJob> jobs, Rng& rng,
                       std::span<TransmissionOutcome> outcomes,
                       TransmitBatchScratch& scratch) const;

@@ -71,6 +71,27 @@ SlotJobs assemble_slot(std::span<const SlotLane> lanes,
   return slot;
 }
 
+// The MAC timeline shared by run() and run_arq(): the probe phase that
+// opens every epoch (each TX's probe burst plus its 16-chip id), and one
+// data slot for frames of `frame_payload_bytes` (airtime, guard period,
+// Ethernet latency and 2 ms of controller headroom).
+struct SlotTiming {
+  double probe_phase_s = 0.0;
+  double slot_s = 0.0;
+};
+
+SlotTiming slot_timing(const SystemConfig& cfg,
+                       const JointTransmission& data_path, std::size_t num_tx,
+                       std::size_t frame_payload_bytes) {
+  phy::MacFrame sizing;  // airtime depends on the payload length only
+  sizing.payload.assign(frame_payload_bytes, 0);
+  const double airtime = data_path.frame_airtime_s(sizing);
+  return {static_cast<double>(num_tx) * (cfg.mac.probe_chip_count + 16.0) /
+              cfg.ook.chip_rate_hz,
+          airtime + cfg.mac.guard_period_s + cfg.ethernet.base_latency_s +
+              2e-3};
+}
+
 }  // namespace
 
 DenseVlcSystem::DenseVlcSystem(
@@ -181,6 +202,18 @@ std::vector<double> DenseVlcSystem::draw_tx_offsets(const Beamspot& spot,
   }
   const std::size_t leader_bbb = bbb_of(spot.leader);
 
+  // An unsynchronized start: the TX free-runs on multicast arrival
+  // (exponential delivery jitter, stack start spread, event jitter).
+  const auto unsynchronized_offset = [&] {
+    double u;
+    do {
+      u = rng.uniform();
+    } while (u <= 0.0);
+    return -cfg_.timesync.delivery_jitter_mean_s * std::log(u) +
+           rng.uniform(0.0, cfg_.timesync.stack_start_spread_s) +
+           rng.gaussian(0.0, cfg_.timesync.event_jitter_sigma_s);
+  };
+
   // Draw one offset per distinct BBB.
   std::vector<std::pair<std::size_t, double>> bbb_offsets;
   auto offset_for_bbb = [&](std::size_t bbb) -> double {
@@ -189,16 +222,9 @@ std::vector<double> DenseVlcSystem::draw_tx_offsets(const Beamspot& spot,
     }
     double drawn = 0.0;
     switch (cfg_.sync_mode) {
-      case SyncMode::kNone: {
-        double u;
-        do {
-          u = rng.uniform();
-        } while (u <= 0.0);
-        drawn = -cfg_.timesync.delivery_jitter_mean_s * std::log(u) +
-                rng.uniform(0.0, cfg_.timesync.stack_start_spread_s) +
-                rng.gaussian(0.0, cfg_.timesync.event_jitter_sigma_s);
+      case SyncMode::kNone:
+        drawn = unsynchronized_offset();
         break;
-      }
       case SyncMode::kNtpPtp:
         drawn = rng.gaussian(0.0, cfg_.timesync.ntp_ptp_residual_sigma_s) +
                 rng.gaussian(0.0, cfg_.timesync.event_jitter_sigma_s);
@@ -209,13 +235,7 @@ std::vector<double> DenseVlcSystem::draw_tx_offsets(const Beamspot& spot,
         } else if (cfg_.faults.sync_pilot_lost(t_s)) {
           // The follower never saw the pilot: it free-runs on multicast
           // arrival, i.e. the unsynchronized spread of SyncMode::kNone.
-          double u;
-          do {
-            u = rng.uniform();
-          } while (u <= 0.0);
-          drawn = -cfg_.timesync.delivery_jitter_mean_s * std::log(u) +
-                  rng.uniform(0.0, cfg_.timesync.stack_start_spread_s) +
-                  rng.gaussian(0.0, cfg_.timesync.event_jitter_sigma_s);
+          drawn = unsynchronized_offset();
         } else {
           const auto idx = static_cast<std::size_t>(rng.uniform_int(
               0, static_cast<std::int64_t>(nlos_errors_.size()) - 1));
@@ -346,14 +366,8 @@ RunReport DenseVlcSystem::run(double duration_s, std::size_t payload_bytes) {
     payload[i] = static_cast<std::uint8_t>(i * 7 + 13);
   }
 
-  phy::MacFrame probe_frame;  // airtime sizing only
-  probe_frame.payload = payload;
-  const double airtime = data_path_.frame_airtime_s(probe_frame);
-  const double probe_phase_s =
-      static_cast<double>(num_tx()) *
-      (cfg_.mac.probe_chip_count + 16.0) / cfg_.ook.chip_rate_hz;
-  const double slot_s = airtime + cfg_.mac.guard_period_s +
-                        cfg_.ethernet.base_latency_s + 2e-3;
+  const SlotTiming timing =
+      slot_timing(cfg_, data_path_, num_tx(), payload_bytes);
 
   // The TX plane: one multicast subscriber that radiates commands.
   // Commands for one slot are batched so concurrent beamspots interfere.
@@ -428,8 +442,8 @@ RunReport DenseVlcSystem::run(double duration_s, std::size_t payload_bytes) {
     des.schedule_at(SimTime::from_seconds(epoch_start), [&, epoch_start,
                                                          epoch_end] {
       measure_and_decide(epoch_start, data_rng);
-      double t = epoch_start + probe_phase_s;
-      while (t + slot_s <= epoch_end) {
+      double t = epoch_start + timing.probe_phase_s;
+      while (t + timing.slot_s <= epoch_end) {
         des.schedule_at(SimTime::from_seconds(t), [&] {
           // Build the slot's multicast command: one frame per beamspot.
           std::vector<std::uint8_t> wire;
@@ -447,7 +461,7 @@ RunReport DenseVlcSystem::run(double duration_s, std::size_t payload_bytes) {
           wire.insert(wire.end(), body.begin(), body.end());
           eth.send(wire);
         });
-        t += slot_s;
+        t += timing.slot_s;
       }
     });
   }
@@ -481,23 +495,19 @@ DenseVlcSystem::ArqReport DenseVlcSystem::run_arq(
   }
 
   // Slot sizing: ARQ payloads carry one extra sequence byte.
-  phy::MacFrame sizing;
-  sizing.payload.assign(payload_bytes + 1, 0);
-  const double airtime = data_path_.frame_airtime_s(sizing);
-  const double slot_s = airtime + cfg_.mac.guard_period_s +
-                        cfg_.ethernet.base_latency_s + 2e-3;
-  const double probe_phase_s =
-      static_cast<double>(num_tx()) *
-      (cfg_.mac.probe_chip_count + 16.0) / cfg_.ook.chip_rate_hz;
+  const SlotTiming timing =
+      slot_timing(cfg_, data_path_, num_tx(), payload_bytes + 1);
+  // Reused by every lane's PHY pass for the whole run.
+  JointTransmission::TransmitBatchScratch phy_lane;
 
   double t = 0.0;
   double next_epoch = 0.0;
-  while (t + slot_s <= duration_s) {
+  while (t + timing.slot_s <= duration_s) {
     if (t >= next_epoch) {
       measure_and_decide(t, rng);
       next_epoch += cfg_.mac.epoch_period_s;
-      t += probe_phase_s;
-      if (t + slot_s > duration_s) break;
+      t += timing.probe_phase_s;
+      if (t + timing.slot_s > duration_s) break;
     }
 
     // Collect this slot's transmissions (one per backlogged beamspot).
@@ -518,21 +528,22 @@ DenseVlcSystem::ArqReport DenseVlcSystem::run_arq(
         anything_left = anything_left || sender.backlog() > 0;
       }
       if (!anything_left) break;  // workload finished
-      t += slot_s;
+      t += timing.slot_s;
       continue;
     }
 
-    // One transmit() per lane, not transmit_batch: each lane's ACK draw
-    // must follow that lane's noise fork in `rng`, and batching would
-    // draw every lane's noise first.
+    // Lanes go through the PHY one at a time, each a one-lane
+    // transmit_batch: every lane's WiFi-ACK draw from `rng` follows that
+    // lane's noise fork, and a multi-lane batch would fork all lanes'
+    // noise first, changing the run's outcomes.
     const SlotJobs slot_jobs = assemble_slot(lanes, faulted_channel(t),
                                              controller_.allocation());
     for (std::size_t li = 0; li < lanes.size(); ++li) {
       const SlotLane& lane = lanes[li];
-      const JointTransmission::TransmitJob& job = slot_jobs.jobs[li];
       ++report.rx[lane.rx].transmissions;
-      const auto outcome =
-          data_path_.transmit(job.servers, lane.frame, rng, job.interferers);
+      TransmissionOutcome outcome;
+      data_path_.transmit_batch({&slot_jobs.jobs[li], 1}, rng, {&outcome, 1},
+                                phy_lane);
       bool acked = false;
       if (outcome.delivered && !cfg_.faults.rx_down(lane.rx, t)) {
         const auto decoded = mac::decode_segment(lane.frame.payload);
@@ -553,7 +564,7 @@ DenseVlcSystem::ArqReport DenseVlcSystem::run_arq(
         }
       }
     }
-    t += slot_s;
+    t += timing.slot_s;
   }
 
   for (std::size_t k = 0; k < num_rx(); ++k) {

@@ -1,10 +1,6 @@
 // DVLC_HOT — zero-allocation sample path (see common/arena.hpp).
 #include "phy/frame.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "common/arena.hpp"
 #include "phy/reed_solomon.hpp"
 
 namespace densevlc::phy {
@@ -82,96 +78,6 @@ std::optional<FrameHeader> read_frame_header(
                            get_u16(bytes, 5), get_u16(bytes, 7)};
   if (header.length > kMaxPayload) return std::nullopt;
   return header;
-}
-
-void serialize_frame_into(const MacFrame& frame,
-                          std::vector<std::uint8_t>& out) {
-  if (frame.payload.size() > kMaxPayload) {
-    throw std::invalid_argument{"serialize_frame: payload exceeds kMaxPayload"};
-  }
-  arena_resize(out, serialized_frame_bytes(frame.payload.size()));
-  write_frame_header(frame, out);
-  // Payload followed by per-block RS parity: block i covers payload bytes
-  // [i*200, min((i+1)*200, x)). Parity for all blocks trails the payload,
-  // matching Table 3's single trailing Reed-Solomon field. Parity is
-  // encoded straight into the output tail, one block at a time.
-  std::copy(frame.payload.begin(), frame.payload.end(),
-            out.begin() + kHeaderBytes);
-  const auto& rs = rs_codec();
-  std::size_t parity_at = kHeaderBytes + frame.payload.size();
-  for (std::size_t off = 0; off < frame.payload.size(); off += kRsBlockData) {
-    const std::size_t len =
-        std::min(kRsBlockData, frame.payload.size() - off);
-    rs.encode_parity_into(
-        std::span<const std::uint8_t>{frame.payload}.subspan(off, len),
-        std::span<std::uint8_t>{out}.subspan(parity_at, kRsBlockParity));
-    parity_at += kRsBlockParity;
-  }
-}
-
-std::vector<std::uint8_t> serialize_frame(const MacFrame& frame) {
-  std::vector<std::uint8_t> out;
-  serialize_frame_into(frame, out);
-  return out;
-}
-
-bool parse_frame_into(std::span<const std::uint8_t> bytes, ParsedFrame& out,
-                      FrameScratch& scratch) {
-  out.corrected_bytes = 0;
-  arena_clear(out.frame.payload);
-  const auto header = read_frame_header(bytes);
-  if (!header) return false;
-  const std::size_t length = header->length;
-  if (bytes.size() < serialized_frame_bytes(length)) return false;
-
-  out.frame.dst = header->dst;
-  out.frame.src = header->src;
-  out.frame.protocol = header->protocol;
-
-  const auto& rs = rs_codec();
-  for (std::size_t b = 0; b < rs_block_count(length); ++b) {
-    const std::size_t off = b * kRsBlockData;
-    const std::size_t len = std::min(kRsBlockData, length - off);
-    arena_resize(scratch.codeword, len + kRsBlockParity);
-    std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + off),
-                len, scratch.codeword.begin());
-    const std::size_t parity_at = kHeaderBytes + length + b * kRsBlockParity;
-    std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(parity_at),
-                kRsBlockParity,
-                scratch.codeword.begin() + static_cast<std::ptrdiff_t>(len));
-    if (!rs.decode_into(scratch.codeword, scratch.block, scratch.rs)) {
-      return false;
-    }
-    out.corrected_bytes += scratch.block.corrected_errors;
-    out.frame.payload.insert(out.frame.payload.end(),
-                             scratch.block.data.begin(),
-                             scratch.block.data.end());
-  }
-  return true;
-}
-
-std::optional<ParsedFrame> parse_frame(std::span<const std::uint8_t> bytes) {
-  FrameScratch scratch;
-  ParsedFrame out;
-  if (!parse_frame_into(bytes, out, scratch)) return std::nullopt;
-  return out;
-}
-
-void frame_to_chips_into(const MacFrame& frame, std::vector<Chip>& out,
-                         std::vector<std::uint8_t>& wire_scratch) {
-  serialize_frame_into(frame, wire_scratch);
-  arena_resize(out, kPreambleChips + wire_scratch.size() * 16);
-  const auto pre = preamble_pattern();
-  std::copy(pre.begin(), pre.end(), out.begin());
-  manchester_encode_bytes(wire_scratch,
-                          std::span<Chip>{out}.subspan(kPreambleChips));
-}
-
-std::vector<Chip> frame_to_chips(const MacFrame& frame) {
-  std::vector<Chip> chips;
-  std::vector<std::uint8_t> wire;
-  frame_to_chips_into(frame, chips, wire);
-  return chips;
 }
 
 std::vector<std::uint8_t> serialize_controller_frame(

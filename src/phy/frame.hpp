@@ -99,7 +99,8 @@ void write_frame_header(const MacFrame& frame, std::span<std::uint8_t> out);
 /// and decodes blocks with (exposed for the batch codec in frame_batch).
 const ReedSolomon& frame_rs_codec();
 
-/// Serializes SFD..parity. Throws std::invalid_argument when the payload
+/// Serializes SFD..parity: a one-lane serialize_frames_batch
+/// (phy/frame_batch.hpp). Throws std::invalid_argument when the payload
 /// exceeds kMaxPayload.
 std::vector<std::uint8_t> serialize_frame(const MacFrame& frame);
 
@@ -109,42 +110,16 @@ struct ParsedFrame {
   std::size_t corrected_bytes = 0;  ///< RS corrections applied
 };
 
-/// Parses bytes produced by serialize_frame (possibly corrupted). Returns
-/// nullopt when the SFD is wrong, the length field is implausible, or any
-/// RS block fails to decode.
+/// Parses bytes produced by serialize_frame (possibly corrupted): a
+/// one-lane parse_frames_batch. Returns nullopt when the SFD is wrong,
+/// the length field is implausible, or any RS block fails to decode.
 [[nodiscard]] std::optional<ParsedFrame> parse_frame(std::span<const std::uint8_t> bytes);
 
 /// Full on-air chip sequence for a frame: preamble chips followed by the
 /// Manchester coding of the serialized bytes. (The pilot is prepended
-/// separately by the leading TX only.)
+/// separately by the leading TX only.) See frame_to_chips_into in
+/// phy/frame_batch.hpp for the reused-buffer form.
 std::vector<Chip> frame_to_chips(const MacFrame& frame);
-
-// --- Zero-allocation overloads (see common/arena.hpp) -------------------
-
-/// Reusable workspace for parse_frame_into: codeword staging plus the
-/// Reed-Solomon decoder buffers. Keep one per receive chain.
-struct FrameScratch {
-  std::vector<std::uint8_t> codeword;
-  RsDecodeResult block;
-  RsScratch rs;
-};
-
-/// serialize_frame into a reused buffer. RS parity is computed straight
-/// into the output tail (no staging codeword). Throws like
-/// serialize_frame on over-long payloads.
-void serialize_frame_into(const MacFrame& frame,
-                          std::vector<std::uint8_t>& out);
-
-/// parse_frame into a reused result; false replaces nullopt. On failure
-/// `out` is left partially filled and must not be read.
-[[nodiscard]] bool parse_frame_into(std::span<const std::uint8_t> bytes,
-                                    ParsedFrame& out, FrameScratch& scratch);
-
-/// frame_to_chips into a reused chip buffer; `wire_scratch` holds the
-/// serialized bytes between calls (the byte-at-a-time Manchester LUT
-/// encodes them straight into `out`).
-void frame_to_chips_into(const MacFrame& frame, std::vector<Chip>& out,
-                         std::vector<std::uint8_t>& wire_scratch);
 
 /// Controller -> TX Ethernet encapsulation (Sec. 7.2): 64-bit mask of TX
 /// ids that must transmit, the appointed leading TX, and the MAC frame.

@@ -5,8 +5,27 @@
 #include <stdexcept>
 
 #include "common/contracts.hpp"
+#include "phy/interleaver.hpp"
 
 namespace densevlc::phy {
+namespace {
+
+using Permutation = void (*)(std::span<const std::uint8_t>, std::size_t,
+                             std::span<std::uint8_t>);
+
+// (De)interleaves the body of `wire` (everything after the clear header)
+// in place, copying it through `staging`. No-op at depth 0/1 or when
+// `wire` holds no body.
+void permute_body(std::span<std::uint8_t> wire, std::size_t depth,
+                  Permutation permute, std::vector<std::uint8_t>& staging) {
+  if (depth <= 1 || wire.size() <= kHeaderBytes) return;
+  const std::span<std::uint8_t> body = wire.subspan(kHeaderBytes);
+  arena_resize(staging, body.size());
+  std::copy(body.begin(), body.end(), staging.begin());
+  permute(staging, depth, body);
+}
+
+}  // namespace
 
 void serialize_frames_batch(std::span<const MacFrame* const> frames,
                             FrameBatch& batch) {
@@ -28,7 +47,9 @@ void serialize_frames_batch(std::span<const MacFrame* const> frames,
   arena_resize(batch.parity_jobs, total_blocks);
 
   // Header + payload per lane, with one RS parity job per block writing
-  // straight into the wire tail (same layout as serialize_frame_into).
+  // straight into the wire tail: block i covers payload bytes
+  // [i*200, min((i+1)*200, x)), and the parity of every block trails the
+  // payload, matching Table 3's single trailing Reed-Solomon field.
   std::size_t job = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const MacFrame& frame = *frames[i];
@@ -55,8 +76,8 @@ void encode_frames_batch(const FrameCodec& codec,
                          FrameBatch& batch) {
   serialize_frames_batch(frames, batch);
   for (const FrameBatch::Lane& lane : batch.lanes) {
-    codec.interleave_body({batch.wire.data() + lane.off, lane.len},
-                          batch.body);
+    permute_body({batch.wire.data() + lane.off, lane.len},
+                 codec.interleave_depth(), interleave_into, batch.body);
   }
 }
 
@@ -69,8 +90,8 @@ std::size_t parse_frames_batch(
               "parse_frames_batch: span sizes must match");
 
   // Pass 1 — header validation and block accounting. ok[i] tentatively
-  // records "header valid"; lanes failing here mirror parse_frame_into's
-  // early returns (result cleared, false).
+  // records "header valid"; lanes failing here end with their result
+  // cleared and ok[i] = 0.
   arena_resize(batch.lane_first_block, n + 1);
   std::size_t total_blocks = 0;
   std::size_t total_cw_bytes = 0;
@@ -124,7 +145,8 @@ std::size_t parse_frames_batch(
 
   // Pass 3 — assemble lanes in order. Clean blocks copy their data bytes
   // directly (what decode_into's all-zero-syndromes fast path does);
-  // dirty blocks run the full scalar decoder.
+  // dirty blocks run the full scalar decoder, and the first failing block
+  // rejects its lane.
   std::size_t decoded = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (ok[i] == 0) continue;
@@ -137,11 +159,11 @@ std::size_t parse_frames_batch(
       if (batch.block_clean[b] != 0) {
         pf.frame.payload.insert(pf.frame.payload.end(), cw.begin(),
                                 cw.begin() + static_cast<std::ptrdiff_t>(len));
-      } else if (rs.decode_into(cw, batch.frame.block, batch.frame.rs)) {
-        pf.corrected_bytes += batch.frame.block.corrected_errors;
+      } else if (rs.decode_into(cw, batch.block, batch.block_rs)) {
+        pf.corrected_bytes += batch.block.corrected_errors;
         pf.frame.payload.insert(pf.frame.payload.end(),
-                                batch.frame.block.data.begin(),
-                                batch.frame.block.data.end());
+                                batch.block.data.begin(),
+                                batch.block.data.end());
       } else {
         good = false;
       }
@@ -174,12 +196,73 @@ std::size_t decode_frames_batch(
   for (std::size_t i = 0; i < n; ++i) {
     std::uint8_t* lane = batch.wire.data() + batch.lanes[i].off;
     std::copy(wires[i].begin(), wires[i].end(), lane);
-    codec.deinterleave_body({lane, batch.lanes[i].len}, batch.body);
+    permute_body({lane, batch.lanes[i].len}, codec.interleave_depth(),
+                 deinterleave_into, batch.body);
     batch.wire_views[i] =
         std::span<const std::uint8_t>{lane, batch.lanes[i].len};
     batch.out_ptrs[i] = &out[i];
   }
   return parse_frames_batch(batch.wire_views, batch.out_ptrs, ok, batch);
+}
+
+// --- One-lane forms -----------------------------------------------------
+
+std::vector<std::uint8_t> serialize_frame(const MacFrame& frame) {
+  const MacFrame* const lane[] = {&frame};
+  FrameBatch batch;
+  serialize_frames_batch(lane, batch);
+  const auto wire = batch.lane_wire(0);
+  return {wire.begin(), wire.end()};
+}
+
+std::optional<ParsedFrame> parse_frame(std::span<const std::uint8_t> bytes) {
+  const std::span<const std::uint8_t> wire[] = {bytes};
+  ParsedFrame out;
+  ParsedFrame* const out_ptr[] = {&out};
+  std::uint8_t ok = 0;
+  FrameBatch batch;
+  if (parse_frames_batch(wire, out_ptr, {&ok, 1}, batch) == 0) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> FrameCodec::encode(const MacFrame& frame) const {
+  const MacFrame* const lane[] = {&frame};
+  FrameBatch batch;
+  encode_frames_batch(*this, lane, batch);
+  const auto wire = batch.lane_wire(0);
+  return {wire.begin(), wire.end()};
+}
+
+std::optional<ParsedFrame> FrameCodec::decode(
+    std::span<const std::uint8_t> bytes) const {
+  const std::span<const std::uint8_t> wire[] = {bytes};
+  ParsedFrame out;
+  std::uint8_t ok = 0;
+  FrameBatch batch;
+  if (decode_frames_batch(*this, wire, {&out, 1}, {&ok, 1}, batch) == 0) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+void frame_to_chips_into(const MacFrame& frame, std::vector<Chip>& out,
+                         FrameBatch& staging) {
+  const MacFrame* const lane[] = {&frame};
+  serialize_frames_batch(lane, staging);
+  const auto wire = staging.lane_wire(0);
+  arena_resize(out, kPreambleChips + wire.size() * 16);
+  const auto pre = preamble_pattern();
+  std::copy(pre.begin(), pre.end(), out.begin());
+  manchester_encode_bytes(wire, std::span<Chip>{out}.subspan(kPreambleChips));
+}
+
+std::vector<Chip> frame_to_chips(const MacFrame& frame) {
+  std::vector<Chip> chips;
+  FrameBatch staging;
+  frame_to_chips_into(frame, chips, staging);
+  return chips;
 }
 
 }  // namespace densevlc::phy

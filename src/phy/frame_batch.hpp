@@ -1,4 +1,6 @@
-// Batch-of-frames codec: encode/decode many frames in one call.
+// Batch-of-frames codec: encode/decode many frames in one call. This is
+// the frame layer's only implementation — serialize_frame, parse_frame,
+// frame_to_chips and FrameCodec::encode/decode are one-lane calls into it.
 //
 // The per-epoch PHY loop handles every active beamspot's frame; doing
 // them one at a time leaves the SIMD column kernels (phy_kernels.hpp)
@@ -9,10 +11,11 @@
 // per-codeword paths only for blocks that actually carry errors (the
 // syndrome screen separates them exactly).
 //
-// Contract: per lane, the outputs are bit-identical to FrameCodec
-// encode_into/decode_into — same wire bytes, same parse results, same
-// accept/reject decisions. Zero heap allocations once the batch scratch
-// has warmed up (see common/arena.hpp).
+// Contract: every lane's outputs depend on that lane's inputs alone — a
+// lane decodes exactly as it would in a batch of one (the syndrome
+// screen is exact, and dirty blocks run the same scalar decoder). Zero
+// heap allocations once the batch scratch has warmed up (see
+// common/arena.hpp).
 #pragma once
 
 #include <cstddef>
@@ -47,7 +50,8 @@ struct FrameBatch {
   std::vector<std::span<const std::uint8_t>> wire_views;
   std::vector<ParsedFrame*> out_ptrs;
   RsBatchScratch rs;
-  FrameScratch frame;                  ///< scalar fallback (dirty blocks)
+  RsDecodeResult block;                ///< scalar decode of a dirty block
+  RsScratch block_rs;
 
   /// Wire bytes of lane `i` after encode_frames_batch.
   std::span<const std::uint8_t> lane_wire(std::size_t i) const {
@@ -56,24 +60,23 @@ struct FrameBatch {
 };
 
 /// Serializes every frame into `batch.wire` (extents in `batch.lanes`,
-/// readable via lane_wire), paper format (no interleaving). Per lane
-/// bit-identical to serialize_frame_into; throws std::invalid_argument
-/// on over-long payloads like the scalar path.
+/// readable via lane_wire), paper format (no interleaving): header,
+/// payload, then per-block RS parity. Throws std::invalid_argument on
+/// over-long payloads.
 void serialize_frames_batch(std::span<const MacFrame* const> frames,
                             FrameBatch& batch);
 
 /// Encodes every frame into `batch.wire` (extents in `batch.lanes`,
-/// readable via lane_wire). Per lane bit-identical to
-/// codec.encode_into; throws std::invalid_argument on over-long payloads
-/// like the scalar path.
+/// readable via lane_wire): serialize_frames_batch, then each lane's body
+/// interleaved at the codec's depth. Throws like serialize_frames_batch.
 void encode_frames_batch(const FrameCodec& codec,
                          std::span<const MacFrame* const> frames,
                          FrameBatch& batch);
 
 /// Parses many paper-format (non-interleaved) wire streams at once:
-/// out[i] receives the parse of wires[i], ok[i] = 1 on success. The
-/// outcome per lane is bit-identical to parse_frame_into. Returns the
-/// number of successfully parsed lanes.
+/// out[i] receives the parse of wires[i], ok[i] = 1 on success; a failed
+/// lane's out[i] is left partially filled and must not be read. Returns
+/// the number of successfully parsed lanes.
 std::size_t parse_frames_batch(
     std::span<const std::span<const std::uint8_t>> wires,
     std::span<ParsedFrame* const> out, std::span<std::uint8_t> ok,
@@ -81,12 +84,17 @@ std::size_t parse_frames_batch(
 
 /// Full batch decode with the codec's interleave depth: deinterleaves
 /// each lane (when configured) and parses all lanes through the batch RS
-/// path. Per lane bit-identical to codec.decode_into. Returns the number
-/// of successfully decoded lanes.
+/// path. Returns the number of successfully decoded lanes.
 std::size_t decode_frames_batch(
     const FrameCodec& codec,
     std::span<const std::span<const std::uint8_t>> wires,
     std::span<ParsedFrame> out, std::span<std::uint8_t> ok,
     FrameBatch& batch);
+
+/// frame_to_chips into a reused chip buffer; the serialized bytes are
+/// staged in `staging` (a one-lane serialize_frames_batch) and
+/// Manchester-coded straight into `out` after the preamble.
+void frame_to_chips_into(const MacFrame& frame, std::vector<Chip>& out,
+                         FrameBatch& staging);
 
 }  // namespace densevlc::phy

@@ -16,7 +16,9 @@
 
 namespace densevlc::phy {
 
-/// Stateless codec configured once per link.
+/// Stateless codec configured once per link. The batch bodies are
+/// encode_frames_batch / decode_frames_batch (phy/frame_batch.hpp);
+/// encode and decode are one-lane calls into them.
 class FrameCodec {
  public:
   /// `interleave_depth` of 0 or 1 disables interleaving (paper format).
@@ -33,37 +35,14 @@ class FrameCodec {
   std::optional<ParsedFrame> decode(
       std::span<const std::uint8_t> bytes) const;
 
-  /// Reusable workspace for the zero-allocation overloads below: wire and
-  /// body staging plus the frame/RS scratch (see common/arena.hpp).
-  struct Scratch {
-    std::vector<std::uint8_t> wire;
-    std::vector<std::uint8_t> body;
-    FrameScratch frame;
-  };
-
-  /// encode() into a reused buffer. Bit-identical wire bytes.
-  void encode_into(const MacFrame& frame, std::vector<std::uint8_t>& out,
-                   Scratch& scratch) const;
-
-  /// decode() into a reused result; false replaces nullopt.
-  [[nodiscard]] bool decode_into(std::span<const std::uint8_t> bytes,
-                                 ParsedFrame& out, Scratch& scratch) const;
-
-  /// Interleaves the body of `wire` (everything after the clear header)
-  /// in place, copying it through `staging`. No-op at depth 0/1 or when
-  /// `wire` holds no body. Shared by encode_into and the batch codec.
-  void interleave_body(std::span<std::uint8_t> wire,
-                       std::vector<std::uint8_t>& staging) const;
-
-  /// The inverse of interleave_body, for decode_into and the batch codec.
-  void deinterleave_body(std::span<std::uint8_t> wire,
-                         std::vector<std::uint8_t>& staging) const;
-
   /// Depth that aligns interleaver rows with RS codewords for a given
   /// payload size — the configuration with the clean analytic burst
   /// bound (see phy::burst_tolerance). Returns 1 when the payload fits a
   /// single RS block (interleaving cannot help within one block).
-  static std::size_t matched_depth(std::size_t payload_bytes);
+  static std::size_t matched_depth(std::size_t payload_bytes) {
+    const std::size_t blocks = rs_block_count(payload_bytes);
+    return blocks <= 1 ? 1 : blocks;
+  }
 
  private:
   std::size_t depth_;

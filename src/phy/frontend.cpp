@@ -33,8 +33,12 @@ Amperes ReceiverFrontEnd::noise_current_sigma(Hertz sample_rate) const {
 }
 
 dsp::Waveform ReceiverFrontEnd::process(const dsp::Waveform& optical) {
+  ReceiverFrontEnd* const fe[] = {this};
+  const dsp::Waveform* const in[] = {&optical};
   dsp::Waveform out;
-  process_into(optical, out);
+  dsp::Waveform* const out_ptr[] = {&out};
+  BatchScratch scratch;
+  process_batch_into(fe, in, out_ptr, scratch);
   return out;
 }
 
@@ -81,14 +85,6 @@ void ReceiverFrontEnd::adc_into(dsp::Waveform& out) {
   }
 }
 
-void ReceiverFrontEnd::process_into(const dsp::Waveform& optical,
-                                    dsp::Waveform& out) {
-  front_half_into(optical, out);
-  if (out.samples.empty()) return;
-  filters_into(out);
-  adc_into(out);
-}
-
 void ReceiverFrontEnd::process_batch_into(
     std::span<ReceiverFrontEnd* const> fes,
     std::span<const dsp::Waveform* const> optical,
@@ -96,8 +92,8 @@ void ReceiverFrontEnd::process_batch_into(
   const std::size_t n = fes.size();
   DVLC_EXPECT(optical.size() == n && out.size() == n,
               "process_batch_into: span sizes must match");
-  // Noise first, per lane in order: each front-end owns its Rng, so the
-  // draw sequence per lane is exactly the scalar one.
+  // Noise first, per lane in order: each front-end owns its Rng, so a
+  // lane's draws do not depend on the other lanes.
   for (std::size_t i = 0; i < n; ++i) {
     fes[i]->front_half_into(*optical[i], *out[i]);
   }

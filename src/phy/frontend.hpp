@@ -46,16 +46,12 @@ class ReceiverFrontEnd {
   const FrontEndConfig& config() const { return cfg_; }
 
   /// Processes a waveform of instantaneous received optical power [W]
-  /// sampled at `optical.sample_rate_hz`. Returns the ADC output voltage
-  /// referenced to mid-rail (i.e. zero-mean for a DC-free signal), at the
-  /// ADC sample rate. Stateful across calls — filters keep their delay
-  /// lines so back-to-back calls model a continuous stream.
+  /// sampled at `optical.sample_rate_hz`: a one-lane process_batch_into.
+  /// Returns the ADC output voltage referenced to mid-rail (i.e.
+  /// zero-mean for a DC-free signal), at the ADC sample rate. Stateful
+  /// across calls — filters keep their delay lines so back-to-back calls
+  /// model a continuous stream.
   dsp::Waveform process(const dsp::Waveform& optical);
-
-  /// process() into a reused waveform (see common/arena.hpp): zero heap
-  /// allocations once `out` has warmed up. Noise samples are drawn in the
-  /// same per-sample order as process(), so the output is bit-identical.
-  void process_into(const dsp::Waveform& optical, dsp::Waveform& out);
 
   /// Resets all filter state (fresh reception).
   void reset();
@@ -71,14 +67,16 @@ class ReceiverFrontEnd {
     AlignedVector<double> lanes;
   };
 
-  /// Processes many independent front-ends in one call. Bit-identical per
-  /// lane to fes[i]->process_into(*optical[i], *out[i]) called in order
-  /// (each front-end draws its own noise stream first, in lane order),
-  /// but the filter stages run four lanes at a time through the vector
-  /// biquad kernel. Lanes are grouped in encounter order; groups with
-  /// mismatched filter shapes or cascades deeper than
-  /// dsp::kMaxBiquadSections, and ragged tails, fall back to the scalar
-  /// cascades, whose state continues seamlessly.
+  /// Processes many independent front-ends in one call: *out[i] is
+  /// fes[i] processing *optical[i] alone. Per lane: zero-order-hold
+  /// resample, photocurrent noise drawn per sample from the lane's own
+  /// stream, TIA, AC-coupled gain, anti-aliasing low-pass, ADC round trip.
+  /// The filter stages run four lanes at a time through the vector biquad
+  /// kernel, bit-identical to the scalar cascades. Lanes are grouped in
+  /// encounter order; groups with mismatched filter shapes or cascades
+  /// deeper than dsp::kMaxBiquadSections, and ragged tails and leftover
+  /// lanes, run the scalar cascades, whose state continues seamlessly.
+  /// Zero heap allocations once the outputs and `scratch` have warmed up.
   // DVLC_LINT_WAIVE(api-into-wrapper): batch outputs are caller-owned spans
   static void process_batch_into(std::span<ReceiverFrontEnd* const> fes,
                                  std::span<const dsp::Waveform* const> optical,
@@ -91,7 +89,7 @@ class ReceiverFrontEnd {
   Amperes noise_current_sigma(Hertz sample_rate) const;
 
  private:
-  // The three stages of process_into, split so the batch path can run
+  // The three stages of processing, split so process_batch_into can run
   // them per lane / per quad: ZOH resample + noise + TIA, the AC-coupled
   // gain and anti-aliasing filters, and the ADC round trip.
   // DVLC_LINT_WAIVE(api-into-wrapper): private pipeline stage, not an API

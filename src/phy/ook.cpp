@@ -12,50 +12,11 @@
 namespace densevlc::phy {
 namespace {
 
-// Chip assembly + rendering shared by the scalar and batch modulator
-// paths: wire bytes in, guard/pilot/preamble/data current waveform out.
-void render_wire_into(const OokModulator& mod,
-                      std::span<const std::uint8_t> wire, bool include_pilot,
-                      std::uint8_t tx_id, std::size_t guard_chips,
-                      dsp::Waveform& wf, std::vector<Chip>& chip_scratch) {
-  const auto pilot = pilot_pattern();
-  const auto pre = preamble_pattern();
-  const std::size_t pilot_chips =
-      include_pilot ? pilot.size() + 16 : 0;  // 16 chips: Manchester id byte
-  const std::size_t total_chips =
-      pilot_chips + pre.size() + wire.size() * 16;
-  arena_resize(chip_scratch, total_chips);
-  std::span<Chip> at{chip_scratch};
-  if (include_pilot) {
-    std::copy(pilot.begin(), pilot.end(), at.begin());
-    const std::array<std::uint8_t, 1> id_byte{tx_id};
-    manchester_encode_bytes(id_byte, at.subspan(pilot.size(), 16));
-    at = at.subspan(pilot_chips);
-  }
-  std::copy(pre.begin(), pre.end(), at.begin());
-  manchester_encode_bytes(wire, at.subspan(pre.size()));
-
-  // Render guard + data + guard in one buffer.
-  wf.sample_rate_hz = mod.params().sample_rate_hz();
-  const std::size_t spc = mod.params().samples_per_chip;
-  const std::size_t guard_samples = guard_chips * spc;
-  arena_resize(wf.samples, guard_samples * 2 + total_chips * spc);
-  std::size_t w = 0;
-  for (std::size_t s = 0; s < guard_samples; ++s)
-    wf.samples[w++] = mod.params().bias_current_a;
-  for (Chip c : chip_scratch) {
-    const double level = mod.chip_current(c);
-    for (std::size_t s = 0; s < spc; ++s) wf.samples[w++] = level;
-  }
-  for (std::size_t s = 0; s < guard_samples; ++s)
-    wf.samples[w++] = mod.params().bias_current_a;
-}
-
-// Receive front half shared by the scalar and batch demodulator paths:
-// preamble search, header peek for the length, then chip slicing and
-// lenient Manchester decode of the whole frame into `bytes`. Fills the
-// sync fields of `out`; false when no preamble is found or the header is
-// unreadable. Only the parse of `bytes` is left to the caller.
+// Receive front half of one lane: preamble search, header peek for the
+// length, then chip slicing and lenient Manchester decode of the whole
+// frame into `bytes`. Fills the sync fields of `out`; false when no
+// preamble is found or the header is unreadable. Only the parse of
+// `bytes` is left to the caller.
 bool receive_wire_into(const OokDemodulator& demod,
                        std::span<const double> signal,
                        std::span<const double> tpl, double min_correlation,
@@ -94,8 +55,8 @@ double OokModulator::chip_current(Chip chip) const {
                              : params_.bias_current_a - half;
 }
 
-void OokModulator::modulate_into(std::span<const Chip> chips,
-                                 dsp::Waveform& wf) const {
+dsp::Waveform OokModulator::modulate(std::span<const Chip> chips) const {
+  dsp::Waveform wf;
   wf.sample_rate_hz = params_.sample_rate_hz();
   const std::size_t spc = params_.samples_per_chip;
   arena_resize(wf.samples, chips.size() * spc);
@@ -104,60 +65,50 @@ void OokModulator::modulate_into(std::span<const Chip> chips,
     const double level = chip_current(c);
     for (std::size_t s = 0; s < spc; ++s) wf.samples[w++] = level;
   }
-}
-
-dsp::Waveform OokModulator::modulate(std::span<const Chip> chips) const {
-  dsp::Waveform wf;
-  modulate_into(chips, wf);
   return wf;
-}
-
-void OokModulator::idle_into(std::size_t idle_chips, dsp::Waveform& wf) const {
-  wf.sample_rate_hz = params_.sample_rate_hz();
-  arena_resize(wf.samples, idle_chips * params_.samples_per_chip);
-  for (double& v : wf.samples) v = params_.bias_current_a;
 }
 
 dsp::Waveform OokModulator::idle(std::size_t idle_chips) const {
   dsp::Waveform wf;
-  idle_into(idle_chips, wf);
+  wf.sample_rate_hz = params_.sample_rate_hz();
+  wf.samples.assign(idle_chips * params_.samples_per_chip,
+                    params_.bias_current_a);
   return wf;
-}
-
-void OokModulator::modulate_frame_into(const MacFrame& frame,
-                                       bool include_pilot, std::uint8_t tx_id,
-                                       std::size_t guard_chips,
-                                       dsp::Waveform& wf,
-                                       TxScratch& scratch) const {
-  // Assemble the on-air chip sequence: [pilot + id] preamble + data.
-  serialize_frame_into(frame, scratch.wire);
-  render_wire_into(*this, scratch.wire, include_pilot, tx_id, guard_chips, wf,
-                   scratch.chips);
-}
-
-void OokModulator::modulate_batch_into(std::span<const TxJob> jobs,
-                                       std::span<dsp::Waveform* const> out,
-                                       TxBatchScratch& scratch) const {
-  const std::size_t n = jobs.size();
-  DVLC_EXPECT(out.size() == n,
-              "modulate_batch_into: one output waveform per job");
-  arena_resize(scratch.frames, n);
-  for (std::size_t i = 0; i < n; ++i) scratch.frames[i] = jobs[i].frame;
-  serialize_frames_batch(scratch.frames, scratch.batch);
-  for (std::size_t i = 0; i < n; ++i) {
-    render_wire_into(*this, scratch.batch.lane_wire(i), jobs[i].include_pilot,
-                     jobs[i].tx_id, jobs[i].guard_chips, *out[i],
-                     scratch.chips);
-  }
 }
 
 dsp::Waveform OokModulator::modulate_frame(const MacFrame& frame,
                                            bool include_pilot,
                                            std::uint8_t tx_id,
                                            std::size_t guard_chips) const {
+  // Assemble the on-air chip sequence: [pilot + id] preamble + data.
+  const std::vector<std::uint8_t> wire = serialize_frame(frame);
+  const auto pilot = pilot_pattern();
+  const auto pre = preamble_pattern();
+  const std::size_t pilot_chips =
+      include_pilot ? pilot.size() + 16 : 0;  // 16 chips: Manchester id byte
+  std::vector<Chip> chips(pilot_chips + pre.size() + wire.size() * 16);
+  std::span<Chip> at{chips};
+  if (include_pilot) {
+    std::copy(pilot.begin(), pilot.end(), at.begin());
+    const std::array<std::uint8_t, 1> id_byte{tx_id};
+    manchester_encode_bytes(id_byte, at.subspan(pilot.size(), 16));
+    at = at.subspan(pilot_chips);
+  }
+  std::copy(pre.begin(), pre.end(), at.begin());
+  manchester_encode_bytes(wire, at.subspan(pre.size()));
+
+  // Render guard + data + guard in one buffer.
   dsp::Waveform wf;
-  TxScratch scratch;
-  modulate_frame_into(frame, include_pilot, tx_id, guard_chips, wf, scratch);
+  wf.sample_rate_hz = params_.sample_rate_hz();
+  const std::size_t spc = params_.samples_per_chip;
+  const std::size_t guard_samples = guard_chips * spc;
+  wf.samples.assign(guard_samples * 2 + chips.size() * spc,
+                    params_.bias_current_a);
+  std::size_t w = guard_samples;
+  for (Chip c : chips) {
+    const double level = chip_current(c);
+    for (std::size_t s = 0; s < spc; ++s) wf.samples[w++] = level;
+  }
   return wf;
 }
 
@@ -221,16 +172,6 @@ std::vector<double> OokDemodulator::preamble_template() const {
   return pattern_template(preamble_pattern());
 }
 
-bool OokDemodulator::receive_frame_into(std::span<const double> signal,
-                                        RxResult& out, RxScratch& scratch,
-                                        double min_correlation) const {
-  preamble_template_into(scratch.preamble_tpl);
-  return receive_wire_into(*this, signal, scratch.preamble_tpl,
-                           min_correlation, scratch.correlate, scratch.chips,
-                           scratch.bytes, out) &&
-         parse_frame_into(scratch.bytes, out.parsed, scratch.frame);
-}
-
 std::size_t OokDemodulator::receive_batch_into(
     std::span<const std::span<const double>> signals, std::span<RxResult> out,
     std::span<std::uint8_t> ok, BatchRxScratch& scratch,
@@ -277,10 +218,14 @@ std::size_t OokDemodulator::receive_batch_into(
 
 std::optional<OokDemodulator::RxResult> OokDemodulator::receive_frame(
     std::span<const double> signal, double min_correlation) const {
-  RxScratch scratch;
+  const std::span<const double> lane[] = {signal};
   RxResult out;
-  if (!receive_frame_into(signal, out, scratch, min_correlation))
+  std::uint8_t ok = 0;
+  BatchRxScratch scratch;
+  if (receive_batch_into(lane, {&out, 1}, {&ok, 1}, scratch,
+                         min_correlation) == 0) {
     return std::nullopt;
+  }
   return out;
 }
 

@@ -57,53 +57,6 @@ class OokModulator {
                                std::uint8_t tx_id,
                                std::size_t guard_chips) const;
 
-  // --- Zero-allocation overloads (see common/arena.hpp) -----------------
-
-  /// Reusable TX workspace: on-air chip staging plus serialized bytes.
-  struct TxScratch {
-    std::vector<Chip> chips;
-    std::vector<std::uint8_t> wire;
-  };
-
-  /// modulate into a reused waveform.
-  void modulate_into(std::span<const Chip> chips, dsp::Waveform& wf) const;
-
-  /// idle into a reused waveform.
-  void idle_into(std::size_t idle_chips, dsp::Waveform& wf) const;
-
-  /// modulate_frame into a reused waveform; bit-identical samples.
-  void modulate_frame_into(const MacFrame& frame, bool include_pilot,
-                           std::uint8_t tx_id, std::size_t guard_chips,
-                           dsp::Waveform& wf, TxScratch& scratch) const;
-
-  // --- Batch-of-frames path (see phy/frame_batch.hpp) -------------------
-
-  /// One lane of modulate_batch_into: the arguments of a
-  /// modulate_frame_into call.
-  struct TxJob {
-    const MacFrame* frame = nullptr;
-    bool include_pilot = false;
-    std::uint8_t tx_id = 0;
-    std::size_t guard_chips = 0;
-  };
-
-  /// Batch TX workspace: frame pointer staging, chip staging, and the
-  /// batch codec scratch all RS parity work is routed through.
-  struct TxBatchScratch {
-    std::vector<const MacFrame*> frames;
-    std::vector<Chip> chips;
-    FrameBatch batch;
-  };
-
-  /// Renders every job's frame into *out[i]. Per lane bit-identical to
-  /// modulate_frame_into; serialization of all lanes runs through the
-  /// batch Reed-Solomon column kernels. Throws std::invalid_argument on
-  /// over-long payloads like the scalar path.
-  // DVLC_LINT_WAIVE(api-into-wrapper): batch outputs are caller-owned spans
-  void modulate_batch_into(std::span<const TxJob> jobs,
-                           std::span<dsp::Waveform* const> out,
-                           TxBatchScratch& scratch) const;
-
  private:
   OokParams params_;
 };
@@ -138,25 +91,14 @@ class OokDemodulator {
     std::size_t manchester_violations = 0;
   };
 
-  /// Searches for a preamble and decodes one frame from the signal.
-  /// `min_correlation` rejects noise-triggered syncs. Returns nullopt when
-  /// no preamble is found or the frame fails to decode (counts as a frame
-  /// error at the MAC).
+  /// Searches for a preamble and decodes one frame from the signal: a
+  /// one-lane receive_batch_into. `min_correlation` rejects
+  /// noise-triggered syncs. Returns nullopt when no preamble is found or
+  /// the frame fails to decode (counts as a frame error at the MAC).
   std::optional<RxResult> receive_frame(std::span<const double> signal,
                                         double min_correlation = 0.6) const;
 
   // --- Zero-allocation overloads (see common/arena.hpp) -----------------
-
-  /// Reusable RX workspace spanning the whole receive chain: preamble
-  /// template, correlation search, chip slicing, decoded bytes, and the
-  /// frame parser's Reed-Solomon buffers.
-  struct RxScratch {
-    std::vector<double> preamble_tpl;
-    dsp::CorrelateScratch correlate;
-    std::vector<Chip> chips;
-    std::vector<std::uint8_t> bytes;
-    FrameScratch frame;
-  };
 
   /// slice_chips into a reused chip buffer.
   void slice_chips_into(std::span<const double> signal, double offset_samples,
@@ -169,13 +111,6 @@ class OokDemodulator {
   /// preamble_template into a reused buffer. Rebuilt from the pattern each
   /// call (cheap), so the scratch can never go stale across demodulators.
   void preamble_template_into(std::vector<double>& tpl) const;
-
-  /// receive_frame into a reused result; false replaces nullopt. The fused
-  /// byte-at-a-time Manchester decode replaces the bit-level pipeline and
-  /// is bit-identical to it (differential suite in tests/phy).
-  [[nodiscard]] bool receive_frame_into(std::span<const double> signal,
-                                        RxResult& out, RxScratch& scratch,
-                                        double min_correlation = 0.6) const;
 
   // --- Batch-of-frames path (see phy/frame_batch.hpp) -------------------
 
@@ -195,10 +130,11 @@ class OokDemodulator {
     FrameBatch batch;
   };
 
-  /// Receives one frame per signal lane: out[i]/ok[i] mirror a
-  /// receive_frame_into(signals[i], out[i], ...) call — bit-identical
-  /// accept/reject decisions and results; failed lanes (ok[i] == 0) must
-  /// not be read. Returns the number of decoded lanes.
+  /// Receives one frame per signal lane: preamble search, header peek,
+  /// chip slicing and lenient byte-at-a-time Manchester decode per lane,
+  /// then every surviving lane parsed in one parse_frames_batch. Each
+  /// lane's out[i]/ok[i] depend on signals[i] alone; failed lanes
+  /// (ok[i] == 0) must not be read. Returns the number of decoded lanes.
   // DVLC_LINT_WAIVE(api-into-wrapper): batch outputs are caller-owned spans
   std::size_t receive_batch_into(
       std::span<const std::span<const double>> signals,

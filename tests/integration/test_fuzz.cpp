@@ -3,6 +3,8 @@
 // structures at a meaningful rate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ini.hpp"
@@ -10,6 +12,8 @@
 #include "mac/arq.hpp"
 #include "mac/report.hpp"
 #include "phy/frame.hpp"
+#include "phy/frame_batch.hpp"
+#include "phy/frame_codec.hpp"
 
 namespace densevlc {
 namespace {
@@ -54,6 +58,137 @@ TEST(Fuzz, ParseFrameSurvivesMutations) {
       EXPECT_LE(parsed->frame.payload.size(), phy::kMaxPayload);
     }
   }
+}
+
+phy::MacFrame random_frame(std::size_t max_payload, Rng& rng) {
+  phy::MacFrame f;
+  f.dst = static_cast<std::uint16_t>(rng.uniform_int(0, 0xFFFF));
+  f.src = static_cast<std::uint16_t>(rng.uniform_int(0, 0xFFFF));
+  f.payload = random_bytes(
+      static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(max_payload))),
+      rng);
+  return f;
+}
+
+TEST(Fuzz, FrameCodecDecodeTotal) {
+  // Every interleave depth on arbitrary bytes: lengths below, at and just
+  // above the clear header, headers with a valid SFD and any length field
+  // (including ones above kMaxPayload), and encoded frames cut short or
+  // hit by random bytes. Decode must never crash or read past the buffer
+  // (checked under the asan preset) and never accept an over-long frame.
+  constexpr auto kHeader = static_cast<std::int64_t>(phy::kHeaderBytes);
+  constexpr auto kMaxPayload = static_cast<std::int64_t>(phy::kMaxPayload);
+  Rng rng{0xF028};
+  std::size_t accepted = 0;
+  for (std::size_t depth = 0; depth <= 8; ++depth) {
+    const phy::FrameCodec codec{depth};
+    for (int trial = 0; trial < 400; ++trial) {
+      std::vector<std::uint8_t> bytes;
+      switch (trial % 4) {
+        case 0:  // around the header boundary
+          bytes = random_bytes(
+              static_cast<std::size_t>(rng.uniform_int(0, kHeader + 2)), rng);
+          break;
+        case 1:  // random bytes up to a full frame
+          bytes = random_bytes(
+              static_cast<std::size_t>(rng.uniform_int(0, 1800)), rng);
+          break;
+        case 2: {  // a valid SFD with an arbitrary length field
+          bytes = random_bytes(
+              static_cast<std::size_t>(
+                  rng.uniform_int(kHeader, kHeader + 700)),
+              rng);
+          const auto length = static_cast<std::uint16_t>(
+              rng.bernoulli(0.5)
+                  ? rng.uniform_int(kMaxPayload + 1, 0xFFFF)
+                  : rng.uniform_int(0, 700));
+          bytes[0] = phy::kSfd;
+          bytes[1] = static_cast<std::uint8_t>(length >> 8);
+          bytes[2] = static_cast<std::uint8_t>(length & 0xFF);
+          break;
+        }
+        default: {  // an encoded frame, cut short or corrupted
+          bytes = codec.encode(random_frame(phy::kMaxPayload, rng));
+          if (rng.bernoulli(0.5)) {
+            bytes.resize(static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(bytes.size()))));
+          }
+          const auto hits = rng.uniform_int(0, 12);
+          for (std::int64_t h = 0; h < hits && !bytes.empty(); ++h) {
+            const auto at = static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(bytes.size()) - 1));
+            bytes[at] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+          }
+          break;
+        }
+      }
+      const auto parsed = codec.decode(bytes);
+      if (parsed) {
+        ++accepted;
+        EXPECT_LE(parsed->frame.payload.size(), phy::kMaxPayload);
+        EXPECT_LE(phy::serialized_frame_bytes(parsed->frame.payload.size()),
+                  bytes.size());
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);  // the valid-frame cases must get through
+}
+
+TEST(Fuzz, ParseBatchLaneIndependence) {
+  // Mixed batches of valid, mutated and random wires through one kept
+  // FrameBatch: every lane's outcome must equal a one-lane parse of the
+  // same bytes, whatever the other lanes hold.
+  Rng rng{0xF029};
+  phy::FrameBatch batch;
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 60; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    std::vector<std::vector<std::uint8_t>> wires;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto kind = rng.uniform_int(0, 2);
+      if (kind == 2) {
+        wires.push_back(random_bytes(
+            static_cast<std::size_t>(rng.uniform_int(0, 700)), rng));
+        continue;
+      }
+      auto wire = phy::serialize_frame(random_frame(700, rng));
+      if (kind == 1) {
+        const auto hits = rng.uniform_int(1, 20);
+        for (std::int64_t h = 0; h < hits; ++h) {
+          const auto at = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(wire.size()) - 1));
+          wire[at] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+        }
+      }
+      wires.push_back(std::move(wire));
+    }
+
+    std::vector<std::span<const std::uint8_t>> views(wires.begin(),
+                                                     wires.end());
+    std::vector<phy::ParsedFrame> out(n);
+    std::vector<phy::ParsedFrame*> out_ptrs;
+    for (auto& pf : out) out_ptrs.push_back(&pf);
+    std::vector<std::uint8_t> ok(n, 0xEE);
+    const std::size_t decoded =
+        phy::parse_frames_batch(views, out_ptrs, ok, batch);
+
+    std::size_t expected = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto one = phy::parse_frame(wires[i]);
+      ASSERT_EQ(ok[i], one ? 1 : 0) << "round " << round << " lane " << i;
+      (one ? accepted : rejected) += 1;
+      if (!one) continue;
+      ++expected;
+      EXPECT_EQ(out[i].frame, one->frame) << "round " << round << " lane " << i;
+      EXPECT_EQ(out[i].corrected_bytes, one->corrected_bytes)
+          << "round " << round << " lane " << i;
+    }
+    EXPECT_EQ(decoded, expected) << "round " << round;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Fuzz, ControllerFrameParserTotal) {

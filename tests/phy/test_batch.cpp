@@ -1,16 +1,21 @@
-// Differential suite for the batch-of-frames PHY path.
+// Differential suite for the batch-of-frames PHY path, the only
+// implementation of every frame data-path step.
 //
-// Every batch entry point (frame_batch codec, OOK modulator/demodulator
-// batch calls, front-end quad processing, JointTransmission batch) is
-// held bit-for-bit against an equivalent sequence of the scalar per-frame
-// calls: same wire bytes, same waveforms, same accept/reject decisions,
-// same Rng stream. Like test_fastpath, the whole suite is parameterized
-// over the SIMD dispatch so both backends are pinned to the same scalar
-// sequence transitively.
+// The frame layer (serialize, codec encode/decode, corrupt lanes) and the
+// modulator are held bit-for-bit against the frozen scalar reference in
+// bench/phy_reference. The demodulator, front-end quads and joint
+// transmission are held against one-lane calls in sequence — the x4
+// vector kernels against the scalar cascades — with the same accept/
+// reject decisions and the same Rng stream. Like test_fastpath, the
+// whole suite is parameterized over the SIMD dispatch so both backends
+// are pinned to the same outputs transitively.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -27,6 +32,7 @@
 #include "phy/frame_codec.hpp"
 #include "phy/frontend.hpp"
 #include "phy/ook.hpp"
+#include "phy_reference.hpp"
 
 namespace densevlc {
 namespace {
@@ -73,6 +79,29 @@ std::vector<const phy::MacFrame*> frame_ptrs(
   return ptrs;
 }
 
+// The frozen scalar codec: reference serializer, body (everything after
+// the clear header) through the reference permutation.
+std::vector<std::uint8_t> ref_encode(const phy::MacFrame& f,
+                                     std::size_t depth) {
+  auto wire = bench::ref::serialize_frame(f);
+  const auto body = bench::ref::interleave(
+      std::span<const std::uint8_t>{wire}.subspan(phy::kHeaderBytes), depth);
+  std::copy(body.begin(), body.end(),
+            wire.begin() + static_cast<std::ptrdiff_t>(phy::kHeaderBytes));
+  return wire;
+}
+
+std::optional<phy::ParsedFrame> ref_decode(
+    std::span<const std::uint8_t> wire, std::size_t depth) {
+  if (wire.size() <= phy::kHeaderBytes) return bench::ref::parse_frame(wire);
+  std::vector<std::uint8_t> bytes(wire.begin(), wire.end());
+  const auto body =
+      bench::ref::deinterleave(wire.subspan(phy::kHeaderBytes), depth);
+  std::copy(body.begin(), body.end(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(phy::kHeaderBytes));
+  return bench::ref::parse_frame(bytes);
+}
+
 // --- Batch codec ---------------------------------------------------------
 
 TEST_P(Batch, SerializeFramesMatchesScalar) {
@@ -83,7 +112,7 @@ TEST_P(Batch, SerializeFramesMatchesScalar) {
   phy::serialize_frames_batch(ptrs, batch);
   ASSERT_EQ(batch.lanes.size(), frames.size());
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    const auto expect = phy::serialize_frame(frames[i]);
+    const auto expect = bench::ref::serialize_frame(frames[i]);
     const auto got = batch.lane_wire(i);
     ASSERT_EQ(got.size(), expect.size()) << "lane " << i;
     EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin()))
@@ -101,14 +130,14 @@ TEST_P(Batch, EncodeFramesMatchesScalarAcrossDepths) {
   Rng rng{0xB1};
   const auto frames = make_frames(rng);
   const auto ptrs = frame_ptrs(frames);
-  for (const std::size_t depth : {std::size_t{0}, std::size_t{4}}) {
+  for (const std::size_t depth : {0, 1, 2, 4, 8}) {
     const phy::FrameCodec codec{depth};
     phy::FrameBatch batch;
     phy::encode_frames_batch(codec, ptrs, batch);
-    phy::FrameCodec::Scratch cscr;
-    std::vector<std::uint8_t> expect;
     for (std::size_t i = 0; i < frames.size(); ++i) {
-      codec.encode_into(frames[i], expect, cscr);
+      const auto expect = ref_encode(frames[i], depth);
+      EXPECT_EQ(codec.encode(frames[i]), expect)
+          << "depth " << depth << " lane " << i;
       const auto got = batch.lane_wire(i);
       ASSERT_EQ(got.size(), expect.size()) << "depth " << depth << " lane " << i;
       EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin()))
@@ -121,7 +150,7 @@ TEST_P(Batch, DecodeFramesMatchesScalarIncludingCorruptLanes) {
   Rng rng{0xB2};
   const auto frames = make_frames(rng);
   const auto ptrs = frame_ptrs(frames);
-  for (const std::size_t depth : {std::size_t{0}, std::size_t{4}}) {
+  for (const std::size_t depth : {0, 1, 2, 4, 8}) {
     const phy::FrameCodec codec{depth};
     phy::FrameBatch batch;
     phy::encode_frames_batch(codec, ptrs, batch);
@@ -158,22 +187,27 @@ TEST_P(Batch, DecodeFramesMatchesScalarIncludingCorruptLanes) {
     const std::size_t decoded =
         phy::decode_frames_batch(codec, views, out, ok, batch);
 
-    phy::FrameCodec::Scratch cscr;
-    phy::ParsedFrame expect;
     std::size_t expected_decoded = 0;
     bool saw_ok = false;
     bool saw_fail = false;
     for (std::size_t i = 0; i < wires.size(); ++i) {
-      const bool scalar_ok = codec.decode_into(views[i], expect, cscr);
-      ASSERT_EQ(ok[i] != 0, scalar_ok) << "depth " << depth << " lane " << i;
-      (scalar_ok ? saw_ok : saw_fail) = true;
+      const auto expect = ref_decode(views[i], depth);
+      ASSERT_EQ(ok[i] != 0, expect.has_value())
+          << "depth " << depth << " lane " << i;
+      (expect ? saw_ok : saw_fail) = true;
       if (i >= first_reject) {
-        EXPECT_FALSE(scalar_ok) << "lane " << i;
+        EXPECT_FALSE(expect.has_value()) << "lane " << i;
       }
-      if (scalar_ok) {
+      // The one-lane form agrees with its lane in the batch.
+      const auto one = codec.decode(views[i]);
+      ASSERT_EQ(one.has_value(), expect.has_value()) << "lane " << i;
+      if (expect) {
         ++expected_decoded;
-        EXPECT_EQ(out[i].frame, expect.frame) << "lane " << i;
-        EXPECT_EQ(out[i].corrected_bytes, expect.corrected_bytes)
+        EXPECT_EQ(out[i].frame, expect->frame) << "lane " << i;
+        EXPECT_EQ(out[i].corrected_bytes, expect->corrected_bytes)
+            << "lane " << i;
+        EXPECT_EQ(one->frame, expect->frame) << "lane " << i;
+        EXPECT_EQ(one->corrected_bytes, expect->corrected_bytes)
             << "lane " << i;
       }
     }
@@ -185,31 +219,44 @@ TEST_P(Batch, DecodeFramesMatchesScalarIncludingCorruptLanes) {
 
 // --- Batch modulator / demodulator ---------------------------------------
 
-TEST_P(Batch, ModulateBatchMatchesModulateFrame) {
+TEST_P(Batch, ModulateFrameMatchesReferenceChips) {
   Rng rng{0xB3};
   const auto frames = make_frames(rng);
   const phy::OokParams params{};
   const phy::OokModulator mod{params};
+  const std::size_t spc = params.samples_per_chip;
 
-  std::vector<phy::OokModulator::TxJob> jobs;
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    jobs.push_back({&frames[i], (i % 2) == 0,
-                    static_cast<std::uint8_t>(0xC0 + i), 4 * i});
-  }
-  std::vector<dsp::Waveform> got(jobs.size());
-  std::vector<dsp::Waveform*> out;
-  for (auto& wf : got) out.push_back(&wf);
-  phy::OokModulator::TxBatchScratch scratch;
-  mod.modulate_batch_into(jobs, out, scratch);
+    const bool pilot = (i % 2) == 0;
+    const auto tx_id = static_cast<std::uint8_t>(0xC0 + i);
+    const std::size_t guard = 4 * i;
+    const dsp::Waveform got = mod.modulate_frame(frames[i], pilot, tx_id,
+                                                 guard);
 
-  phy::OokModulator::TxScratch txs;
-  dsp::Waveform expect;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    mod.modulate_frame_into(*jobs[i].frame, jobs[i].include_pilot,
-                            jobs[i].tx_id, jobs[i].guard_chips, expect, txs);
-    ASSERT_EQ(got[i].samples.size(), expect.samples.size()) << "lane " << i;
-    EXPECT_EQ(got[i].sample_rate_hz, expect.sample_rate_hz);
-    EXPECT_EQ(got[i].samples, expect.samples) << "lane " << i;
+    // [pilot + Manchester id] preamble + Manchester wire, from the frozen
+    // serializer and bit-level coder, rendered between bias guards.
+    std::vector<phy::Chip> chips;
+    if (pilot) {
+      const auto pat = phy::pilot_pattern();
+      chips.assign(pat.begin(), pat.end());
+      const std::array<std::uint8_t, 1> id{tx_id};
+      const auto id_chips =
+          bench::ref::manchester_encode(bench::ref::bytes_to_bits(id));
+      chips.insert(chips.end(), id_chips.begin(), id_chips.end());
+    }
+    const auto pre = phy::preamble_pattern();
+    chips.insert(chips.end(), pre.begin(), pre.end());
+    const auto body = bench::ref::manchester_encode(bench::ref::bytes_to_bits(
+        bench::ref::serialize_frame(frames[i])));
+    chips.insert(chips.end(), body.begin(), body.end());
+    std::vector<double> expect(guard * spc, params.bias_current_a);
+    for (const phy::Chip c : chips) {
+      expect.insert(expect.end(), spc, mod.chip_current(c));
+    }
+    expect.insert(expect.end(), guard * spc, params.bias_current_a);
+
+    EXPECT_EQ(got.sample_rate_hz, params.sample_rate_hz());
+    EXPECT_EQ(got.samples, expect) << "lane " << i;
   }
 }
 
@@ -228,10 +275,8 @@ TEST_P(Batch, ReceiveBatchMatchesReceiveFrame) {
                                        make_frame(40, rng),
                                        make_frame(90, rng)};
   std::vector<std::vector<double>> lanes;
-  phy::OokModulator::TxScratch txs;
-  dsp::Waveform wf;
   for (const auto& f : frames) {
-    mod.modulate_frame_into(f, false, 0, 8, wf, txs);
+    dsp::Waveform wf = mod.modulate_frame(f, false, 0, 8);
     for (double& v : wf.samples) v -= params.bias_current_a;
     lanes.emplace_back(wf.samples.begin(), wf.samples.end());
   }
@@ -248,21 +293,20 @@ TEST_P(Batch, ReceiveBatchMatchesReceiveFrame) {
   const std::size_t decoded =
       demod.receive_batch_into(signals, out, ok, scratch);
 
-  phy::OokDemodulator::RxScratch rxs;
-  phy::OokDemodulator::RxResult expect;
   std::size_t expected_decoded = 0;
   bool saw_fail = false;
   for (std::size_t i = 0; i < lanes.size(); ++i) {
-    const bool scalar_ok = demod.receive_frame_into(signals[i], expect, rxs);
-    ASSERT_EQ(ok[i] != 0, scalar_ok) << "lane " << i;
-    saw_fail = saw_fail || !scalar_ok;
-    if (scalar_ok) {
+    const auto expect = demod.receive_frame(signals[i]);
+    ASSERT_EQ(ok[i] != 0, expect.has_value()) << "lane " << i;
+    saw_fail = saw_fail || !expect;
+    if (expect) {
       ++expected_decoded;
-      EXPECT_EQ(out[i].parsed.frame, expect.parsed.frame) << "lane " << i;
-      EXPECT_EQ(out[i].parsed.corrected_bytes, expect.parsed.corrected_bytes);
-      EXPECT_EQ(out[i].preamble_at, expect.preamble_at) << "lane " << i;
-      EXPECT_EQ(out[i].correlation, expect.correlation) << "lane " << i;
-      EXPECT_EQ(out[i].manchester_violations, expect.manchester_violations);
+      EXPECT_EQ(out[i].parsed.frame, expect->parsed.frame) << "lane " << i;
+      EXPECT_EQ(out[i].parsed.corrected_bytes,
+                expect->parsed.corrected_bytes);
+      EXPECT_EQ(out[i].preamble_at, expect->preamble_at) << "lane " << i;
+      EXPECT_EQ(out[i].correlation, expect->correlation) << "lane " << i;
+      EXPECT_EQ(out[i].manchester_violations, expect->manchester_violations);
     }
   }
   EXPECT_EQ(decoded, expected_decoded);
@@ -310,7 +354,7 @@ TEST_P(Batch, FrontEndBatchMatchesSequential) {
   phy::ReceiverFrontEnd::BatchScratch scratch;
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < optical.size(); ++i) {
-      seq_fes[i].process_into(optical[i], expect[i]);
+      expect[i] = seq_fes[i].process(optical[i]);
     }
     std::vector<phy::ReceiverFrontEnd*> fes;
     std::vector<const dsp::Waveform*> in;
@@ -354,7 +398,7 @@ TEST_P(Batch, DeepCascadeMatchesScalar) {
   std::vector<const dsp::Waveform*> in;
   std::vector<dsp::Waveform*> out;
   for (std::size_t i = 0; i < optical.size(); ++i) {
-    seq_fes[i].process_into(optical[i], expect[i]);
+    expect[i] = seq_fes[i].process(optical[i]);
     fes.push_back(&batch_fes[i]);
     in.push_back(&optical[i]);
     out.push_back(&got[i]);
@@ -457,31 +501,34 @@ TEST_P(Batch, BatchPipelineSteadyStateIsAllocationFree) {
                                              make_frame(120, rng),
                                              make_frame(120, rng),
                                              make_frame(120, rng)};
+  const auto ptrs = frame_ptrs(frames);
   const phy::OokParams params{};
   const phy::OokModulator mod{params};
   const phy::OokDemodulator demod{params.chip_rate_hz,
                                   params.sample_rate_hz()};
 
-  std::vector<phy::OokModulator::TxJob> jobs;
-  for (const auto& f : frames) jobs.push_back({&f, false, 0, 8});
-  std::vector<dsp::Waveform> wfs(jobs.size());
-  std::vector<dsp::Waveform*> out;
-  for (auto& wf : wfs) out.push_back(&wf);
-  phy::OokModulator::TxBatchScratch txb;
+  // Rendered once (ideal AC coupling): the loop is the batch encode on
+  // the TX side and the batch receive on the RX side.
+  std::vector<std::vector<double>> rendered;
+  for (const auto& f : frames) {
+    dsp::Waveform wf = mod.modulate_frame(f, false, 0, 8);
+    for (double& v : wf.samples) v -= params.bias_current_a;
+    rendered.push_back(std::move(wf.samples));
+  }
+  std::vector<std::span<const double>> signals(rendered.begin(),
+                                               rendered.end());
+  const phy::FrameCodec codec{4};
+  phy::FrameBatch txb;
   phy::OokDemodulator::BatchRxScratch rxb;
-  std::vector<std::span<const double>> signals(jobs.size());
-  std::vector<phy::OokDemodulator::RxResult> results(jobs.size());
-  std::vector<std::uint8_t> ok(jobs.size());
+  std::vector<phy::OokDemodulator::RxResult> results(frames.size());
+  std::vector<std::uint8_t> ok(frames.size());
 
   const auto run_one = [&] {
-    mod.modulate_batch_into(jobs, out, txb);
-    for (std::size_t i = 0; i < wfs.size(); ++i) {
-      for (double& v : wfs[i].samples) v -= params.bias_current_a;
-      signals[i] = wfs[i].samples;
-    }
+    phy::encode_frames_batch(codec, ptrs, txb);
+    ASSERT_EQ(txb.lanes.size(), frames.size());
     ASSERT_EQ(demod.receive_batch_into(signals, results, ok, rxb),
-              jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+              frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
       ASSERT_EQ(results[i].parsed.frame.payload, frames[i].payload);
     }
   };
@@ -531,6 +578,44 @@ TEST_P(Batch, TransmitBatchSteadyStateIsAllocationFree) {
     }
   };
   run_one();  // warm-up: render, front-end and receive scratch settle
+  const std::uint64_t before = bench::alloc_count();
+  for (int i = 0; i < 3; ++i) run_one();
+  EXPECT_EQ(bench::alloc_count() - before, 0u);
+}
+
+TEST_P(Batch, TransmitOneLaneSteadyStateIsAllocationFree) {
+  // The ARQ loop's path: one lane per transmit_batch call on a scratch
+  // kept across calls, lanes of different frame sizes and interference.
+  core::Testbed tb = core::make_experimental_testbed();
+  const core::JointTransmission jt{tb.led, phy::OokParams{},
+                                   phy::FrontEndConfig{}};
+
+  Rng frame_rng{0xB9};
+  const auto frame_a = make_frame(120, frame_rng);
+  const auto frame_b = make_frame(600, frame_rng);
+
+  const std::vector<core::ServingTx> spot_a{{7, 6e-7, 0.9, 0.0},
+                                            {13, 4e-7, 0.9, -0.3e-6}};
+  const std::vector<core::ServingTx> spot_b{{21, 8e-7, 0.9, 0.2e-6}};
+  std::vector<core::InterfererGroup> groups(1);
+  groups[0].txs = {{21, 2e-8, 0.9, 14e-6}};
+  groups[0].frame = frame_b;
+
+  const std::vector<core::JointTransmission::TransmitJob> jobs = {
+      {spot_a, &frame_a, groups, 0.0},
+      {spot_b, &frame_b, {}, 0.0},
+  };
+  core::JointTransmission::TransmitBatchScratch scratch;
+  Rng rng{94};
+  core::TransmissionOutcome outcome;
+
+  const auto run_one = [&] {
+    for (const auto& job : jobs) {
+      jt.transmit_batch({&job, 1}, rng, {&outcome, 1}, scratch);
+      ASSERT_TRUE(outcome.delivered);
+    }
+  };
+  run_one();  // warm-up: every lane shape has been seen once
   const std::uint64_t before = bench::alloc_count();
   for (int i = 0; i < 3; ++i) run_one();
   EXPECT_EQ(bench::alloc_count() - before, 0u);

@@ -31,6 +31,7 @@
 #include "dsp/correlate.hpp"
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
+#include "phy/frame_batch.hpp"
 #include "phy/frame_codec.hpp"
 #include "phy/frontend.hpp"
 #include "phy/interleaver.hpp"
@@ -224,17 +225,14 @@ TEST_P(FastPath, FrameSerializationMatchesScalarReference) {
 
 TEST_P(FastPath, CodecChipPipelineMatchesScalarReference) {
   Rng rng{0xD2};
-  phy::FrameCodec::Scratch cscr;
-  std::vector<std::uint8_t> wire;
   std::vector<phy::Chip> chips;
   std::vector<std::uint8_t> bytes;
-  phy::ParsedFrame parsed;
   for (std::size_t payload : {0, 1, 200, 600}) {
     for (std::size_t depth : {0, 1, 3}) {
       const auto f = random_frame(payload, rng);
       const auto ref_chips = bench::ref::codec_encode_chips(f, depth);
       const phy::FrameCodec codec{depth};
-      codec.encode_into(f, wire, cscr);
+      const auto wire = codec.encode(f);
       arena_resize(chips, wire.size() * 16);
       phy::manchester_encode_bytes(wire, chips);
       EXPECT_EQ(chips, ref_chips) << "payload=" << payload
@@ -243,11 +241,11 @@ TEST_P(FastPath, CodecChipPipelineMatchesScalarReference) {
       const auto ref_parsed = bench::ref::codec_decode_chips(chips, depth);
       arena_resize(bytes, chips.size() / 16);
       phy::manchester_decode_bytes_lenient(chips, bytes);
-      const bool ok = codec.decode_into(bytes, parsed, cscr);
-      ASSERT_TRUE(ok);
+      const auto parsed = codec.decode(bytes);
+      ASSERT_TRUE(parsed.has_value());
       ASSERT_TRUE(ref_parsed.has_value());
-      EXPECT_EQ(parsed.frame, ref_parsed->frame);
-      EXPECT_EQ(parsed.frame.payload, f.payload);
+      EXPECT_EQ(parsed->frame, ref_parsed->frame);
+      EXPECT_EQ(parsed->frame.payload, f.payload);
     }
   }
 }
@@ -260,17 +258,20 @@ TEST_P(FastPath, ReceiveFrameIntoMatchesValueApi) {
   const phy::OokModulator mod{params};
   const phy::OokDemodulator demod{params.chip_rate_hz,
                                   params.sample_rate_hz()};
-  phy::OokDemodulator::RxScratch rxs;
+  // One lane at a time through a batch scratch kept across frames of
+  // different sizes, against the value form's fresh scratch.
+  phy::OokDemodulator::BatchRxScratch rxs;
   phy::OokDemodulator::RxResult rx;
+  std::uint8_t ok = 0;
   for (int trial = 0; trial < 5; ++trial) {
-    const auto f = random_frame(120, rng);
+    const auto f = random_frame(120 + 100 * (trial % 3), rng);
     const auto wf = mod.modulate_frame(f, false, 0, 8);
     std::vector<double> signal = wf.samples;
     for (double& v : signal) v -= params.bias_current_a;  // ideal AC coupling
     const auto value_rx = demod.receive_frame(signal);
-    const bool ok = demod.receive_frame_into(signal, rx, rxs);
+    const std::span<const double> lane[] = {signal};
+    ASSERT_EQ(demod.receive_batch_into(lane, {&rx, 1}, {&ok, 1}, rxs), 1u);
     ASSERT_TRUE(value_rx.has_value());
-    ASSERT_TRUE(ok);
     EXPECT_EQ(rx.parsed.frame, value_rx->parsed.frame);
     EXPECT_EQ(rx.parsed.corrected_bytes, value_rx->parsed.corrected_bytes);
     EXPECT_EQ(rx.preamble_at, value_rx->preamble_at);
@@ -290,11 +291,17 @@ TEST_P(FastPath, FrontEndProcessIntoMatchesValueApi) {
   for (std::size_t i = 0; i < optical.samples.size(); ++i) {
     optical.samples[i] = (i / 10) % 2 == 0 ? 2.5e-6 : 0.0;
   }
+  // fe_b runs as one lane of process_batch_into on kept buffers.
   dsp::Waveform out_b;
+  phy::ReceiverFrontEnd::BatchScratch scratch;
+  phy::ReceiverFrontEnd* const fe_lane[] = {&fe_b};
+  const dsp::Waveform* const in_lane[] = {&optical};
+  dsp::Waveform* const out_lane[] = {&out_b};
   // Two back-to-back calls: filter and RNG state must stay in lockstep.
   for (int pass = 0; pass < 2; ++pass) {
     const auto out_a = fe_a.process(optical);
-    fe_b.process_into(optical, out_b);
+    phy::ReceiverFrontEnd::process_batch_into(fe_lane, in_lane, out_lane,
+                                              scratch);
     EXPECT_EQ(out_a.samples, out_b.samples) << "pass=" << pass;
     EXPECT_EQ(out_a.sample_rate_hz, out_b.sample_rate_hz);
   }
@@ -564,21 +571,28 @@ TEST_P(FastPath, CodecSteadyStateIsAllocationFree) {
   Rng rng{0xF1};
   const auto f = random_frame(600, rng);
   const phy::FrameCodec codec{phy::FrameCodec::matched_depth(600)};
-  phy::FrameCodec::Scratch cscr;
-  std::vector<std::uint8_t> wire;
+  // The per-frame codec: one-lane batch calls on a kept FrameBatch.
+  const phy::MacFrame* const lane[] = {&f};
+  phy::FrameBatch batch;
   std::vector<phy::Chip> chips;
   std::vector<std::uint8_t> bytes;
   phy::ParsedFrame parsed;
+  std::uint8_t ok = 0;
   const auto run_one = [&] {
-    codec.encode_into(f, wire, cscr);
+    phy::encode_frames_batch(codec, lane, batch);
+    const auto wire = batch.lane_wire(0);
     arena_resize(chips, wire.size() * 16);
     phy::manchester_encode_bytes(wire, chips);
     arena_resize(bytes, chips.size() / 16);
     phy::manchester_decode_bytes_lenient(chips, bytes);
-    ASSERT_TRUE(codec.decode_into(bytes, parsed, cscr));
+    const std::span<const std::uint8_t> in[] = {bytes};
+    ASSERT_EQ(
+        phy::decode_frames_batch(codec, in, {&parsed, 1}, {&ok, 1}, batch),
+        1u);
+    ASSERT_EQ(parsed.frame, f);
   };
   run_one();  // warm-up: buffers reach steady-state capacity here
-  ASSERT_TRUE(arena_warm(chips, wire.size() * 16));
+  ASSERT_TRUE(arena_warm(chips, batch.lane_wire(0).size() * 16));
   ASSERT_TRUE(arena_warm(bytes, chips.size() / 16));
   const std::uint64_t before = bench::alloc_count();
   for (int i = 0; i < 10; ++i) run_one();
@@ -592,14 +606,18 @@ TEST_P(FastPath, ReceiveChainSteadyStateIsAllocationFree) {
   const phy::OokModulator mod{params};
   const phy::OokDemodulator demod{params.chip_rate_hz,
                                   params.sample_rate_hz()};
-  phy::OokModulator::TxScratch txs;
-  phy::OokDemodulator::RxScratch rxs;
+  dsp::Waveform wf = mod.modulate_frame(f, false, 0, 8);
+  for (double& v : wf.samples) v -= params.bias_current_a;
+  const std::span<const double> signal[] = {wf.samples};
+  // TX chips and RX decode of one frame, each on kept buffers.
+  std::vector<phy::Chip> chips;
+  phy::FrameBatch tx_staging;
+  phy::OokDemodulator::BatchRxScratch rxs;
   phy::OokDemodulator::RxResult rx;
-  dsp::Waveform wf;
+  std::uint8_t ok = 0;
   const auto run_one = [&] {
-    mod.modulate_frame_into(f, false, 0, 8, wf, txs);
-    for (double& v : wf.samples) v -= params.bias_current_a;
-    ASSERT_TRUE(demod.receive_frame_into(wf.samples, rx, rxs));
+    phy::frame_to_chips_into(f, chips, tx_staging);
+    ASSERT_EQ(demod.receive_batch_into(signal, {&rx, 1}, {&ok, 1}, rxs), 1u);
     ASSERT_EQ(rx.parsed.frame.payload, f.payload);
   };
   run_one();  // warm-up

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "common/rng.hpp"
+#include "phy_reference.hpp"
 
 namespace densevlc::phy {
 namespace {
@@ -23,7 +27,9 @@ TEST(FrameCodec, DepthZeroMatchesPaperFormat) {
   Rng rng{1};
   const auto f = make_frame(300, rng);
   const FrameCodec codec{0};
-  EXPECT_EQ(codec.encode(f), serialize_frame(f));
+  const auto paper = bench::ref::serialize_frame(f);
+  EXPECT_EQ(codec.encode(f), paper);
+  EXPECT_EQ(serialize_frame(f), paper);
 }
 
 TEST(FrameCodec, RoundTripAcrossDepths) {
@@ -45,11 +51,16 @@ TEST(FrameCodec, HeaderStaysClear) {
   const auto f = make_frame(400, rng);
   const FrameCodec codec{4};
   const auto wire = codec.encode(f);
-  const auto plain = serialize_frame(f);
+  const auto plain = bench::ref::serialize_frame(f);
+  ASSERT_EQ(wire.size(), plain.size());
   for (std::size_t i = 0; i < 9; ++i) {
     EXPECT_EQ(wire[i], plain[i]) << "header byte " << i;
   }
-  // ...and the body really is permuted.
+  // ...and the body really is permuted, by the reference interleaver.
+  const std::span<const std::uint8_t> body{plain.data() + 9,
+                                           plain.size() - 9};
+  const auto mixed = bench::ref::interleave(body, 4);
+  EXPECT_TRUE(std::equal(mixed.begin(), mixed.end(), wire.begin() + 9));
   bool differs = false;
   for (std::size_t i = 9; i < wire.size(); ++i) {
     differs = differs || wire[i] != plain[i];
