@@ -1,49 +1,8 @@
 #include "alloc/adaptive_kappa.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace densevlc::alloc {
-
-std::vector<RankedTx> rank_transmitters_per_tx(
-    const channel::ChannelMatrix& h, const std::vector<double>& kappas) {
-  const std::size_t n = h.num_tx();
-  const std::size_t m = h.num_rx();
-
-  std::vector<double> sjr(n * m, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double row_sum = 0.0;
-    for (std::size_t j = 0; j < m; ++j) row_sum += h.gain(i, j);
-    if (row_sum <= 0.0) continue;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double gain = h.gain(i, j);
-      sjr[i * m + j] =
-          gain > 0.0 ? std::pow(gain, kappas[i]) / row_sum : 0.0;
-    }
-  }
-
-  std::vector<RankedTx> ranking;
-  ranking.reserve(n);
-  std::vector<bool> used(n, false);
-  for (std::size_t round = 0; round < n; ++round) {
-    std::size_t best_tx = 0;
-    std::size_t best_rx = 0;
-    double best_score = -1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (used[i]) continue;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (sjr[i * m + j] > best_score) {
-          best_score = sjr[i * m + j];
-          best_tx = i;
-          best_rx = j;
-        }
-      }
-    }
-    used[best_tx] = true;
-    ranking.push_back({best_tx, best_rx, best_score});
-  }
-  return ranking;
-}
 
 AdaptiveKappaResult personalize_kappa(const channel::ChannelMatrix& h,
                                       Watts power_budget,

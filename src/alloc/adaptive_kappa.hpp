@@ -8,11 +8,12 @@
 //
 //   SJR_{i,j} = H_{i,j}^{kappa_i} / sum_{j'} H_{i,j'}
 //
-// with kappa_i tuned by deterministic coordinate descent — each round
-// perturbs one TX's kappa up/down by a step and keeps the change when
-// the resulting end-to-end allocation improves the utility under the
-// given power budget. The search is budget-aware: it optimizes exactly
-// what the controller will deploy.
+// (rank_transmitters_per_tx in sjr.hpp) with kappa_i tuned by
+// deterministic coordinate descent — each round perturbs one TX's kappa
+// up/down by a step and keeps the change when the resulting end-to-end
+// allocation improves the utility under the given power budget. The
+// search is budget-aware: it optimizes exactly what the controller will
+// deploy.
 #pragma once
 
 #include <cstddef>
@@ -22,10 +23,6 @@
 #include "channel/model.hpp"
 
 namespace densevlc::alloc {
-
-/// Ranking with a per-TX kappa vector (kappas.size() == num_tx).
-std::vector<RankedTx> rank_transmitters_per_tx(
-    const channel::ChannelMatrix& h, const std::vector<double>& kappas);
 
 /// Coordinate-descent search configuration.
 struct AdaptiveKappaConfig {

@@ -6,8 +6,8 @@
 // currently yields the largest increase of the sum-log objective,
 // re-evaluating the SINR coupling after every grant. It is the natural
 // "do the math every step" baseline: O(N^2 M) utility evaluations versus
-// the heuristic's O(N^2 M) scalar comparisons — hundreds of times more
-// arithmetic — and the ablation bench measures what that buys.
+// the heuristic's one O(NM + N log N) scoring-and-sort pass — hundreds of
+// times more arithmetic — and the ablation bench measures what that buys.
 #pragma once
 
 #include <cstddef>

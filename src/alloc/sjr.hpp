@@ -7,10 +7,10 @@
 // where kappa tunes how much a strong own-channel outweighs interference
 // caused at other receivers. It then repeatedly takes the globally best
 // remaining pair, assigns that TX to that RX, and removes the TX from the
-// search space, producing a ranked list of all N transmitters. Power is
-// subsequently granted down the list (see assignment.hpp), implementing
-// the paper's Insights 1-3 at a complexity of O(N^2 M) instead of a
-// nonlinear program.
+// search space. Removing a TX never changes another's scores, so the list
+// is each TX at its row's best score, sorted. Power is subsequently
+// granted down the list (see assignment.hpp), implementing the paper's
+// Insights 1-3 at O(NM + N log N) instead of a nonlinear program.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +33,13 @@ struct RankedTx {
 std::vector<double> sjr_matrix(const channel::ChannelMatrix& h, double kappa);
 
 /// Algorithm 1: produces the ranked TX list (length = num_tx), best first.
-/// Deterministic: score ties break toward the lower TX index, then lower
-/// RX index.
+/// Score ties break toward the lower TX index, then lower RX index. A TX
+/// whose scores are all NaN (a +inf gain) ranks last with score -1.
 std::vector<RankedTx> rank_transmitters(const channel::ChannelMatrix& h,
                                         double kappa);
+
+/// Ranking with a per-TX kappa vector (kappas.size() == num_tx).
+std::vector<RankedTx> rank_transmitters_per_tx(
+    const channel::ChannelMatrix& h, const std::vector<double>& kappas);
 
 }  // namespace densevlc::alloc

@@ -19,11 +19,12 @@ ChannelMatrix ChannelMatrix::from_geometry(
     const std::vector<geom::Pose>& tx_poses,
     const std::vector<geom::Pose>& rx_poses,
     const optics::LambertianEmitter& emitter, const optics::Photodiode& pd) {
+  const optics::LosModel los{emitter, pd};
   const std::size_t m = rx_poses.size();
   std::vector<double> gains(tx_poses.size() * m, 0.0);
   for (std::size_t j = 0; j < tx_poses.size(); ++j) {
     for (std::size_t k = 0; k < m; ++k) {
-      gains[j * m + k] = optics::los_gain(emitter, pd, tx_poses[j], rx_poses[k]);
+      gains[j * m + k] = los.gain(tx_poses[j], rx_poses[k]);
     }
   }
   return ChannelMatrix{tx_poses.size(), rx_poses.size(), std::move(gains)};
@@ -36,11 +37,11 @@ void ChannelMatrix::update_columns_from_geometry(
     std::span<const std::size_t> dirty_rx) {
   DVLC_EXPECT(tx_poses.size() == num_tx_ && rx_poses.size() == num_rx_,
               "update_columns_from_geometry: dimension mismatch");
+  const optics::LosModel los{emitter, pd};
   for (std::size_t j = 0; j < num_tx_; ++j) {
     for (std::size_t k : dirty_rx) {
       DVLC_ASSERT(k < num_rx_, "dirty column out of range");
-      gains_[j * num_rx_ + k] =
-          optics::los_gain(emitter, pd, tx_poses[j], rx_poses[k]);
+      gains_[j * num_rx_ + k] = los.gain(tx_poses[j], rx_poses[k]);
     }
   }
 }

@@ -33,15 +33,16 @@ class ChannelMatrix {
   ChannelMatrix(std::size_t num_tx, std::size_t num_rx,
                 std::vector<double> gains);
 
-  /// Computes gains from geometry with the Lambertian LOS model.
+  /// Computes gains from geometry with the Lambertian LOS model; the
+  /// link-independent factors are computed once per matrix.
   static ChannelMatrix from_geometry(
       const std::vector<geom::Pose>& tx_poses,
       const std::vector<geom::Pose>& rx_poses,
       const optics::LambertianEmitter& emitter, const optics::Photodiode& pd);
 
   /// Recomputes only the listed RX columns from geometry; every other
-  /// entry keeps its value. The per-entry arithmetic is the same call
-  /// from_geometry makes, so updating the dirty columns of a cached
+  /// entry keeps its value. Each entry is the same optics::LosModel::gain
+  /// call from_geometry makes, so updating the dirty columns of a cached
   /// matrix is bit-identical to a full rebuild. Dimensions must match.
   void update_columns_from_geometry(
       const std::vector<geom::Pose>& tx_poses,

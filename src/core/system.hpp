@@ -171,9 +171,9 @@ class DenseVlcSystem {
   std::uint8_t epoch_counter_ = 0;
   // Geometry cache behind true_channel(): only the columns of RXs that
   // moved (x/y — rx_poses ignores z) are recomputed, which is
-  // bit-identical to a full rebuild because los_gain is a pure function
-  // of the poses. mutable: true_channel() is logically const; the system
-  // is driven from a single thread.
+  // bit-identical to a full rebuild because LosModel::gain is a pure
+  // function of the poses. mutable: true_channel() is logically const; the
+  // system is driven from a single thread.
   mutable std::vector<geom::Vec3> truth_positions_;
   mutable channel::ChannelMatrix truth_cache_;
   mutable bool truth_cache_valid_ = false;

@@ -1,12 +1,6 @@
 // The DenseVLC testbeds of paper Table 1: room, TX grid, optics, LED
 // operating point and link budget, plus the geometry-to-channel helpers
 // every evaluation path uses.
-//
-// Fallback copy: the benchmark compiles this file only when the source
-// tree lacks src/core/testbed.{hpp,cpp}; the tree's own copy always wins.
-// It is rebuilt from the call sites, and scenario::compile builds the same
-// fields in the same order, so a spec at the paper defaults gives the same
-// testbed bit for bit.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <complex>
 
-#include "common/arena.hpp"
 #include "common/contracts.hpp"
 #include "common/units.hpp"
 #include "dsp/dsp_kernels.hpp"
@@ -77,16 +76,9 @@ void BiquadCascade::process_block(std::span<double> x) {
   }
 }
 
-void BiquadCascade::process_into(const Waveform& in, Waveform& out) {
-  out.sample_rate_hz = in.sample_rate_hz;
-  arena_resize(out.samples, in.samples.size());
-  std::copy(in.samples.begin(), in.samples.end(), out.samples.begin());
-  process_block(out.samples);
-}
-
 Waveform BiquadCascade::process(const Waveform& in) {
-  Waveform out;
-  process_into(in, out);
+  Waveform out = in;
+  process_block(out.samples);
   return out;
 }
 

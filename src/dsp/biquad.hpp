@@ -78,10 +78,6 @@ class BiquadCascade {
   /// final state are bit-identical to chaining step() sample by sample.
   void process_block(std::span<double> x);
 
-  /// process() into a reused waveform (see common/arena.hpp): zero heap
-  /// allocations once `out` has warmed up.
-  void process_into(const Waveform& in, Waveform& out);
-
   /// Clears all delay lines.
   void reset();
 

@@ -34,28 +34,47 @@ LinkGeometry resolve_geometry(const geom::Pose& emitter,
   const double cos_psi = receiver.normal.dot(geom::Vec3{} - dir);
   if (cos_phi <= 0.0 || cos_psi <= 0.0) return g;  // facing away
 
-  g.irradiation_angle_rad = std::acos(std::min(1.0, cos_phi));
-  g.incidence_angle_rad = std::acos(std::min(1.0, cos_psi));
+  // A ceiling-down TX and a floor-up RX see the same cosine, -dir.z, on
+  // both sides: one acos serves both angles.
+  const double clamped_phi = std::min(1.0, cos_phi);
+  const double clamped_psi = std::min(1.0, cos_psi);
+  g.irradiation_angle_rad = std::acos(clamped_phi);
+  g.incidence_angle_rad = clamped_psi == clamped_phi
+                              ? g.irradiation_angle_rad
+                              : std::acos(clamped_psi);
   g.in_field_of_view = g.incidence_angle_rad <= field_of_view_rad;
   return g;
 }
 
-double los_gain(const LambertianEmitter& emitter, const Photodiode& pd,
-                const geom::Pose& tx_pose, const geom::Pose& rx_pose) {
+LosModel::LosModel(const LambertianEmitter& emitter, const Photodiode& pd)
+    : pd_{pd},
+      order_{emitter.order()},
+      in_fov_gain_{pd.concentrator_gain(0.0)} {  // flat inside the FoV
   DVLC_EXPECT(pd.collection_area_m2 >= 0.0,
               "photodiode area must be non-negative");
+}
+
+double LosModel::gain(const geom::Pose& tx_pose,
+                      const geom::Pose& rx_pose) const {
   const LinkGeometry g =
-      resolve_geometry(tx_pose, rx_pose, pd.field_of_view_rad);
+      resolve_geometry(tx_pose, rx_pose, pd_.field_of_view_rad);
   if (!g.in_field_of_view || g.distance_m <= 0.0) return 0.0;
-  const double m = emitter.order();
+  const double m = order_;
+  // cos(acos(c)) is not c bit for bit: the angles go back through cos.
   const double cos_phi = std::cos(g.irradiation_angle_rad);
-  const double cos_psi = std::cos(g.incidence_angle_rad);
-  const double gain = (m + 1.0) * pd.collection_area_m2 /
+  const double cos_psi = g.incidence_angle_rad == g.irradiation_angle_rad
+                             ? cos_phi
+                             : std::cos(g.incidence_angle_rad);
+  const double gain = (m + 1.0) * pd_.collection_area_m2 /
                       (2.0 * kPi * g.distance_m * g.distance_m) *
-                      std::pow(cos_phi, m) *
-                      pd.concentrator_gain(g.incidence_angle_rad) * cos_psi;
+                      std::pow(cos_phi, m) * in_fov_gain_ * cos_psi;
   DVLC_ASSERT(gain >= 0.0, "LOS gain must be non-negative");
   return gain;
+}
+
+double los_gain(const LambertianEmitter& emitter, const Photodiode& pd,
+                const geom::Pose& tx_pose, const geom::Pose& rx_pose) {
+  return LosModel{emitter, pd}.gain(tx_pose, rx_pose);
 }
 
 double radiant_intensity_factor(const LambertianEmitter& emitter,

@@ -51,9 +51,25 @@ LinkGeometry resolve_geometry(const geom::Pose& emitter,
                               const geom::Pose& receiver,
                               double field_of_view_rad);
 
-/// LOS channel DC gain H (dimensionless optical power ratio, Eq. 2).
-/// Returns 0 when the receiver is outside the field of view or either
-/// element faces away from the other.
+/// Eq. 2 for one emitter/photodiode pair. The link-independent factors,
+/// the Lambertian order and the in-FoV concentrator gain, are computed
+/// once at construction and shared by every link of a channel matrix.
+class LosModel {
+ public:
+  LosModel(const LambertianEmitter& emitter, const Photodiode& pd);
+
+  /// LOS channel DC gain H (dimensionless optical power ratio, Eq. 2).
+  /// Returns 0 when the receiver is outside the field of view or either
+  /// element faces away from the other.
+  double gain(const geom::Pose& tx_pose, const geom::Pose& rx_pose) const;
+
+ private:
+  Photodiode pd_;
+  double order_ = 0.0;
+  double in_fov_gain_ = 0.0;
+};
+
+/// LosModel{emitter, pd}.gain(tx_pose, rx_pose) for a single link.
 double los_gain(const LambertianEmitter& emitter, const Photodiode& pd,
                 const geom::Pose& tx_pose, const geom::Pose& rx_pose);
 

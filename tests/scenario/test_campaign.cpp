@@ -186,6 +186,22 @@ TEST(Campaign, QuickFlagshipCampaignParsesAndScales) {
   EXPECT_EQ(instances.size(), 10u);
 }
 
+TEST(Campaign, QuickAnalyticHashIsPinned) {
+  // The flagship analytic campaign at its quick size, bit for bit: the
+  // channel geometry, the SJR ranking, the assignment and the throughput
+  // all feed this hash.
+  const auto parsed = parse_campaign(
+      read_file(std::string{DVLC_SCENARIO_DIR} + "/campaign_quick.ini"));
+  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
+  std::vector<CampaignInstance> instances;
+  ASSERT_TRUE(expand_campaign(*parsed.campaign,
+                              parsed.campaign->quick_instances_per_point,
+                              instances)
+                  .empty());
+  const CampaignRun run = run_campaign(*parsed.campaign, instances);
+  EXPECT_EQ(run.campaign_hash, 9958461735707640358ULL);
+}
+
 TEST(Campaign, AggregatesMatchInstanceResults) {
   const auto parsed = parse_campaign(kSmallCampaign);
   ASSERT_TRUE(parsed.ok()) << parsed.error_text();
