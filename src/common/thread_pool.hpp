@@ -1,4 +1,4 @@
-// Fixed-size thread pool with deterministic data-parallel helpers.
+// Fixed-size thread pool with a deterministic parallel_for.
 //
 // The pool runs the independent Monte-Carlo instances of a campaign
 // (scenario::run_campaign); everything inside one instance is serial. The
@@ -9,13 +9,11 @@
 //
 // The design choices that make this hold:
 //
-//   - parallel_for / parallel_reduce split an index range into chunks
-//     whose boundaries depend ONLY on the range length (never on the
-//     thread count), so the grouping of floating-point operations is a
-//     pure function of the problem;
-//   - chunks may execute on any worker in any order, but every chunk
-//     writes to its own slot and parallel_reduce combines the per-chunk
-//     partials serially in ascending chunk order (ordered combine);
+//   - parallel_for splits an index range into chunks whose boundaries
+//     depend ONLY on the range length (never on the thread count);
+//   - chunks may execute on any worker in any order, and each body call
+//     writes only its own index's slot, so no result depends on which
+//     chunk finishes first;
 //   - there is no work stealing and no dynamic re-chunking — scheduling
 //     freedom is confined to *which thread* runs a chunk, which cannot
 //     affect the arithmetic.
@@ -82,7 +80,7 @@ class ThreadPool {
 /// max(1, std::thread::hardware_concurrency()).
 std::size_t hardware_threads();
 
-/// The process-wide pool used by parallel_for / parallel_reduce. Sized on
+/// The process-wide pool used by parallel_for. Sized on
 /// first use from the DENSEVLC_THREADS environment variable, defaulting
 /// to hardware_threads().
 ThreadPool& global_pool();
@@ -134,31 +132,6 @@ void parallel_for(std::size_t begin, std::size_t end, Body&& body) {
     for (std::size_t i = lo; i < hi; ++i) body(begin + i);
   };
   global_pool().run_chunks(chunks, chunk_fn);
-}
-
-/// Deterministic chunked reduction: acc_c = fold of map(i) over chunk c
-/// (in index order, seeded with `identity`), then the partials are
-/// combined serially in ascending chunk order. Because chunk boundaries
-/// depend only on the range length, the result is bit-identical at any
-/// thread count — including 1 — though it may differ from an unchunked
-/// serial fold (the chunked grouping IS the canonical result).
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(std::size_t begin, std::size_t end, T identity, Map&& map,
-                  Combine&& combine) {
-  if (end <= begin) return identity;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = detail::chunk_count(n);
-  std::vector<T> partial(chunks, identity);
-  const std::function<void(std::size_t)> chunk_fn = [&](std::size_t c) {
-    const auto [lo, hi] = detail::chunk_bounds(n, chunks, c);
-    T acc = identity;
-    for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(begin + i));
-    partial[c] = acc;
-  };
-  global_pool().run_chunks(chunks, chunk_fn);
-  T total = identity;
-  for (const T& p : partial) total = combine(total, p);
-  return total;
 }
 
 }  // namespace densevlc

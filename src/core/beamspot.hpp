@@ -114,7 +114,6 @@ class JointTransmission {
                       TransmitBatchScratch& scratch) const;
 
  private:
-  // DVLC_LINT_WAIVE(api-into-wrapper): private pipeline stage, not an API
   void render_optical_into(std::span<const ServingTx> servers,
                            const phy::MacFrame& frame,
                            std::span<const InterfererGroup> interferers,

@@ -77,7 +77,6 @@ class ReceiverFrontEnd {
   /// deeper than dsp::kMaxBiquadSections, and ragged tails and leftover
   /// lanes, run the scalar cascades, whose state continues seamlessly.
   /// Zero heap allocations once the outputs and `scratch` have warmed up.
-  // DVLC_LINT_WAIVE(api-into-wrapper): batch outputs are caller-owned spans
   static void process_batch_into(std::span<ReceiverFrontEnd* const> fes,
                                  std::span<const dsp::Waveform* const> optical,
                                  std::span<dsp::Waveform* const> out,
@@ -92,11 +91,8 @@ class ReceiverFrontEnd {
   // The three stages of processing, split so process_batch_into can run
   // them per lane / per quad: ZOH resample + noise + TIA, the AC-coupled
   // gain and anti-aliasing filters, and the ADC round trip.
-  // DVLC_LINT_WAIVE(api-into-wrapper): private pipeline stage, not an API
   void front_half_into(const dsp::Waveform& optical, dsp::Waveform& out);
-  // DVLC_LINT_WAIVE(api-into-wrapper): private pipeline stage, not an API
   void filters_into(dsp::Waveform& out);
-  // DVLC_LINT_WAIVE(api-into-wrapper): private pipeline stage, not an API
   void adc_into(dsp::Waveform& out);
 
   FrontEndConfig cfg_;

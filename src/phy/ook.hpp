@@ -135,7 +135,6 @@ class OokDemodulator {
   /// then every surviving lane parsed in one parse_frames_batch. Each
   /// lane's out[i]/ok[i] depend on signals[i] alone; failed lanes
   /// (ok[i] == 0) must not be read. Returns the number of decoded lanes.
-  // DVLC_LINT_WAIVE(api-into-wrapper): batch outputs are caller-owned spans
   std::size_t receive_batch_into(
       std::span<const std::span<const double>> signals,
       std::span<RxResult> out, std::span<std::uint8_t> ok,

@@ -1,5 +1,8 @@
-// Fixture: a *_into overload without its value-returning sibling, and
-// scratch structs passed against the convention.
+// Fixture: scratch structs passed against the convention. Scratch is
+// mutable working memory reused across calls, so a const reference
+// cannot be written and a by-value copy throws the reuse away; only a
+// non-const reference is clean. The consumer TU references every
+// declaration, so the dead-api pass stays quiet.
 #pragma once
 
 #include <vector>
@@ -9,9 +12,6 @@ namespace densevlc::phy {
 struct DemodScratch {
   std::vector<double> buffer;
 };
-
-void window_into(const std::vector<double>& signal,  // EXPECT-FINDING: api-into-wrapper
-                 std::vector<double>& out);
 
 void run_const(const DemodScratch& scratch);  // EXPECT-FINDING: api-scratch-ref
 

@@ -1,12 +1,9 @@
-// Consumer TU: keeps the pair itself live so only the drift and the
-// genuinely dead helper are reported.
+// Consumer TU: keeps `window` live so only the genuinely dead helper is
+// reported.
 #include <vector>
 
 namespace densevlc::phy {
 
-void drive(std::vector<double>& buf, std::vector<double>& scratch) {
-  window_into(buf, buf, scratch, 3);
-  buf = window(buf);
-}
+void drive(std::vector<double>& buf) { buf = window(buf); }
 
 }  // namespace densevlc::phy

@@ -1,6 +1,5 @@
-// Fixture: the same shapes, alive and aligned — must be clean. The
-// into/value pair differs by exactly one parameter, and every
-// declaration has an external caller.
+// Fixture: the same shapes, alive — must be clean. Every declaration has
+// an external caller.
 #pragma once
 
 #include <vector>
@@ -8,9 +7,6 @@
 namespace densevlc::phy {
 
 std::vector<double> window(const std::vector<double>& signal);
-
-void window_into(const std::vector<double>& signal,
-                 std::vector<double>& out);
 
 double used_helper(double x);
 

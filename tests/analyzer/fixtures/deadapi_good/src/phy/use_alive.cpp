@@ -4,7 +4,6 @@
 namespace densevlc::phy {
 
 double drive(std::vector<double>& buf) {
-  window_into(buf, buf);
   buf = window(buf);
   return used_helper(buf.empty() ? 0.0 : buf.front());
 }

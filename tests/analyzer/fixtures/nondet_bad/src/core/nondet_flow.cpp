@@ -61,19 +61,4 @@ int first_rank(const std::vector<Node*>& nodes) {
   return rank.empty() ? -1 : rank.begin()->second;
 }
 
-// nondet-combine-order: parallel float accumulation into a slot that no
-// body-local index selects, so chunks add in scheduling order.
-void histogram(std::vector<double>& bins, const std::vector<double>& xs) {
-  parallel_for(0, xs.size(), [&](std::size_t i) {
-    bins[0] += xs[i];  // EXPECT-FINDING: nondet-combine-order
-  });
-}
-
-void scale_all(std::vector<double>& gain, std::size_t slot,
-               const std::vector<double>& factors) {
-  parallel_for(0, factors.size(), [&](std::size_t i) {
-    gain[slot] *= factors[i];  // EXPECT-FINDING: nondet-combine-order
-  });
-}
-
 }  // namespace densevlc

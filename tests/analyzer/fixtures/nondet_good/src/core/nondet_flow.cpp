@@ -63,15 +63,4 @@ std::size_t distinct(const std::vector<Node*>& nodes) {
   return seen.size() + by_id.size();
 }
 
-// Parallel accumulation into the slot the body's own index selects, and
-// into a body-local accumulator.
-void row_sums(std::vector<double>& sums, const std::vector<double>& xs,
-              std::size_t cols) {
-  parallel_for(0, sums.size(), [&](std::size_t r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) acc += xs[r * cols + c];
-    sums[r] += acc;
-  });
-}
-
 }  // namespace densevlc

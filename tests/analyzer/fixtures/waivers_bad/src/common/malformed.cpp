@@ -9,4 +9,10 @@ int sample() {
   return rand();  // EXPECT-FINDING: banned
 }
 
+// A waiver naming no rule (a typo here) is a finding, and waives nothing.
+int sample_typo() {
+  // DVLC_LINT_WAIVE(bannned): misspelled rule id  EXPECT-FINDING: waiver-syntax
+  return rand();  // EXPECT-FINDING: banned
+}
+
 }  // namespace densevlc

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <tuple>
-
-#include "cache.hpp"
 
 namespace densevlc::analyze {
 
@@ -48,7 +47,6 @@ std::vector<Finding> Sink::take_findings() { return std::move(findings_); }
 std::vector<std::unique_ptr<Pass>> make_all_passes() {
   std::vector<std::unique_ptr<Pass>> passes;
   passes.push_back(make_conventions_pass());
-  passes.push_back(make_determinism_pass());
   passes.push_back(make_layering_pass());
   passes.push_back(make_api_pass());
   passes.push_back(make_nondet_pass());
@@ -103,37 +101,19 @@ void collect_files(const fs::path& p, std::vector<fs::path>& out) {
   }
 }
 
-std::string relative_to(const fs::path& path, const fs::path& root) {
-  std::error_code ec;
-  const auto rel = fs::proximate(path, root, ec);
-  std::string s = ec ? path.generic_string() : rel.generic_string();
-  if (s.rfind("../", 0) == 0) s = path.generic_string();
-  return s;
-}
-
 }  // namespace
 
 AnalysisResult analyze_paths(const std::vector<fs::path>& paths,
-                             const fs::path& root,
-                             const AnalyzeOptions& options) {
+                             const fs::path& root) {
   AnalysisContext ctx;
   ctx.root = root;
   default_layering(ctx);
 
-  const auto all_passes = make_all_passes();
-  std::vector<const Pass*> enabled;
-  std::string config = kAnalyzerPassVersion;
-  for (const auto& pass : all_passes) {
-    if (!options.pass_filter.empty() &&
-        std::find(options.pass_filter.begin(), options.pass_filter.end(),
-                  pass->name()) == options.pass_filter.end()) {
-      continue;
-    }
-    enabled.push_back(pass.get());
-    config += '|';
-    config += pass->name();
+  const auto passes = make_all_passes();
+  std::set<std::string> rule_ids;
+  for (const auto& pass : passes) {
+    for (const RuleInfo& r : pass->rules()) rule_ids.insert(r.id);
   }
-  AnalysisCache cache{options.cache_dir, config};
 
   std::vector<fs::path> files;
   for (const auto& p : paths) collect_files(p, files);
@@ -147,49 +127,33 @@ AnalysisResult analyze_paths(const std::vector<fs::path>& paths,
     if (!in) continue;
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string contents = buf.str();
-    const std::string rel = relative_to(path, root);
-
-    if (auto hit = cache.probe(rel, contents)) {
-      ++result.files_scanned;
-      ++result.files_from_cache;
-      result.waived += hit->waived;
-      for (Finding& f : hit->findings) {
-        result.findings.push_back(std::move(f));
-      }
-      ctx.index.files.push_back(std::move(hit->summary));
-      continue;
-    }
 
     SourceFile sf;
-    index_source(contents, path, root, sf);
+    index_source(buf.str(), path, root, sf);
     const ScopeTree scope = build_scope_tree(sf.tokens);
-    Sink file_sink;
-    // Waiver-syntax problems are findings regardless of which passes run:
-    // a malformed waiver silently waives nothing, which must be loud.
+    // A malformed waiver, or one naming no rule (a typo, a deleted
+    // rule), silently waives nothing, which must be loud.
     for (const auto& wp : sf.waiver_problems) {
-      file_sink.report_unwaivable(sf, wp.line, "waiver-syntax", "waiver",
-                                  wp.detail);
+      sink.report_unwaivable(sf, wp.line, "waiver-syntax", "waiver",
+                             wp.detail);
     }
-    for (const Pass* pass : enabled) pass->run_file(sf, scope, file_sink);
-
-    CacheEntry entry;
-    entry.summary = summarize(sf, scope);
-    entry.waived = file_sink.waived_count();
-    entry.findings = file_sink.take_findings();
-    cache.store(rel, contents, entry);
-
+    for (const auto& [rule, lines] : sf.waivers) {
+      if (rule_ids.count(rule) != 0) continue;
+      for (const std::size_t line : lines) {
+        sink.report_unwaivable(sf, line, "waiver-syntax", "waiver",
+                               "DVLC_LINT_WAIVE(" + rule +
+                                   ") names no rule of --list-rules, so it "
+                                   "waives nothing");
+      }
+    }
+    for (const auto& pass : passes) pass->run_file(sf, scope, sink);
+    ctx.index.files.push_back(summarize(sf, scope));
     ++result.files_scanned;
-    result.waived += entry.waived;
-    for (const Finding& f : entry.findings) result.findings.push_back(f);
-    ctx.index.files.push_back(std::move(entry.summary));
   }
 
-  for (const Pass* pass : enabled) pass->run_project(ctx, sink);
-  result.waived += sink.waived_count();
-  for (Finding& f : sink.take_findings()) {
-    result.findings.push_back(std::move(f));
-  }
+  for (const auto& pass : passes) pass->run_project(ctx, sink);
+  result.waived = sink.waived_count();
+  result.findings = sink.take_findings();
 
   std::sort(result.findings.begin(), result.findings.end(),
             [](const Finding& a, const Finding& b) {
@@ -206,14 +170,6 @@ AnalysisResult analyze_paths(const std::vector<fs::path>& paths,
                   }),
       result.findings.end());
   return result;
-}
-
-AnalysisResult analyze_paths(const std::vector<fs::path>& paths,
-                             const fs::path& root,
-                             const std::vector<std::string>& pass_filter) {
-  AnalyzeOptions options;
-  options.pass_filter = pass_filter;
-  return analyze_paths(paths, root, options);
 }
 
 }  // namespace densevlc::analyze

@@ -1,12 +1,11 @@
 // Pass framework for dvlc_analyze.
 //
-// Since PR 8 a pass has two halves. The *file* half sees one file at a
-// time — its token stream plus the structural scope tree (parse.hpp) —
-// and its findings are cacheable under the file's content hash. The
-// *project* half runs every time but only consumes FileSummary records
-// (index.hpp), so a warm incremental run never re-tokenizes an
-// unchanged file. Findings funnel through a Sink that applies inline
-// waivers; baselining happens after all passes ran (baseline.hpp).
+// A pass has two halves. The *file* half sees one file at a time — its
+// token stream plus the structural scope tree (parse.hpp). The *project*
+// half sees only the FileSummary records (index.hpp) of every file, so
+// a file's tokens and scope tree can be dropped once it is summarized.
+// Findings funnel through a Sink that applies inline waivers;
+// baselining happens after all passes ran (baseline.hpp).
 #pragma once
 
 #include <cstddef>
@@ -90,7 +89,7 @@ class Pass {
   virtual const char* name() const = 0;
   virtual std::vector<RuleInfo> rules() const = 0;
 
-  /// File half: findings depend only on this file's content (cacheable).
+  /// File half: findings depend only on this file's content.
   virtual void run_file(const SourceFile& file, const ScopeTree& scope,
                         Sink& sink) const {
     (void)file;
@@ -110,7 +109,6 @@ std::vector<std::unique_ptr<Pass>> make_all_passes();
 
 // Pass factories (one per translation unit).
 std::unique_ptr<Pass> make_conventions_pass();
-std::unique_ptr<Pass> make_determinism_pass();
 std::unique_ptr<Pass> make_layering_pass();
 std::unique_ptr<Pass> make_api_pass();
 std::unique_ptr<Pass> make_nondet_pass();
@@ -120,29 +118,14 @@ std::unique_ptr<Pass> make_deadapi_pass();
 /// The declared module DAG of this repository (see docs/static_analysis.md).
 void default_layering(AnalysisContext& ctx);
 
-struct AnalyzeOptions {
-  /// Run only these passes (by pass name); empty = all.
-  std::vector<std::string> pass_filter;
-  /// Incremental-analysis cache directory; empty = caching disabled.
-  std::filesystem::path cache_dir;
-};
-
-/// End-to-end: index `paths` under `root`, run the selected passes,
-/// return sorted deduplicated findings. Used by main() and the
-/// self-test suite.
+/// End-to-end: index `paths` under `root`, run every pass, return
+/// sorted deduplicated findings. Used by main() and the self-test suite.
 struct AnalysisResult {
   std::vector<Finding> findings;
   std::size_t files_scanned = 0;
-  std::size_t files_from_cache = 0;  // served from the incremental cache
   std::size_t waived = 0;
 };
 AnalysisResult analyze_paths(const std::vector<std::filesystem::path>& paths,
-                             const std::filesystem::path& root,
-                             const AnalyzeOptions& options);
-
-/// Back-compat convenience overload (no cache).
-AnalysisResult analyze_paths(const std::vector<std::filesystem::path>& paths,
-                             const std::filesystem::path& root,
-                             const std::vector<std::string>& pass_filter = {});
+                             const std::filesystem::path& root);
 
 }  // namespace densevlc::analyze

@@ -1,6 +1,6 @@
 #include "index.hpp"
 
-#include <algorithm>
+#include <set>
 
 namespace densevlc::analyze {
 
@@ -28,27 +28,6 @@ bool is_decl_head(const std::vector<Token>& toks, std::size_t i) {
   return t.text == ">" || t.text == "&" || t.text == "*" || t.text == "]]";
 }
 
-/// Counts top-level parameters of toks(open..close).
-std::size_t count_params(const std::vector<Token>& toks, std::size_t open,
-                         std::size_t close) {
-  if (next_code(toks, open) == close) return 0;
-  std::size_t count = 1;
-  int angle = 0, paren = 0;
-  for (std::size_t i = open + 1; i < close; ++i) {
-    if (toks[i].kind != TokenKind::kPunct) continue;
-    if (toks[i].text == "<") ++angle;
-    if (toks[i].text == ">") angle = std::max(0, angle - 1);
-    if (toks[i].text == "(" || toks[i].text == "[" || toks[i].text == "{") {
-      ++paren;
-    }
-    if (toks[i].text == ")" || toks[i].text == "]" || toks[i].text == "}") {
-      --paren;
-    }
-    if (toks[i].text == "," && angle == 0 && paren == 0) ++count;
-  }
-  return count;
-}
-
 }  // namespace
 
 FileSummary summarize(const SourceFile& f, const ScopeTree& scope) {
@@ -65,39 +44,15 @@ FileSummary summarize(const SourceFile& f, const ScopeTree& scope) {
     if (t.kind != TokenKind::kIdentifier) continue;
     ++s.ident_uses[t.text];
 
+    if (!f.is_header || is_keywordish(t.text)) continue;
     const std::size_t open = next_code(toks, i);
     if (!token_is(toks, open, "(")) continue;
-    s.called_names.insert(t.text);
-
-    // `*_into` declaration sites (headers only): any site that is not a
-    // member call or an argument. This deliberately includes class
-    // methods — the api-into-wrapper contract covers them too.
-    if (f.is_header && ends_with(t.text, "_into")) {
-      const std::size_t p = prev_code(toks, i);
-      const bool member_or_arg =
-          p != std::string::npos &&
-          (toks[p].text == "." || toks[p].text == "->" ||
-           toks[p].text == "," || toks[p].text == "(" || toks[p].text == "!");
-      if (!member_or_arg) {
-        SymbolDecl d;
-        d.name = t.text;
-        d.line = t.line;
-        const std::size_t close = match_paren(toks, open);
-        d.param_count =
-            close == std::string::npos ? 0 : count_params(toks, open, close);
-        s.into_decls.push_back(std::move(d));
-      }
-    }
-
-    if (!f.is_header || is_keywordish(t.text)) continue;
 
     // Header function declarations: free functions only. A name inside a
     // class scope is a method; a name inside a function scope is a call.
     if (scope.inside(i, ScopeKind::kClass) ||
         scope.inside(i, ScopeKind::kFunction) ||
-        scope.inside(i, ScopeKind::kLambda) ||
-        scope.inside(i, ScopeKind::kParallelBody) ||
-        scope.inside(i, ScopeKind::kCombineBody)) {
+        scope.inside(i, ScopeKind::kLambda)) {
       continue;
     }
     if (!is_decl_head(toks, i)) continue;
@@ -119,20 +74,10 @@ FileSummary summarize(const SourceFile& f, const ScopeTree& scope) {
     SymbolDecl d;
     d.name = t.text;
     d.line = t.line;
-    d.param_count = count_params(toks, open, close);
     d.is_definition = is_def;
     s.symbols.push_back(std::move(d));
   }
   return s;
-}
-
-std::size_t ProjectIndex::total_uses(const std::string& name) const {
-  std::size_t total = 0;
-  for (const FileSummary& f : files) {
-    const auto it = f.ident_uses.find(name);
-    if (it != f.ident_uses.end()) total += it->second;
-  }
-  return total;
 }
 
 namespace {
@@ -155,12 +100,6 @@ std::size_t ProjectIndex::external_uses(const std::string& name,
     if (it != f.ident_uses.end()) total += it->second;
   }
   return total;
-}
-
-bool ProjectIndex::is_called(const std::string& name) const {
-  return std::any_of(files.begin(), files.end(), [&](const FileSummary& f) {
-    return f.called_names.count(name) != 0;
-  });
 }
 
 std::string ProjectIndex::include_spelling(const std::string& rel) {

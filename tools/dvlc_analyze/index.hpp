@@ -1,18 +1,15 @@
 // Cross-translation-unit project index for dvlc_analyze.
 //
-// Project-level passes (layering, api-into-wrapper, dead-api) must not
-// need the token stream of every file on every run — that would defeat
-// incremental analysis. Instead each file is boiled down once into a
-// FileSummary: its include edges, waiver map, declared header symbols,
-// `_into` declaration sites, and an identifier use count. Summaries are
-// small, serializable (cache.hpp) and sufficient for every cross-TU
-// rule; the ProjectIndex is just the collected summaries plus the
-// include-graph queries built over them.
+// Project-level passes (layering, dead-api) do not keep the token stream
+// of every file alive until the whole tree is read. Instead each file is
+// boiled down once into a FileSummary: its include edges, waiver map,
+// declared header symbols, and an identifier use count. Summaries are
+// small and sufficient for every cross-TU rule; the ProjectIndex is just
+// the collected summaries plus the include-graph queries built over them.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -26,7 +23,6 @@ namespace densevlc::analyze {
 struct SymbolDecl {
   std::string name;
   std::size_t line = 0;
-  std::size_t param_count = 0;
   bool is_definition = false;  // `{` body follows (inline in the header)
 };
 
@@ -39,12 +35,6 @@ struct FileSummary {
   WaiverMap waivers;
   /// Free-function declarations in this header (empty for .cpp files).
   std::vector<SymbolDecl> symbols;
-  /// Header declaration sites of `*_into` functions (api-into-wrapper).
-  std::vector<SymbolDecl> into_decls;
-  /// Every identifier that appears immediately before a "(": call sites
-  /// plus declaration sites — the "somewhere in the project" set the
-  /// api-into-wrapper rule queries.
-  std::set<std::string> called_names;
   /// Occurrence count of every identifier token in the file.
   std::map<std::string, std::size_t> ident_uses;
 };
@@ -57,17 +47,10 @@ FileSummary summarize(const SourceFile& f, const ScopeTree& scope);
 struct ProjectIndex {
   std::vector<FileSummary> files;
 
-  /// Total occurrences of `name` across every indexed file.
-  std::size_t total_uses(const std::string& name) const;
-
   /// Occurrences of `name` outside the header/source pair that declares
   /// it (same directory + same stem are "its own TU").
   std::size_t external_uses(const std::string& name,
                             const std::string& decl_rel) const;
-
-  /// True when any indexed file calls (or declares) `name` — i.e. the
-  /// identifier appears immediately before a "(" somewhere.
-  bool is_called(const std::string& name) const;
 
   /// Resolved file-level include edges, keyed by include spelling
   /// ("channel/model.hpp" for src/channel/model.hpp). Built by

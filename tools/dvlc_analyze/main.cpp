@@ -6,30 +6,18 @@
 // Options:
 //   --root <dir>            paths in reports are relative to this (default:
 //                           current directory)
-//   --passes <a,b,...>      run only these passes (conventions,
-//                           determinism, layering, api, nondet-flow,
-//                           unit-dim, dead-api); default: all
 //   --baseline <file>       suppress findings recorded in the baseline;
 //                           NOTE: only conventions/api findings belong
-//                           there — determinism and layering baselines
-//                           must stay empty (see docs/static_analysis.md)
+//                           there — layering baselines must stay empty
+//                           (see docs/static_analysis.md)
 //   --write-baseline <file> write the current findings as the new
 //                           baseline and exit 0
 //   --sarif <file>          also write SARIF 2.1.0 to <file>
-//   --json <file>           also write plain JSON to <file>
-//   --cache <dir>           incremental-analysis cache directory: files
-//                           whose content hash is cached are not
-//                           re-tokenized or re-analyzed
-//   --sarif-diff <file>     compare against a previous SARIF document
-//                           (by dvlcSymbol fingerprint): exit 1 only on
-//                           findings that are NEW relative to it
 //   --list-rules            print every pass and rule id, then exit
 //
-// Exit status: 0 clean (modulo baseline/diff), 1 findings, 2 usage error.
+// Exit status: 0 clean (modulo baseline), 1 findings, 2 usage error.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,31 +31,17 @@ namespace {
 namespace fs = std::filesystem;
 using namespace densevlc::analyze;
 
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t at = 0;
-  while (at <= s.size()) {
-    const std::size_t comma = s.find(',', at);
-    const std::size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > at) out.push_back(s.substr(at, end - at));
-    if (comma == std::string::npos) break;
-    at = comma + 1;
-  }
-  return out;
-}
-
 bool write_file(const fs::path& path, const std::string& body) {
-  // SARIF / JSON / baseline artifacts are consumed by CI diffs; a crash
-  // mid-write must never leave a truncated document under the real name.
+  // SARIF and baseline artifacts are consumed by CI; a crash mid-write
+  // must never leave a truncated document under the real name.
   return densevlc::journal::write_file_atomic(path.string(), body);
 }
 
 int usage() {
   std::fprintf(
       stderr,
-      "usage: dvlc_analyze [--root <dir>] [--passes a,b] [--baseline <f>]\n"
-      "                    [--write-baseline <f>] [--sarif <f>] [--json <f>]\n"
-      "                    [--cache <dir>] [--sarif-diff <old.sarif>]\n"
+      "usage: dvlc_analyze [--root <dir>] [--baseline <f>]\n"
+      "                    [--write-baseline <f>] [--sarif <f>]\n"
       "                    [--list-rules] <dir-or-file> [more...]\n");
   return 2;
 }
@@ -79,10 +53,6 @@ int main(int argc, char** argv) {
   fs::path baseline_path;
   fs::path write_baseline_path;
   fs::path sarif_path;
-  fs::path json_path;
-  fs::path cache_dir;
-  fs::path sarif_diff_path;
-  std::vector<std::string> pass_filter;
   std::vector<fs::path> paths;
   bool list_rules = false;
 
@@ -101,15 +71,6 @@ int main(int argc, char** argv) {
       if (!value(write_baseline_path)) return usage();
     } else if (arg == "--sarif") {
       if (!value(sarif_path)) return usage();
-    } else if (arg == "--json") {
-      if (!value(json_path)) return usage();
-    } else if (arg == "--cache") {
-      if (!value(cache_dir)) return usage();
-    } else if (arg == "--sarif-diff") {
-      if (!value(sarif_diff_path)) return usage();
-    } else if (arg == "--passes") {
-      if (i + 1 >= argc) return usage();
-      pass_filter = split_commas(argv[++i]);
     } else if (arg == "--list-rules") {
       list_rules = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -138,10 +99,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  AnalyzeOptions options;
-  options.pass_filter = pass_filter;
-  options.cache_dir = cache_dir;
-  const AnalysisResult result = analyze_paths(paths, root, options);
+  const AnalysisResult result = analyze_paths(paths, root);
 
   if (!write_baseline_path.empty()) {
     if (!write_file(write_baseline_path, render_baseline(result.findings))) {
@@ -181,39 +139,12 @@ int main(int argc, char** argv) {
                  sarif_path.string().c_str());
     return 2;
   }
-  if (!json_path.empty() &&
-      !write_file(json_path, render_json(applied.fresh))) {
-    std::fprintf(stderr, "dvlc_analyze: cannot write %s\n",
-                 json_path.string().c_str());
-    return 2;
-  }
-
-  if (!sarif_diff_path.empty()) {
-    std::ifstream old_in{sarif_diff_path};
-    if (!old_in) {
-      std::fprintf(stderr, "dvlc_analyze: cannot read %s\n",
-                   sarif_diff_path.string().c_str());
-      return 2;
-    }
-    std::ostringstream old_buf;
-    old_buf << old_in.rdbuf();
-    const auto old_fps = load_sarif_fingerprints(old_buf.str());
-    const std::vector<Finding> fresh = sarif_diff(old_fps, applied.fresh);
-    std::fputs(render_human(fresh).c_str(), stdout);
-    std::printf(
-        "dvlc_analyze: %zu file(s) (%zu from cache), %zu finding(s), "
-        "%zu new vs %s, %zu waived, %zu baselined\n",
-        result.files_scanned, result.files_from_cache, applied.fresh.size(),
-        fresh.size(), sarif_diff_path.string().c_str(), result.waived,
-        applied.suppressed);
-    return fresh.empty() ? 0 : 1;
-  }
 
   std::fputs(render_human(applied.fresh).c_str(), stdout);
   std::printf(
-      "dvlc_analyze: %zu file(s) (%zu from cache), %zu finding(s), "
-      "%zu waived, %zu baselined\n",
-      result.files_scanned, result.files_from_cache, applied.fresh.size(),
-      result.waived, applied.suppressed);
+      "dvlc_analyze: %zu file(s), %zu finding(s), %zu waived, "
+      "%zu baselined\n",
+      result.files_scanned, applied.fresh.size(), result.waived,
+      applied.suppressed);
   return applied.fresh.empty() ? 0 : 1;
 }

@@ -102,66 +102,9 @@ std::string render_sarif(const std::vector<Finding>& findings,
 }
 
 std::string finding_fingerprint(const Finding& f) {
-  // No line number: the diff must survive unrelated edits above the
-  // finding. (rule, file, symbol) matches the baseline key.
+  // No line number: the fingerprint must survive unrelated edits above
+  // the finding. (rule, file, symbol) matches the baseline key.
   return f.rule + "|" + f.file + "|" + f.symbol;
-}
-
-std::map<std::string, std::size_t> load_sarif_fingerprints(
-    const std::string& sarif_text) {
-  std::map<std::string, std::size_t> out;
-  static const std::string kKey = "\"dvlcSymbol/v1\": \"";
-  std::size_t at = 0;
-  while ((at = sarif_text.find(kKey, at)) != std::string::npos) {
-    at += kKey.size();
-    std::string fp;
-    while (at < sarif_text.size() && sarif_text[at] != '"') {
-      if (sarif_text[at] == '\\' && at + 1 < sarif_text.size()) {
-        ++at;
-        switch (sarif_text[at]) {
-          case 'n': fp += '\n'; break;
-          case 't': fp += '\t'; break;
-          case 'r': fp += '\r'; break;
-          default: fp += sarif_text[at];
-        }
-      } else {
-        fp += sarif_text[at];
-      }
-      ++at;
-    }
-    ++out[fp];
-  }
-  return out;
-}
-
-std::vector<Finding> sarif_diff(
-    const std::map<std::string, std::size_t>& old_fingerprints,
-    const std::vector<Finding>& findings) {
-  std::map<std::string, std::size_t> seen;
-  std::vector<Finding> fresh;
-  for (const Finding& f : findings) {
-    const std::string fp = finding_fingerprint(f);
-    const std::size_t nth = ++seen[fp];
-    const auto it = old_fingerprints.find(fp);
-    const std::size_t allowed = it == old_fingerprints.end() ? 0 : it->second;
-    if (nth > allowed) fresh.push_back(f);
-  }
-  return fresh;
-}
-
-std::string render_json(const std::vector<Finding>& findings) {
-  std::ostringstream out;
-  out << "{\"findings\": [\n";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out << "  {\"rule\": \"" << json_escape(f.rule) << "\", \"file\": \""
-        << json_escape(f.file) << "\", \"line\": " << f.line
-        << ", \"symbol\": \"" << json_escape(f.symbol)
-        << "\", \"message\": \"" << json_escape(f.message) << "\"}"
-        << (i + 1 < findings.size() ? ",\n" : "\n");
-  }
-  out << "]}\n";
-  return out.str();
 }
 
 }  // namespace densevlc::analyze

@@ -1,9 +1,7 @@
-// Output renderers: GCC-style human text, SARIF 2.1.0 (for CI annotation
-// and artifact upload), and a small plain-JSON form for scripting — plus
-// the --sarif-diff machinery that lets CI fail only on *new* findings.
+// Output renderers: GCC-style human text and SARIF 2.1.0 (for CI
+// annotation and artifact upload).
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -16,26 +14,12 @@ std::string render_human(const std::vector<Finding>& findings);
 
 /// SARIF 2.1.0 with one run, one rule descriptor per distinct rule id.
 /// Each result carries partialFingerprints.dvlcSymbol/v1 — a
-/// line-number-free fingerprint — so diffs survive unrelated drift.
+/// line-number-free fingerprint — so SARIF viewers can match results
+/// across runs despite unrelated line drift.
 std::string render_sarif(const std::vector<Finding>& findings,
                          const std::vector<RuleInfo>& rules);
 
-/// `{"findings": [{...}]}`.
-std::string render_json(const std::vector<Finding>& findings);
-
 /// The line-drift-stable fingerprint emitted as dvlcSymbol/v1.
 std::string finding_fingerprint(const Finding& f);
-
-/// Collects the dvlcSymbol/v1 fingerprints (with multiplicity) from a
-/// SARIF document previously written by render_sarif. Tolerant text
-/// scan — a hand-edited document only needs the fingerprint lines.
-std::map<std::string, std::size_t> load_sarif_fingerprints(
-    const std::string& sarif_text);
-
-/// Findings that exceed the old document's count for their fingerprint:
-/// the k-th duplicate is "new" once the old run saw fewer than k.
-std::vector<Finding> sarif_diff(
-    const std::map<std::string, std::size_t>& old_fingerprints,
-    const std::vector<Finding>& findings);
 
 }  // namespace densevlc::analyze

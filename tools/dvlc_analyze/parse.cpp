@@ -1,7 +1,6 @@
 #include "parse.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace densevlc::analyze {
 
@@ -249,75 +248,12 @@ BraceInfo classify_brace(const std::vector<Token>& toks, std::size_t open) {
   return info;
 }
 
-/// Token indices of lambda body "{"s that are arguments of parallel_for /
-/// parallel_reduce call sites, mapped to their scope kind. The second and
-/// later lambdas of a parallel_reduce are combine bodies.
-std::map<std::size_t, ScopeKind> find_parallel_bodies(
-    const std::vector<Token>& toks) {
-  std::map<std::size_t, ScopeKind> kinds;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        (toks[i].text != "parallel_for" && toks[i].text != "parallel_reduce")) {
-      continue;
-    }
-    const bool is_reduce = toks[i].text == "parallel_reduce";
-    // Call sites only — skip the thread_pool.hpp definitions (preceded by
-    // a return type) exactly like the determinism pass does.
-    const std::size_t p = prev_code(toks, i);
-    if (p != std::string::npos &&
-        ((toks[p].kind == TokenKind::kIdentifier && toks[p].text != "return" &&
-          toks[p].text != "co_return") ||
-         toks[p].text == ">" || toks[p].text == "&" || toks[p].text == "*")) {
-      continue;
-    }
-    const std::size_t open = next_code(toks, i);
-    if (!token_is(toks, open, "(")) continue;
-    const std::size_t close = match_paren(toks, open);
-    if (close == std::string::npos) continue;
-    std::size_t lambda_ordinal = 0;
-    for (std::size_t j = open + 1; j < close; ++j) {
-      if (toks[j].kind != TokenKind::kPunct || toks[j].text != "[") continue;
-      const std::size_t before = prev_code(toks, j);
-      const bool intro = before != std::string::npos &&
-                         (toks[before].text == "(" || toks[before].text == ",");
-      if (!intro) continue;
-      // Skip the capture list, optional params, specifiers; find the body.
-      std::size_t k = j;
-      int depth = 0;
-      for (; k < close; ++k) {
-        if (toks[k].text == "[") ++depth;
-        if (toks[k].text == "]" && --depth == 0) break;
-      }
-      if (k >= close) break;
-      k = next_code(toks, k);
-      if (token_is(toks, k, "(")) {
-        const std::size_t pc = match_paren(toks, k);
-        if (pc == std::string::npos) break;
-        k = next_code(toks, pc);
-      }
-      while (k != std::string::npos && k < close && toks[k].text != "{") {
-        k = next_code(toks, k);
-      }
-      if (k == std::string::npos || k >= close) break;
-      ++lambda_ordinal;
-      kinds[k] = (is_reduce && lambda_ordinal >= 2) ? ScopeKind::kCombineBody
-                                                    : ScopeKind::kParallelBody;
-      const std::size_t body_close = match_brace(toks, k);
-      if (body_close == std::string::npos) break;
-      j = body_close;
-    }
-  }
-  return kinds;
-}
-
 /// Collects the variables declared directly in `node` (child scope
 /// ranges excluded).
 void collect_scope_vars(const std::vector<Token>& toks, const ScopeTree& tree,
                         ScopeNode& node) {
   const bool function_like = node.kind == ScopeKind::kFunction ||
                              node.kind == ScopeKind::kLambda ||
-                             node.kind == ScopeKind::kParallelBody ||
-                             node.kind == ScopeKind::kCombineBody ||
                              node.kind == ScopeKind::kBlock;
   // Child ranges to skip, in order.
   std::vector<std::pair<std::size_t, std::size_t>> holes;
@@ -536,31 +472,13 @@ ScopeTree build_scope_tree(const std::vector<Token>& toks) {
   root.parent = 0;
   tree.nodes.push_back(std::move(root));
 
-  const std::map<std::size_t, ScopeKind> parallel = find_parallel_bodies(toks);
-
   std::vector<std::size_t> stack{0};
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != TokenKind::kPunct) continue;
     if (t.text == "{") {
       ScopeNode node;
-      const auto par = parallel.find(i);
-      BraceInfo info;
-      if (par != parallel.end()) {
-        info.kind = par->second;
-        // Parameter list of the lambda: scan back over specifiers.
-        std::size_t p = prev_code(toks, i);
-        while (p != std::string::npos &&
-               (toks[p].text == "mutable" || toks[p].text == "noexcept")) {
-          p = prev_code(toks, p);
-        }
-        if (p != std::string::npos && toks[p].text == ")") {
-          info.params_close = p;
-          info.params_open = match_backward(toks, p, "(", ")");
-        }
-      } else {
-        info = classify_brace(toks, i);
-      }
+      const BraceInfo info = classify_brace(toks, i);
       node.kind = info.kind;
       node.name = info.name;
       node.open_tok = i;

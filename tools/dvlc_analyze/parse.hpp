@@ -1,17 +1,14 @@
 // Structural parser for dvlc_analyze: a lightweight scope tree over the
 // shared token stream (source.hpp).
 //
-// The flat token passes of PR 6 could not tell a *declaration* of `time`
-// (`std::vector<double> time(n);`) from a *call* to ::time(), or a
-// body-local accumulator from a captured one. The scope tree closes that
-// gap without becoming a C++ parser: it recognizes the handful of
-// structures the passes reason about —
+// A flat token scan cannot tell a *declaration* of `time`
+// (`std::vector<double> time(n);`) from a *call* to ::time(). The scope
+// tree closes that gap without becoming a C++ parser: it recognizes the
+// handful of structures the passes reason about —
 //
 //   - namespace / class / struct / enum scopes (with names),
 //   - function definitions (name + parameter list),
-//   - lambda bodies, specially tagged when they are arguments of a
-//     parallel_for / parallel_reduce call (the reduce's second lambda is
-//     the *combine* body — the ordered-fold contract applies there),
+//   - lambda bodies,
 //   - plain control/compound blocks,
 //
 // and records every variable declared in each scope together with the
@@ -34,8 +31,6 @@ enum class ScopeKind {
   kClass,  // class / struct / union / enum
   kFunction,
   kLambda,
-  kParallelBody,  // lambda argument of parallel_for / parallel_reduce
-  kCombineBody,   // second lambda argument of parallel_reduce
   kBlock,
 };
 

@@ -1,10 +1,6 @@
-// API-discipline pass: the zero-allocation call surface (PR 5) follows
-// three conventions, checked here project-wide:
+// API-discipline pass: the zero-allocation call surface follows two
+// conventions, checked file by file:
 //
-//   api-into-wrapper       every `foo_into(...)` overload (caller-owned
-//                          output buffer) has a matching value-returning
-//                          wrapper `foo(...)`, so casual call sites never
-//                          have to manage buffers by hand.
 //   api-scratch-ref        scratch structs (types named *Scratch) are
 //                          taken by non-const reference — by-value copies
 //                          or const references defeat buffer reuse.
@@ -14,8 +10,6 @@
 //                          a silent NaN is the hardest bug this repo
 //                          produces.
 #include <algorithm>
-#include <map>
-#include <set>
 #include <string>
 
 #include "analysis.hpp"
@@ -62,21 +56,12 @@ bool is_control_keyword(const std::string& s) {
          s == "noexcept" || s == "defined" || s == "assert";
 }
 
-/// `foo_into` -> `foo`; empty when the name is only the suffix.
-std::string wrapper_name(const std::string& into_name) {
-  static const std::string kSuffix = "_into";
-  if (into_name.size() <= kSuffix.size()) return "";
-  return into_name.substr(0, into_name.size() - kSuffix.size());
-}
-
 class ApiPass final : public Pass {
  public:
   const char* name() const override { return "api"; }
 
   std::vector<RuleInfo> rules() const override {
     return {
-        {"api-into-wrapper",
-         "every *_into overload needs a value-returning wrapper"},
         {"api-scratch-ref",
          "*Scratch parameters are taken by non-const reference"},
         {"api-assert-precondition",
@@ -91,32 +76,7 @@ class ApiPass final : public Pass {
     if (in_physics_core(f.rel)) check_preconditions(f, sink);
   }
 
-  void run_project(const AnalysisContext& ctx, Sink& sink) const override {
-    check_into_wrappers(ctx, sink);
-  }
-
  private:
-  /// Declaration sites of `*_into` overloads come pre-filtered from the
-  /// file summaries (headers only, member/argument positions excluded).
-  /// The wrapper only has to exist *somewhere* in the project — pairs
-  /// usually live in the same header, but the check is global.
-  void check_into_wrappers(const AnalysisContext& ctx, Sink& sink) const {
-    std::set<std::string> seen;
-    for (const FileSummary& f : ctx.index.files) {
-      for (const SymbolDecl& d : f.into_decls) {
-        if (!seen.insert(d.name).second) continue;  // first decl per name
-        const std::string wrapper = wrapper_name(d.name);
-        if (wrapper.empty()) continue;
-        if (ctx.index.is_called(wrapper)) continue;
-        sink.report(f, d.line, "api-into-wrapper", d.name,
-                    "'" + d.name + "' has no value-returning wrapper '" +
-                        wrapper +
-                        "'; provide the convenience overload so call sites "
-                        "outside the hot path never manage buffers by hand");
-      }
-    }
-  }
-
   void check_scratch_params(const SourceFile& f, Sink& sink) const {
     const auto& toks = f.tokens;
     int paren_depth = 0;

@@ -9,18 +9,11 @@
 //                    does any mention anywhere else in the analyzed tree,
 //                    so run the pass over tests/ too or a test-only API
 //                    will look dead.
-//   api-pair-drift   a `foo_into(out, ...)` overload whose value wrapper
-//                    `foo(...)` exists but no longer takes one fewer
-//                    parameter — the pair's signatures drifted apart, so
-//                    the wrapper is probably not forwarding anymore.
 //
-// Both rules are name-based and conservative: overloads share liveness,
-// all-caps (macro-like) names and operator/main entry points are
-// exempt, and any count mismatch the pairing cannot explain stays
-// silent rather than guessing.
+// The rule is name-based and conservative: overloads share liveness, and
+// all-caps (macro-like) names and operator/main entry points are exempt.
 #include <algorithm>
 #include <cctype>
-#include <map>
 #include <set>
 #include <string>
 
@@ -53,19 +46,10 @@ class DeadApiPass final : public Pass {
     return {
         {"dead-public-api",
          "src/ header functions must be used outside their own TU"},
-        {"api-pair-drift",
-         "*_into overloads and their value wrappers must keep paired "
-         "signatures"},
     };
   }
 
   void run_project(const AnalysisContext& ctx, Sink& sink) const override {
-    check_dead(ctx, sink);
-    check_pair_drift(ctx, sink);
-  }
-
- private:
-  void check_dead(const AnalysisContext& ctx, Sink& sink) const {
     for (const FileSummary& f : ctx.index.files) {
       if (!f.is_header || f.rel.rfind("src/", 0) != 0) continue;
       const std::string stem = stem_of(f.rel);
@@ -98,46 +82,6 @@ class DeadApiPass final : public Pass {
                         "' is declared in a src/ header but never used "
                         "outside its own translation unit; delete it or "
                         "move it into the .cpp");
-      }
-    }
-  }
-
-  void check_pair_drift(const AnalysisContext& ctx, Sink& sink) const {
-    // Wrapper param counts, by name, across every header.
-    std::map<std::string, std::set<std::size_t>> wrapper_counts;
-    for (const FileSummary& f : ctx.index.files) {
-      for (const SymbolDecl& d : f.symbols) {
-        wrapper_counts[d.name].insert(d.param_count);
-      }
-    }
-    std::set<std::string> reported;
-    for (const FileSummary& f : ctx.index.files) {
-      for (const SymbolDecl& d : f.into_decls) {
-        static const std::string kSuffix = "_into";
-        if (d.name.size() <= kSuffix.size()) continue;
-        const std::string wrapper =
-            d.name.substr(0, d.name.size() - kSuffix.size());
-        const auto it = wrapper_counts.find(wrapper);
-        if (it == wrapper_counts.end()) continue;  // api-into-wrapper's job
-        // The `_into` form carries the output buffer (and possibly a
-        // scratch) as extra parameters: a healthy wrapper takes one or
-        // two fewer. Drift = no wrapper overload within that window.
-        bool paired = false;
-        for (std::size_t w : it->second) {
-          if (w + 1 == d.param_count || w + 2 == d.param_count ||
-              w == d.param_count) {
-            paired = true;
-          }
-        }
-        if (paired) continue;
-        if (!reported.insert(d.name).second) continue;
-        sink.report(f, d.line, "api-pair-drift", d.name,
-                    "'" + d.name + "' takes " +
-                        std::to_string(d.param_count) +
-                        " parameter(s) but no overload of its value "
-                        "wrapper '" + wrapper +
-                        "' takes a compatible count; the pair's "
-                        "signatures have drifted apart");
       }
     }
   }

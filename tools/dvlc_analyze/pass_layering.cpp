@@ -13,8 +13,7 @@
 // no layering information. Include targets are resolved the way the build
 // does: relative to src/ for module headers, and relative to the
 // including file's directory as a fallback. The whole pass is
-// project-scoped and runs off FileSummary records only, so it costs
-// nothing extra on a warm incremental run.
+// project-scoped and runs off FileSummary records only.
 #include <algorithm>
 #include <map>
 #include <set>

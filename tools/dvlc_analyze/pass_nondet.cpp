@@ -1,6 +1,5 @@
-// Nondeterminism-flow pass: sources of run-to-run variation that the
-// flat determinism pass (pass_determinism.cpp) cannot see, caught with
-// the scope tree so declarations never masquerade as calls.
+// Nondeterminism-flow pass: sources of run-to-run variation, caught
+// with the scope tree so declarations never masquerade as calls.
 //
 //   nondet-unordered-iter  range-for over a std::unordered_map/set whose
 //                          loop body lets the element order escape (an
@@ -17,14 +16,6 @@
 //   nondet-pointer-key     std::map/std::set keyed by a pointer: the
 //                          traversal order is the allocator's address
 //                          order, which no seed pins down.
-//   nondet-combine-order   compound float accumulation (`+=`, `-=`, `*=`)
-//                          inside a parallel body into a captured slot
-//                          whose subscript does not involve any body-local
-//                          index — multiple chunks hit the same slot in
-//                          scheduling order, so the float sum is not
-//                          reproducible even though the write is
-//                          "subscripted" and passes par-shared-write.
-#include <algorithm>
 #include <string>
 
 #include "analysis.hpp"
@@ -206,79 +197,6 @@ void check_pointer_key(const SourceFile& f, Sink& sink) {
   }
 }
 
-void check_combine_order(const SourceFile& f, const ScopeTree& scope,
-                         Sink& sink) {
-  const auto& toks = f.tokens;
-  for (std::size_t n = 0; n < scope.nodes.size(); ++n) {
-    const ScopeNode& node = scope.nodes[n];
-    if (node.kind != ScopeKind::kParallelBody &&
-        node.kind != ScopeKind::kCombineBody) {
-      continue;
-    }
-    // Body-local = a lambda parameter, a direct local, or a local of any
-    // nested plain block (not of a nested lambda).
-    const auto body_local = [&](const std::string& name, std::size_t at) {
-      if (std::any_of(node.vars.begin(), node.vars.end(),
-                      [&](const ScopeVar& v) { return v.name == name; })) {
-        return true;
-      }
-      const ScopeVar* v = scope.lookup(name, at);
-      return v != nullptr && v->decl_tok > node.open_tok &&
-             v->decl_tok < node.close_tok;
-    };
-    // A token belongs to this body when walking out of its innermost
-    // scope reaches `n` before crossing another function/lambda boundary.
-    const auto in_this_body = [&](std::size_t tok) {
-      std::size_t s_idx = scope.innermost(tok);
-      while (true) {
-        if (s_idx == n) return true;
-        const ScopeNode& sn = scope.nodes[s_idx];
-        if (sn.kind == ScopeKind::kFunction || sn.kind == ScopeKind::kLambda ||
-            sn.kind == ScopeKind::kParallelBody ||
-            sn.kind == ScopeKind::kCombineBody || sn.parent == s_idx) {
-          return false;
-        }
-        s_idx = sn.parent;
-      }
-    };
-    for (std::size_t i = node.open_tok + 1;
-         i < node.close_tok && i < toks.size(); ++i) {
-      if (toks[i].kind != TokenKind::kIdentifier) continue;
-      const std::size_t br = next_code(toks, i);
-      if (!token_is(toks, br, "[")) continue;
-      // Only scan writes in this body, not in a nested lambda.
-      if (!in_this_body(i)) continue;
-      if (body_local(toks[i].text, i)) continue;  // body-local: fine
-      // Subscript range; note whether any body-local name indexes it.
-      int depth = 0;
-      std::size_t j = br;
-      bool local_index = false;
-      while (j < node.close_tok) {
-        if (toks[j].text == "[") ++depth;
-        if (toks[j].text == "]" && --depth == 0) break;
-        if (toks[j].kind == TokenKind::kIdentifier &&
-            body_local(toks[j].text, j)) {
-          local_index = true;
-        }
-        ++j;
-      }
-      if (j >= node.close_tok) break;
-      const std::size_t op = next_code(toks, j);
-      if (op == std::string::npos || op >= node.close_tok) continue;
-      const std::string& s = toks[op].text;
-      if (s != "+=" && s != "-=" && s != "*=") continue;
-      if (local_index) continue;  // disjoint per-index slot: the contract
-      sink.report(f, toks[i].line, "nondet-combine-order", toks[i].text,
-                  "'" + toks[i].text +
-                      "' accumulates into a captured slot whose subscript "
-                      "involves no body-local index; chunks reach that slot "
-                      "in scheduling order, so the floating-point sum is "
-                      "not reproducible — accumulate per-index and fold in "
-                      "the ordered combine");
-    }
-  }
-}
-
 class NondetPass final : public Pass {
  public:
   const char* name() const override { return "nondet-flow"; }
@@ -291,9 +209,6 @@ class NondetPass final : public Pass {
          "simulation code must not read wall clocks or entropy sources"},
         {"nondet-pointer-key",
          "ordered containers must not be keyed by pointers"},
-        {"nondet-combine-order",
-         "parallel float accumulation needs a body-local index or the "
-         "ordered combine"},
     };
   }
 
@@ -302,7 +217,6 @@ class NondetPass final : public Pass {
     check_unordered_iter(f, scope, sink);
     check_wallclock(f, scope, sink);
     check_pointer_key(f, sink);
-    check_combine_order(f, scope, sink);
   }
 };
 

@@ -1,9 +1,6 @@
 #include "source.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <sstream>
 
 namespace densevlc::analyze {
 
@@ -254,19 +251,6 @@ std::string module_of(const std::string& rel) {
   }
   if (top == "bench" || top == "tools" || top == "tests") return top;
   return {};
-}
-
-bool load_source_file(const std::filesystem::path& path,
-                      const std::filesystem::path& root, SourceFile& out,
-                      std::string* contents_out) {
-  std::ifstream in{path};
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  index_source(text, path, root, out);
-  if (contents_out != nullptr) *contents_out = text;
-  return true;
 }
 
 void index_source(const std::string& text, const std::filesystem::path& path,

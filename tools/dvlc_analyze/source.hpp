@@ -55,10 +55,11 @@ struct WaiverProblem {
   std::string detail;
 };
 
-/// Collects waivers from comment tokens only. The canonical syntax is
-///   // DVLC_LINT_WAIVE(<rule>): <reason>
-/// and the reason is mandatory. Malformed waivers are appended to
-/// `problems`.
+/// Collects waivers from comment tokens only. A waiver is a comment
+/// holding DVLC_LINT_WAIVE, the rule id in parentheses, a colon and a
+/// reason (docs/static_analysis.md); the reason is mandatory. Malformed
+/// waivers are appended to `problems`. Rule ids are not checked here:
+/// analyze_paths reports ids that name no rule.
 WaiverMap collect_waivers(const std::vector<Token>& tokens,
                           std::vector<WaiverProblem>& problems);
 
@@ -82,16 +83,8 @@ struct SourceFile {
   std::vector<WaiverProblem> waiver_problems;
 };
 
-/// Loads and indexes one file. Returns false when the file is unreadable.
-/// When `contents_out` is non-null the raw file bytes are copied there
-/// (the incremental cache hashes them).
-[[nodiscard]] bool load_source_file(const std::filesystem::path& path,
-                                    const std::filesystem::path& root,
-                                    SourceFile& out,
-                                    std::string* contents_out = nullptr);
-
-/// Indexes already-loaded source text (tokenizes, collects waivers and
-/// includes). Shared by load_source_file and the cache-miss path.
+/// Indexes one file's source text: tokenizes it and collects its
+/// waivers and includes.
 void index_source(const std::string& text, const std::filesystem::path& path,
                   const std::filesystem::path& root, SourceFile& out);
 
