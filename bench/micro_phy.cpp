@@ -34,6 +34,9 @@
 //                    channel (links/s), against one probe_link per link
 //                    on the same split() sub-streams; a warm sweep may
 //                    allocate only the matrix it returns
+//   gaussian_fill    the front end's noise draw: Rng::fill_gaussian on a
+//                    kept buffer against a per-draw gaussian() loop on
+//                    the same stream (draws/s), every bit compared
 //
 // Fast-path outputs are bit-compared against the scalar baselines; any
 // drift prints MISMATCH and a steady-state allocation prints
@@ -727,6 +730,57 @@ int main(int argc, char** argv) {
       r.fast.wall_time_s = seconds_since(t0);
       // Each sweep allocates the matrix it returns, and nothing else.
       r.steady_allocs = bench::alloc_count() - allocs0 - reps;
+    }
+    results.push_back(std::move(r));
+  }
+
+  // --- gaussian_fill: block normal fill vs per-draw gaussian() -----------
+  {
+    WorkloadResult r{"gaussian_fill", "draws", {}, {}, true, 0};
+    r.scalar_label = "per-draw";
+    const std::size_t reps = quick ? 50 : 20000;
+    // Odd, so every other block enters with a cached half; about one
+    // probe's worth of samples.
+    constexpr std::size_t kDraws = 801;
+    constexpr double kSigma = 5.9e-9;  // the default front end's, [A]
+    std::vector<double> expect(kDraws);
+    std::vector<double> got(kDraws);
+    const auto same_bits = [&](std::size_t len) {
+      return std::memcmp(expect.data(), got.data(), len * sizeof(double)) == 0;
+    };
+    Rng per_draw{0x6A055};
+    Rng block = per_draw;
+
+    {  // per-draw timing
+      r.scalar.emplace();
+      const auto t0 = Clock::now();
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        for (double& v : expect) v = per_draw.gaussian(0.0, kSigma);
+        r.scalar->work_items += static_cast<double>(kDraws);
+      }
+      r.scalar->wall_time_s = seconds_since(t0);
+    }
+
+    {  // block timing on the same stream, then the last blocks compared
+      const std::uint64_t allocs0 = bench::alloc_count();
+      const auto t0 = Clock::now();
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        block.fill_gaussian(got, 0.0, kSigma);
+        r.fast.work_items += static_cast<double>(kDraws);
+      }
+      r.fast.wall_time_s = seconds_since(t0);
+      r.steady_allocs = bench::alloc_count() - allocs0;
+      if (!same_bits(kDraws)) r.identical = false;
+    }
+
+    // Correctness pass: block by block, odd and even lengths, cached half
+    // or not on entry.
+    for (const std::size_t len : {0, 1, 2, 3, 312, 313, 801}) {
+      for (std::size_t i = 0; i < len; ++i) {
+        expect[i] = per_draw.gaussian(0.0, kSigma);
+      }
+      block.fill_gaussian({got.data(), len}, 0.0, kSigma);
+      if (!same_bits(len)) r.identical = false;
     }
     results.push_back(std::move(r));
   }

@@ -6,23 +6,26 @@
 // reproduced bit-for-bit across runs.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
+#include <span>
 #include <vector>
 
 namespace densevlc {
 
-/// A seedable pseudo-random source wrapping std::mt19937_64.
+/// A seedable pseudo-random source: MT19937-64 plus fixed distributions.
 ///
-/// The wrapper pins down the distributions used (so results do not change
-/// across standard-library implementations of distribution algorithms is
-/// NOT guaranteed by the C++ standard for std::normal_distribution; we
-/// therefore implement gaussian() via Box-Muller on top of the raw engine,
-/// which IS fully specified).
+/// The engine is an in-house MT19937-64 that yields exactly the sequence
+/// of std::mt19937_64 (same seeding recurrence, twist and tempering), so
+/// every stream is fixed by the C++ standard. The distributions are
+/// fixed here too: the standard leaves the algorithms of
+/// std::normal_distribution and friends to each library, so gaussian()
+/// is Box-Muller over the raw engine and uniform() takes its top 53 bits.
 class Rng {
  public:
   /// Constructs with an explicit seed. Equal seeds yield equal streams.
-  explicit Rng(std::uint64_t seed) : seed_{seed}, engine_{seed} {}
+  explicit Rng(std::uint64_t seed) : seed_{seed} { seed_engine(seed); }
 
   /// Constructs sub-stream `stream_id` of `seed`: shorthand for
   /// Rng{derive_stream_seed(seed, stream_id)}.
@@ -37,12 +40,16 @@ class Rng {
                                           std::uint64_t stream_id);
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 random bits -> double in [0, 1), the standard bit-exact recipe.
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [lo, hi] (inclusive).
+  /// Uniform integer in [lo, hi] (inclusive; requires lo <= hi). Any
+  /// range is allowed, the full int64 one included.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Standard normal deviate via Box-Muller (fully deterministic given the
@@ -52,6 +59,12 @@ class Rng {
 
   /// Normal deviate with the given mean and standard deviation.
   double gaussian(double mean, double stddev);
+
+  /// Fills `out` with normal deviates: out[i] = gaussian(mean, stddev)
+  /// for each i in order, bit for bit, including the cached half on
+  /// entry and exit. Draws a block's uniforms first and then transforms
+  /// the block, so the libm calls of different pairs overlap.
+  void fill_gaussian(std::span<double> out, double mean, double stddev);
 
   /// Bernoulli trial: true with probability p (p clamped to [0,1]).
   bool bernoulli(double p);
@@ -83,12 +96,28 @@ class Rng {
     }
   }
 
-  /// Access to the raw engine for interop with standard algorithms.
-  std::mt19937_64& engine() { return engine_; }
-
  private:
+  // MT19937-64 parameters (C++ [rand.predef]: mt19937_64).
+  static constexpr std::size_t kStateWords = 312;
+  static constexpr std::size_t kShift = 156;
+
+  void seed_engine(std::uint64_t seed);
+  void twist();
+  double nonzero_uniform();
+
+  /// Next raw 64-bit engine output, tempered.
+  std::uint64_t next() {
+    if (pos_ == kStateWords) twist();
+    std::uint64_t x = state_[pos_++];
+    x ^= (x >> 29) & 0x5555555555555555ULL;
+    x ^= (x << 17) & 0x71D67FFFEDA60000ULL;
+    x ^= (x << 37) & 0xFFF7EEE000000000ULL;
+    return x ^ (x >> 43);
+  }
+
   std::uint64_t seed_ = 0;
-  std::mt19937_64 engine_;
+  std::size_t pos_ = kStateWords;
+  std::array<std::uint64_t, kStateWords> state_;
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
 };

@@ -1,34 +1,12 @@
 #include "dsp/adc.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace densevlc::dsp {
 
 double Adc::lsb() const {
-  const double levels =
-      static_cast<double>((std::uint64_t{1} << cfg_.bits) - 1);
+  const double levels = static_cast<double>(max_code());
   return (cfg_.max_volts - cfg_.min_volts) / levels;
-}
-
-std::uint32_t Adc::quantize(double volts) const {
-  const double clipped =
-      std::clamp(volts, cfg_.min_volts, cfg_.max_volts);
-  const double normalized =
-      (clipped - cfg_.min_volts) / (cfg_.max_volts - cfg_.min_volts);
-  const auto max_code =
-      static_cast<std::uint32_t>((std::uint64_t{1} << cfg_.bits) - 1);
-  return static_cast<std::uint32_t>(
-      std::lround(normalized * static_cast<double>(max_code)));
-}
-
-double Adc::code_to_volts(std::uint32_t code) const {
-  const auto max_code =
-      static_cast<std::uint32_t>((std::uint64_t{1} << cfg_.bits) - 1);
-  const double normalized =
-      static_cast<double>(std::min(code, max_code)) /
-      static_cast<double>(max_code);
-  return cfg_.min_volts + normalized * (cfg_.max_volts - cfg_.min_volts);
 }
 
 std::vector<std::uint32_t> Adc::digitize(const Waveform& analog) const {

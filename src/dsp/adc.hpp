@@ -5,6 +5,7 @@
 // [min_volts, max_volts]. Out-of-range inputs clip, as the real part does.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -30,11 +31,28 @@ class Adc {
 
   const AdcConfig& config() const { return cfg_; }
 
-  /// Quantizes one instantaneous voltage to its output code.
-  std::uint32_t quantize(double volts) const;
+  /// Quantizes one instantaneous voltage to its output code: the
+  /// nearest code, halves away from zero (what std::lround gives); NaN
+  /// maps to code 0.
+  std::uint32_t quantize(double volts) const {
+    const double clipped = std::clamp(volts, cfg_.min_volts, cfg_.max_volts);
+    const double normalized =
+        (clipped - cfg_.min_volts) / (cfg_.max_volts - cfg_.min_volts);
+    const double x = normalized * static_cast<double>(max_code());
+    if (!(x >= 0.0)) return 0;  // NaN
+    // x lies in [0, max_code], where x - trunc(x) is exact, so this is
+    // lround's rounding without the call.
+    auto code = static_cast<std::uint32_t>(x);
+    if (x - static_cast<double>(code) >= 0.5) ++code;
+    return code;
+  }
 
   /// Converts a code back to the center voltage of its quantization bin.
-  double code_to_volts(std::uint32_t code) const;
+  double code_to_volts(std::uint32_t code) const {
+    const double normalized = static_cast<double>(std::min(code, max_code())) /
+                              static_cast<double>(max_code());
+    return cfg_.min_volts + normalized * (cfg_.max_volts - cfg_.min_volts);
+  }
 
   /// Resamples `analog` (at its own rate) to the ADC rate by zero-order
   /// hold (sample-and-hold behaviour) and quantizes each sample.
@@ -48,6 +66,10 @@ class Adc {
   double lsb() const;
 
  private:
+  std::uint32_t max_code() const {
+    return static_cast<std::uint32_t>((std::uint64_t{1} << cfg_.bits) - 1);
+  }
+
   AdcConfig cfg_{};
 };
 

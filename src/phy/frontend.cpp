@@ -52,17 +52,18 @@ void ReceiverFrontEnd::front_half_into(const dsp::Waveform& optical,
       static_cast<std::size_t>(optical.duration() * fs);
   arena_resize(out.samples, n_out);
 
-  // Pass 1: zero-order-hold resample, photodiode responsivity, additive
-  // photocurrent noise, TIA. Noise is drawn per sample in stream order so
-  // the Rng sequence matches the historical sample-by-sample loop.
+  // Pass 1: the photocurrent noise, one draw per sample in stream order,
+  // then zero-order-hold resample, photodiode responsivity and TIA.
   const double noise_sigma = noise_current_sigma(Hertz{fs}).value();
+  rng_.fill_gaussian(out.samples, 0.0, noise_sigma);
+  const double responsivity = cfg_.responsivity_a_per_w;
+  const double tia = cfg_.tia_gain_ohm;
   for (std::size_t i = 0; i < n_out; ++i) {
     const double t = static_cast<double>(i) / fs;
     auto idx = static_cast<std::size_t>(t * optical.sample_rate_hz);
     idx = std::min(idx, optical.samples.size() - 1);
-    const double current = cfg_.responsivity_a_per_w * optical.samples[idx] +
-                           rng_.gaussian(0.0, noise_sigma);
-    out.samples[i] = cfg_.tia_gain_ohm * current;
+    out.samples[i] =
+        tia * (responsivity * optical.samples[idx] + out.samples[i]);
   }
 }
 

@@ -11,6 +11,7 @@
 #include "core/trace.hpp"
 #include "phy/gf256.hpp"
 #include "common/event_queue.hpp"
+#include "common/rng.hpp"
 
 namespace densevlc {
 namespace {
@@ -68,6 +69,12 @@ TEST(ContractsDeathTest, Gf256RejectsDivisionByZero) {
 TEST(ContractsDeathTest, Gf256RejectsInverseOfZero) {
   EXPECT_DEATH(static_cast<void>(phy::gf256::inverse(0)),
                "GF\\(256\\) inverse of zero");
+}
+
+TEST(ContractsDeathTest, RngRejectsEmptyIntRange) {
+  Rng rng{1};
+  EXPECT_DEATH(static_cast<void>(rng.uniform_int(5, 4)),
+               "uniform_int: empty range");
 }
 
 TEST(ContractsDeathTest, MessageNamesExpressionAndLocation) {

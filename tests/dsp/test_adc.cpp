@@ -3,8 +3,67 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace densevlc::dsp {
 namespace {
+
+// Reference: quantization by std::lround, which quantize() must equal.
+std::uint32_t lround_quantize(const AdcConfig& cfg, double volts) {
+  const double clipped = std::clamp(volts, cfg.min_volts, cfg.max_volts);
+  const double normalized =
+      (clipped - cfg.min_volts) / (cfg.max_volts - cfg.min_volts);
+  const auto max_code =
+      static_cast<std::uint32_t>((std::uint64_t{1} << cfg.bits) - 1);
+  return static_cast<std::uint32_t>(
+      std::lround(normalized * static_cast<double>(max_code)));
+}
+
+TEST(Adc, QuantizeMatchesLround) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const AdcConfig& cfg :
+       {AdcConfig{1e6, 12, 0.0, 3.3}, AdcConfig{1e6, 8, 0.0, 1.0},
+        AdcConfig{1e6, 10, -1.2, 2.1}, AdcConfig{1e6, 16, 0.0, 5.0}}) {
+    const Adc adc{cfg};
+    std::vector<double> probes{cfg.min_volts, cfg.max_volts, -kInf, kInf,
+                               cfg.min_volts - 1.0, cfg.max_volts + 1.0,
+                               -1e300, 1e300};
+    // Every bin edge (the voltage of code k + 1/2), and both endpoints,
+    // each +-1 and +-2 ulp.
+    const auto max_code = (std::uint64_t{1} << cfg.bits) - 1;
+    const double span = cfg.max_volts - cfg.min_volts;
+    for (std::uint64_t k = 0; k <= max_code; ++k) {
+      probes.push_back(cfg.min_volts + (static_cast<double>(k) + 0.5) /
+                                           static_cast<double>(max_code) *
+                                           span);
+    }
+    Rng rng{cfg.bits};
+    for (int i = 0; i < 100000; ++i) {
+      probes.push_back(rng.uniform(cfg.min_volts - 0.5, cfg.max_volts + 0.5));
+    }
+    for (std::size_t i = 0, n = probes.size(); i < n; ++i) {
+      double down = probes[i];
+      double up = probes[i];
+      for (int step = 0; step < 2; ++step) {
+        down = std::nextafter(down, -kInf);
+        up = std::nextafter(up, kInf);
+        probes.push_back(down);
+        probes.push_back(up);
+      }
+    }
+    for (const double v : probes) {
+      ASSERT_EQ(adc.quantize(v), lround_quantize(cfg, v))
+          << "bits " << cfg.bits << " v " << v;
+    }
+    EXPECT_EQ(adc.quantize(std::numeric_limits<double>::quiet_NaN()), 0u);
+  }
+}
 
 TEST(Adc, QuantizeEndpoints) {
   Adc adc{AdcConfig{1e6, 12, 0.0, 3.3}};
