@@ -3,8 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/atomic_file.hpp"
 #include "common/contracts.hpp"
-#include "common/journal.hpp"
 
 namespace densevlc::bench {
 namespace {
@@ -146,7 +146,7 @@ std::string Json::dump() const {
 bool write_json_file(const std::string& path, const Json& value) {
   // Write-temp-then-rename: a bench killed mid-write must leave either
   // the previous artifact or the new one, never a truncated JSON file.
-  return journal::write_file_atomic(path, value.dump());
+  return write_file_atomic(path, value.dump());
 }
 
 }  // namespace densevlc::bench

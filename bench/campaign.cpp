@@ -11,51 +11,25 @@
 //     (MISMATCH otherwise);
 //   - the instance list re-runs in reverse submission order and each
 //     instance must reproduce its fingerprint exactly — results are a
-//     pure function of (campaign file, instance index), never of shard
-//     order (MISMATCH otherwise).
-//
-// Durable mode (PR 9): with --dir the campaign streams every finished
-// instance into an append-only journal inside a campaign directory, so a
-// SIGKILLed run loses at most the unsynced tail; --resume recovers the
-// journals, reruns only the missing instances, and finalizes to the same
-// campaign hash and byte-identical JSON as an uninterrupted run. --shard
-// i/n restricts one worker process to its slice of the instance space
-// (disjoint journal per shard); --supervise n forks the shard workers,
-// SIGKILLs hung ones, and requeues crashed ones with capped exponential
-// backoff. --crash-after-instances k arms deterministic crash injection
-// (the worker SIGKILLs itself after journaling k instances), routed
-// through a FaultKind::kWorkerCrash schedule entry like every other
-// chaos experiment.
+//     pure function of (campaign file, instance index), never of
+//     submission order (MISMATCH otherwise).
 //
 // Usage:
 //   campaign [--quick] [--threads n[,n...]] <campaign.ini> [out.json]
-//   campaign [--quick] [--threads n] (--dir d | --resume d)
-//            [--shard i/n] [--supervise n] [--crash-after-instances k]
-//            [--shard-timeout-s t] <campaign.ini> [out.json]
+//
+// --threads takes a comma-separated list of positive thread counts
+// (default: 1, 4 and the hardware thread count); the first is the
+// reference run.
 #include <algorithm>
-#include <cstring>
-#include <filesystem>
+#include <charconv>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <csignal>
-#include <thread>
-#define DVLC_CAMPAIGN_HAS_FORK 1
-#endif
 
 #include "bench_json.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
-#include "fault/fault.hpp"
 #include "scenario/campaign.hpp"
 
 namespace {
@@ -111,9 +85,7 @@ void print_points_table(std::span<const scenario::PointAggregate> points) {
   table.print_csv(std::cout, "campaign");
 }
 
-/// One JSON builder for both the legacy path and the durable finalize,
-/// so a resumed campaign's BENCH_campaign.json can be byte-compared
-/// against an uninterrupted run's.
+/// The BENCH_campaign.json document for one finished campaign.
 bench::Json build_doc(const scenario::CampaignSpec& campaign, bool quick,
                       std::size_t per_point, std::size_t num_instances,
                       std::uint64_t campaign_hash,
@@ -157,333 +129,70 @@ struct Options {
   std::vector<std::size_t> thread_counts;
   std::string spec_path;
   std::string out_path = "BENCH_campaign.json";
-  std::string dir;            ///< campaign directory (durable mode)
-  bool resume = false;        ///< --resume instead of --dir
-  std::size_t shard_i = 0;    ///< this worker's shard
-  std::size_t shard_n = 1;    ///< total shards
-  bool shard_given = false;   ///< explicit --shard => worker, no finalize
-  std::size_t supervise = 0;  ///< fork this many shard workers
-  std::size_t crash_after = 0;
-  std::size_t shard_timeout_s = 300;
   bool bad = false;
 };
 
+/// Parses "n[,n...]": every entry must be a whole positive decimal
+/// number. An empty entry, a sign, a non-digit or 0 is rejected — a
+/// silent 0 would mean "hardware threads" to set_global_threads().
+bool parse_thread_list(const std::string& text,
+                       std::vector<std::size_t>& out) {
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = text.find(',', start);
+    const std::size_t end = comma == std::string::npos ? text.size() : comma;
+    std::size_t value = 0;
+    const char* first = text.data() + start;
+    const char* last = text.data() + end;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (first == last || ec != std::errc{} || ptr != last || value == 0) {
+      return false;
+    }
+    out.push_back(value);
+    if (comma == std::string::npos) return true;
+    start = comma + 1;
+  }
+}
+
 Options parse_args(int argc, char** argv) {
   Options opt;
+  std::size_t positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     if (arg == "--quick") {
       opt.quick = true;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) { opt.bad = true; break; }
-      std::istringstream list{v};
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        opt.thread_counts.push_back(
-            static_cast<std::size_t>(std::strtoul(item.c_str(), nullptr, 10)));
+      if (i + 1 >= argc || !parse_thread_list(argv[++i], opt.thread_counts)) {
+        opt.bad = true;
       }
-    } else if (arg == "--dir" || arg == "--resume") {
-      const char* v = next();
-      if (v == nullptr) { opt.bad = true; break; }
-      opt.dir = v;
-      opt.resume = arg == "--resume";
-    } else if (arg == "--shard") {
-      const char* v = next();
-      if (v == nullptr) { opt.bad = true; break; }
-      const std::string spec = v;
-      const auto slash = spec.find('/');
-      if (slash == std::string::npos) { opt.bad = true; break; }
-      opt.shard_i = static_cast<std::size_t>(
-          std::strtoul(spec.substr(0, slash).c_str(), nullptr, 10));
-      opt.shard_n = static_cast<std::size_t>(
-          std::strtoul(spec.substr(slash + 1).c_str(), nullptr, 10));
-      opt.shard_given = true;
-      if (opt.shard_n == 0 || opt.shard_i >= opt.shard_n) opt.bad = true;
-    } else if (arg == "--supervise") {
-      const char* v = next();
-      if (v == nullptr) { opt.bad = true; break; }
-      opt.supervise =
-          static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-      if (opt.supervise == 0) opt.bad = true;
-    } else if (arg == "--crash-after-instances") {
-      const char* v = next();
-      if (v == nullptr) { opt.bad = true; break; }
-      opt.crash_after =
-          static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--shard-timeout-s") {
-      const char* v = next();
-      if (v == nullptr) { opt.bad = true; break; }
-      opt.shard_timeout_s =
-          static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-    } else if (opt.spec_path.empty()) {
+    } else if (arg.rfind("--", 0) == 0) {
+      opt.bad = true;  // unknown option
+    } else if (positional == 0) {
       opt.spec_path = arg;
-    } else {
+      ++positional;
+    } else if (positional == 1) {
       opt.out_path = arg;
+      ++positional;
+    } else {
+      opt.bad = true;  // at most <campaign.ini> [out.json]
     }
   }
   if (opt.spec_path.empty()) opt.bad = true;
-  if (opt.shard_given && opt.supervise != 0) opt.bad = true;
-  if (opt.dir.empty() &&
-      (opt.shard_given || opt.supervise != 0 || opt.crash_after != 0)) {
-    opt.bad = true;
-  }
   return opt;
 }
 
 int usage() {
-  std::cerr
-      << "usage: campaign [--quick] [--threads n[,n...]] <campaign.ini> "
-         "[out.json]\n"
-         "       campaign [--quick] [--threads n] (--dir d | --resume d)\n"
-         "                [--shard i/n] [--supervise n]\n"
-         "                [--crash-after-instances k] [--shard-timeout-s t]\n"
-         "                <campaign.ini> [out.json]\n";
+  std::cerr << "usage: campaign [--quick] [--threads n[,n...]] "
+               "<campaign.ini> [out.json]\n"
+               "  --threads: comma-separated positive thread counts\n";
   return 2;
 }
 
-/// Recovers the whole campaign directory and, when every instance is
-/// journaled, prints the aggregate table and writes the JSON artifact.
-/// Returns 0 only on a complete, consistent campaign.
-int finalize_campaign(const Options& opt,
-                      const scenario::CampaignSpec& campaign,
-                      std::size_t per_point, std::uint64_t campaign_id,
-                      std::size_t num_instances) {
-  scenario::CampaignRecovery recovery = scenario::recover_campaign_dir(
-      opt.dir, campaign_id, num_instances);
-  for (const std::string& error : recovery.errors) {
-    std::cerr << "journal error: " << error << '\n';
-  }
-  if (!recovery.errors.empty()) return 1;
-  if (recovery.dropped_bytes != 0) {
-    std::cout << "journal recovery dropped " << recovery.dropped_bytes
-              << " corrupt tail byte(s)\n";
-  }
-  if (recovery.records.size() < num_instances) {
-    std::cout << "campaign incomplete: " << recovery.records.size() << "/"
-              << num_instances << " instances journaled across "
-              << recovery.journal_files
-              << " journal(s); resume to continue\n";
-    return 1;
-  }
-
-  scenario::CampaignSummary summary = scenario::summarize_records(
-      campaign, per_point, std::move(recovery.records));
-  print_points_table(summary.points);
-  std::cout << "\ncampaign hash: " << hex64(summary.campaign_hash)
-            << "\njournals: " << recovery.journal_files << " file(s), "
-            << summary.instance_count << " instances\n";
-  const bench::Json doc =
-      build_doc(campaign, opt.quick, per_point, num_instances,
-                summary.campaign_hash, summary.points);
-  if (!bench::write_json_file(opt.out_path, doc)) {
-    std::cerr << "failed to write " << opt.out_path << '\n';
-    return 1;
-  }
-  std::cout << "wrote " << opt.out_path << '\n';
-  return 0;
-}
-
-/// Opens this worker's shard journal, reruns exactly the instances the
-/// journal does not already hold, and streams them as they finish.
-int run_worker(const Options& opt, const scenario::CampaignSpec& campaign,
-               std::span<const scenario::CampaignInstance> instances,
-               std::uint64_t campaign_id, std::size_t num_instances) {
-  scenario::CampaignJournal::Open open = scenario::CampaignJournal::open(
-      opt.dir, opt.shard_i, campaign_id, num_instances, opt.resume);
-  if (!open.campaign_journal) {
-    std::cerr << "cannot open shard journal: " << open.error << '\n';
-    return 1;
-  }
-  if (open.dropped_bytes != 0) {
-    std::cout << "shard " << opt.shard_i << ": dropped "
-              << open.dropped_bytes << " corrupt tail byte(s)\n";
-  }
-
-  std::unordered_set<std::uint64_t> done;
-  done.reserve(open.recovered.size());
-  for (const scenario::InstanceRecord& record : open.recovered) {
-    done.insert(record.index);
-  }
-  std::vector<scenario::CampaignInstance> todo;
-  for (const scenario::CampaignInstance& inst : instances) {
-    if (inst.index % opt.shard_n != opt.shard_i) continue;
-    if (done.count(inst.index) != 0) continue;
-    todo.push_back(inst);
-  }
-  std::cout << "shard " << opt.shard_i << "/" << opt.shard_n << ": "
-            << done.size() << " recovered, " << todo.size()
-            << " to run\n";
-
-  if (opt.crash_after != 0) {
-    // Crash injection rides the same declarative rail as every other
-    // chaos experiment: a kWorkerCrash schedule entry whose target is
-    // the number of instances this worker journals before dying.
-    fault::FaultSchedule chaos;
-    fault::FaultEvent crash;
-    crash.kind = fault::FaultKind::kWorkerCrash;
-    crash.target = opt.crash_after;
-    chaos.add(crash);
-    if (const auto after = chaos.worker_crash_after()) {
-      open.campaign_journal->set_crash_after(*after);
-      std::cout << "crash injection: SIGKILL after " << *after
-                << " journaled instance(s)\n";
-    }
-  }
-
-  scenario::CampaignRunOptions run_options;
-  run_options.campaign_journal = open.campaign_journal.get();
-  (void)scenario::run_campaign(campaign, todo, run_options);
-  if (!open.campaign_journal->flush() || !open.campaign_journal->ok()) {
-    std::cerr << "shard " << opt.shard_i << ": journal write failure\n";
-    return 1;
-  }
-  std::cout << "shard " << opt.shard_i << ": journaled "
-            << open.campaign_journal->records_written()
-            << " new instance(s)\n";
-  return 0;
-}
-
-#ifdef DVLC_CAMPAIGN_HAS_FORK
-
-/// Forks one worker per shard (`campaign --resume d --shard i/n ...`),
-/// reaps exits, SIGKILLs workers that exceed the shard timeout, and
-/// requeues failed shards with capped exponential backoff. The crash
-/// flag is only passed to a shard's first attempt, so an injected crash
-/// demonstrates exactly one requeue cycle per shard.
-int run_supervisor(const Options& opt, const std::string& self,
-                   std::size_t threads) {
-  using Clock = std::chrono::steady_clock;
-  constexpr std::size_t kMaxAttempts = 6;
-
-  struct Shard {
-    std::size_t id = 0;
-    pid_t pid = -1;
-    std::size_t attempts = 0;
-    Clock::time_point started;
-    Clock::time_point next_launch;
-    bool done = false;
-  };
-  std::vector<Shard> shards(opt.supervise);
-  const auto start = Clock::now();
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    shards[i].id = i;
-    shards[i].next_launch = start;
-  }
-
-  const auto launch = [&](Shard& shard) -> bool {
-    std::vector<std::string> args = {self, "--resume", opt.dir, "--shard",
-                                     std::to_string(shard.id) + "/" +
-                                         std::to_string(opt.supervise),
-                                     "--threads", std::to_string(threads)};
-    if (opt.quick) args.push_back("--quick");
-    if (opt.crash_after != 0 && shard.attempts == 0) {
-      args.push_back("--crash-after-instances");
-      args.push_back(std::to_string(opt.crash_after));
-    }
-    args.push_back(opt.spec_path);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-
-    const pid_t pid = ::fork();
-    if (pid < 0) return false;
-    if (pid == 0) {
-      ::execv(self.c_str(), argv.data());
-      ::_exit(127);  // exec failed
-    }
-    shard.pid = pid;
-    shard.started = Clock::now();
-    std::cout << "supervisor: shard " << shard.id << " attempt "
-              << (shard.attempts + 1) << " -> pid " << pid << '\n';
-    return true;
-  };
-
-  const auto requeue = [&](Shard& shard, const std::string& why) -> bool {
-    shard.pid = -1;
-    ++shard.attempts;
-    if (shard.attempts >= kMaxAttempts) {
-      std::cerr << "supervisor: shard " << shard.id << " " << why
-                << "; giving up after " << shard.attempts << " attempts\n";
-      return false;
-    }
-    const std::uint64_t backoff =
-        scenario::campaign_backoff_ms(shard.attempts - 1);
-    shard.next_launch = Clock::now() + std::chrono::milliseconds(backoff);
-    std::cout << "supervisor: shard " << shard.id << " " << why
-              << "; requeue in " << backoff << " ms\n";
-    return true;
-  };
-
-  bool failed = false;
-  while (!failed) {
-    bool all_done = true;
-    const auto now = Clock::now();
-    for (Shard& shard : shards) {
-      if (shard.done) continue;
-      all_done = false;
-      if (shard.pid < 0) {
-        if (now >= shard.next_launch && !launch(shard)) {
-          std::cerr << "supervisor: fork failed for shard " << shard.id
-                    << '\n';
-          failed = true;
-        }
-        continue;
-      }
-      int status = 0;
-      const pid_t reaped = ::waitpid(shard.pid, &status, WNOHANG);
-      if (reaped == shard.pid) {
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          shard.done = true;
-          std::cout << "supervisor: shard " << shard.id << " finished\n";
-        } else {
-          const std::string why =
-              WIFSIGNALED(status)
-                  ? "killed by signal " + std::to_string(WTERMSIG(status))
-                  : "exited with status " +
-                        std::to_string(WEXITSTATUS(status));
-          if (!requeue(shard, why)) failed = true;
-        }
-        continue;
-      }
-      // Hung worker: past the shard timeout it gets SIGKILL; the reap
-      // on the next poll routes it through the requeue path above.
-      const auto running =
-          std::chrono::duration_cast<std::chrono::seconds>(now -
-                                                           shard.started);
-      if (running.count() >= 0 &&
-          static_cast<std::size_t>(running.count()) >= opt.shard_timeout_s) {
-        std::cerr << "supervisor: shard " << shard.id << " timed out; "
-                  << "sending SIGKILL\n";
-        (void)::kill(shard.pid, SIGKILL);
-        shard.started = Clock::now();  // give the reap a fresh window
-      }
-    }
-    if (all_done) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-
-  for (const Shard& shard : shards) {
-    if (shard.pid > 0) {
-      (void)::kill(shard.pid, SIGKILL);
-      int status = 0;
-      (void)::waitpid(shard.pid, &status, 0);
-    }
-  }
-  return failed ? 1 : 0;
-}
-
-#endif  // DVLC_CAMPAIGN_HAS_FORK
-
-/// Legacy in-memory mode: thread-count sweep + reversed-submission
-/// check, exactly as the determinism gates expect.
-int run_legacy(const Options& opt, const scenario::CampaignSpec& campaign,
-               std::size_t per_point,
-               std::span<const scenario::CampaignInstance> instances) {
+/// Thread-count sweep + reversed-submission check, exactly as the
+/// determinism gates expect.
+int run_sweep(const Options& opt, const scenario::CampaignSpec& campaign,
+              std::size_t per_point,
+              std::span<const scenario::CampaignInstance> instances) {
   std::vector<std::size_t> thread_counts = opt.thread_counts;
   if (thread_counts.empty()) {
     thread_counts = {1, 4};
@@ -497,11 +206,11 @@ int run_legacy(const Options& opt, const scenario::CampaignSpec& campaign,
   scenario::CampaignRun run;
   std::vector<std::uint64_t> reference_hashes;
   bool bit_identical = true;
-  for (std::size_t threads : thread_counts) {
-    set_global_threads(threads);
+  for (std::size_t t = 0; t < thread_counts.size(); ++t) {
+    set_global_threads(thread_counts[t]);
     scenario::CampaignRun r = scenario::run_campaign(campaign, instances);
     const auto hashes = hashes_by_index(instances, r);
-    if (threads == thread_counts.front()) {
+    if (t == 0) {
       reference_hashes = hashes;
       run = std::move(r);
     } else if (hashes != reference_hashes) {
@@ -509,7 +218,7 @@ int run_legacy(const Options& opt, const scenario::CampaignSpec& campaign,
     }
   }
 
-  // Shard-order independence: resubmit the same instances in reverse
+  // Submission-order independence: resubmit the same instances in reverse
   // order; every instance must reproduce its fingerprint.
   std::vector<scenario::CampaignInstance> reversed{instances.rbegin(),
                                                    instances.rend()};
@@ -573,47 +282,5 @@ int main(int argc, char** argv) {
             << " instances = " << instances.size() << " runs"
             << (opt.quick ? " (quick mode)" : "") << "\n\n";
 
-  if (opt.dir.empty()) return run_legacy(opt, campaign, per_point, instances);
-
-  // Durable mode: one thread count (no sweep), journaled execution.
-  const std::size_t threads =
-      opt.thread_counts.empty() ? hardware_threads()
-                                : opt.thread_counts.front();
-  set_global_threads(threads);
-  const std::uint64_t campaign_id =
-      scenario::campaign_identity(campaign, per_point);
-  const std::size_t num_instances = instances.size();
-
-  if (opt.supervise != 0) {
-#ifdef DVLC_CAMPAIGN_HAS_FORK
-    std::error_code ec;
-    if (!opt.resume && std::filesystem::is_directory(opt.dir, ec)) {
-      // A fresh --dir must not silently absorb a previous campaign.
-      const scenario::CampaignRecovery existing =
-          scenario::recover_campaign_dir(opt.dir, campaign_id,
-                                         num_instances);
-      if (!existing.records.empty() || !existing.errors.empty()) {
-        std::cerr << "campaign directory " << opt.dir
-                  << " already holds journal records; use --resume\n";
-        return 1;
-      }
-    }
-    const int supervise_rc = run_supervisor(opt, argv[0], threads);
-    if (supervise_rc != 0) return supervise_rc;
-#else
-    std::cerr << "--supervise requires fork(); not available on this "
-                 "platform\n";
-    return 2;
-#endif
-  } else {
-    const int worker_rc =
-        run_worker(opt, campaign, instances, campaign_id, num_instances);
-    if (worker_rc != 0) return worker_rc;
-    // Explicit --shard means a supervisor (or script) owns the campaign
-    // directory; this process only contributes its slice.
-    if (opt.shard_given) return 0;
-  }
-
-  return finalize_campaign(opt, campaign, per_point, campaign_id,
-                           num_instances);
+  return run_sweep(opt, campaign, per_point, instances);
 }

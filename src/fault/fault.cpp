@@ -30,7 +30,6 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kReportLossBurst: return "report_loss_burst";
     case FaultKind::kSyncPilotLoss: return "sync_pilot_loss";
     case FaultKind::kEpochOverrun: return "epoch_overrun";
-    case FaultKind::kWorkerCrash: return "worker_crash";
   }
   return "unknown";
 }
@@ -105,13 +104,6 @@ bool FaultSchedule::epoch_overrun(double t_s) const {
     if (e.kind == FaultKind::kEpochOverrun && e.active_at(t_s)) return true;
   }
   return false;
-}
-
-std::optional<std::size_t> FaultSchedule::worker_crash_after() const {
-  for (const auto& e : events_) {
-    if (e.kind == FaultKind::kWorkerCrash) return e.target;
-  }
-  return std::nullopt;
 }
 
 std::size_t FaultSchedule::dead_tx_count(double t_s) const {

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <vector>
 
 namespace densevlc::fault {
@@ -30,16 +29,16 @@ enum class FaultKind : std::uint8_t {
   kReportLossBurst,  ///< WiFi uplink loses every channel report
   kSyncPilotLoss,    ///< NLOS sync pilots go undetected
   kEpochOverrun,     ///< controller misses its decision deadline
-  kWorkerCrash,      ///< campaign worker process dies (SIGKILL) mid-run
 };
 
 /// Human-readable fault name (for traces and bench tables).
 const char* to_string(FaultKind kind);
 
-/// One timed fault. `target` is the TX id for LED/driver faults and the
-/// RX id for dropouts; global kinds ignore it. `magnitude` is the
-/// flicker depth in [0, 1] (0 = no effect) or the saturation ceiling in
-/// (0, 1] (1 = no effect); other kinds ignore it.
+/// One timed fault. `target` is the TX id for LED and driver faults and
+/// the RX id for RX dropouts; the global kinds (report loss, sync-pilot
+/// loss, epoch overrun) ignore it. `magnitude` is the flicker depth in
+/// [0, 1] (0 = no effect) or the saturation ceiling in (0, 1] (1 = no
+/// effect); other kinds ignore it.
 struct FaultEvent {
   FaultKind kind = FaultKind::kLedBurnout;
   double t_start_s = 0.0;
@@ -88,15 +87,6 @@ class FaultSchedule {
 
   /// Number of TXs dead at `t_s` (distinct burnout targets).
   std::size_t dead_tx_count(double t_s) const;
-
-  /// Crash-injection query for the durable campaign runner: the first
-  /// kWorkerCrash event's `target` is the number of instances the worker
-  /// journals before it SIGKILLs itself (scenario/campaign.hpp's
-  /// CampaignJournal::set_crash_after). Unlike the timed queries above
-  /// this one is count-based — a crash point must be deterministic
-  /// across thread counts, and wall time is not. Nullopt when no worker
-  /// crash is scheduled.
-  std::optional<std::size_t> worker_crash_after() const;
 
   /// Seeded generator: burns out `count` distinct LEDs of a `num_tx`
   /// grid at `t_start_s`, permanently. Which LEDs die depends only on

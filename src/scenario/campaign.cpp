@@ -1,13 +1,8 @@
 #include "scenario/campaign.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
-#include <csignal>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -83,74 +78,9 @@ std::uint64_t hash_u64s(std::span<const std::uint64_t> values) {
   return h;
 }
 
-namespace fs = std::filesystem;
-
-/// FNV-1a continuation over a byte string (for campaign_identity).
-std::uint64_t fnv1a_text(std::uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-// Journal payload tags. The header is always the first record of a
-// shard journal and binds the file to one campaign; instance records
-// follow in completion order.
-constexpr std::uint8_t kTagHeader = 0x01;
-constexpr std::uint8_t kTagInstance = 0x02;
-
-/// "DVLCCAMP" read back as a little-endian u64.
-constexpr std::uint64_t kJournalMagic = 0x504D414343564C44ULL;
-constexpr std::uint64_t kJournalVersion = 1;
-
-void put_u64le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * byte)) & 0xffU));
-  }
-}
-
-std::uint64_t get_u64le(const std::uint8_t* in) {
-  std::uint64_t v = 0;
-  for (int byte = 0; byte < 8; ++byte) {
-    v |= static_cast<std::uint64_t>(in[byte]) << (8 * byte);
-  }
-  return v;
-}
-
-struct JournalHeader {
-  std::uint64_t campaign_id = 0;
-  std::uint64_t num_instances = 0;
-};
-
-std::vector<std::uint8_t> encode_header(std::uint64_t campaign_id,
-                                        std::uint64_t num_instances) {
-  std::vector<std::uint8_t> out;
-  out.reserve(1 + 4 * 8);
-  out.push_back(kTagHeader);
-  put_u64le(out, kJournalMagic);
-  put_u64le(out, kJournalVersion);
-  put_u64le(out, campaign_id);
-  put_u64le(out, num_instances);
-  return out;
-}
-
-std::optional<JournalHeader> decode_header(
-    std::span<const std::uint8_t> payload) {
-  if (payload.size() != 1 + 4 * 8 || payload[0] != kTagHeader) {
-    return std::nullopt;
-  }
-  if (get_u64le(payload.data() + 1) != kJournalMagic) return std::nullopt;
-  if (get_u64le(payload.data() + 9) != kJournalVersion) return std::nullopt;
-  JournalHeader header;
-  header.campaign_id = get_u64le(payload.data() + 17);
-  header.num_instances = get_u64le(payload.data() + 25);
-  return header;
-}
-
-/// One aggregation row: a durable record plus its sweep-point identity.
-/// run_campaign() and summarize_records() both reduce through
-/// aggregate_rows so a live run and a journal replay cannot diverge.
+/// One aggregation row: an instance record plus its sweep-point
+/// identity. run_campaign() and summarize_records() both reduce through
+/// aggregate_rows so a live run and a record replay cannot diverge.
 struct RecordRow {
   std::size_t point = 0;
   const std::vector<std::pair<std::string, std::string>>* axis_values =
@@ -161,7 +91,7 @@ struct RecordRow {
 CampaignSummary aggregate_rows(std::size_t num_points,
                                std::vector<RecordRow> rows) {
   // Index order is the canonical reduction order: it is what every
-  // shard split, thread count, and crash/resume history reassembles to.
+  // submission order and thread count reassembles to.
   std::sort(rows.begin(), rows.end(),
             [](const RecordRow& a, const RecordRow& b) {
               return a.record.index < b.record.index;
@@ -415,241 +345,6 @@ InstanceRecord make_record(const CampaignInstance& instance,
   return record;
 }
 
-std::vector<std::uint8_t> encode_instance_record(const InstanceRecord& record) {
-  std::vector<std::uint8_t> out;
-  out.reserve(1 + 7 * 8);
-  out.push_back(kTagInstance);
-  put_u64le(out, record.index);
-  put_u64le(out, record.seed);
-  put_u64le(out, record.fingerprint_hash);
-  put_u64le(out, std::bit_cast<std::uint64_t>(record.system_mbps));
-  put_u64le(out, std::bit_cast<std::uint64_t>(record.jain));
-  put_u64le(out, std::bit_cast<std::uint64_t>(record.power_used_w));
-  put_u64le(out, std::bit_cast<std::uint64_t>(record.txs_assigned));
-  return out;
-}
-
-std::optional<InstanceRecord> decode_instance_record(
-    std::span<const std::uint8_t> payload) {
-  if (payload.size() != 1 + 7 * 8 || payload[0] != kTagInstance) {
-    return std::nullopt;
-  }
-  InstanceRecord record;
-  record.index = get_u64le(payload.data() + 1);
-  record.seed = get_u64le(payload.data() + 9);
-  record.fingerprint_hash = get_u64le(payload.data() + 17);
-  record.system_mbps = std::bit_cast<double>(get_u64le(payload.data() + 25));
-  record.jain = std::bit_cast<double>(get_u64le(payload.data() + 33));
-  record.power_used_w = std::bit_cast<double>(get_u64le(payload.data() + 41));
-  record.txs_assigned = std::bit_cast<double>(get_u64le(payload.data() + 49));
-  return record;
-}
-
-std::uint64_t campaign_identity(const CampaignSpec& campaign,
-                                std::size_t instances_per_point) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a_text(h, serialize_spec(campaign.base));
-  for (const CampaignAxis& axis : campaign.axes) {
-    h = fnv1a_text(h, "\naxis=" + axis.key);
-    for (const std::string& value : axis.values) {
-      h = fnv1a_text(h, "|" + value);
-    }
-  }
-  h = fnv1a_text(h, "\nper_point=" + std::to_string(instances_per_point));
-  return h;
-}
-
-std::string shard_journal_path(const std::string& dir, std::size_t shard) {
-  return (fs::path{dir} / ("journal-" + std::to_string(shard) + ".dvlcj"))
-      .string();
-}
-
-std::uint64_t campaign_backoff_ms(std::size_t attempt) {
-  constexpr std::uint64_t kBaseMs = 100;
-  constexpr std::uint64_t kCapMs = 5000;
-  std::uint64_t ms = kBaseMs;
-  for (std::size_t i = 0; i < attempt && ms < kCapMs; ++i) ms *= 2;
-  return std::min(ms, kCapMs);
-}
-
-CampaignJournal::CampaignJournal(journal::JournalWriter writer)
-    : writer_{std::move(writer)} {}
-
-CampaignJournal::Open CampaignJournal::open(const std::string& dir,
-                                            std::size_t shard,
-                                            std::uint64_t campaign_id,
-                                            std::uint64_t num_instances,
-                                            bool resume,
-                                            std::size_t fsync_every) {
-  Open out;
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    out.error = "cannot create campaign directory " + dir + ": " +
-                ec.message();
-    return out;
-  }
-  const std::string path = shard_journal_path(dir, shard);
-
-  // Recover whatever a previous process left: intact records survive, a
-  // corrupt or torn tail is measured here and physically truncated away
-  // when the writer reopens at the valid prefix length below.
-  journal::JournalRecovery recovery = journal::read_journal(path);
-  out.dropped_bytes = recovery.dropped_bytes;
-  bool need_header = true;
-  if (!recovery.records.empty()) {
-    const auto header = decode_header(recovery.records.front());
-    if (!header) {
-      out.error = path + ": first record is not a campaign journal header";
-      return out;
-    }
-    if (header->campaign_id != campaign_id ||
-        header->num_instances != num_instances) {
-      out.error = path + ": journal belongs to a different campaign "
-                         "(identity mismatch — wrong file, or a --quick "
-                         "journal resumed without --quick?)";
-      return out;
-    }
-    need_header = false;
-    for (std::size_t i = 1; i < recovery.records.size(); ++i) {
-      const auto record = decode_instance_record(recovery.records[i]);
-      if (!record || record->index >= num_instances) {
-        out.error = path + ": intact record " + std::to_string(i) +
-                    " is not a valid instance record";
-        return out;
-      }
-      out.recovered.push_back(*record);
-    }
-    if (!resume && !out.recovered.empty()) {
-      out.error = path + ": journal already holds " +
-                  std::to_string(out.recovered.size()) +
-                  " instance records; resume it explicitly instead of "
-                  "overwriting finished work";
-      return out;
-    }
-  }
-
-  auto writer =
-      journal::JournalWriter::open(path, recovery.valid_bytes, fsync_every);
-  if (!writer) {
-    out.error = path + ": cannot open journal for append";
-    return out;
-  }
-  std::unique_ptr<CampaignJournal> sink{
-      new CampaignJournal{std::move(*writer)}};
-  if (need_header) {
-    const std::vector<std::uint8_t> header =
-        encode_header(campaign_id, num_instances);
-    if (!sink->writer_.append(header) || !sink->writer_.flush()) {
-      out.error = path + ": cannot write journal header";
-      return out;
-    }
-  }
-  out.campaign_journal = std::move(sink);
-  return out;
-}
-
-void CampaignJournal::set_crash_after(std::size_t count) {
-  std::lock_guard<std::mutex> lock{mu_};
-  crash_after_ = count;
-}
-
-void CampaignJournal::on_result(const CampaignInstance& instance,
-                                const InstanceResult& result) {
-  const std::vector<std::uint8_t> payload =
-      encode_instance_record(make_record(instance, result));
-  std::lock_guard<std::mutex> lock{mu_};
-  if (!writer_.append(payload)) {
-    ok_ = false;
-    return;
-  }
-  ++written_;
-  if (crash_after_ != 0) {
-    // Crash injection wants an exact, durable crash point: sync every
-    // record, then die without unwinding — exactly like a real SIGKILL.
-    if (!writer_.flush()) ok_ = false;
-    if (written_ >= crash_after_) {
-#ifdef SIGKILL
-      (void)std::raise(SIGKILL);
-#endif
-      std::_Exit(137);
-    }
-  }
-}
-
-bool CampaignJournal::flush() {
-  std::lock_guard<std::mutex> lock{mu_};
-  return writer_.flush();
-}
-
-CampaignRecovery recover_campaign_dir(const std::string& dir,
-                                      std::uint64_t campaign_id,
-                                      std::uint64_t num_instances) {
-  CampaignRecovery out;
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec) || ec) {
-    out.errors.push_back("campaign directory not found: " + dir);
-    return out;
-  }
-  std::vector<std::string> paths;
-  for (const auto& entry : fs::directory_iterator{dir, ec}) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("journal-", 0) == 0 && name.size() > 6 &&
-        name.substr(name.size() - 6) == ".dvlcj") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  if (ec) {
-    out.errors.push_back("cannot scan campaign directory " + dir + ": " +
-                         ec.message());
-    return out;
-  }
-  std::sort(paths.begin(), paths.end());
-
-  std::map<std::uint64_t, InstanceRecord> by_index;
-  for (const std::string& path : paths) {
-    journal::JournalRecovery recovery = journal::read_journal(path);
-    ++out.journal_files;
-    out.dropped_bytes += recovery.dropped_bytes;
-    if (recovery.records.empty()) continue;
-    const auto header = decode_header(recovery.records.front());
-    if (!header) {
-      out.errors.push_back(path + ": first record is not a campaign "
-                                  "journal header");
-      continue;
-    }
-    if (header->campaign_id != campaign_id ||
-        header->num_instances != num_instances) {
-      out.errors.push_back(path +
-                           ": journal belongs to a different campaign "
-                           "(identity mismatch)");
-      continue;
-    }
-    for (std::size_t i = 1; i < recovery.records.size(); ++i) {
-      const auto record = decode_instance_record(recovery.records[i]);
-      if (!record || record->index >= num_instances) {
-        out.errors.push_back(path + ": intact record " + std::to_string(i) +
-                             " is not a valid instance record");
-        continue;
-      }
-      const auto [it, inserted] = by_index.emplace(record->index, *record);
-      // Byte-equal duplicates are legal: a requeued shard re-runs the
-      // tail its dead predecessor had already journaled, and the PR 7
-      // seed contract makes the rerun bit-identical. A *different*
-      // record under the same index means mixed campaigns — fatal.
-      if (!inserted && encode_instance_record(it->second) !=
-                           encode_instance_record(*record)) {
-        out.errors.push_back(path +
-                             ": conflicting duplicate record for instance " +
-                             std::to_string(record->index));
-      }
-    }
-  }
-  out.records.reserve(by_index.size());
-  for (const auto& [index, record] : by_index) out.records.push_back(record);
-  return out;
-}
-
 CampaignSummary summarize_records(const CampaignSpec& campaign,
                                   std::size_t instances_per_point,
                                   std::vector<InstanceRecord> records) {
@@ -678,26 +373,14 @@ CampaignSummary summarize_records(const CampaignSpec& campaign,
 
 CampaignRun run_campaign(const CampaignSpec& campaign,
                          std::span<const CampaignInstance> instances) {
-  return run_campaign(campaign, instances, CampaignRunOptions{});
-}
-
-CampaignRun run_campaign(const CampaignSpec& campaign,
-                         std::span<const CampaignInstance> instances,
-                         const CampaignRunOptions& options) {
   CampaignRun run;
   run.instances.resize(instances.size());
   // One instance per index slot: results land in expansion order no
   // matter which worker ran them, so aggregation below (and the campaign
-  // hash) cannot observe scheduling. The journal sink serialises
-  // appends internally; completion *order* on disk is
-  // scheduling-dependent, which is fine — records are keyed by expansion
-  // index and reduced in index order.
+  // hash) cannot observe scheduling.
   parallel_for(0, instances.size(), [&](std::size_t i) {
     run.instances[i] =
         run_instance(compile(instances[i].spec), instances[i].seed);
-    if (options.campaign_journal != nullptr) {
-      options.campaign_journal->on_result(instances[i], run.instances[i]);
-    }
   });
 
   std::vector<RecordRow> rows;

@@ -17,35 +17,22 @@
 // grid that densifies at matching pitch). Each point is instantiated
 // `instances` times; instance i of the whole campaign draws its seed as
 // Rng::derive_stream_seed(base seed, i), so a result is a pure function
-// of the campaign file — independent of shard order and thread count.
+// of the campaign file — independent of submission order and thread
+// count.
 //
 // run_campaign() shards instances across the deterministic thread pool
 // and reduces per-point aggregates (mean, 95% CI, p50/p99/p999 tails).
 // Cross-thread-count bit-identity is asserted by bench/campaign and the
 // tests/scenario determinism suite.
-//
-// Durability (PR 9): a campaign can stream every completed instance as a
-// compact InstanceRecord into an append-only journal (common/journal.hpp)
-// inside a *campaign directory*. Because the PR 7 seed contract makes
-// each instance a pure function of (campaign file, expansion index), a
-// crashed run resumes by recovering the journal, skipping the recovered
-// indices, and running only the missing ones — and the resumed campaign
-// hash is bit-identical to an uninterrupted run. Independent OS
-// processes shard the point-major index space (index mod n) into
-// disjoint per-shard journals of the same directory; summarize_records()
-// rebuilds the per-point aggregates from any complete record set.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/journal.hpp"
 #include "common/stats.hpp"
 #include "scenario/compile.hpp"
 #include "scenario/spec.hpp"
@@ -128,12 +115,10 @@ struct CampaignRun {
   std::uint64_t campaign_hash = 0;        ///< FNV over instance hashes
 };
 
-// --- durable journal layer -------------------------------------------------
-
-/// Compact durable record of one completed instance: its identity plus
-/// exactly the bits the campaign aggregates consume. Records are
-/// order-free — the expansion index keys everything — so any subset of
-/// shards/crash survivors reassembles into the same campaign.
+/// The per-instance values the aggregates consume: the instance's
+/// identity plus exactly the bits aggregate_rows() reduces. Records are
+/// order-free — the expansion index keys everything — so any submission
+/// order reduces to the same campaign.
 struct InstanceRecord {
   std::uint64_t index = 0;             ///< expansion index (seed stream id)
   std::uint64_t seed = 0;              ///< derived instance seed (sanity)
@@ -144,108 +129,14 @@ struct InstanceRecord {
   double txs_assigned = 0.0;
 };
 
-/// The record an instance result journals.
+/// The record of one instance's result.
 InstanceRecord make_record(const CampaignInstance& instance,
                            const InstanceResult& result);
 
-/// Binary journal payload of one instance record (fixed-size,
-/// little-endian, IEEE-754 bit patterns — decoding is exact).
-std::vector<std::uint8_t> encode_instance_record(const InstanceRecord& record);
-
-/// Decodes an instance payload; nullopt when the payload is not an
-/// instance record (wrong tag or size).
-[[nodiscard]] std::optional<InstanceRecord> decode_instance_record(
-    std::span<const std::uint8_t> payload);
-
-/// Identity of a durable campaign: FNV-1a over the canonical base-spec
-/// serialization, the sweep axes, and the per-point instance count.
-/// Resume and shard merges reject journals whose identity differs —
-/// records from a different campaign file (or a --quick journal resumed
-/// without --quick) must never be mixed in.
-std::uint64_t campaign_identity(const CampaignSpec& campaign,
-                                std::size_t instances_per_point);
-
-/// Journal file of shard `shard` inside a campaign directory.
-std::string shard_journal_path(const std::string& dir, std::size_t shard);
-
-/// Supervisor requeue backoff: capped exponential, `attempt` counting
-/// from 0 (100 ms, 200 ms, ... capped at 5 s).
-std::uint64_t campaign_backoff_ms(std::size_t attempt);
-
-/// Thread-safe streaming sink: every completed instance is framed and
-/// appended to one shard journal, fsync'd in batches. Opening recovers
-/// an existing file first (dropping a corrupt tail in place), verifies
-/// the header, and reports the recovered records so the caller can skip
-/// their indices.
-class CampaignJournal {
- public:
-  struct Open {
-    std::unique_ptr<CampaignJournal> campaign_journal;  ///< null on error
-    std::vector<InstanceRecord> recovered;  ///< valid records already on disk
-    std::uint64_t dropped_bytes = 0;        ///< corrupt suffix discarded
-    std::string error;                      ///< nonempty on hard failure
-  };
-
-  /// Opens (or creates) dir/journal-<shard>.dvlcj. With `resume` false
-  /// an existing journal holding instance records is refused — losing a
-  /// previous run's records requires an explicit resume decision.
-  /// `fsync_every` batches fsyncs (1 = every record durable on append).
-  static Open open(const std::string& dir, std::size_t shard,
-                   std::uint64_t campaign_id, std::uint64_t num_instances,
-                   bool resume, std::size_t fsync_every = 32);
-
-  /// Crash injection: SIGKILL this process the moment `count` instances
-  /// have been journaled by it (0 disables). While armed, every record
-  /// is fsync'd on append so the crash point is durable and exact.
-  void set_crash_after(std::size_t count);
-
-  /// Streams one finished instance (thread-safe; called from workers).
-  void on_result(const CampaignInstance& instance,
-                 const InstanceResult& result);
-
-  [[nodiscard]] bool flush();
-  /// Sticky I/O health: false once any append/flush failed.
-  bool ok() const { return ok_ && writer_.ok(); }
-  std::size_t records_written() const { return written_; }
-
- private:
-  explicit CampaignJournal(journal::JournalWriter writer);
-
-  std::mutex mu_;
-  journal::JournalWriter writer_;
-  std::size_t written_ = 0;
-  std::size_t crash_after_ = 0;
-  bool ok_ = true;
-};
-
-/// Options threading the durable layer through a run.
-struct CampaignRunOptions {
-  CampaignJournal* campaign_journal = nullptr;  ///< optional streaming sink
-};
-
-/// Merged recovery of every shard journal (journal-*.dvlcj) in a
-/// campaign directory. Records are deduplicated by index (byte-equal
-/// duplicates are legal — a requeued shard may overlap its dead
-/// predecessor's tail — conflicting ones are errors) and sorted.
-struct CampaignRecovery {
-  std::vector<InstanceRecord> records;  ///< deduped, ascending index
-  std::uint64_t dropped_bytes = 0;      ///< corrupt suffix total
-  std::size_t journal_files = 0;
-  std::vector<std::string> errors;  ///< identity/conflict problems (fatal)
-};
-
-/// Scans `dir` for shard journals and recovers their records. Corrupt
-/// tails are tolerated (counted in dropped_bytes); a journal whose
-/// header does not match (campaign_id, num_instances) is an error.
-[[nodiscard]] CampaignRecovery recover_campaign_dir(
-    const std::string& dir, std::uint64_t campaign_id,
-    std::uint64_t num_instances);
-
 /// Per-point aggregates + campaign hash rebuilt from records alone
-/// (sorted by expansion index, so the result is independent of shard
-/// order, thread count, and how many crash/resume cycles produced the
-/// records). run_campaign() routes through this too: a resumed campaign
-/// and an uninterrupted one are bit-identical by construction.
+/// (sorted by expansion index, so the result is independent of
+/// submission order and thread count). run_campaign() reduces through
+/// the same code, so the two cannot diverge.
 struct CampaignSummary {
   std::vector<PointAggregate> points;
   std::uint64_t campaign_hash = 0;
@@ -260,11 +151,5 @@ CampaignSummary summarize_records(const CampaignSpec& campaign,
 /// are bit-identical at any thread count) and reduces the aggregates.
 CampaignRun run_campaign(const CampaignSpec& campaign,
                          std::span<const CampaignInstance> instances);
-
-/// As above, optionally streaming every completed instance into a
-/// durable campaign journal as shards finish.
-CampaignRun run_campaign(const CampaignSpec& campaign,
-                         std::span<const CampaignInstance> instances,
-                         const CampaignRunOptions& options);
 
 }  // namespace densevlc::scenario

@@ -136,19 +136,6 @@ TEST(FaultSchedule, ToStringCoversAllKinds) {
   EXPECT_STREQ(to_string(FaultKind::kReportLossBurst), "report_loss_burst");
   EXPECT_STREQ(to_string(FaultKind::kSyncPilotLoss), "sync_pilot_loss");
   EXPECT_STREQ(to_string(FaultKind::kEpochOverrun), "epoch_overrun");
-  EXPECT_STREQ(to_string(FaultKind::kWorkerCrash), "worker_crash");
-}
-
-TEST(FaultSchedule, WorkerCrashAfterReturnsFirstCrashTarget) {
-  FaultSchedule s;
-  EXPECT_FALSE(s.worker_crash_after().has_value());
-  s.add(make_event(FaultKind::kLedBurnout, 0.0, 10.0, 5));
-  EXPECT_FALSE(s.worker_crash_after().has_value());
-  // The target of a kWorkerCrash event is an instance *count*, not a TX.
-  s.add(make_event(FaultKind::kWorkerCrash, 0.0, 0.0, 7));
-  s.add(make_event(FaultKind::kWorkerCrash, 0.0, 0.0, 3));
-  ASSERT_TRUE(s.worker_crash_after().has_value());
-  EXPECT_EQ(*s.worker_crash_after(), 7u);
 }
 
 }  // namespace

@@ -7,7 +7,11 @@
 //     analytic campaign and the committed fault soak (fingerprints
 //     compared double-for-double, not via hashes);
 //   - results are independent of shard/submission order — reversed and
-//     shuffled instance lists reproduce every fingerprint exactly;
+//     shuffled instance lists reproduce every fingerprint, the campaign
+//     hash and every point aggregate exactly;
+//   - summarize_records() over make_record() of a run reduces to the
+//     live run's aggregates bit for bit (the benchmark replay relies on
+//     this);
 //   - parse_campaign() rejects malformed [campaign]/[sweep] input and
 //     sweep legs that expand into invalid specs, with typed errors.
 #include "scenario/campaign.hpp"
@@ -17,13 +21,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
-#include <limits>
-#include <set>
 #include <sstream>
 
-#include "common/journal.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 
@@ -57,6 +57,49 @@ instances = 3
 rx.count = 2 | 3
 grid = grid.rows=4 grid.cols=4 grid.pitch=0.6 | grid.rows=5 grid.cols=5 grid.pitch=0.5
 )";
+
+/// Bit-pattern equality (covers NaN, -0.0 and every finite value).
+void expect_bits_equal(double a, double b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+}
+
+void expect_same_points(const std::vector<PointAggregate>& got,
+                        const std::vector<PointAggregate>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    SCOPED_TRACE("point " + std::to_string(p));
+    EXPECT_EQ(got[p].axis_values, want[p].axis_values);
+    EXPECT_EQ(got[p].instance_count, want[p].instance_count);
+    // Exact bits: the determinism contract is bit-identity, not tolerance.
+    EXPECT_EQ(got[p].system_mbps.n, want[p].system_mbps.n);
+    expect_bits_equal(got[p].system_mbps.mean, want[p].system_mbps.mean);
+    expect_bits_equal(got[p].system_mbps.stddev, want[p].system_mbps.stddev);
+    expect_bits_equal(got[p].system_mbps.median, want[p].system_mbps.median);
+    expect_bits_equal(got[p].system_mbps.min, want[p].system_mbps.min);
+    expect_bits_equal(got[p].system_mbps.max, want[p].system_mbps.max);
+    expect_bits_equal(got[p].system_mbps.ci95, want[p].system_mbps.ci95);
+    expect_bits_equal(got[p].p50_mbps, want[p].p50_mbps);
+    expect_bits_equal(got[p].p99_mbps, want[p].p99_mbps);
+    expect_bits_equal(got[p].p999_mbps, want[p].p999_mbps);
+    expect_bits_equal(got[p].mean_jain, want[p].mean_jain);
+    expect_bits_equal(got[p].mean_power_w, want[p].mean_power_w);
+    expect_bits_equal(got[p].mean_txs, want[p].mean_txs);
+    EXPECT_EQ(got[p].point_hash, want[p].point_hash);
+  }
+}
+
+/// The instances in a deterministically shuffled submission order.
+std::vector<CampaignInstance> shuffled(
+    const std::vector<CampaignInstance>& instances) {
+  std::vector<CampaignInstance> out = instances;
+  Rng rng{42};
+  for (std::size_t i = out.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform(0.0, static_cast<double>(i)));
+    std::swap(out[i - 1], out[std::min(j, i - 1)]);
+  }
+  return out;
+}
 
 TEST(Campaign, ExpansionIsPointMajorWithStreamSeeds) {
   const auto parsed = parse_campaign(kSmallCampaign);
@@ -154,20 +197,46 @@ TEST(Campaign, ShardOrderIndependent) {
     EXPECT_EQ(rev_run.instances[i].fingerprint,
               forward.instances[reversed[i].index].fingerprint);
   }
+  // The aggregates are reduced in expansion-index order, so they must not
+  // see the submission order either.
+  EXPECT_EQ(rev_run.campaign_hash, forward.campaign_hash);
+  expect_same_points(rev_run.points, forward.points);
 
   // Deterministically shuffled submission order.
-  std::vector<CampaignInstance> shuffled = instances;
-  Rng rng{42};
-  for (std::size_t i = shuffled.size(); i > 1; --i) {
-    const auto j = static_cast<std::size_t>(
-        rng.uniform(0.0, static_cast<double>(i)));
-    std::swap(shuffled[i - 1], shuffled[std::min(j, i - 1)]);
-  }
-  const CampaignRun shuf_run = run_campaign(*parsed.campaign, shuffled);
-  for (std::size_t i = 0; i < shuffled.size(); ++i) {
+  const std::vector<CampaignInstance> shuf = shuffled(instances);
+  const CampaignRun shuf_run = run_campaign(*parsed.campaign, shuf);
+  for (std::size_t i = 0; i < shuf.size(); ++i) {
     EXPECT_EQ(shuf_run.instances[i].fingerprint,
-              forward.instances[shuffled[i].index].fingerprint);
+              forward.instances[shuf[i].index].fingerprint);
   }
+  EXPECT_EQ(shuf_run.campaign_hash, forward.campaign_hash);
+  expect_same_points(shuf_run.points, forward.points);
+}
+
+TEST(Campaign, SummaryFromRecordsMatchesLiveRun) {
+  // The benchmark replay rebuilds its campaign hash through make_record
+  // and summarize_records; that reduction must agree with run_campaign
+  // bit for bit, whatever order the records arrive in.
+  const auto parsed = parse_campaign(kSmallCampaign);
+  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
+  std::vector<CampaignInstance> instances;
+  ASSERT_TRUE(expand_campaign(*parsed.campaign, 3, instances).empty());
+  const CampaignRun forward = run_campaign(*parsed.campaign, instances);
+
+  const std::vector<CampaignInstance> shuf = shuffled(instances);
+  const CampaignRun shuf_run = run_campaign(*parsed.campaign, shuf);
+  std::vector<InstanceRecord> records;
+  for (std::size_t i = 0; i < shuf.size(); ++i) {
+    records.push_back(make_record(shuf[i], shuf_run.instances[i]));
+    EXPECT_EQ(records.back().index, shuf[i].index);
+    EXPECT_EQ(records.back().seed, shuf[i].seed);
+  }
+
+  const CampaignSummary summary =
+      summarize_records(*parsed.campaign, 3, std::move(records));
+  EXPECT_EQ(summary.campaign_hash, forward.campaign_hash);
+  EXPECT_EQ(summary.instance_count, instances.size());
+  expect_same_points(summary.points, forward.points);
 }
 
 TEST(Campaign, QuickFlagshipCampaignParsesAndScales) {
@@ -267,352 +336,6 @@ TEST(Campaign, LoadCampaignFileReadsCommittedCampaign) {
       std::string{DVLC_SCENARIO_DIR} + "/campaign_quick.ini");
   ASSERT_TRUE(result.ok()) << result.error_text();
   EXPECT_EQ(result.campaign->num_points(), 10u);
-}
-
-// --- durable journal layer -------------------------------------------------
-
-namespace fs = std::filesystem;
-
-/// Fresh campaign directory per use (wiped up front so a failing test
-/// leaves its journals behind for inspection).
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir =
-      fs::temp_directory_path() / ("dvlc_campaign_" + name);
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  fs::create_directories(dir, ec);
-  return dir.string();
-}
-
-std::string read_bytes(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  EXPECT_TRUE(in.good()) << "cannot read " << path;
-  return {std::istreambuf_iterator<char>{in},
-          std::istreambuf_iterator<char>{}};
-}
-
-void write_bytes(const std::string& path, const std::string& contents) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out.write(contents.data(),
-            static_cast<std::streamsize>(contents.size()));
-  ASSERT_TRUE(out.good()) << "cannot write " << path;
-}
-
-/// Bit-pattern equality (covers NaN, -0.0 and every finite value).
-void expect_bits_equal(double a, double b) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
-}
-
-void expect_same_points(const std::vector<PointAggregate>& got,
-                        const std::vector<PointAggregate>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t p = 0; p < got.size(); ++p) {
-    SCOPED_TRACE("point " + std::to_string(p));
-    EXPECT_EQ(got[p].axis_values, want[p].axis_values);
-    EXPECT_EQ(got[p].instance_count, want[p].instance_count);
-    // Exact doubles: the resume contract is bit-identity, not tolerance.
-    EXPECT_EQ(got[p].system_mbps.mean, want[p].system_mbps.mean);
-    EXPECT_EQ(got[p].system_mbps.ci95, want[p].system_mbps.ci95);
-    EXPECT_EQ(got[p].p50_mbps, want[p].p50_mbps);
-    EXPECT_EQ(got[p].p99_mbps, want[p].p99_mbps);
-    EXPECT_EQ(got[p].p999_mbps, want[p].p999_mbps);
-    EXPECT_EQ(got[p].mean_jain, want[p].mean_jain);
-    EXPECT_EQ(got[p].mean_power_w, want[p].mean_power_w);
-    EXPECT_EQ(got[p].mean_txs, want[p].mean_txs);
-    EXPECT_EQ(got[p].point_hash, want[p].point_hash);
-  }
-}
-
-TEST(CampaignDurable, InstanceRecordRoundTripIsExact) {
-  InstanceRecord record;
-  record.index = 0xDEADBEEFCAFEULL;
-  record.seed = 0x0123456789ABCDEFULL;
-  record.fingerprint_hash = ~0ULL;
-  record.system_mbps = -0.0;
-  record.jain = std::numeric_limits<double>::quiet_NaN();
-  record.power_used_w = std::numeric_limits<double>::denorm_min();
-  record.txs_assigned = std::numeric_limits<double>::infinity();
-
-  const std::vector<std::uint8_t> payload = encode_instance_record(record);
-  const auto decoded = decode_instance_record(payload);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->index, record.index);
-  EXPECT_EQ(decoded->seed, record.seed);
-  EXPECT_EQ(decoded->fingerprint_hash, record.fingerprint_hash);
-  expect_bits_equal(decoded->system_mbps, record.system_mbps);
-  expect_bits_equal(decoded->jain, record.jain);
-  expect_bits_equal(decoded->power_used_w, record.power_used_w);
-  expect_bits_equal(decoded->txs_assigned, record.txs_assigned);
-
-  // Wrong tag or size must not decode.
-  std::vector<std::uint8_t> wrong_tag = payload;
-  wrong_tag[0] = 0x7F;
-  EXPECT_FALSE(decode_instance_record(wrong_tag).has_value());
-  std::vector<std::uint8_t> short_payload = payload;
-  short_payload.pop_back();
-  EXPECT_FALSE(decode_instance_record(short_payload).has_value());
-}
-
-TEST(CampaignDurable, IdentityCoversSpecAxesAndPerPoint) {
-  const auto parsed = parse_campaign(kSmallCampaign);
-  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
-  const CampaignSpec& campaign = *parsed.campaign;
-
-  const std::uint64_t id = campaign_identity(campaign, 3);
-  EXPECT_EQ(campaign_identity(campaign, 3), id);  // stable
-  // A --quick run (fewer reps) is a *different* campaign.
-  EXPECT_NE(campaign_identity(campaign, 2), id);
-
-  CampaignSpec different_base = campaign;
-  different_base.base.seed ^= 1;
-  EXPECT_NE(campaign_identity(different_base, 3), id);
-
-  CampaignSpec different_axis = campaign;
-  different_axis.axes[0].values.push_back("4");
-  EXPECT_NE(campaign_identity(different_axis, 3), id);
-}
-
-TEST(CampaignDurable, BackoffIsCappedExponential) {
-  EXPECT_EQ(campaign_backoff_ms(0), 100u);
-  EXPECT_EQ(campaign_backoff_ms(1), 200u);
-  EXPECT_EQ(campaign_backoff_ms(2), 400u);
-  EXPECT_EQ(campaign_backoff_ms(5), 3200u);
-  EXPECT_EQ(campaign_backoff_ms(6), 5000u);
-  EXPECT_EQ(campaign_backoff_ms(63), 5000u);  // capped, no overflow
-  for (std::size_t a = 1; a < 16; ++a) {
-    EXPECT_GE(campaign_backoff_ms(a), campaign_backoff_ms(a - 1));
-  }
-}
-
-TEST(CampaignDurable, OpenRefusesOverwriteAndForeignIdentity) {
-  const auto parsed = parse_campaign(kSmallCampaign);
-  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
-  std::vector<CampaignInstance> instances;
-  ASSERT_TRUE(expand_campaign(*parsed.campaign, 3, instances).empty());
-  const std::uint64_t id = campaign_identity(*parsed.campaign, 3);
-  const std::string dir = scratch_dir("refuse");
-
-  {
-    auto open = CampaignJournal::open(dir, 0, id, instances.size(),
-                                      /*resume=*/false);
-    ASSERT_NE(open.campaign_journal, nullptr) << open.error;
-    EXPECT_TRUE(open.recovered.empty());
-    CampaignRunOptions options;
-    options.campaign_journal = open.campaign_journal.get();
-    (void)run_campaign(*parsed.campaign, instances, options);
-    EXPECT_TRUE(open.campaign_journal->flush());
-    EXPECT_EQ(open.campaign_journal->records_written(), instances.size());
-  }
-
-  // A journal with finished work must not be silently overwritten.
-  auto fresh = CampaignJournal::open(dir, 0, id, instances.size(),
-                                     /*resume=*/false);
-  EXPECT_EQ(fresh.campaign_journal, nullptr);
-  EXPECT_NE(fresh.error.find("resume"), std::string::npos) << fresh.error;
-
-  // A journal from a different campaign must not be resumed.
-  auto foreign = CampaignJournal::open(dir, 0, id ^ 1, instances.size(),
-                                       /*resume=*/true);
-  EXPECT_EQ(foreign.campaign_journal, nullptr);
-  EXPECT_NE(foreign.error.find("identity mismatch"), std::string::npos)
-      << foreign.error;
-
-  // The honest resume recovers every record.
-  auto resume = CampaignJournal::open(dir, 0, id, instances.size(),
-                                      /*resume=*/true);
-  ASSERT_NE(resume.campaign_journal, nullptr) << resume.error;
-  EXPECT_EQ(resume.recovered.size(), instances.size());
-  EXPECT_EQ(resume.dropped_bytes, 0u);
-}
-
-TEST(CampaignDurable, SummaryFromRecordsMatchesLiveRun) {
-  const auto parsed = parse_campaign(kSmallCampaign);
-  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
-  std::vector<CampaignInstance> instances;
-  ASSERT_TRUE(expand_campaign(*parsed.campaign, 3, instances).empty());
-  const std::uint64_t id = campaign_identity(*parsed.campaign, 3);
-  const std::string dir = scratch_dir("summary");
-
-  CampaignRun live;
-  {
-    auto open = CampaignJournal::open(dir, 0, id, instances.size(),
-                                      /*resume=*/false);
-    ASSERT_NE(open.campaign_journal, nullptr) << open.error;
-    CampaignRunOptions options;
-    options.campaign_journal = open.campaign_journal.get();
-    live = run_campaign(*parsed.campaign, instances, options);
-    EXPECT_TRUE(open.campaign_journal->flush());
-  }
-
-  const CampaignRecovery recovery =
-      recover_campaign_dir(dir, id, instances.size());
-  ASSERT_TRUE(recovery.errors.empty()) << recovery.errors.front();
-  EXPECT_EQ(recovery.journal_files, 1u);
-  ASSERT_EQ(recovery.records.size(), instances.size());
-  // Records carry the identity the seed contract promises.
-  for (std::size_t i = 0; i < recovery.records.size(); ++i) {
-    EXPECT_EQ(recovery.records[i].index, i);
-    EXPECT_EQ(recovery.records[i].seed, instances[i].seed);
-  }
-
-  const CampaignSummary summary =
-      summarize_records(*parsed.campaign, 3, recovery.records);
-  EXPECT_EQ(summary.campaign_hash, live.campaign_hash);
-  EXPECT_EQ(summary.instance_count, instances.size());
-  expect_same_points(summary.points, live.points);
-}
-
-/// The tentpole acceptance property: SIGKILL the worker at ANY byte of
-/// the journal — frame boundaries, mid-record, mid-header — and the
-/// resumed campaign reduces to the exact hash and point doubles of an
-/// uninterrupted run.
-TEST(CampaignDurable, ResumeIsBitIdenticalAtEveryCrashPoint) {
-  const auto parsed = parse_campaign(kSmallCampaign);
-  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
-  std::vector<CampaignInstance> instances;
-  ASSERT_TRUE(expand_campaign(*parsed.campaign, 3, instances).empty());
-  const std::uint64_t id = campaign_identity(*parsed.campaign, 3);
-
-  const CampaignRun reference = run_campaign(*parsed.campaign, instances);
-
-  // One uninterrupted journaled run provides the byte stream to cut.
-  const std::string full_dir = scratch_dir("crash_full");
-  {
-    auto open = CampaignJournal::open(full_dir, 0, id, instances.size(),
-                                      /*resume=*/false);
-    ASSERT_NE(open.campaign_journal, nullptr) << open.error;
-    CampaignRunOptions options;
-    options.campaign_journal = open.campaign_journal.get();
-    (void)run_campaign(*parsed.campaign, instances, options);
-    ASSERT_TRUE(open.campaign_journal->flush());
-  }
-  const std::string full = read_bytes(shard_journal_path(full_dir, 0));
-  ASSERT_FALSE(full.empty());
-
-  // Crash points: a coarse stride for coverage plus every frame
-  // boundary and its neighbours (the off-by-one hot spots).
-  std::set<std::size_t> cuts;
-  for (std::size_t len = 0; len <= full.size(); len += 13) cuts.insert(len);
-  const std::size_t header_frame = 8 + 33;
-  const std::size_t record_frame = 8 + (1 + 7 * 8);
-  for (std::size_t b = header_frame; b <= full.size(); b += record_frame) {
-    cuts.insert(b);
-    if (b > 0) cuts.insert(b - 1);
-    if (b + 1 <= full.size()) cuts.insert(b + 1);
-  }
-  cuts.insert(full.size());
-
-  const std::string dir = scratch_dir("crash_cut");
-  for (const std::size_t len : cuts) {
-    SCOPED_TRACE("crash at byte " + std::to_string(len));
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    fs::create_directories(dir, ec);
-    write_bytes(shard_journal_path(dir, 0), full.substr(0, len));
-
-    auto open = CampaignJournal::open(dir, 0, id, instances.size(),
-                                      /*resume=*/true);
-    ASSERT_NE(open.campaign_journal, nullptr) << open.error;
-
-    std::set<std::size_t> done;
-    for (const InstanceRecord& record : open.recovered) {
-      done.insert(static_cast<std::size_t>(record.index));
-    }
-    std::vector<CampaignInstance> todo;
-    for (const CampaignInstance& inst : instances) {
-      if (done.count(inst.index) == 0) todo.push_back(inst);
-    }
-    CampaignRunOptions options;
-    options.campaign_journal = open.campaign_journal.get();
-    (void)run_campaign(*parsed.campaign, todo, options);
-    ASSERT_TRUE(open.campaign_journal->flush());
-    open.campaign_journal.reset();
-
-    const CampaignRecovery recovery =
-        recover_campaign_dir(dir, id, instances.size());
-    ASSERT_TRUE(recovery.errors.empty()) << recovery.errors.front();
-    ASSERT_EQ(recovery.records.size(), instances.size());
-    const CampaignSummary summary =
-        summarize_records(*parsed.campaign, 3, recovery.records);
-    EXPECT_EQ(summary.campaign_hash, reference.campaign_hash);
-    expect_same_points(summary.points, reference.points);
-  }
-}
-
-TEST(CampaignDurable, DisjointShardsMergeToTheFullCampaign) {
-  const auto parsed = parse_campaign(kSmallCampaign);
-  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
-  std::vector<CampaignInstance> instances;
-  ASSERT_TRUE(expand_campaign(*parsed.campaign, 3, instances).empty());
-  const std::uint64_t id = campaign_identity(*parsed.campaign, 3);
-  const CampaignRun reference = run_campaign(*parsed.campaign, instances);
-
-  const std::string dir = scratch_dir("shards");
-  for (std::size_t shard = 0; shard < 2; ++shard) {
-    std::vector<CampaignInstance> mine;
-    for (const CampaignInstance& inst : instances) {
-      if (inst.index % 2 == shard) mine.push_back(inst);
-    }
-    auto open = CampaignJournal::open(dir, shard, id, instances.size(),
-                                      /*resume=*/false);
-    ASSERT_NE(open.campaign_journal, nullptr) << open.error;
-    CampaignRunOptions options;
-    options.campaign_journal = open.campaign_journal.get();
-    (void)run_campaign(*parsed.campaign, mine, options);
-    ASSERT_TRUE(open.campaign_journal->flush());
-  }
-
-  const CampaignRecovery recovery =
-      recover_campaign_dir(dir, id, instances.size());
-  ASSERT_TRUE(recovery.errors.empty()) << recovery.errors.front();
-  EXPECT_EQ(recovery.journal_files, 2u);
-  ASSERT_EQ(recovery.records.size(), instances.size());
-  const CampaignSummary summary =
-      summarize_records(*parsed.campaign, 3, recovery.records);
-  EXPECT_EQ(summary.campaign_hash, reference.campaign_hash);
-  expect_same_points(summary.points, reference.points);
-}
-
-TEST(CampaignDurable, DuplicatesToleratedConflictsFatal) {
-  const auto parsed = parse_campaign(kSmallCampaign);
-  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
-  std::vector<CampaignInstance> instances;
-  ASSERT_TRUE(expand_campaign(*parsed.campaign, 3, instances).empty());
-  const std::uint64_t id = campaign_identity(*parsed.campaign, 3);
-
-  // Two shards journal the WHOLE campaign each — the requeued-shard
-  // overlap case. Byte-equal duplicates merge cleanly.
-  const std::string dir = scratch_dir("dups");
-  for (std::size_t shard = 0; shard < 2; ++shard) {
-    auto open = CampaignJournal::open(dir, shard, id, instances.size(),
-                                      /*resume=*/false);
-    ASSERT_NE(open.campaign_journal, nullptr) << open.error;
-    CampaignRunOptions options;
-    options.campaign_journal = open.campaign_journal.get();
-    (void)run_campaign(*parsed.campaign, instances, options);
-    ASSERT_TRUE(open.campaign_journal->flush());
-  }
-  CampaignRecovery recovery = recover_campaign_dir(dir, id, instances.size());
-  EXPECT_TRUE(recovery.errors.empty());
-  EXPECT_EQ(recovery.records.size(), instances.size());
-
-  // A shard journaling a *different* result under an existing index is
-  // corruption (or a mixed-campaign accident) and must be fatal.
-  {
-    auto open = CampaignJournal::open(dir, 2, id, instances.size(),
-                                      /*resume=*/false);
-    ASSERT_NE(open.campaign_journal, nullptr) << open.error;
-    InstanceResult forged;
-    forged.fingerprint = {1.0, 2.0, 3.0};
-    forged.system_mbps = 999.0;
-    open.campaign_journal->on_result(instances[0], forged);
-    ASSERT_TRUE(open.campaign_journal->flush());
-  }
-  recovery = recover_campaign_dir(dir, id, instances.size());
-  ASSERT_FALSE(recovery.errors.empty());
-  EXPECT_NE(recovery.errors.front().find("conflicting duplicate"),
-            std::string::npos)
-      << recovery.errors.front();
 }
 
 TEST(Campaign, RejectsSweepPointThatExpandsInvalid) {

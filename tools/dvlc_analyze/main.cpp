@@ -23,7 +23,7 @@
 
 #include "analysis.hpp"
 #include "baseline.hpp"
-#include "common/journal.hpp"
+#include "common/atomic_file.hpp"
 #include "output.hpp"
 
 namespace {
@@ -34,7 +34,7 @@ using namespace densevlc::analyze;
 bool write_file(const fs::path& path, const std::string& body) {
   // SARIF and baseline artifacts are consumed by CI; a crash mid-write
   // must never leave a truncated document under the real name.
-  return densevlc::journal::write_file_atomic(path.string(), body);
+  return densevlc::write_file_atomic(path.string(), body);
 }
 
 int usage() {

@@ -333,8 +333,8 @@ void check_hot_loop_alloc(const SourceFile& f, Sink& sink) {
   }
 }
 
-/// Durable-artifact code lives here; discarded I/O results in these
-/// trees mean a crash-safety bug (a journal append or checkpoint rename
+/// Artifact-writing code lives here; discarded I/O results in these
+/// trees mean a crash-safety bug (an artifact write or temp-file rename
 /// that failed without anyone noticing).
 bool in_io_scope(const std::string& rel) {
   for (const char* dir : {"src/", "bench/"}) {
