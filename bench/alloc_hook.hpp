@@ -1,10 +1,9 @@
 // Global allocation counter for zero-allocation assertions.
 //
 // Linking alloc_hook.cpp into a binary replaces the global operator
-// new/delete family with counting wrappers. micro_phy and the fast-path
-// tests read the counter around their steady-state loops: a non-zero
-// delta on a DVLC_HOT path is a regression (printed as HOT-PATH-ALLOC by
-// the bench, asserted directly by the tests).
+// new/delete family with counting wrappers. The fast-path, batch and
+// prober tests read the counter around their steady-state loops: a
+// non-zero delta on a DVLC_HOT path is a regression.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Machine-readable bench output.
 //
-// The figure benches print human tables; the perf-trajectory benches
-// (micro_phy, campaign, ext_faults) additionally emit JSON so CI can
+// The figure benches print human tables; the campaign runner and the
+// fault soak (campaign, ext_faults) additionally emit JSON so CI can
 // archive results and later runs can diff them. This is a deliberately tiny
 // *writer* — insertion-ordered objects, arrays, scalars, shortest
 // round-trip doubles — not a parser; nothing in the repo consumes JSON.

@@ -1,5 +1,6 @@
-// Frozen pre-LUT scalar PHY implementations, for differential testing
-// and as the baseline the micro_phy speedups are measured against.
+// Frozen pre-LUT scalar PHY implementations, the reference the
+// differential suites (tests/phy: test_fastpath, test_batch, test_phy)
+// hold the fast paths to bit for bit.
 //
 // These are verbatim copies of the bit-at-a-time Manchester coder, the
 // per-coefficient GF(256) Reed-Solomon codec, the permutation-vector

@@ -53,15 +53,4 @@ bool use_vector_kernels() noexcept {
   return cpu_has_vector_support() && !force_scalar();
 }
 
-const char* active_backend_name() noexcept {
-  if (!use_vector_kernels()) return "scalar";
-#if defined(__x86_64__) || defined(__i386__)
-  return "avx2";
-#elif defined(__aarch64__)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
-
 }  // namespace densevlc::simd

@@ -65,14 +65,9 @@ bool cpu_has_vector_support() noexcept;
 /// The dispatch predicate every kernel call site uses.
 bool use_vector_kernels() noexcept;
 
-/// Name of the backend dispatch sites select right now: "avx2", "neon",
-/// or "scalar" (when unsupported or forced).
-const char* active_backend_name() noexcept;
-
 // --- Scalar backend ------------------------------------------------------
 
 struct ScalarBackend {
-  static constexpr const char* kName = "scalar";
   static constexpr std::size_t kU8Lanes = 16;
 
   struct u8v {
@@ -185,7 +180,6 @@ struct ScalarBackend {
 #if defined(DVLC_SIMD_HAVE_AVX2)
 
 struct Avx2Backend {
-  static constexpr const char* kName = "avx2";
   static constexpr std::size_t kU8Lanes = 32;
 
   using u8v = __m256i;
@@ -247,7 +241,6 @@ struct Avx2Backend {
 #if defined(DVLC_SIMD_HAVE_NEON)
 
 struct NeonBackend {
-  static constexpr const char* kName = "neon";
   static constexpr std::size_t kU8Lanes = 16;
 
   using u8v = uint8x16_t;

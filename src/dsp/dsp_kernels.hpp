@@ -157,8 +157,4 @@ void tap_sums_vec(const double* prefix, const std::size_t* at,
                   const double* w, std::size_t taps, double* out,
                   std::size_t n);
 
-/// Name of the vector backend dsp_simd.cpp was compiled against
-/// ("avx2", "neon", or "scalar" when no vector ISA is available).
-const char* dsp_vector_backend_name();
-
 }  // namespace densevlc::dsp::detail

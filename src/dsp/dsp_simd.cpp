@@ -29,8 +29,4 @@ void tap_sums_vec(const double* prefix, const std::size_t* at,
   tap_sums_kernel<simd::VectorBackend>(prefix, at, w, taps, out, n);
 }
 
-const char* dsp_vector_backend_name() {
-  return simd::VectorBackend::kName;
-}
-
 }  // namespace densevlc::dsp::detail

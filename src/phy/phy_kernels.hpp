@@ -252,8 +252,4 @@ void rs_syndrome_cols_vec(const std::uint8_t* cw_cols, std::size_t cw_len,
                           const gf256::NibbleTables* roots, std::size_t np,
                           std::uint8_t* synd_cols, std::size_t width);
 
-/// Name of the vector backend phy_simd.cpp was compiled against
-/// ("avx2", "neon", or "scalar" when no vector ISA is available).
-const char* phy_vector_backend_name();
-
 }  // namespace densevlc::phy::detail

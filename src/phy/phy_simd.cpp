@@ -37,8 +37,4 @@ void rs_syndrome_cols_vec(const std::uint8_t* cw_cols, std::size_t cw_len,
                                                synd_cols, width);
 }
 
-const char* phy_vector_backend_name() {
-  return simd::VectorBackend::kName;
-}
-
 }  // namespace densevlc::phy::detail

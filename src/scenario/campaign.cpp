@@ -1,7 +1,6 @@
 #include "scenario/campaign.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -16,14 +15,6 @@ std::string trim(const std::string& s) {
   if (begin == std::string::npos) return {};
   const auto end = s.find_last_not_of(" \t\r\n");
   return s.substr(begin, end - begin + 1);
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
-  if (end != text.c_str() + text.size()) return std::nullopt;
-  return v;
 }
 
 /// Splits an axis value on '|' into trimmed legs.

@@ -64,7 +64,7 @@ CompiledScenario compile(const ScenarioSpec& spec) {
   if (spec.dimming_enabled) {
     // The illumination target dictates the bias; the swing ceiling and
     // the link budget follow from the dimmed operating point (paper
-    // Sec. 3.4, mirrored from the ext_dimming wiring).
+    // Sec. 3.4; SpecEquivalence.DimmingInstanceMatchesHandWiring pins it).
     illum::LuminaireDesign design;
     design.target_lux = spec.target_lux;
     design.leds_per_tx = spec.leds_per_tx;

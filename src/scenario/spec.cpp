@@ -26,14 +26,6 @@ std::optional<double> parse_double(const std::string& text) {
   return v;
 }
 
-std::optional<std::uint64_t> parse_u64(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text.c_str(), &end, 0);  // 0x ok
-  if (end != text.c_str() + text.size()) return std::nullopt;
-  return v;
-}
-
 std::optional<bool> parse_bool(const std::string& text) {
   if (text == "true" || text == "yes" || text == "on" || text == "1") {
     return true;
@@ -342,6 +334,20 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  int base = 10;
+  if (text.starts_with("0x")) {
+    text.remove_prefix(2);
+    base = 16;
+  }
+  // from_chars takes no sign, prefix or whitespace, and reports overflow.
+  std::uint64_t v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v, base);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
 
 ScenarioSpec spec_defaults(TestbedKind testbed) {
   ScenarioSpec spec;  // simulation defaults

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "channel/blockage.hpp"
@@ -139,6 +140,12 @@ struct SpecParseResult {
 
 /// Range and cross-field checks over a fully-assembled spec.
 std::vector<SpecError> validate_spec(const ScenarioSpec& spec);
+
+/// The one parser for counts and seeds in scenario and campaign files:
+/// decimal digits, or `0x` followed by hex digits, and nothing else. A
+/// sign, whitespace or overflow is rejected, and a leading zero never
+/// means octal (`010` is ten).
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text);
 
 /// Canonical INI serialization: parse(serialize(s)) reproduces `s`
 /// exactly (doubles are printed with shortest-round-trip precision).

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 
 namespace densevlc::dsp {
 namespace {
@@ -99,7 +100,10 @@ TEST(Cascade, ProcessBlockMatchesStepChain) {
   // The sample-major block kernel against a per-sample step() chain, at
   // depths on both sides of the kernel's section-group size, from random
   // (stable) coefficients and a non-zero starting state, over blocks split
-  // at arbitrary points so the delay lines carry across calls.
+  // at arbitrary points so the delay lines carry across calls, and over
+  // the whole input in one call. Cascades the x4 kernel takes also run as
+  // all four of its lanes, under both SIMD dispatch legs. Every sample is
+  // compared before any quantization, so one ulp of drift fails.
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   Rng rng{0xB1C0};
   for (const std::size_t depth : {0u, 1u, 4u, 8u, 9u, 12u}) {
@@ -126,6 +130,34 @@ TEST(Cascade, ProcessBlockMatchesStepChain) {
     std::vector<double> expect = x;
     for (double& v : expect) {
       for (auto& sec : chain) v = sec.step(v);
+    }
+
+    BiquadCascade one_call = block;
+    std::vector<double> whole = x;
+    one_call.process_block(whole);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(bits(whole[i]), bits(expect[i]))
+          << "depth " << depth << " one call, i " << i;
+    }
+    if (depth <= kMaxBiquadSections) {
+      const bool was_forced = simd::force_scalar();
+      for (const bool force : {false, true}) {
+        simd::set_force_scalar(force);
+        BiquadCascade lanes[4] = {block, block, block, block};
+        BiquadCascade* const quad[4] = {&lanes[0], &lanes[1], &lanes[2],
+                                        &lanes[3]};
+        std::vector<double> interleaved(4 * x.size());
+        for (std::size_t i = 0; i < interleaved.size(); ++i) {
+          interleaved[i] = x[i / 4];
+        }
+        process_cascades_x4(quad, interleaved);
+        for (std::size_t i = 0; i < interleaved.size(); ++i) {
+          ASSERT_EQ(bits(interleaved[i]), bits(expect[i / 4]))
+              << "depth " << depth << " x4 lane " << i % 4 << " i " << i / 4
+              << (force ? " forced scalar" : " native");
+        }
+      }
+      simd::set_force_scalar(was_forced);
     }
 
     std::size_t at = 0;

@@ -298,10 +298,15 @@ TEST_P(FastPath, FrontEndProcessIntoMatchesValueApi) {
   const dsp::Waveform* const in_lane[] = {&optical};
   dsp::Waveform* const out_lane[] = {&out_b};
   // Two back-to-back calls: filter and RNG state must stay in lockstep.
+  // The second, on warm buffers, must not touch the heap.
   for (int pass = 0; pass < 2; ++pass) {
     const auto out_a = fe_a.process(optical);
+    const std::uint64_t before = bench::alloc_count();
     phy::ReceiverFrontEnd::process_batch_into(fe_lane, in_lane, out_lane,
                                               scratch);
+    if (pass > 0) {
+      EXPECT_EQ(bench::alloc_count() - before, 0u);
+    }
     EXPECT_EQ(out_a.samples, out_b.samples) << "pass=" << pass;
     EXPECT_EQ(out_a.sample_rate_hz, out_b.sample_rate_hz);
   }
@@ -578,6 +583,13 @@ TEST_P(FastPath, CodecSteadyStateIsAllocationFree) {
   std::vector<std::uint8_t> bytes;
   phy::ParsedFrame parsed;
   std::uint8_t ok = 0;
+  // And one RS(216, 200) codeword corrected through a 4-byte error burst.
+  const phy::ReedSolomon rs{phy::kRsBlockParity};
+  const auto msg = random_bytes(200, rng);
+  std::vector<std::uint8_t> cw;
+  std::vector<std::uint8_t> bad;
+  phy::RsDecodeResult dec;
+  phy::RsScratch rs_scratch;
   const auto run_one = [&] {
     phy::encode_frames_batch(codec, lane, batch);
     const auto wire = batch.lane_wire(0);
@@ -590,6 +602,16 @@ TEST_P(FastPath, CodecSteadyStateIsAllocationFree) {
         phy::decode_frames_batch(codec, in, {&parsed, 1}, {&ok, 1}, batch),
         1u);
     ASSERT_EQ(parsed.frame, f);
+
+    rs.encode_into(msg, cw);
+    bad = cw;
+    for (std::size_t e = 0; e < 4; ++e) {
+      const std::size_t at = 11 + 53 * e;
+      bad[at] = static_cast<std::uint8_t>(bad[at] ^ 0x5A);
+    }
+    ASSERT_TRUE(rs.decode_into(bad, dec, rs_scratch));
+    ASSERT_EQ(dec.corrected_errors, 4u);
+    ASSERT_EQ(dec.data, msg);
   };
   run_one();  // warm-up: buffers reach steady-state capacity here
   ASSERT_TRUE(arena_warm(chips, batch.lane_wire(0).size() * 16));

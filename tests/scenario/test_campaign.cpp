@@ -297,6 +297,26 @@ TEST(Campaign, RejectsUnknownCampaignKey) {
   EXPECT_NE(parsed.error_text().find("campaign.repeats"), std::string::npos);
 }
 
+TEST(Campaign, LeadingZeroInstanceCountIsDecimal) {
+  const std::string head =
+      "[scenario]\nname = t\n[rx]\nplacement = uniform\ncount = 2\n"
+      "[campaign]\ninstances = ";
+  const auto parsed = parse_campaign(head + "010\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
+  std::vector<CampaignInstance> instances;
+  ASSERT_TRUE(expand_campaign(*parsed.campaign,
+                              parsed.campaign->instances_per_point, instances)
+                  .empty());
+  EXPECT_EQ(instances.size(), 10u);
+
+  for (const char* bad : {"-1", "+10", "1e1"}) {
+    const auto rejected = parse_campaign(head + bad + "\n");
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_NE(rejected.error_text().find("campaign.instances"),
+              std::string::npos);
+  }
+}
+
 TEST(Campaign, RejectsBadSweepLeg) {
   // Second leg sweeps the grid beyond the room: typed sweep-point error.
   const auto parsed = parse_campaign(

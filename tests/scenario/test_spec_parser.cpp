@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -148,6 +150,20 @@ TEST(SpecParser, RejectsMalformedNumberInsteadOfDefaulting) {
   expect_rejected(valid_text("[grid]\npitch = fast\n"), "grid.pitch");
   expect_rejected(valid_text("[led]\nbias_ma = 45O\n"), "led.bias_ma");
   expect_rejected(valid_text("[system]\nkappa = \n"), "system.kappa");
+}
+
+TEST(SpecParser, CountsAndSeedsAreDecimalOrHex) {
+  EXPECT_EQ(parse_u64("10"), 10u);
+  EXPECT_EQ(parse_u64("010"), 10u);  // a leading zero is not octal
+  EXPECT_EQ(parse_u64("0x10"), 16u);
+  EXPECT_EQ(parse_u64("0xDE45"), 0xDE45u);
+  EXPECT_EQ(parse_u64("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x", "0x-1", "0x+1",
+                          "1e3", "18446744073709551616",
+                          "0x10000000000000000"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 TEST(SpecParser, RejectsOutOfRangeValues) {
