@@ -457,4 +457,91 @@ std::optional<dsp::PeakDetection> detect_pattern(
   return best;
 }
 
+dsp::Waveform render_optical(
+    const optics::LedModel& led, const phy::OokParams& ook,
+    std::span<const core::ServingTx> servers, const phy::MacFrame& frame,
+    std::span<const core::InterfererGroup> interferers,
+    double ambient_optical_w) {
+  const auto frame_chip_count = [](const MacFrame& f) {
+    return phy::kPreambleChips +
+           16 * phy::serialized_frame_bytes(f.payload.size());
+  };
+  const std::size_t spc = ook.samples_per_chip;
+  const double tx_rate = ook.sample_rate_hz();
+
+  // Every participating chip stream shares one timeline.
+  std::size_t longest_chips = frame_chip_count(frame);
+  double max_offset = 0.0;
+  for (const auto& s : servers) {
+    max_offset = std::max(max_offset, std::fabs(s.start_offset_s));
+  }
+  for (const auto& group : interferers) {
+    longest_chips = std::max(longest_chips, frame_chip_count(group.frame));
+    for (const auto& s : group.txs) {
+      max_offset = std::max(max_offset, std::fabs(s.start_offset_s));
+    }
+  }
+
+  const std::size_t guard_samples = 16 * spc;
+  const auto offset_samples_max =
+      static_cast<std::size_t>(std::ceil(max_offset * tx_rate));
+  const std::size_t total = longest_chips * spc + 2 * guard_samples +
+                            2 * offset_samples_max;
+
+  dsp::Waveform optical;
+  optical.sample_rate_hz = tx_rate;
+  optical.samples.assign(total, ambient_optical_w);
+
+  const double eta = led.electrical().wall_plug_efficiency;
+  const double bias = led.operating_point().bias_current_a;
+  const double p_bias = eta * led.power_at_current(Amperes{bias}).value();
+  const auto base_start =
+      static_cast<double>(guard_samples + offset_samples_max);
+
+  // Adds `level` over samples [from, to), clamped to the timeline.
+  double* const out = optical.samples.data();
+  const auto end = static_cast<std::ptrdiff_t>(total);
+  const auto add_run = [out, end](std::ptrdiff_t from, std::ptrdiff_t to,
+                                  double level) {
+    from = std::clamp<std::ptrdiff_t>(from, 0, end);
+    to = std::clamp<std::ptrdiff_t>(to, 0, end);
+    for (std::ptrdiff_t s = from; s < to; ++s) out[s] += level;
+  };
+
+  const auto add_stream = [&](const core::ServingTx& server,
+                              std::span<const Chip> stream) {
+    if (server.gain <= 0.0) return;
+    const auto start = static_cast<std::ptrdiff_t>(
+        base_start +
+        static_cast<double>(std::llround(server.start_offset_s * tx_rate)));
+    const double half = server.swing_a / 2.0;
+    const double p_high =
+        eta * led.power_at_current(Amperes{bias + half}).value();
+    const double p_low =
+        eta * led.power_at_current(Amperes{bias - half}).value();
+    const double idle = server.gain * p_bias;
+    const double high = server.gain * p_high;
+    const double low = server.gain * p_low;
+    const auto run = static_cast<std::ptrdiff_t>(spc);
+    const auto frame_end =
+        start + static_cast<std::ptrdiff_t>(stream.size()) * run;
+
+    add_run(0, start, idle);
+    std::ptrdiff_t at = start;
+    for (const Chip chip : stream) {
+      add_run(at, at + run, chip == Chip::kHigh ? high : low);
+      at += run;
+    }
+    add_run(frame_end, end, idle);
+  };
+
+  const std::vector<Chip> chips = phy::frame_to_chips(frame);
+  for (const auto& server : servers) add_stream(server, chips);
+  for (const auto& group : interferers) {
+    const std::vector<Chip> group_chips = phy::frame_to_chips(group.frame);
+    for (const auto& itx : group.txs) add_stream(itx, group_chips);
+  }
+  return optical;
+}
+
 }  // namespace densevlc::bench::ref

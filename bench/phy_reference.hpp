@@ -6,7 +6,9 @@
 // per-coefficient GF(256) Reed-Solomon codec, the permutation-vector
 // interleaver, and the allocating frame serializer as they stood before
 // the LUT/zero-allocation rework, plus the full-scan preamble search as
-// it stood before the pruned search. They must NOT be "improved": their
+// it stood before the pruned search and the joint-transmission optical
+// render as it stood before the tiled render. They must NOT be
+// "improved": their
 // whole value is staying exactly what the production code used to
 // compute, so old-vs-new comparisons are bit-for-bit meaningful.
 #pragma once
@@ -16,8 +18,12 @@
 #include <span>
 #include <vector>
 
+#include "core/beamspot.hpp"
 #include "dsp/correlate.hpp"
+#include "dsp/waveform.hpp"
+#include "optics/led_model.hpp"
 #include "phy/frame.hpp"
+#include "phy/ook.hpp"
 #include "phy/manchester.hpp"
 
 namespace densevlc::bench::ref {
@@ -84,5 +90,20 @@ std::optional<phy::ParsedFrame> codec_decode_chips(
 std::optional<dsp::PeakDetection> detect_pattern(
     std::span<const double> signal, std::span<const double> pattern,
     double threshold);
+
+// --- Optical render (one clamped run per chip) ---------------------------
+
+/// The received optical power of a joint transmission, rendered stream by
+/// stream over the whole timeline: the timeline is sized from the longest
+/// frame, the guard and the largest start offset and filled with
+/// `ambient_optical_w`, then each TX with positive gain (servers, then
+/// every interferer group's TXs) adds its idle level before its frame,
+/// one `samples_per_chip` run per chip and its idle level after, each run
+/// clamped to the timeline.
+dsp::Waveform render_optical(
+    const optics::LedModel& led, const phy::OokParams& ook,
+    std::span<const core::ServingTx> servers, const phy::MacFrame& frame,
+    std::span<const core::InterfererGroup> interferers,
+    double ambient_optical_w);
 
 }  // namespace densevlc::bench::ref

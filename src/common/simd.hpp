@@ -31,9 +31,19 @@
 //   row16  fixed 16-byte lane group (LUT row copies)
 //   tbl16  a 16-entry byte table for nibble lookups (PSHUFB / TBL)
 //   f64x4  fixed group of 4 doubles (lane-parallel IIR / correlation)
+//   m64x4  per-lane compare result over an f64x4, consumed by select4
+//
+// The elementwise double ops (div4, sqrt4, trunc4, abs4, min4, max4, the
+// compares and select4) are the IEEE-754 operations of the scalar code,
+// lane by lane: div and sqrt are correctly rounded, trunc and abs are
+// exact, and the compares are ordered (false when either side is NaN),
+// like C++'s `<`, `>=` and `>`. min4/max4 are std::min/std::max, built
+// from an explicit compare and select on every backend, because SSE's
+// MINPD and NEON's FMIN disagree on NaN operands.
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -81,6 +91,9 @@ struct ScalarBackend {
   };
   struct f64x4 {
     std::array<double, 4> d;
+  };
+  struct m64x4 {
+    std::array<bool, 4> m;
   };
 
   static u8v loadu(const std::uint8_t* p) {
@@ -145,34 +158,78 @@ struct ScalarBackend {
     std::memcpy(p, r.b.data(), 16);
   }
 
+  // The double ops spell out their four lanes so the compiler keeps an
+  // f64x4 in registers; a loop per op leaves it in memory, half packed by
+  // the vectorizer, and pays a store-forwarding stall per op.
   static f64x4 load4(const double* p) {
-    f64x4 v;
-    std::memcpy(v.d.data(), p, 4 * sizeof(double));
-    return v;
+    return f64x4{{p[0], p[1], p[2], p[3]}};
   }
   static void store4(double* p, f64x4 v) {
-    std::memcpy(p, v.d.data(), 4 * sizeof(double));
+    for (std::size_t i = 0; i < 4; ++i) p[i] = v.d[i];
   }
-  static f64x4 broadcast4(double x) {
-    f64x4 v;
-    v.d.fill(x);
-    return v;
+  static f64x4 broadcast4(double x) { return f64x4{{x, x, x, x}}; }
+  template <class F>
+  static f64x4 lanes(f64x4 a, F f) {
+    return f64x4{{f(a.d[0]), f(a.d[1]), f(a.d[2]), f(a.d[3])}};
+  }
+  template <class F>
+  static f64x4 lanes(f64x4 a, f64x4 b, F f) {
+    return f64x4{{f(a.d[0], b.d[0]), f(a.d[1], b.d[1]), f(a.d[2], b.d[2]),
+                  f(a.d[3], b.d[3])}};
+  }
+  template <class F>
+  static m64x4 compare(f64x4 a, f64x4 b, F f) {
+    return m64x4{{f(a.d[0], b.d[0]), f(a.d[1], b.d[1]), f(a.d[2], b.d[2]),
+                  f(a.d[3], b.d[3])}};
   }
   static f64x4 add4(f64x4 a, f64x4 b) {
-    f64x4 r;
-    for (std::size_t i = 0; i < 4; ++i) r.d[i] = a.d[i] + b.d[i];
-    return r;
+    return lanes(a, b, [](double x, double y) { return x + y; });
   }
   static f64x4 sub4(f64x4 a, f64x4 b) {
-    f64x4 r;
-    for (std::size_t i = 0; i < 4; ++i) r.d[i] = a.d[i] - b.d[i];
-    return r;
+    return lanes(a, b, [](double x, double y) { return x - y; });
   }
   static f64x4 mul4(f64x4 a, f64x4 b) {
-    f64x4 r;
-    for (std::size_t i = 0; i < 4; ++i) r.d[i] = a.d[i] * b.d[i];
-    return r;
+    return lanes(a, b, [](double x, double y) { return x * y; });
   }
+  static f64x4 div4(f64x4 a, f64x4 b) {
+    return lanes(a, b, [](double x, double y) { return x / y; });
+  }
+  static f64x4 sqrt4(f64x4 a) {
+    return lanes(a, [](double x) { return std::sqrt(x); });
+  }
+  static f64x4 abs4(f64x4 a) {
+    return lanes(a, [](double x) { return std::fabs(x); });
+  }
+  /// Round toward zero, as a double: std::trunc without the libm call
+  /// baseline x86-64 makes for it. Below 2^52 in magnitude the int64
+  /// round trip truncates exactly and copysign restores a zero's sign;
+  /// larger values, infinities and NaN are already their own trunc.
+  static f64x4 trunc4(f64x4 a) {
+    return lanes(a, [](double x) {
+      return std::fabs(x) < 0x1p52
+                 ? std::copysign(
+                       static_cast<double>(static_cast<std::int64_t>(x)), x)
+                 : x;
+    });
+  }
+  static m64x4 lt4(f64x4 a, f64x4 b) {
+    return compare(a, b, [](double x, double y) { return x < y; });
+  }
+  static m64x4 ge4(f64x4 a, f64x4 b) {
+    return compare(a, b, [](double x, double y) { return x >= y; });
+  }
+  static m64x4 gt4(f64x4 a, f64x4 b) {
+    return compare(a, b, [](double x, double y) { return x > y; });
+  }
+  /// Lane i is a[i] where m[i] holds, else b[i].
+  static f64x4 select4(m64x4 m, f64x4 a, f64x4 b) {
+    return f64x4{{m.m[0] ? a.d[0] : b.d[0], m.m[1] ? a.d[1] : b.d[1],
+                  m.m[2] ? a.d[2] : b.d[2], m.m[3] ? a.d[3] : b.d[3]}};
+  }
+  /// std::min(a, b): b < a ? b : a.
+  static f64x4 min4(f64x4 a, f64x4 b) { return select4(lt4(b, a), b, a); }
+  /// std::max(a, b): a < b ? b : a.
+  static f64x4 max4(f64x4 a, f64x4 b) { return select4(lt4(a, b), b, a); }
 };
 
 // --- AVX2 backend (only in TUs compiled with -mavx2) ---------------------
@@ -186,6 +243,7 @@ struct Avx2Backend {
   using row16 = __m128i;
   using tbl16 = __m256i;  // 16-byte table broadcast to both 128-bit halves
   using f64x4 = __m256d;
+  using m64x4 = __m256d;  // all-ones / all-zeros lanes
 
   static u8v loadu(const std::uint8_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -232,6 +290,29 @@ struct Avx2Backend {
   static f64x4 add4(f64x4 a, f64x4 b) { return _mm256_add_pd(a, b); }
   static f64x4 sub4(f64x4 a, f64x4 b) { return _mm256_sub_pd(a, b); }
   static f64x4 mul4(f64x4 a, f64x4 b) { return _mm256_mul_pd(a, b); }
+  static f64x4 div4(f64x4 a, f64x4 b) { return _mm256_div_pd(a, b); }
+  static f64x4 sqrt4(f64x4 a) { return _mm256_sqrt_pd(a); }
+  static f64x4 trunc4(f64x4 a) {
+    return _mm256_round_pd(a, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  }
+  static f64x4 abs4(f64x4 a) {
+    return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
+  }
+  // Ordered, quiet predicates: false when either lane is NaN.
+  static m64x4 lt4(f64x4 a, f64x4 b) {
+    return _mm256_cmp_pd(a, b, _CMP_LT_OQ);
+  }
+  static m64x4 ge4(f64x4 a, f64x4 b) {
+    return _mm256_cmp_pd(a, b, _CMP_GE_OQ);
+  }
+  static m64x4 gt4(f64x4 a, f64x4 b) {
+    return _mm256_cmp_pd(a, b, _CMP_GT_OQ);
+  }
+  static f64x4 select4(m64x4 m, f64x4 a, f64x4 b) {
+    return _mm256_blendv_pd(b, a, m);
+  }
+  static f64x4 min4(f64x4 a, f64x4 b) { return select4(lt4(b, a), b, a); }
+  static f64x4 max4(f64x4 a, f64x4 b) { return select4(lt4(a, b), b, a); }
 };
 
 #endif  // DVLC_SIMD_HAVE_AVX2
@@ -249,6 +330,10 @@ struct NeonBackend {
   struct f64x4 {
     float64x2_t lo;
     float64x2_t hi;
+  };
+  struct m64x4 {
+    uint64x2_t lo;
+    uint64x2_t hi;
   };
 
   static u8v loadu(const std::uint8_t* p) { return vld1q_u8(p); }
@@ -294,6 +379,32 @@ struct NeonBackend {
   static f64x4 mul4(f64x4 a, f64x4 b) {
     return f64x4{vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
   }
+  static f64x4 div4(f64x4 a, f64x4 b) {
+    return f64x4{vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
+  }
+  static f64x4 sqrt4(f64x4 a) {
+    return f64x4{vsqrtq_f64(a.lo), vsqrtq_f64(a.hi)};
+  }
+  static f64x4 trunc4(f64x4 a) {
+    return f64x4{vrndq_f64(a.lo), vrndq_f64(a.hi)};
+  }
+  static f64x4 abs4(f64x4 a) {
+    return f64x4{vabsq_f64(a.lo), vabsq_f64(a.hi)};
+  }
+  static m64x4 lt4(f64x4 a, f64x4 b) {
+    return m64x4{vcltq_f64(a.lo, b.lo), vcltq_f64(a.hi, b.hi)};
+  }
+  static m64x4 ge4(f64x4 a, f64x4 b) {
+    return m64x4{vcgeq_f64(a.lo, b.lo), vcgeq_f64(a.hi, b.hi)};
+  }
+  static m64x4 gt4(f64x4 a, f64x4 b) {
+    return m64x4{vcgtq_f64(a.lo, b.lo), vcgtq_f64(a.hi, b.hi)};
+  }
+  static f64x4 select4(m64x4 m, f64x4 a, f64x4 b) {
+    return f64x4{vbslq_f64(m.lo, a.lo, b.lo), vbslq_f64(m.hi, a.hi, b.hi)};
+  }
+  static f64x4 min4(f64x4 a, f64x4 b) { return select4(lt4(b, a), b, a); }
+  static f64x4 max4(f64x4 a, f64x4 b) { return select4(lt4(a, b), b, a); }
 };
 
 #endif  // DVLC_SIMD_HAVE_NEON

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "common/arena.hpp"
 #include "common/contracts.hpp"
 #include "dsp/snr_estimator.hpp"
 
@@ -56,7 +57,7 @@ void JointTransmission::render_optical_into(
                             2 * offset_samples_max;
 
   optical.sample_rate_hz = tx_rate;
-  optical.samples.assign(total, ambient_optical_w);
+  arena_resize(optical.samples, total);
 
   const double eta = led_.electrical().wall_plug_efficiency;
   const double bias = led_.operating_point().bias_current_a;
@@ -64,53 +65,92 @@ void JointTransmission::render_optical_into(
   const auto base_start =
       static_cast<double>(guard_samples + offset_samples_max);
 
-  // Adds `level` over samples [from, to), clamped to the timeline.
-  double* const out = optical.samples.data();
-  const auto end = static_cast<std::ptrdiff_t>(total);
-  const auto add_run = [out, end](std::ptrdiff_t from, std::ptrdiff_t to,
-                                  double level) {
-    from = std::clamp<std::ptrdiff_t>(from, 0, end);
-    to = std::clamp<std::ptrdiff_t>(to, 0, end);
-    for (std::ptrdiff_t s = from; s < to; ++s) out[s] += level;
+  // One stream per TX with positive gain, in addition order (servers,
+  // then interferer groups). Its three levels are the products gain *
+  // power every sample used to form.
+  arena_clear(scratch.chips);
+  arena_clear(scratch.streams);
+  const auto stage_frame = [&](const phy::MacFrame& f) {
+    phy::frame_to_chips_into(f, scratch.frame_chips, scratch.wire);
+    const std::size_t at = scratch.chips.size();
+    arena_resize(scratch.chips, at + scratch.frame_chips.size());
+    std::copy(scratch.frame_chips.begin(), scratch.frame_chips.end(),
+              scratch.chips.begin() + static_cast<std::ptrdiff_t>(at));
+    return at;
   };
-
-  // One stream in three parts: idle illumination before the frame, one
-  // run of samples_per_chip per chip, idle illumination after. The three
-  // levels are the products gain * power every sample used to form, and
-  // streams are added in the same order, so each sample sees the same
-  // sequence of additions.
-  const auto add_stream = [&](const ServingTx& server,
-                              std::span<const phy::Chip> stream) {
+  const auto add_stream = [&](const ServingTx& server, std::size_t chip_at,
+                              std::size_t chip_count) {
     if (server.gain <= 0.0) return;
-    const auto start = static_cast<std::ptrdiff_t>(
-        base_start +
-        static_cast<double>(std::llround(server.start_offset_s * tx_rate)));
     const double half = server.swing_a / 2.0;
     const double p_high =
         eta * led_.power_at_current(Amperes{bias + half}).value();
     const double p_low =
         eta * led_.power_at_current(Amperes{bias - half}).value();
-    const double idle = server.gain * p_bias;
-    const double high = server.gain * p_high;
-    const double low = server.gain * p_low;
-    const auto run = static_cast<std::ptrdiff_t>(spc);
-    const auto frame_end =
-        start + static_cast<std::ptrdiff_t>(stream.size()) * run;
-
-    add_run(0, start, idle);
-    std::ptrdiff_t at = start;
-    for (const phy::Chip chip : stream) {
-      add_run(at, at + run, chip == phy::Chip::kHigh ? high : low);
-      at += run;
-    }
-    add_run(frame_end, end, idle);
+    RenderStream& st =
+        arena_resize(scratch.streams, scratch.streams.size() + 1).back();
+    st.start = static_cast<std::ptrdiff_t>(
+        base_start +
+        static_cast<double>(std::llround(server.start_offset_s * tx_rate)));
+    st.chip_at = chip_at;
+    st.chip_count = chip_count;
+    st.idle = server.gain * p_bias;
+    st.high = server.gain * p_high;
+    st.low = server.gain * p_low;
   };
-
-  phy::frame_to_chips_into(frame, scratch.chips, scratch.wire);
-  for (const auto& server : servers) add_stream(server, scratch.chips);
+  const std::size_t own_at = stage_frame(frame);
+  const std::size_t own_count = scratch.chips.size();
+  for (const auto& server : servers) add_stream(server, own_at, own_count);
   for (const auto& group : interferers) {
-    phy::frame_to_chips_into(group.frame, scratch.chips, scratch.wire);
-    for (const auto& itx : group.txs) add_stream(itx, scratch.chips);
+    const std::size_t at = stage_frame(group.frame);
+    const std::size_t count = scratch.chips.size() - at;
+    for (const auto& itx : group.txs) add_stream(itx, at, count);
+  }
+
+  // Each stream covers the timeline in three parts: idle illumination
+  // before the frame, one run of samples_per_chip per chip, idle after.
+  // The timeline is rendered tile by tile, every stream added to a tile
+  // in stream order, so each sample still sees ambient followed by the
+  // same sequence of additions. Within a tile only a stream's first and
+  // last chip runs can cross the tile's edges; the runs between them are
+  // whole.
+  double* const out = optical.samples.data();
+  const auto add_level = [out](std::ptrdiff_t from, std::ptrdiff_t to,
+                               double level) {
+    for (std::ptrdiff_t s = from; s < to; ++s) out[s] += level;
+  };
+  const auto end = static_cast<std::ptrdiff_t>(total);
+  const auto run = static_cast<std::ptrdiff_t>(spc);
+  const auto tile = static_cast<std::ptrdiff_t>(kRenderTileSamples);
+  for (std::ptrdiff_t lo = 0; lo < end; lo += tile) {
+    const std::ptrdiff_t hi = std::min(end, lo + tile);
+    std::fill(out + lo, out + hi, ambient_optical_w);
+    for (const RenderStream& st : scratch.streams) {
+      const phy::Chip* chips = scratch.chips.data() + st.chip_at;
+      const double levels[2] = {st.low, st.high};
+      const auto level = [&](std::size_t k) {
+        return levels[chips[k] == phy::Chip::kHigh ? 1 : 0];
+      };
+      const std::ptrdiff_t frame_end =
+          st.start + static_cast<std::ptrdiff_t>(st.chip_count) * run;
+      add_level(lo, std::min(hi, st.start), st.idle);
+      const std::ptrdiff_t a = std::max(lo, st.start);
+      const std::ptrdiff_t b = std::min(hi, frame_end);
+      if (a < b) {
+        auto k = static_cast<std::size_t>((a - st.start) / run);
+        const auto k_last = static_cast<std::size_t>((b - 1 - st.start) / run);
+        std::ptrdiff_t at = st.start + static_cast<std::ptrdiff_t>(k) * run;
+        add_level(a, std::min(b, at + run), level(k));
+        if (k < k_last) {
+          for (++k, at += run; k < k_last; ++k, at += run) {
+            double* const p = out + at;
+            const double v = level(k);
+            for (std::ptrdiff_t s = 0; s < run; ++s) p[s] += v;
+          }
+          add_level(at, b, level(k_last));
+        }
+      }
+      add_level(std::max(lo, frame_end), hi, st.idle);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 // NLOS-synchronized ones decode cleanly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -76,12 +77,31 @@ class JointTransmission {
     double ambient_optical_w = 0.0;
   };
 
-  /// Chip staging for the optical render: one frame's on-air chips and
-  /// its serialized bytes, refilled per stream group.
+  /// One TX stream of the optical render: its first chip's timeline
+  /// sample (which may lie outside the timeline), its chips in
+  /// RenderScratch::chips, and the optical power it adds while idle and
+  /// per HIGH / LOW chip.
+  struct RenderStream {
+    std::ptrdiff_t start = 0;
+    std::size_t chip_at = 0;
+    std::size_t chip_count = 0;
+    double idle = 0.0;
+    double high = 0.0;
+    double low = 0.0;
+  };
+
+  /// Render staging: every participating frame's on-air chips, one copy
+  /// per frame, and the streams that radiate them, in addition order.
   struct RenderScratch {
     std::vector<phy::Chip> chips;
+    std::vector<phy::Chip> frame_chips;  ///< one frame, before appending
     phy::FrameBatch wire;
+    std::vector<RenderStream> streams;
   };
+
+  /// Timeline samples per render tile: every stream is added to one
+  /// 32 KiB tile before the next tile starts, so the tile stays in L1.
+  static constexpr std::size_t kRenderTileSamples = 4096;
 
   /// Batch workspace: per-lane waveforms, render staging, the lanes'
   /// front-ends (restarted on fresh noise streams each call), and the

@@ -2,7 +2,22 @@
 
 #include <algorithm>
 
+#include "common/simd.hpp"
+#include "dsp/dsp_kernels.hpp"
+
 namespace densevlc::dsp {
+
+void Adc::round_trip_into(std::span<double> samples, double offset) const {
+  const auto top = static_cast<double>(max_code());
+  if (simd::use_vector_kernels()) {
+    detail::adc_round_trip_vec(samples.data(), samples.size(), offset,
+                               cfg_.min_volts, cfg_.max_volts, top);
+  } else {
+    detail::adc_round_trip_kernel<simd::ScalarBackend>(
+        samples.data(), samples.size(), offset, cfg_.min_volts,
+        cfg_.max_volts, top);
+  }
+}
 
 double Adc::lsb() const {
   const double levels = static_cast<double>(max_code());

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dsp/waveform.hpp"
@@ -53,6 +54,12 @@ class Adc {
                               static_cast<double>(max_code());
     return cfg_.min_volts + normalized * (cfg_.max_volts - cfg_.min_volts);
   }
+
+  /// The converter round trip over a block, in place: each v becomes
+  /// code_to_volts(quantize(v + offset)) - offset, bit for bit, through
+  /// the elementwise kernel (vector or scalar backend, see
+  /// common/simd.hpp). The front end passes its mid-rail as `offset`.
+  void round_trip_into(std::span<double> samples, double offset) const;
 
   /// Resamples `analog` (at its own rate) to the ADC rate by zero-order
   /// hold (sample-and-hold behaviour) and quantizes each sample.

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -30,10 +31,19 @@ std::vector<double> correlate(std::span<const double> signal,
 
 namespace {
 
-// Mean-removed pattern into `scratch.pattern`; returns its energy.
-double stage_pattern(std::span<const double> pattern,
-                     CorrelateScratch& scratch) {
+// Stages `pattern` into the scratch unless its bits are the template
+// staged last: the mean-removed copy and its energy, and the run-length
+// form the pruned search bounds with. With S the signal's running sums,
+// sum_j x[i+j] pat[j] = sum_t w_t S[i + at_t], one tap per run boundary
+// (w_t = value before the boundary - value after it).
+void stage_template(std::span<const double> pattern,
+                    CorrelateScratch& scratch) {
   const std::size_t m = pattern.size();
+  if (scratch.source.size() == m &&
+      std::memcmp(scratch.source.data(), pattern.data(),
+                  m * sizeof(double)) == 0) {
+    return;
+  }
   double pat_mean = 0.0;
   for (double p : pattern) pat_mean += p;
   pat_mean /= static_cast<double>(m);
@@ -44,33 +54,94 @@ double stage_pattern(std::span<const double> pattern,
     pat[j] = pattern[j] - pat_mean;
     pat_energy += pat[j] * pat[j];
   }
-  return pat_energy;
-}
 
-// Rolling window sums let each position cost O(m) for the dot product
-// but O(1) for mean/energy bookkeeping. The statistics recurrence stays
-// scalar (each step depends on the previous), so the per-position mean
-// and variance are the reference values regardless of backend.
-void window_stats(std::span<const double> signal, std::size_t m,
-                  CorrelateScratch& scratch) {
-  const std::size_t n = signal.size() - m + 1;
-  arena_resize(scratch.means, n);
-  arena_resize(scratch.vars, n);
-  double win_sum = 0.0;
-  double win_sq = 0.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    win_sum += signal[j];
-    win_sq += signal[j] * signal[j];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.means[i] = win_sum / static_cast<double>(m);
-    // sum of squared deviations
-    scratch.vars[i] = win_sq - win_sum * scratch.means[i];
-    if (i + m < signal.size()) {
-      win_sum += signal[i + m] - signal[i];
-      win_sq += signal[i + m] * signal[i + m] - signal[i] * signal[i];
+  arena_resize(scratch.tap_at, m + 1);
+  arena_resize(scratch.tap_w, m + 1);
+  std::size_t taps = 0;
+  double w_abs = 0.0;
+  double pat_abs = 0.0;
+  double pat_sum = 0.0;
+  double pat_max = 0.0;
+  double prev = 0.0;
+  for (std::size_t j = 0; j <= m; ++j) {
+    const double v = j < m ? pat[j] : 0.0;
+    if (j == 0 || j == m || v != prev) {
+      scratch.tap_at[taps] = j;
+      scratch.tap_w[taps] = prev - v;
+      w_abs += std::fabs(scratch.tap_w[taps]);
+      ++taps;
+    }
+    prev = v;
+    if (j < m) {
+      pat_abs += std::fabs(v);
+      pat_sum += v;
+      pat_max = std::max(pat_max, std::fabs(v));
     }
   }
+  arena_resize(scratch.tap_at, taps);
+  arena_resize(scratch.tap_w, taps);
+  scratch.pat_sumsq = pat_energy;
+  scratch.pat_abs = pat_abs;
+  scratch.pat_sum = pat_sum;
+  scratch.pat_max = pat_max;
+  scratch.w_abs = w_abs;
+  arena_resize(scratch.source, m);
+  std::copy(pattern.begin(), pattern.end(), scratch.source.begin());
+}
+
+// What the bound needs of the signal beyond its running sums.
+struct SignalTotals {
+  double abs_total = 0.0;   // sum of |signal[k]|
+  double prefix_max = 0.0;  // largest |running sum|
+};
+
+// The two serial recurrences in one pass over the signal: the rolling
+// window sums of every position, into means (sums) and vars (sums of
+// squares) for window_moments, and the running sums into prefix. Each
+// recurrence keeps its own operation order, so every mean and variance
+// is the reference value on either backend.
+SignalTotals signal_sums(std::span<const double> signal, std::size_t m,
+                         CorrelateScratch& scratch) {
+  const std::size_t len = signal.size();
+  const std::size_t n = len - m + 1;
+  arena_resize(scratch.means, n);
+  arena_resize(scratch.vars, n);
+  arena_resize(scratch.prefix, len + 1);
+  double* const sums = scratch.means.data();
+  double* const squares = scratch.vars.data();
+  double* const prefix = scratch.prefix.data();
+  const double* const x = signal.data();
+  double win_sum = 0.0;
+  double win_sq = 0.0;
+  double run = 0.0;
+  double abs_total = 0.0;
+  double prefix_max = 0.0;
+  prefix[0] = 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    win_sum += x[j];
+    win_sq += x[j] * x[j];
+    run += x[j];
+    abs_total += std::fabs(x[j]);
+    prefix_max = std::max(prefix_max, std::fabs(run));
+    prefix[j + 1] = run;
+  }
+  // Sample i + m enters the window as sample i leaves it, and extends the
+  // running sums.
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    sums[i] = win_sum;
+    squares[i] = win_sq;
+    const double in = x[i + m];
+    const double out = x[i];
+    win_sum += in - out;
+    win_sq += in * in - out * out;
+    run += in;
+    abs_total += std::fabs(in);
+    prefix_max = std::max(prefix_max, std::fabs(run));
+    prefix[i + m + 1] = run;
+  }
+  sums[n - 1] = win_sum;
+  squares[n - 1] = win_sq;
+  return SignalTotals{abs_total, prefix_max};
 }
 
 // The reference score of the window starting at `window`: the dot
@@ -101,7 +172,8 @@ void normalized_correlate_into(std::span<const double> signal,
   arena_clear(scratch.scores);
   if (pattern.empty() || signal.size() < pattern.size()) return;
   const std::size_t m = pattern.size();
-  const double pat_energy = stage_pattern(pattern, scratch);
+  stage_template(pattern, scratch);
+  const double pat_energy = scratch.pat_sumsq;
   const std::size_t n = signal.size() - m + 1;
   arena_resize(scratch.scores, n);
   if (pat_energy <= 0.0) {
@@ -109,7 +181,9 @@ void normalized_correlate_into(std::span<const double> signal,
     return;
   }
   // Only the independent per-position dot products are vectorized.
-  window_stats(signal, m, scratch);
+  signal_sums(signal, m, scratch);
+  detail::window_moments_kernel<simd::ScalarBackend>(
+      scratch.means.data(), scratch.vars.data(), n, m);
   const std::vector<double>& pat = scratch.pattern;
   if (simd::use_vector_kernels()) {
     detail::correlate_scores_vec(signal.data(), pat.data(), m,
@@ -136,56 +210,17 @@ std::optional<PeakDetection> detect_pattern_into(
   if (pattern.empty() || signal.size() < pattern.size()) return std::nullopt;
   const std::size_t m = pattern.size();
   const std::size_t n = signal.size() - m + 1;
-  const double pat_energy = stage_pattern(pattern, scratch);
+  stage_template(pattern, scratch);
+  const double pat_energy = scratch.pat_sumsq;
   if (pat_energy <= 0.0) {
     // Every position scores 0, so the first one wins if 0 qualifies.
     if (0.0 >= threshold) return PeakDetection{0, 0.0};
     return std::nullopt;
   }
-  window_stats(signal, m, scratch);
+  const SignalTotals totals = signal_sums(signal, m, scratch);
   const std::vector<double>& pat = scratch.pattern;
-
-  // Run-length form of the mean-removed pattern: with S the signal's
-  // running sums, sum_j x[i+j] pat[j] = sum_t w_t S[i + at_t], one tap per
-  // run boundary (w_t = value before the boundary - value after it).
-  arena_resize(scratch.tap_at, m + 1);
-  arena_resize(scratch.tap_w, m + 1);
-  std::size_t taps = 0;
-  double w_abs = 0.0;
-  double pat_abs = 0.0;
-  double pat_sum = 0.0;
-  double pat_max = 0.0;
-  double prev = 0.0;
-  for (std::size_t j = 0; j <= m; ++j) {
-    const double v = j < m ? pat[j] : 0.0;
-    if (j == 0 || j == m || v != prev) {
-      scratch.tap_at[taps] = j;
-      scratch.tap_w[taps] = prev - v;
-      w_abs += std::fabs(scratch.tap_w[taps]);
-      ++taps;
-    }
-    prev = v;
-    if (j < m) {
-      pat_abs += std::fabs(v);
-      pat_sum += v;
-      pat_max = std::max(pat_max, std::fabs(v));
-    }
-  }
-  arena_resize(scratch.tap_at, taps);
-  arena_resize(scratch.tap_w, taps);
-
+  const std::size_t taps = scratch.tap_at.size();
   const std::size_t len = signal.size();
-  arena_resize(scratch.prefix, len + 1);
-  double run = 0.0;
-  double abs_total = 0.0;
-  double prefix_max = 0.0;
-  scratch.prefix[0] = 0.0;
-  for (std::size_t k = 0; k < len; ++k) {
-    run += signal[k];
-    abs_total += std::fabs(signal[k]);
-    prefix_max = std::max(prefix_max, std::fabs(run));
-    scratch.prefix[k + 1] = run;
-  }
 
   // Bound on |approx_i - dot_i|, where dot_i is the reference kernel's
   // floating-point dot product (derivation: docs/architecture.md,
@@ -193,10 +228,12 @@ std::optional<PeakDetection> detect_pattern_into(
   // standard gamma_k summation bounds; the 1e-9 relative slack covers
   // the rounding of these few nonnegative sums and products themselves.
   const double u = std::numeric_limits<double>::epsilon() / 2;
-  const double abs_ub = abs_total / (1.0 - gamma_k(len));
-  const double w_ub = w_abs / (1.0 - gamma_k(taps));
-  const double pat_abs_ub = pat_abs / (1.0 - gamma_k(m));
+  const double abs_ub = totals.abs_total / (1.0 - gamma_k(len));
+  const double w_ub = scratch.w_abs / (1.0 - gamma_k(taps));
+  const double pat_abs_ub = scratch.pat_abs / (1.0 - gamma_k(m));
   const double sigma = gamma_k(len) * abs_ub;  // any running sum's error
+  const double prefix_max = totals.prefix_max;
+  const double pat_max = scratch.pat_max;
   const double slack = 1.0 + 1e-9;
   const double c0 =
       slack * (w_ub * (sigma + 2.0 * u * (prefix_max + sigma) +
@@ -205,37 +242,29 @@ std::optional<PeakDetection> detect_pattern_into(
                static_cast<double>(m + taps + 2) *
                    std::numeric_limits<double>::denorm_min());
   const double c1 =
-      slack * (std::fabs(pat_sum) + gamma_k(m) * pat_abs_ub +
+      slack * (std::fabs(scratch.pat_sum) + gamma_k(m) * pat_abs_ub +
                gamma_k(m + 1) * pat_max * static_cast<double>(m));
-
-  arena_resize(scratch.bounds, n);
-  double* bounds = scratch.bounds.data();
-  if (simd::use_vector_kernels()) {
-    detail::tap_sums_vec(scratch.prefix.data(), scratch.tap_at.data(),
-                         scratch.tap_w.data(), taps, bounds, n);
-  } else {
-    detail::tap_sums_kernel<simd::ScalarBackend>(
-        scratch.prefix.data(), scratch.tap_at.data(), scratch.tap_w.data(),
-        taps, bounds, n);
-  }
 
   // Score interval per position. With delta >= |approx - dot|, rounding
   // is monotone, so fl(fl(approx +- delta) / den) brackets the reference
   // fl(dot / den) computed with the very same den. Zero-variance windows
   // score exactly 0.
-  double lower_max = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    double hi = 0.0;
-    double lo = 0.0;
-    const double var = scratch.vars[i];
-    if (var > 1e-30) {
-      const double delta = c0 + c1 * std::fabs(scratch.means[i]);
-      const double den = std::sqrt(var * pat_energy);
-      hi = (bounds[i] + delta) / den;
-      lo = (bounds[i] - delta) / den;
-    }
-    bounds[i] = hi;
-    if (lo > lower_max) lower_max = lo;
+  arena_resize(scratch.bounds, n);
+  double* bounds = scratch.bounds.data();
+  double lower_max = 0.0;
+  if (simd::use_vector_kernels()) {
+    detail::tap_sums_vec(scratch.prefix.data(), scratch.tap_at.data(),
+                         scratch.tap_w.data(), taps, bounds, n);
+    lower_max = detail::search_bounds_vec(scratch.means.data(),
+                                          scratch.vars.data(), bounds, n, m,
+                                          c0, c1, pat_energy);
+  } else {
+    detail::tap_sums_kernel<simd::ScalarBackend>(
+        scratch.prefix.data(), scratch.tap_at.data(), scratch.tap_w.data(),
+        taps, bounds, n);
+    lower_max = detail::search_bounds_kernel<simd::ScalarBackend>(
+        scratch.means.data(), scratch.vars.data(), bounds, n, m, c0, c1,
+        pat_energy);
   }
 
   // A position whose upper bound is below the threshold, or below some

@@ -41,18 +41,30 @@ std::optional<PeakDetection> detect_pattern(std::span<const double> signal,
 
 // --- Zero-allocation overloads (see common/arena.hpp) -------------------
 
-/// Reusable workspace for repeated pattern searches: mean-removed pattern
-/// staging, the score vector, the per-position rolling window statistics
-/// the SIMD score kernel consumes (aligned for vector loads), and the
-/// pruned search's run-boundary taps, signal running sums and
-/// per-position score upper bounds.
+/// Reusable workspace for repeated pattern searches.
+///
+/// The staged template — the mean-removed pattern, its energy, its
+/// run-boundary taps and the magnitude sums the pruned search's bound
+/// uses — is rebuilt only when a call brings a template whose bits differ
+/// from `source`, the raw template it was staged from, so a search with
+/// the same template as the last one skips the staging and a different
+/// template can never find it stale. The rest holds one search's
+/// per-position arrays: the rolling window statistics the SIMD kernels
+/// consume (aligned for vector loads), the signal's running sums, the
+/// per-position score upper bounds and the score vector.
 struct CorrelateScratch {
-  std::vector<double> pattern;
+  std::vector<double> source;       ///< raw template the staging is of
+  std::vector<double> pattern;      ///< mean-removed template
+  double pat_sumsq = 0.0;           ///< sum of pattern[j]^2 (its energy)
+  double pat_abs = 0.0;             ///< sum of |pattern[j]|
+  double pat_sum = 0.0;             ///< sum of pattern[j]
+  double pat_max = 0.0;             ///< max of |pattern[j]|
+  double w_abs = 0.0;               ///< sum of |tap_w[t]|
+  std::vector<std::size_t> tap_at;  ///< run-boundary offsets in the pattern
+  std::vector<double> tap_w;        ///< pattern jump at each boundary
   std::vector<double> scores;
   AlignedVector<double> means;
   AlignedVector<double> vars;
-  std::vector<std::size_t> tap_at;  ///< run-boundary offsets in the pattern
-  std::vector<double> tap_w;        ///< pattern jump at each boundary
   AlignedVector<double> prefix;     ///< prefix[k] = sum of signal[0..k)
   AlignedVector<double> bounds;     ///< approximate dots, then score bounds
   std::size_t rescored = 0;  ///< positions the last search scored exactly

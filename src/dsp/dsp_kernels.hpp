@@ -2,20 +2,25 @@
 //
 // Each kernel is a template over a simd backend (common/simd.hpp) and is
 // instantiated twice: for `simd::ScalarBackend` inside the regular TUs
-// (biquad.cpp, correlate.cpp) and for `simd::VectorBackend` inside
-// dsp_simd.cpp, which is the only DSP TU compiled with the vector ISA
-// flags. Call sites pick between the two at runtime via
-// `simd::use_vector_kernels()`.
+// (adc.cpp, biquad.cpp, correlate.cpp, phy/frontend.cpp) and for
+// `simd::VectorBackend` inside dsp_simd.cpp, which is the only DSP TU
+// compiled with the vector ISA flags. Call sites pick between the two at
+// runtime via `simd::use_vector_kernels()`. (window_moments_kernel serves
+// only the unpruned scan and has just the scalar instantiation.)
 //
 // Bit-exactness: the float kernels vectorize ACROSS independent streams
 // (4 cascade lanes, 4 correlation window positions, 16 tap-sum
-// positions), never within one accumulation chain, and the backends use
-// separate mul/add (no FMA), so every per-lane operation sequence
-// matches the scalar reference rounding-for-rounding. See docs/architecture.md "Performance".
+// positions, 4 samples or search positions of the elementwise kernels),
+// never within one accumulation chain, and the backends use separate
+// mul/add (no FMA), so every per-lane operation sequence matches the
+// scalar reference rounding-for-rounding. See docs/architecture.md
+// "Performance".
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "common/simd.hpp"
 #include "dsp/biquad.hpp"
@@ -145,6 +150,189 @@ void tap_sums_kernel(const double* prefix, const std::size_t* at,
   }
 }
 
+// --- Elementwise kernels ---------------------------------------------------
+//
+// One sample or one search position per lane, each with exactly the
+// IEEE-754 operations of the scalar expression it replaces (see the
+// op contract in common/simd.hpp). The last n % 4 elements run the same
+// block on a zero-padded copy, so the ScalarBackend instantiation is the
+// scalar path: there is no second loop body.
+
+/// Calls `block(p, i)` for x[i..i+4) over x[0, n), the tail on a
+/// zero-padded copy written back element by element.
+template <class Block>
+inline void for_each_quad(double* x, std::size_t n, Block&& block) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) block(x + i, i);
+  if (i < n) {
+    double pad[4] = {0.0, 0.0, 0.0, 0.0};
+    std::copy_n(x + i, n - i, pad);
+    block(pad, i);
+    std::copy_n(pad, n - i, x + i);
+  }
+}
+
+/// The ADC round trip in place: each x is quantized as x + offset with
+/// Adc::quantize's arithmetic (std::clamp to [lo, hi], scale to
+/// [0, top], round half up from the truncation, NaN to code 0) and
+/// replaced by its code's voltage, Adc::code_to_volts's arithmetic, minus
+/// offset. `top` is the converter's max code.
+template <class B>
+void adc_round_trip_kernel(double* x, std::size_t n, double offset,
+                           double lo, double hi, double top) {
+  using V = typename B::f64x4;
+  const V off = B::broadcast4(offset);
+  const V vlo = B::broadcast4(lo);
+  const V vhi = B::broadcast4(hi);
+  const V span = B::broadcast4(hi - lo);
+  const V vtop = B::broadcast4(top);
+  const V zero = B::broadcast4(0.0);
+  const V half = B::broadcast4(0.5);
+  const V one = B::broadcast4(1.0);
+  for_each_quad(x, n, [&](double* p, std::size_t) {
+    const V v = B::add4(B::load4(p), off);
+    // std::clamp: v < lo ? lo : (hi < v ? hi : v); NaN passes through.
+    V c = B::select4(B::lt4(v, vlo), vlo, v);
+    c = B::select4(B::lt4(vhi, c), vhi, c);
+    const V q = B::mul4(B::div4(B::sub4(c, vlo), span), vtop);
+    const V whole = B::trunc4(q);
+    V code = B::add4(
+        whole, B::select4(B::ge4(B::sub4(q, whole), half), one, zero));
+    code = B::min4(B::select4(B::ge4(q, zero), code, zero), vtop);
+    B::store4(p, B::sub4(B::add4(vlo, B::mul4(B::div4(code, vtop), span)),
+                         off));
+  });
+}
+
+/// The front end's input stage in place over the noise draws in `out`:
+/// out[i] = tia * (responsivity * optical[k] + out[i]), with the
+/// zero-order-hold source k = min(size_t(i / fs * rate), len - 1).
+/// Requires len >= 1.
+template <class B>
+void zoh_tia_kernel(const double* optical, std::size_t len, double rate,
+                    double fs, double responsivity, double tia, double* out,
+                    std::size_t n) {
+  using V = typename B::f64x4;
+  const V vfs = B::broadcast4(fs);
+  const V vrate = B::broadcast4(rate);
+  const V resp = B::broadcast4(responsivity);
+  const V gain = B::broadcast4(tia);
+  // double(i) + l is double(i + l) exactly below 2^53 samples.
+  constexpr double kLane[4] = {0.0, 1.0, 2.0, 3.0};
+  const V lane = B::load4(kLane);
+  for_each_quad(out, n, [&](double* p, std::size_t i) {
+    const V index = B::add4(B::broadcast4(static_cast<double>(i)), lane);
+    double at[4];
+    B::store4(at, B::mul4(B::div4(index, vfs), vrate));
+    // The clamp also keeps a padded tail lane's source in range.
+    double held[4];
+    for (std::size_t l = 0; l < 4; ++l) {
+      held[l] = optical[std::min(static_cast<std::size_t>(at[l]), len - 1)];
+    }
+    B::store4(p, B::mul4(gain, B::add4(B::mul4(resp, B::load4(held)),
+                                        B::load4(p))));
+  });
+}
+
+/// Window mean and sum of squared deviations from the rolling sums:
+/// mean = sum / m, var = sq - sum * mean.
+template <class B>
+inline void window_moments(typename B::f64x4 sum, typename B::f64x4 sq,
+                           typename B::f64x4 m, typename B::f64x4& mean,
+                           typename B::f64x4& var) {
+  mean = B::div4(sum, m);
+  var = B::sub4(sq, B::mul4(sum, mean));
+}
+
+/// window_moments in place over n positions: means[i] holds the window
+/// sum on entry and its mean on exit, vars[i] the sum of squares and then
+/// the sum of squared deviations. Every group of four goes through a
+/// padded copy; the full scan that uses this is not a hot path.
+template <class B>
+void window_moments_kernel(double* means, double* vars, std::size_t n,
+                           std::size_t m) {
+  using V = typename B::f64x4;
+  const V vm = B::broadcast4(static_cast<double>(m));
+  for (std::size_t i = 0; i < n; i += 4) {
+    const std::size_t r = std::min<std::size_t>(4, n - i);
+    double sum[4] = {0.0, 0.0, 0.0, 0.0};
+    double sq[4] = {0.0, 0.0, 0.0, 0.0};
+    std::copy_n(means + i, r, sum);
+    std::copy_n(vars + i, r, sq);
+    V mean;
+    V var;
+    window_moments<B>(B::load4(sum), B::load4(sq), vm, mean, var);
+    B::store4(sum, mean);
+    B::store4(sq, var);
+    std::copy_n(sum, r, means + i);
+    std::copy_n(sq, r, vars + i);
+  }
+}
+
+/// The pruned preamble search's bound pass over n positions. On entry
+/// means/vars hold the rolling window sums (as for window_moments_kernel)
+/// and bounds the run-length approximate dots; on exit means/vars hold
+/// the window moments and bounds[i] the score upper bound
+/// hi = (approx + delta) / den, with delta = c0 + c1 * |mean| and
+/// den = sqrt(var * pat_energy), or 0 when var <= 1e-30 (NaN included).
+/// Returns the largest lower bound (approx - delta) / den, likewise 0 for
+/// such windows, or -inf when n == 0; NaN bounds never win.
+template <class B>
+double search_bounds_kernel(double* means, double* vars, double* bounds,
+                            std::size_t n, std::size_t m, double c0,
+                            double c1, double pat_energy) {
+  using V = typename B::f64x4;
+  const V vm = B::broadcast4(static_cast<double>(m));
+  const V vc0 = B::broadcast4(c0);
+  const V vc1 = B::broadcast4(c1);
+  const V energy = B::broadcast4(pat_energy);
+  const V floor = B::broadcast4(1e-30);
+  const V zero = B::broadcast4(0.0);
+  constexpr double kNone = -std::numeric_limits<double>::infinity();
+  // One block per four positions; returns their lower bounds.
+  const auto block = [&](double* mp, double* vp, double* bp) {
+    V mean;
+    V var;
+    window_moments<B>(B::load4(mp), B::load4(vp), vm, mean, var);
+    B::store4(mp, mean);
+    B::store4(vp, var);
+    const auto live = B::gt4(var, floor);
+    const V delta = B::add4(vc0, B::mul4(vc1, B::abs4(mean)));
+    const V den = B::sqrt4(B::mul4(var, energy));
+    const V approx = B::load4(bp);
+    B::store4(bp, B::select4(live, B::div4(B::add4(approx, delta), den),
+                             zero));
+    return B::select4(live, B::div4(B::sub4(approx, delta), den), zero);
+  };
+  V lower = B::broadcast4(kNone);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lower = B::max4(lower, block(means + i, vars + i, bounds + i));
+  }
+  double lows[4];
+  B::store4(lows, lower);
+  double lower_max = kNone;
+  for (const double lo : lows) lower_max = std::max(lower_max, lo);
+  if (i < n) {
+    const std::size_t r = n - i;
+    double mp[4] = {0.0, 0.0, 0.0, 0.0};
+    double vp[4] = {0.0, 0.0, 0.0, 0.0};
+    double bp[4] = {0.0, 0.0, 0.0, 0.0};
+    std::copy_n(means + i, r, mp);
+    std::copy_n(vars + i, r, vp);
+    std::copy_n(bounds + i, r, bp);
+    B::store4(lows, block(mp, vp, bp));
+    std::copy_n(mp, r, means + i);
+    std::copy_n(vp, r, vars + i);
+    std::copy_n(bp, r, bounds + i);
+    // The padding lanes' zero bounds must not count.
+    for (std::size_t l = 0; l < r; ++l) {
+      lower_max = std::max(lower_max, lows[l]);
+    }
+  }
+  return lower_max;
+}
+
 // --- Vector-backend entry points (defined in dsp_simd.cpp) ---------------
 
 void biquad_x4_vec(const double* coeffs, double* states,
@@ -156,5 +344,13 @@ void correlate_scores_vec(const double* signal, const double* pat,
 void tap_sums_vec(const double* prefix, const std::size_t* at,
                   const double* w, std::size_t taps, double* out,
                   std::size_t n);
+void adc_round_trip_vec(double* x, std::size_t n, double offset, double lo,
+                        double hi, double top);
+void zoh_tia_vec(const double* optical, std::size_t len, double rate,
+                 double fs, double responsivity, double tia, double* out,
+                 std::size_t n);
+double search_bounds_vec(double* means, double* vars, double* bounds,
+                         std::size_t n, std::size_t m, double c0, double c1,
+                         double pat_energy);
 
 }  // namespace densevlc::dsp::detail

@@ -29,4 +29,23 @@ void tap_sums_vec(const double* prefix, const std::size_t* at,
   tap_sums_kernel<simd::VectorBackend>(prefix, at, w, taps, out, n);
 }
 
+void adc_round_trip_vec(double* x, std::size_t n, double offset, double lo,
+                        double hi, double top) {
+  adc_round_trip_kernel<simd::VectorBackend>(x, n, offset, lo, hi, top);
+}
+
+void zoh_tia_vec(const double* optical, std::size_t len, double rate,
+                 double fs, double responsivity, double tia, double* out,
+                 std::size_t n) {
+  zoh_tia_kernel<simd::VectorBackend>(optical, len, rate, fs, responsivity,
+                                      tia, out, n);
+}
+
+double search_bounds_vec(double* means, double* vars, double* bounds,
+                         std::size_t n, std::size_t m, double c0, double c1,
+                         double pat_energy) {
+  return search_bounds_kernel<simd::VectorBackend>(means, vars, bounds, n, m,
+                                                   c0, c1, pat_energy);
+}
+
 }  // namespace densevlc::dsp::detail

@@ -7,7 +7,9 @@
 
 #include "common/arena.hpp"
 #include "common/contracts.hpp"
+#include "common/simd.hpp"
 #include "dsp/butterworth.hpp"
+#include "dsp/dsp_kernels.hpp"
 
 namespace densevlc::phy {
 
@@ -56,14 +58,16 @@ void ReceiverFrontEnd::front_half_into(const dsp::Waveform& optical,
   // then zero-order-hold resample, photodiode responsivity and TIA.
   const double noise_sigma = noise_current_sigma(Hertz{fs}).value();
   rng_.fill_gaussian(out.samples, 0.0, noise_sigma);
-  const double responsivity = cfg_.responsivity_a_per_w;
-  const double tia = cfg_.tia_gain_ohm;
-  for (std::size_t i = 0; i < n_out; ++i) {
-    const double t = static_cast<double>(i) / fs;
-    auto idx = static_cast<std::size_t>(t * optical.sample_rate_hz);
-    idx = std::min(idx, optical.samples.size() - 1);
-    out.samples[i] =
-        tia * (responsivity * optical.samples[idx] + out.samples[i]);
+  if (simd::use_vector_kernels()) {
+    dsp::detail::zoh_tia_vec(optical.samples.data(), optical.samples.size(),
+                             optical.sample_rate_hz, fs,
+                             cfg_.responsivity_a_per_w, cfg_.tia_gain_ohm,
+                             out.samples.data(), n_out);
+  } else {
+    dsp::detail::zoh_tia_kernel<simd::ScalarBackend>(
+        optical.samples.data(), optical.samples.size(),
+        optical.sample_rate_hz, fs, cfg_.responsivity_a_per_w,
+        cfg_.tia_gain_ohm, out.samples.data(), n_out);
   }
 }
 
@@ -77,16 +81,19 @@ void ReceiverFrontEnd::filters_into(dsp::Waveform& out) {
   lowpass_.process_block(out.samples);
 }
 
-void ReceiverFrontEnd::adc_into(dsp::Waveform& out) {
+void ReceiverFrontEnd::process_batch_into(
+    std::span<ReceiverFrontEnd* const> fes,
+    std::span<const dsp::Waveform* const> optical,
+    std::span<dsp::Waveform* const> out, BatchScratch& scratch) {
+  analog_batch_into(fes, optical, out, scratch);
   // Model the ADC around mid-rail, then remove the offset again so
   // downstream DSP sees a zero-referenced signal with quantization applied.
-  for (double& v : out.samples) {
-    const std::uint32_t code = adc_.quantize(v + mid_rail_);
-    v = adc_.code_to_volts(code) - mid_rail_;
+  for (std::size_t i = 0; i < fes.size(); ++i) {
+    fes[i]->adc_.round_trip_into(out[i]->samples, fes[i]->mid_rail_);
   }
 }
 
-void ReceiverFrontEnd::process_batch_into(
+void ReceiverFrontEnd::analog_batch_into(
     std::span<ReceiverFrontEnd* const> fes,
     std::span<const dsp::Waveform* const> optical,
     std::span<dsp::Waveform* const> out, BatchScratch& scratch) {
@@ -167,10 +174,6 @@ void ReceiverFrontEnd::process_batch_into(
   }
   for (std::size_t j = 0; j < filled; ++j) {
     fes[group[j]]->filters_into(*out[group[j]]);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!out[i]->samples.empty()) fes[i]->adc_into(*out[i]);
   }
 }
 

@@ -82,18 +82,27 @@ class ReceiverFrontEnd {
                                  std::span<dsp::Waveform* const> out,
                                  BatchScratch& scratch);
 
+  /// process_batch_into up to the ADC input: *out[i] is lane i's
+  /// anti-aliased voltage, referenced to mid-rail, before quantization.
+  /// process_batch_into is this call followed by each lane's ADC round
+  /// trip, so the quad and one-lane paths can be compared bit for bit
+  /// where the converter cannot yet hide an ulp.
+  static void analog_batch_into(std::span<ReceiverFrontEnd* const> fes,
+                                std::span<const dsp::Waveform* const> optical,
+                                std::span<dsp::Waveform* const> out,
+                                BatchScratch& scratch);
+
   /// Per-sample standard deviation of the photocurrent noise at the given
   /// processing rate: sqrt(N0 * fs / 2), where sqrt(A^2/Hz * Hz) = A is
   /// derived by the quantity algebra.
   Amperes noise_current_sigma(Hertz sample_rate) const;
 
  private:
-  // The three stages of processing, split so process_batch_into can run
-  // them per lane / per quad: ZOH resample + noise + TIA, the AC-coupled
-  // gain and anti-aliasing filters, and the ADC round trip.
+  // The analog stages, split so analog_batch_into can run them per lane
+  // / per quad: ZOH resample + noise + TIA, then the AC-coupled gain and
+  // anti-aliasing filters.
   void front_half_into(const dsp::Waveform& optical, dsp::Waveform& out);
   void filters_into(dsp::Waveform& out);
-  void adc_into(dsp::Waveform& out);
 
   FrontEndConfig cfg_;
   Rng rng_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -62,6 +63,37 @@ TEST(Adc, QuantizeMatchesLround) {
           << "bits " << cfg.bits << " v " << v;
     }
     EXPECT_EQ(adc.quantize(std::numeric_limits<double>::quiet_NaN()), 0u);
+  }
+}
+
+TEST(Adc, RoundTripIntoMatchesQuantize) {
+  // The block round trip (on whichever SIMD leg the process runs) against
+  // the per-sample body, bit for bit, at the special values, around a bin
+  // edge and over every tail length.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const AdcConfig& cfg :
+       {AdcConfig{}, AdcConfig{1e6, 8, 0.5, 2.5},
+        AdcConfig{1e6, 16, -1.2, 2.1}}) {
+    const Adc adc{cfg};
+    const double edge = cfg.min_volts + 0.5 * adc.lsb();
+    const std::vector<double> probes{
+        -kInf, kInf, std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0,
+        cfg.min_volts, cfg.max_volts, cfg.min_volts - 1.0,
+        cfg.max_volts + 1.0, edge, std::nextafter(edge, -kInf),
+        std::nextafter(edge, kInf), 1.234, -1e300};
+    for (const double offset : {0.0, 1.65}) {
+      for (std::size_t len = 0; len <= probes.size(); ++len) {
+        std::vector<double> got(probes.begin(), probes.begin() + len);
+        adc.round_trip_into(got, offset);
+        for (std::size_t i = 0; i < len; ++i) {
+          const double expect =
+              adc.code_to_volts(adc.quantize(probes[i] + offset)) - offset;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                    std::bit_cast<std::uint64_t>(expect))
+              << "bits " << cfg.bits << " v " << probes[i];
+        }
+      }
+    }
   }
 }
 

@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -374,6 +376,62 @@ TEST_P(Batch, FrontEndBatchMatchesSequential) {
   }
 }
 
+/// True when the two sample vectors are equal bit for bit.
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+           return std::bit_cast<std::uint64_t>(x) ==
+                  std::bit_cast<std::uint64_t>(y);
+         });
+}
+
+TEST_P(Batch, FrontEndQuadMatchesOneLaneBeforeAdc) {
+  // The ADC's 12-bit grid hides an ulp of drift between the quad and
+  // one-lane paths (the x4 filters, the AC-gain multiply), so they are
+  // compared on the converter's input.
+  Rng rng{0xBA};
+  const phy::FrontEndConfig cfg{};
+  Rng quad_rng{78};
+  Rng lane_rng{78};
+  // One full quad, a ragged lane, an empty lane and a leftover, at a TX
+  // rate the zero-order hold resamples from.
+  const std::size_t lens[] = {5000, 5000, 5000, 5000, 5003, 0, 2001};
+  std::vector<dsp::Waveform> optical;
+  for (const std::size_t n : lens) {
+    optical.push_back(make_optical(n, 1.7e6, rng));
+  }
+  std::vector<phy::ReceiverFrontEnd> quad_fes;
+  std::vector<phy::ReceiverFrontEnd> lane_fes;
+  for (std::size_t i = 0; i < optical.size(); ++i) {
+    quad_fes.emplace_back(cfg, quad_rng.fork());
+    lane_fes.emplace_back(cfg, lane_rng.fork());
+  }
+  std::vector<dsp::Waveform> quad_out(optical.size());
+  std::vector<dsp::Waveform> lane_out(optical.size());
+  phy::ReceiverFrontEnd::BatchScratch scratch;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<phy::ReceiverFrontEnd*> fes;
+    std::vector<const dsp::Waveform*> in;
+    std::vector<dsp::Waveform*> out;
+    for (std::size_t i = 0; i < optical.size(); ++i) {
+      fes.push_back(&quad_fes[i]);
+      in.push_back(&optical[i]);
+      out.push_back(&quad_out[i]);
+      phy::ReceiverFrontEnd* const one_fe[] = {&lane_fes[i]};
+      const dsp::Waveform* const one_in[] = {&optical[i]};
+      dsp::Waveform* const one_out[] = {&lane_out[i]};
+      phy::ReceiverFrontEnd::analog_batch_into(one_fe, one_in, one_out,
+                                               scratch);
+    }
+    phy::ReceiverFrontEnd::analog_batch_into(fes, in, out, scratch);
+    for (std::size_t i = 0; i < optical.size(); ++i) {
+      EXPECT_TRUE(same_bits(quad_out[i].samples, lane_out[i].samples))
+          << "round " << round << " lane " << i;
+    }
+    EXPECT_FALSE(quad_out[0].samples.empty());
+  }
+}
+
 TEST_P(Batch, DeepCascadeMatchesScalar) {
   // An order-24 Butterworth is 12 sections, deeper than the x4 kernel
   // stages: such quads must take the scalar cascades, bit for bit.
@@ -491,6 +549,92 @@ TEST_P(Batch, TransmitBatchMatchesSequential) {
   }
   // Both Rngs must have consumed the identical number of draws.
   EXPECT_EQ(seq_rng.uniform_int(0, 1 << 30), batch_rng.uniform_int(0, 1 << 30));
+}
+
+// --- Optical render ------------------------------------------------------
+
+TEST_P(Batch, RenderMatchesReference) {
+  // Every lane transmit_batch renders is bit-compared with the frozen
+  // stream-by-stream render. The timeline's guard and offset margins keep
+  // any finite start offset inside it, so the cases that reach its ends
+  // are offsets flush against the margins and a NaN offset, whose start
+  // (llround of NaN, the same value in both renders) falls before the
+  // timeline.
+  core::Testbed tb = core::make_experimental_testbed();
+  const phy::FrontEndConfig frontend{};
+  constexpr std::size_t kTile = core::JointTransmission::kRenderTileSamples;
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng{0xB9};
+  const auto served = make_frame(40, rng);
+  const auto longer = make_frame(90, rng);
+  const std::size_t longest_chips =
+      phy::kPreambleChips + 16 * phy::serialized_frame_bytes(90);
+
+  for (const std::size_t spc : {1, 7, 10, 16}) {
+    phy::OokParams ook{};
+    ook.samples_per_chip = spc;
+    const core::JointTransmission jt{tb.led, ook, frontend};
+    const double sample_s = 1.0 / ook.sample_rate_hz();
+    // 39.6 samples rounds to 40 = ceil(39.6): flush against the margins.
+    const double flush_s = 39.6 * sample_s;
+
+    // Mixed offsets, zero and negative gains (no stream), an interferer
+    // frame longer than the served one, and ambient light. Gains of
+    // unrelated magnitudes make the sums round, so the addition order
+    // shows in the bits.
+    const std::vector<core::ServingTx> mixed = {
+        {1, 6.1e-7, 0.9, -flush_s},        {2, 0.0, 0.9, 0.0},
+        {3, 2.93e-7, 0.7, 0.37 * sample_s}, {4, -2e-7, 0.9, flush_s},
+        {5, 1.77e-7, 0.5, flush_s},
+    };
+    std::vector<core::InterfererGroup> interferers(2);
+    interferers[0].frame = longer;
+    interferers[0].txs = {{6, 1.13e-7, 0.9, -12.4 * sample_s},
+                          {7, 0.0, 0.9, 0.0}};
+    interferers[1].frame = served;
+    interferers[1].txs = {{8, 4.7e-8, 0.9, 2.5 * sample_s}};
+    const std::vector<core::ServingTx> nan_offset = {
+        {1, 5.3e-7, 0.9, kNan}, {2, 3.7e-7, 0.9, 0.0}};
+
+    // Timelines of exactly a tile multiple and two samples either side
+    // (every timeline is even: chips and guards come in even counts). A
+    // margin of k samples per side comes from an offset of k - 1/2.
+    const std::size_t base = (longest_chips + 32) * spc;
+    const std::size_t multiple = (base + 2 + kTile - 1) / kTile * kTile;
+    std::vector<std::size_t> lengths;
+    std::vector<std::vector<core::ServingTx>> tiled;
+    for (const std::size_t total : {multiple - 2, multiple, multiple + 2}) {
+      const std::size_t margin = (total - base) / 2;
+      lengths.push_back(total);
+      tiled.push_back({{1, 5.3e-7, 0.9,
+                        -(static_cast<double>(margin) - 0.5) * sample_s},
+                       {2, 3.7e-7, 0.9, 0.0},
+                       {3, 1.9e-7, 0.8, 4.5 * sample_s}});
+    }
+
+    std::vector<core::JointTransmission::TransmitJob> jobs = {
+        {mixed, &served, interferers, 2.3e-6},
+        {nan_offset, &served, {}, 0.0},
+    };
+    for (const auto& servers : tiled) {
+      jobs.push_back({servers, &longer, {}, 1.1e-6});
+    }
+    std::vector<core::TransmissionOutcome> outcomes(jobs.size());
+    core::JointTransmission::TransmitBatchScratch scratch;
+    Rng noise{17};
+    jt.transmit_batch(jobs, noise, outcomes, scratch);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const dsp::Waveform expect = bench::ref::render_optical(
+          tb.led, ook, jobs[i].servers, *jobs[i].frame, jobs[i].interferers,
+          jobs[i].ambient_optical_w);
+      EXPECT_EQ(scratch.optical[i].sample_rate_hz, expect.sample_rate_hz);
+      EXPECT_TRUE(same_bits(scratch.optical[i].samples, expect.samples))
+          << "spc " << spc << " lane " << i;
+      if (i >= 2) {
+        EXPECT_EQ(expect.samples.size(), lengths[i - 2]) << "spc " << spc;
+      }
+    }
+  }
 }
 
 // --- Zero-allocation steady state ----------------------------------------

@@ -28,6 +28,7 @@
 #include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "dsp/adc.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
@@ -312,6 +313,66 @@ TEST_P(FastPath, FrontEndProcessIntoMatchesValueApi) {
   }
 }
 
+TEST_P(FastPath, AdcRoundTripMatchesQuantize) {
+  // The elementwise ADC kernel against the per-sample body it replaced,
+  // code_to_volts(quantize(v + offset)) - offset, bit for bit: every bin
+  // edge and both endpoints +-1 and +-2 ulp, out-of-range values, +-inf,
+  // NaN and -0.0, on the front end's default converter and on 8- and
+  // 16-bit ones with min_volts != 0, over every length 0-9 and 4k + r.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const dsp::AdcConfig& cfg :
+       {dsp::AdcConfig{}, dsp::AdcConfig{1e6, 8, 0.5, 2.5},
+        dsp::AdcConfig{1e6, 16, -1.2, 2.1}}) {
+    const dsp::Adc adc{cfg};
+    const double top = static_cast<double>((std::uint64_t{1} << cfg.bits) - 1);
+    const double span = cfg.max_volts - cfg.min_volts;
+    std::vector<double> probes{cfg.min_volts, cfg.max_volts,
+                               cfg.min_volts - 1.0, cfg.max_volts + 1.0,
+                               -kInf, kInf, -1e300, 1e300,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               -0.0, 0.0};
+    for (double k = 0.0; k <= top; k += 1.0) {
+      probes.push_back(cfg.min_volts + (k + 0.5) / top * span);
+    }
+    for (std::size_t i = 0, n = probes.size(); i < n; ++i) {
+      double down = probes[i];
+      double up = probes[i];
+      for (int step = 0; step < 2; ++step) {
+        down = std::nextafter(down, -kInf);
+        up = std::nextafter(up, kInf);
+        probes.push_back(down);
+        probes.push_back(up);
+      }
+    }
+    // At offset 0 the probes hit the edges themselves; the mid-rail
+    // offset is what the front end passes.
+    const double mid =
+        adc.code_to_volts(adc.quantize((cfg.min_volts + cfg.max_volts) / 2));
+    for (const double offset : {0.0, mid}) {
+      std::vector<double> expect = probes;
+      for (double& v : expect) {
+        v = adc.code_to_volts(adc.quantize(v + offset)) - offset;
+      }
+      const auto check = [&](std::size_t at, std::size_t len) {
+        std::vector<double> got(probes.begin() + at,
+                                probes.begin() + at + len);
+        adc.round_trip_into(got, offset);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                    std::bit_cast<std::uint64_t>(expect[at + i]))
+              << "bits " << cfg.bits << " offset " << offset << " v "
+              << probes[at + i] << " len " << len;
+        }
+      };
+      check(0, probes.size());
+      for (std::size_t len = 0; len <= 9; ++len) {
+        for (std::size_t at = 0; at < 4; ++at) check(at, len);
+      }
+      for (std::size_t r = 0; r < 4; ++r) check(5, 4 * 97 + r);
+    }
+  }
+}
+
 // --- Preamble search -----------------------------------------------------
 
 /// Runs the pruned search and the frozen full scan on one input and
@@ -503,6 +564,91 @@ TEST_P(FastPath, PreambleSearchMatchesFullScan) {
                             "pilot gain " + std::to_string(gain));
     }
   }
+
+  // A full 600-B frame, the ~106k-sample search of every data slot.
+  {
+    const auto f = random_frame(600, rng);
+    const auto optical =
+        chips_as_optical(phy::frame_to_chips(f), params.samples_per_chip,
+                         params.chip_rate_hz, 16, 2e-8);
+    phy::ReceiverFrontEnd fe{fe_cfg, Rng{11}};
+    const auto rx = fe.process(optical);
+    EXPECT_GT(rx.samples.size(), 100000u);
+    EXPECT_TRUE(
+        expect_search_matches(rx.samples, tpl, 0.6, scratch, "600-B frame")
+            .has_value());
+  }
+
+  // Integer-valued signal with flat stretches: its running sums are
+  // exact, so every window inside a stretch has exactly zero variance.
+  std::vector<double> stretches(1500, 2.0);
+  for (int rep = 0; rep < 2; ++rep) {
+    stretches.insert(stretches.end(), tpl.begin(), tpl.end());
+    stretches.insert(stretches.end(), 700, static_cast<double>(-rep));
+  }
+  for (const double threshold : {0.6, 0.0, -1.0}) {
+    expect_search_matches(stretches, tpl, threshold, scratch,
+                          "flat stretches thr " + std::to_string(threshold));
+  }
+
+  // Position counts of every residue mod 4, across the strong peak and in
+  // noise.
+  for (const std::size_t count :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 401u, 402u, 403u, 404u}) {
+    const std::size_t len = tpl.size() + count - 1;
+    const std::size_t from = std::min(
+        peak->index - std::min(peak->index, count / 2),
+        strong_rx.size() - len);
+    expect_search_matches(std::span<const double>{strong_rx}.subspan(from, len),
+                          tpl, 0.6, scratch,
+                          "peak positions " + std::to_string(count));
+    expect_search_matches(std::span<const double>{noise}.first(len), tpl,
+                          -1.0, scratch,
+                          "noise positions " + std::to_string(count));
+  }
+
+  // Anti-correlated windows: every score is negative, so below a negative
+  // threshold the answer rests on the largest lower bound among the
+  // positions alone, whatever the count mod 4.
+  for (const std::size_t count : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    std::vector<double> anti(tpl.size() + count - 1, 0.0);
+    for (std::size_t j = 0; j < anti.size(); ++j) {
+      anti[j] = -(j < tpl.size() ? tpl[j] : tpl[j - tpl.size()]) +
+                1e-3 * rng.gaussian(0.0, 1.0);
+    }
+    const auto ref = expect_search_matches(
+        anti, tpl, -2.0, scratch, "anti-correlated " + std::to_string(count));
+    ASSERT_TRUE(ref.has_value());
+    EXPECT_LT(ref->score, 0.0);
+  }
+
+  // Two templates alternating through the one scratch, then a template
+  // rewritten in place: the staged template must follow every change.
+  const auto probe_optical = chips_as_optical(
+      probe, params.samples_per_chip, params.chip_rate_hz, 16, 1e-7);
+  phy::ReceiverFrontEnd probe_fe{fe_cfg, Rng{9}};
+  const std::vector<double> probe_rx = probe_fe.process(probe_optical).samples;
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_TRUE(expect_search_matches(strong_rx, tpl, 0.6, scratch,
+                                      "alternating preamble")
+                    .has_value());
+    EXPECT_TRUE(expect_search_matches(probe_rx, probe_tpl, 0.5, scratch,
+                                      "alternating probe")
+                    .has_value());
+  }
+  std::vector<double> edited = tpl;
+  expect_search_matches(strong_rx, edited, -1.0, scratch, "before edit");
+  for (std::size_t j = 0; j < edited.size(); j += 7) edited[j] = -edited[j];
+  expect_search_matches(strong_rx, edited, -1.0, scratch, "edited in place");
+  // Warm, the alternation allocates nothing.
+  const std::uint64_t before = bench::alloc_count();
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_TRUE(
+        dsp::detect_pattern_into(strong_rx, tpl, 0.6, scratch).has_value());
+    EXPECT_TRUE(dsp::detect_pattern_into(probe_rx, probe_tpl, 0.5, scratch)
+                    .has_value());
+  }
+  EXPECT_EQ(bench::alloc_count() - before, 0u);
 
   // Degenerate shapes.
   EXPECT_FALSE(dsp::detect_pattern_into(std::span<const double>{}, tpl, 0.6,
