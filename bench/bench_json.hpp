@@ -1,8 +1,8 @@
 // Machine-readable bench output.
 //
-// The figure benches print human tables; the campaign runner and the
-// fault soak (campaign, ext_faults) additionally emit JSON so CI can
-// archive results and later runs can diff them. This is a deliberately tiny
+// The figure benches print human tables; the campaign runner (every
+// scenarios/*.ini, the fault soak included) additionally emits JSON so
+// CI can archive results and later runs can diff them. This is a deliberately tiny
 // *writer* — insertion-ordered objects, arrays, scalars, shortest
 // round-trip doubles — not a parser; nothing in the repo consumes JSON.
 #pragma once

@@ -1,10 +1,6 @@
 #include "geom/mobility.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
-
-#include "common/units.hpp"
 
 namespace densevlc::geom {
 
@@ -33,48 +29,6 @@ geom::Vec3 WaypointMobility::position(double t_s) const {
     }
   }
   return waypoints_.back().pos;
-}
-
-RandomWalkMobility::RandomWalkMobility(geom::Vec3 start, double speed_mps,
-                                       double heading_interval_s,
-                                       const geom::Room& room,
-                                       double duration_s,
-                                       std::uint64_t seed) {
-  Rng rng{seed};
-  const auto ticks =
-      static_cast<std::size_t>(std::ceil(duration_s / tick_s_)) + 1;
-  track_.reserve(ticks);
-  geom::Vec3 pos = start;
-  double heading = rng.uniform(0.0, 2.0 * kPi);
-  double until_turn = heading_interval_s;
-  for (std::size_t i = 0; i < ticks; ++i) {
-    track_.push_back(pos);
-    until_turn -= tick_s_;
-    if (until_turn <= 0.0) {
-      heading = rng.uniform(0.0, 2.0 * kPi);
-      until_turn = heading_interval_s;
-    }
-    double nx = pos.x + speed_mps * tick_s_ * std::cos(heading);
-    double ny = pos.y + speed_mps * tick_s_ * std::sin(heading);
-    // Reflect off the walls.
-    if (nx < 0.0 || nx > room.width) {
-      heading = kPi - heading;
-      nx = std::clamp(nx, 0.0, room.width);
-    }
-    if (ny < 0.0 || ny > room.depth) {
-      heading = -heading;
-      ny = std::clamp(ny, 0.0, room.depth);
-    }
-    pos.x = nx;
-    pos.y = ny;
-  }
-}
-
-geom::Vec3 RandomWalkMobility::position(double t_s) const {
-  if (track_.empty()) return {};
-  auto idx = static_cast<std::size_t>(std::max(0.0, t_s) / tick_s_);
-  idx = std::min(idx, track_.size() - 1);
-  return track_[idx];
 }
 
 }  // namespace densevlc::geom

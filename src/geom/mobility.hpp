@@ -5,8 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "geom/grid.hpp"
 #include "geom/vec3.hpp"
 
 namespace densevlc::geom {
@@ -47,23 +45,6 @@ class WaypointMobility final : public MobilityModel {
 
  private:
   std::vector<Waypoint> waypoints_;
-};
-
-/// A bounded random walk at constant speed: a new heading is drawn every
-/// `heading_interval_s`; walls reflect. Deterministic given the seed.
-/// Positions are pre-sampled on a fine grid so position(t) is a pure
-/// function of t (required by the MobilityModel contract).
-class RandomWalkMobility final : public MobilityModel {
- public:
-  RandomWalkMobility(Vec3 start, double speed_mps,
-                     double heading_interval_s, const Room& room,
-                     double duration_s, std::uint64_t seed);
-
-  Vec3 position(double t_s) const override;
-
- private:
-  std::vector<Vec3> track_;  ///< sampled every tick_s_
-  double tick_s_ = 0.01;
 };
 
 }  // namespace densevlc::geom

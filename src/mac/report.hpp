@@ -12,9 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "channel/model.hpp"
-#include "phy/frame.hpp"
-
 namespace densevlc::mac {
 
 /// Fixed-point LSB of a quantized channel gain.
@@ -46,17 +43,5 @@ std::vector<std::uint8_t> encode_report(const ChannelReport& report);
 /// or inconsistent buffers. Gains round-trip to within kGainLsb / 2.
 std::optional<ChannelReport> decode_report(
     std::span<const std::uint8_t> payload);
-
-/// Convenience: wraps a report into a kChannelReport MAC frame addressed
-/// to the controller.
-phy::MacFrame report_frame(const ChannelReport& report,
-                           std::uint16_t controller_addr);
-
-/// Assembles a channel matrix from the most recent report per RX
-/// (missing RXs contribute zero columns). `num_tx` fixes the row count;
-/// reports with other TX counts are ignored.
-channel::ChannelMatrix matrix_from_reports(
-    std::span<const ChannelReport> reports, std::size_t num_tx,
-    std::size_t num_rx);
 
 }  // namespace densevlc::mac

@@ -24,9 +24,9 @@ struct LinkConfig {
   double loss_probability = 0.0;    ///< independent per-delivery loss
 };
 
-/// Per-link delivery counters, kept by every SimLink so tests and the
-/// chaos bench can assert loss and latency behaviour instead of
-/// ignoring send()'s verdict.
+/// Per-link delivery counters, kept by every SimLink so tests can
+/// assert loss and latency behaviour instead of ignoring send()'s
+/// verdict.
 struct LinkStats {
   std::uint64_t sent = 0;       ///< send() calls
   std::uint64_t lost = 0;       ///< loss draws that ate the packet

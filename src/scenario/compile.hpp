@@ -16,7 +16,7 @@
 //     (the Fig. 8 evaluation path);
 //   - soak scenarios assemble a full DenseVlcSystem (fault schedule
 //     included) and fingerprint every epoch's post-decision throughputs
-//     (the chaos-soak evaluation path of bench/ext_faults).
+//     (the chaos-soak evaluation path of scenarios/ext_faults.ini).
 //
 // The fingerprint is the reproducibility contract: two runs of the same
 // compiled scenario at the same instance seed must agree bit for bit.

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sync/clock.hpp"
 
 namespace densevlc::sync {
 

@@ -1,6 +1,6 @@
-// Must NOT compile: a distance is not a duration. GaussMarkovFading::step
-// takes Seconds; handing it the receiver height used to be a plausible
-// argument transposition.
+// Must NOT compile: a distance is not a duration. Handing a Seconds
+// parameter (an epoch time, a trace timestamp) the receiver height is a
+// plausible argument transposition.
 #include "common/quantity.hpp"
 
 namespace densevlc {

@@ -56,52 +56,5 @@ TEST(Report, DecodeRejectsTruncated) {
   EXPECT_FALSE(decode_report(std::vector<std::uint8_t>{1, 2}).has_value());
 }
 
-TEST(Report, FrameWrapsProtocolAndAddresses) {
-  ChannelReport report;
-  report.rx_id = 2;
-  report.gains.assign(4, 5e-7);
-  const auto frame = report_frame(report, 0xC0);
-  EXPECT_EQ(frame.dst, 0xC0);
-  EXPECT_EQ(frame.src, 2);
-  EXPECT_EQ(frame.protocol,
-            static_cast<std::uint16_t>(phy::Protocol::kChannelReport));
-  const auto decoded = decode_report(frame.payload);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->rx_id, 2);
-}
-
-TEST(Report, MatrixAssemblyUsesLatestPerRx) {
-  ChannelReport old_r;
-  old_r.rx_id = 0;
-  old_r.gains = {1e-7, 2e-7};
-  ChannelReport new_r;
-  new_r.rx_id = 0;
-  new_r.gains = {3e-7, 4e-7};
-  ChannelReport other;
-  other.rx_id = 1;
-  other.gains = {5e-7, 6e-7};
-  const std::vector<ChannelReport> reports{old_r, other, new_r};
-  const auto h = matrix_from_reports(reports, 2, 2);
-  EXPECT_NEAR(h.gain(0, 0), 3e-7, kGainLsb);
-  EXPECT_NEAR(h.gain(1, 0), 4e-7, kGainLsb);
-  EXPECT_NEAR(h.gain(0, 1), 5e-7, kGainLsb);
-}
-
-TEST(Report, MatrixIgnoresMalformedReports) {
-  ChannelReport wrong_size;
-  wrong_size.rx_id = 0;
-  wrong_size.gains = {1e-7};  // expects 2 TXs
-  ChannelReport bad_rx;
-  bad_rx.rx_id = 9;
-  bad_rx.gains = {1e-7, 1e-7};
-  const std::vector<ChannelReport> reports{wrong_size, bad_rx};
-  const auto h = matrix_from_reports(reports, 2, 2);
-  for (std::size_t j = 0; j < 2; ++j) {
-    for (std::size_t k = 0; k < 2; ++k) {
-      EXPECT_DOUBLE_EQ(h.gain(j, k), 0.0);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace densevlc::mac

@@ -432,6 +432,45 @@ TEST_P(Batch, FrontEndQuadMatchesOneLaneBeforeAdc) {
   }
 }
 
+TEST(SimdLegs, FrontEndAnalogMatchesBeforeAdc) {
+  // Each Batch leg is held to its own one-lane calls, and the ADC's grid
+  // hides an ulp, so a drift between the vector and scalar ZOH/TIA or
+  // filter arithmetic shows only on the converter's input.
+  const phy::FrontEndConfig cfg{};
+  const std::size_t lens[] = {5000, 5000, 5000, 5000, 5003, 0, 2001};
+  const auto run = [&](bool force_scalar) {
+    simd::set_force_scalar(force_scalar);
+    Rng rng{0xBB};
+    Rng fe_rng{79};
+    std::vector<dsp::Waveform> optical;
+    std::vector<phy::ReceiverFrontEnd> fe_store;
+    for (const std::size_t n : lens) {
+      optical.push_back(make_optical(n, 1.7e6, rng));
+      fe_store.emplace_back(cfg, fe_rng.fork());
+    }
+    std::vector<dsp::Waveform> out(optical.size());
+    std::vector<phy::ReceiverFrontEnd*> fes;
+    std::vector<const dsp::Waveform*> in;
+    std::vector<dsp::Waveform*> outs;
+    for (std::size_t i = 0; i < optical.size(); ++i) {
+      fes.push_back(&fe_store[i]);
+      in.push_back(&optical[i]);
+      outs.push_back(&out[i]);
+    }
+    phy::ReceiverFrontEnd::BatchScratch scratch;
+    phy::ReceiverFrontEnd::analog_batch_into(fes, in, outs, scratch);
+    simd::set_force_scalar(false);
+    return out;
+  };
+  const auto scalar = run(true);
+  const auto vector = run(false);
+  for (std::size_t i = 0; i < scalar.size(); ++i) {
+    EXPECT_TRUE(same_bits(scalar[i].samples, vector[i].samples))
+        << "lane " << i;
+  }
+  EXPECT_FALSE(vector[0].samples.empty());
+}
+
 TEST_P(Batch, DeepCascadeMatchesScalar) {
   // An order-24 Butterworth is 12 sections, deeper than the x4 kernel
   // stages: such quads must take the scalar cascades, bit for bit.

@@ -109,5 +109,41 @@ TEST(ExtClaims, BlockerOnServingPathHurtsRx1) {
       << "RX1 Mbit/s, blocked vs clear";
 }
 
+TEST(ExtClaims, TenPercentLedFailureRetainsSixtyPercent) {
+  // Sec. 8's controller under a chaos schedule: with 10% of the LEDs
+  // burnt out, the first decision after the failure and the steady state
+  // each keep at least 60% of the pre-fault sum throughput.
+  const auto ex = expand_file("ext_faults.ini");
+  const auto run = run_campaign(ex.campaign, ex.instances);
+  const double epoch_s =
+      compile(ex.campaign.base).system.mac.epoch_period_s;
+  // The fail epoch is the first to start after the burnouts strike.
+  std::size_t fail_epoch = 0;
+  while (static_cast<double>(fail_epoch) * epoch_s <=
+         ex.campaign.base.fault_time_s) {
+    ++fail_epoch;
+  }
+  const auto mean_of = [](const std::vector<double>& v, std::size_t lo,
+                          std::size_t hi) {
+    double sum = 0.0;
+    for (std::size_t e = lo; e < hi; ++e) sum += v[e];
+    return sum / static_cast<double>(hi - lo);
+  };
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < ex.instances.size(); ++i) {
+    if (ex.instances[i].spec.led_fail_fraction != 0.1) continue;
+    const std::vector<double>& decided = run.instances[i].epoch_decided_mbps;
+    ASSERT_GT(decided.size(), fail_epoch + 4) << "instance " << i;
+    const double pre_fault = mean_of(decided, 0, fail_epoch);
+    ASSERT_GT(pre_fault, 0.0) << "instance " << i;
+    const double steady = mean_of(decided, fail_epoch + 4, decided.size());
+    EXPECT_GE(decided[fail_epoch] / pre_fault, 0.6)
+        << "first re-decision, instance " << i;
+    EXPECT_GE(steady / pre_fault, 0.6) << "steady state, instance " << i;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << "no 10% fail-fraction instance";
+}
+
 }  // namespace
 }  // namespace densevlc::scenario

@@ -145,7 +145,7 @@ TEST(SpecEquivalence, FaultSoakEpochFingerprintsMatchHandWiring) {
   const InstanceResult spec_run =
       run_instance(compile(inst.spec), inst.seed);
 
-  // Legacy wiring of bench/ext_faults::run_soak (quick mode: 10 epochs,
+  // The soak wired by hand from core and scenario pieces (10 epochs,
   // failure at t = 3.5 s), seeded with the instance's stream seed.
   core::SystemConfig cfg;
   cfg.testbed = core::make_experimental_testbed();
