@@ -76,6 +76,15 @@ inline std::vector<T, A>& arena_resize(std::vector<T, A>& buf,
   return buf;
 }
 
+/// Grows `buf` to at least `n` elements and never shrinks it: unlike
+/// arena_resize, elements that own storage (byte buffers, waveforms) keep
+/// it through calls that use fewer of them. Callers use the first n.
+template <class T, class A>
+inline std::vector<T, A>& arena_grow(std::vector<T, A>& buf, std::size_t n) {
+  if (buf.size() < n) buf.resize(n);
+  return buf;
+}
+
 /// Empties `buf` without releasing storage, for append-style refills that
 /// stay within the warmed-up capacity.
 template <class T, class A>

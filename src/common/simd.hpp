@@ -39,7 +39,8 @@
 // exact, and the compares are ordered (false when either side is NaN),
 // like C++'s `<`, `>=` and `>`. min4/max4 are std::min/std::max, built
 // from an explicit compare and select on every backend, because SSE's
-// MINPD and NEON's FMIN disagree on NaN operands.
+// MINPD and NEON's FMIN disagree on NaN operands. transpose4 only moves
+// lanes, so it is exact on every backend.
 #pragma once
 
 #include <array>
@@ -230,6 +231,14 @@ struct ScalarBackend {
   static f64x4 min4(f64x4 a, f64x4 b) { return select4(lt4(b, a), b, a); }
   /// std::max(a, b): a < b ? b : a.
   static f64x4 max4(f64x4 a, f64x4 b) { return select4(lt4(a, b), b, a); }
+  /// In-place 4x4 transpose: afterwards r_j[i] is the old r_i[j].
+  static void transpose4(f64x4& r0, f64x4& r1, f64x4& r2, f64x4& r3) {
+    const f64x4 a = r0, b = r1, c = r2, d = r3;
+    r0 = f64x4{{a.d[0], b.d[0], c.d[0], d.d[0]}};
+    r1 = f64x4{{a.d[1], b.d[1], c.d[1], d.d[1]}};
+    r2 = f64x4{{a.d[2], b.d[2], c.d[2], d.d[2]}};
+    r3 = f64x4{{a.d[3], b.d[3], c.d[3], d.d[3]}};
+  }
 };
 
 // --- AVX2 backend (only in TUs compiled with -mavx2) ---------------------
@@ -313,6 +322,17 @@ struct Avx2Backend {
   }
   static f64x4 min4(f64x4 a, f64x4 b) { return select4(lt4(b, a), b, a); }
   static f64x4 max4(f64x4 a, f64x4 b) { return select4(lt4(a, b), b, a); }
+  static void transpose4(f64x4& r0, f64x4& r1, f64x4& r2, f64x4& r3) {
+    // Pair up within 128-bit halves, then swap the halves across.
+    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // a0 b0 a2 b2
+    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // a1 b1 a3 b3
+    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);  // c0 d0 c2 d2
+    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);  // c1 d1 c3 d3
+    r0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+    r1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+    r2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+    r3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+  }
 };
 
 #endif  // DVLC_SIMD_HAVE_AVX2
@@ -405,6 +425,13 @@ struct NeonBackend {
   }
   static f64x4 min4(f64x4 a, f64x4 b) { return select4(lt4(b, a), b, a); }
   static f64x4 max4(f64x4 a, f64x4 b) { return select4(lt4(a, b), b, a); }
+  static void transpose4(f64x4& r0, f64x4& r1, f64x4& r2, f64x4& r3) {
+    const f64x4 a = r0, b = r1, c = r2, d = r3;
+    r0 = f64x4{vzip1q_f64(a.lo, b.lo), vzip1q_f64(c.lo, d.lo)};
+    r1 = f64x4{vzip2q_f64(a.lo, b.lo), vzip2q_f64(c.lo, d.lo)};
+    r2 = f64x4{vzip1q_f64(a.hi, b.hi), vzip1q_f64(c.hi, d.hi)};
+    r3 = f64x4{vzip2q_f64(a.hi, b.hi), vzip2q_f64(c.hi, d.hi)};
+  }
 };
 
 #endif  // DVLC_SIMD_HAVE_NEON

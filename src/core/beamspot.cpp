@@ -169,15 +169,31 @@ void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
                                        Rng& rng,
                                        std::span<TransmissionOutcome> outcomes,
                                        TransmitBatchScratch& scratch) const {
+  // Rendering draws nothing from `rng`, so forking every lane's noise
+  // substream first, in job order, yields the exact per-lane streams of
+  // one-lane calls in sequence. Lanes with no servers fork nothing.
   const std::size_t n = jobs.size();
-  DVLC_EXPECT(outcomes.size() == n,
-              "transmit_batch: one outcome per job");
-  scratch.optical.resize(n);
-  scratch.rx.resize(n);
+  if (scratch.noise.size() < n) scratch.noise.resize(n, Rng{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!jobs[i].servers.empty()) scratch.noise[i] = rng.fork();
+  }
+  transmit_batch(jobs, std::span<const Rng>{scratch.noise}.first(n), outcomes,
+                 scratch);
+}
+
+void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
+                                       std::span<const Rng> noise,
+                                       std::span<TransmissionOutcome> outcomes,
+                                       TransmitBatchScratch& scratch) const {
+  const std::size_t n = jobs.size();
+  DVLC_EXPECT(outcomes.size() == n && noise.size() == n,
+              "transmit_batch: one outcome and one noise stream per job");
+  arena_grow(scratch.optical, n);
+  arena_grow(scratch.rx, n);
   scratch.active.clear();
   for (std::size_t i = 0; i < n; ++i) {
     outcomes[i] = TransmissionOutcome{};
-    if (jobs[i].servers.empty()) continue;  // no stream, no noise fork
+    if (jobs[i].servers.empty()) continue;  // no stream, no noise
     render_optical_into(jobs[i].servers, *jobs[i].frame, jobs[i].interferers,
                         jobs[i].ambient_optical_w, scratch.optical[i],
                         scratch.render);
@@ -185,22 +201,19 @@ void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
   }
   const std::size_t m = scratch.active.size();
 
-  // Rendering draws nothing from `rng`, so forking all noise substreams
-  // here — in job order — yields the exact per-lane streams of one-lane
-  // calls in sequence. A kept front-end of the same configuration
-  // restarts on its stream exactly as a new one would.
+  // A kept front-end of the same configuration restarts on its stream
+  // exactly as a new one would.
   scratch.fe_ptrs.resize(m);
   scratch.optical_ptrs.resize(m);
   scratch.rx_ptrs.resize(m);
   for (std::size_t j = 0; j < m; ++j) {
     const std::size_t lane = scratch.active[j];
-    Rng noise = rng.fork();
     if (j == scratch.fes.size()) {
-      scratch.fes.emplace_back(frontend_, noise);
+      scratch.fes.emplace_back(frontend_, noise[lane]);
     } else if (scratch.fes[j].config() == frontend_) {
-      scratch.fes[j].restart(noise);
+      scratch.fes[j].restart(noise[lane]);
     } else {
-      scratch.fes[j] = phy::ReceiverFrontEnd{frontend_, noise};
+      scratch.fes[j] = phy::ReceiverFrontEnd{frontend_, noise[lane]};
     }
     scratch.optical_ptrs[j] = &scratch.optical[lane];
     scratch.rx_ptrs[j] = &scratch.rx[lane];
@@ -214,12 +227,13 @@ void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
   const phy::OokDemodulator demod{ook_.chip_rate_hz,
                                   frontend_.adc.sample_rate_hz};
   scratch.signals.resize(m);
-  scratch.results.resize(m);
+  arena_grow(scratch.results, m);
   scratch.ok.resize(m);
   for (std::size_t j = 0; j < m; ++j) {
     scratch.signals[j] = scratch.rx_ptrs[j]->samples;
   }
-  demod.receive_batch_into(scratch.signals, scratch.results, scratch.ok,
+  demod.receive_batch_into(scratch.signals,
+                           std::span{scratch.results}.first(m), scratch.ok,
                            scratch.rx_scratch);
 
   for (std::size_t j = 0; j < m; ++j) {

@@ -103,12 +103,14 @@ class JointTransmission {
   /// 32 KiB tile before the next tile starts, so the tile stays in L1.
   static constexpr std::size_t kRenderTileSamples = 4096;
 
-  /// Batch workspace: per-lane waveforms, render staging, the lanes'
-  /// front-ends (restarted on fresh noise streams each call), and the
-  /// front-end and demodulator batch scratch. Reuse across slots; after
-  /// the first call with a given lane count, a call allocates nothing.
+  /// Batch workspace: per-lane waveforms, render staging, the noise
+  /// streams forked for the lanes, the lanes' front-ends (restarted on
+  /// those streams each call), and the front-end and demodulator batch
+  /// scratch. Reuse across slots; after the first call with a given lane
+  /// count, a call allocates nothing.
   struct TransmitBatchScratch {
     RenderScratch render;
+    std::vector<Rng> noise;
     std::vector<dsp::Waveform> optical;
     std::vector<dsp::Waveform> rx;
     std::vector<std::size_t> active;
@@ -125,11 +127,20 @@ class JointTransmission {
 
   /// Transmits every job and fills outcomes[i] exactly as the equivalent
   /// sequence of one-lane calls would — bit-identical outcomes and Rng
-  /// stream: lanes render first, which draws nothing, then one noise
-  /// substream forks from `rng` per lane in job order, skipping lanes
-  /// with no servers (their outcome stays the default). The receive side
-  /// runs the batch front-end and demodulator paths.
+  /// stream: one noise substream forks from `rng` per lane in job order,
+  /// skipping lanes with no servers (their outcome stays the default),
+  /// and rendering draws nothing. The receive side runs the batch
+  /// front-end and demodulator paths.
   void transmit_batch(std::span<const TransmitJob> jobs, Rng& rng,
+                      std::span<TransmissionOutcome> outcomes,
+                      TransmitBatchScratch& scratch) const;
+
+  /// transmit_batch on given noise streams: lane i's front end draws its
+  /// noise from a copy of noise[i], where the overload above forks lane
+  /// i's stream from `rng`. Lanes with no servers ignore theirs. The
+  /// overload above is this one on the streams it forks.
+  void transmit_batch(std::span<const TransmitJob> jobs,
+                      std::span<const Rng> noise,
                       std::span<TransmissionOutcome> outcomes,
                       TransmitBatchScratch& scratch) const;
 

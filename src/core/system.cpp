@@ -106,34 +106,44 @@ DenseVlcSystem::DenseVlcSystem(
   last_reports_.assign(mobility_.size(),
                        std::vector<double>(num_tx(), 0.0));
 
+  // The NLOS sync characterization's stream is forked here, so every
+  // later fork of master_rng_ keeps its position; the characterization
+  // itself runs on first use (nlos_error_samples).
+  if (cfg_.sync_mode == SyncMode::kNlosVlc) {
+    nlos_seed_ = master_rng_.fork().seed();
+  }
+}
+
+const std::vector<double>& DenseVlcSystem::nlos_error_samples() const {
+  if (nlos_ready_ || cfg_.sync_mode != SyncMode::kNlosVlc) return nlos_errors_;
+  nlos_ready_ = true;
   // Characterize the NLOS sync error once, for a representative adjacent
   // TX pair, and bootstrap per-frame offsets from the samples.
-  if (cfg_.sync_mode == SyncMode::kNlosVlc) {
-    sync::NlosSyncConfig nc;
-    const double h = cfg_.testbed.grid.mount_height_m;
-    nc.leader_pose = geom::ceiling_pose(1.25, 1.25, h);
-    nc.follower_pose = geom::ceiling_pose(1.75, 1.25, h);
-    nc.emitter = cfg_.testbed.emitter;
-    nc.pd = cfg_.testbed.pd;
-    nc.floor = cfg_.floor;
-    nc.led = cfg_.testbed.led;
-    nc.pilot_chip_rate_hz = cfg_.ook.chip_rate_hz;
-    nc.swing_current_a = cfg_.max_swing_a;
-    nc.frontend = cfg_.frontend;
-    sync::NlosSynchronizer synchronizer{nc};
-    Rng rng = master_rng_.fork();
-    for (std::size_t t = 0; t < 32; ++t) {
-      const auto d = synchronizer.simulate_once(rng);
-      if (d.detected && d.id_matches) {
-        nlos_errors_.push_back(d.start_error_s);
-      }
-    }
-    if (nlos_errors_.empty()) {
-      // Pathological geometry (e.g. black floor): fall back to one ADC
-      // sample of uncertainty so the system still runs, degraded.
-      nlos_errors_.push_back(1.0 / cfg_.frontend.adc.sample_rate_hz);
+  sync::NlosSyncConfig nc;
+  const double h = cfg_.testbed.grid.mount_height_m;
+  nc.leader_pose = geom::ceiling_pose(1.25, 1.25, h);
+  nc.follower_pose = geom::ceiling_pose(1.75, 1.25, h);
+  nc.emitter = cfg_.testbed.emitter;
+  nc.pd = cfg_.testbed.pd;
+  nc.floor = cfg_.floor;
+  nc.led = cfg_.testbed.led;
+  nc.pilot_chip_rate_hz = cfg_.ook.chip_rate_hz;
+  nc.swing_current_a = cfg_.max_swing_a;
+  nc.frontend = cfg_.frontend;
+  sync::NlosSynchronizer synchronizer{nc};
+  Rng rng{nlos_seed_};
+  for (std::size_t t = 0; t < 32; ++t) {
+    const auto d = synchronizer.simulate_once(rng);
+    if (d.detected && d.id_matches) {
+      nlos_errors_.push_back(d.start_error_s);
     }
   }
+  if (nlos_errors_.empty()) {
+    // Pathological geometry (e.g. black floor): fall back to one ADC
+    // sample of uncertainty so the system still runs, degraded.
+    nlos_errors_.push_back(1.0 / cfg_.frontend.adc.sample_rate_hz);
+  }
+  return nlos_errors_;
 }
 
 DenseVlcSystem DenseVlcSystem::with_static_rxs(
@@ -237,9 +247,10 @@ std::vector<double> DenseVlcSystem::draw_tx_offsets(const Beamspot& spot,
           // arrival, i.e. the unsynchronized spread of SyncMode::kNone.
           drawn = unsynchronized_offset();
         } else {
+          const std::vector<double>& errors = nlos_error_samples();
           const auto idx = static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(nlos_errors_.size()) - 1));
-          drawn = nlos_errors_[idx];
+              0, static_cast<std::int64_t>(errors.size()) - 1));
+          drawn = errors[idx];
         }
         break;
     }
@@ -497,8 +508,13 @@ DenseVlcSystem::ArqReport DenseVlcSystem::run_arq(
   // Slot sizing: ARQ payloads carry one extra sequence byte.
   const SlotTiming timing =
       slot_timing(cfg_, data_path_, num_tx(), payload_bytes + 1);
-  // Reused by every lane's PHY pass for the whole run.
-  JointTransmission::TransmitBatchScratch phy_lane;
+  // Reused by every slot's PHY pass for the whole run.
+  JointTransmission::TransmitBatchScratch phy_batch;
+  std::vector<Rng> noise;
+  std::vector<TransmissionOutcome> outcomes;
+  // Per RX, whether its last transmission was delivered: the prediction
+  // for its next one.
+  std::vector<bool> delivered_last(num_rx(), true);
 
   double t = 0.0;
   double next_epoch = 0.0;
@@ -532,37 +548,66 @@ DenseVlcSystem::ArqReport DenseVlcSystem::run_arq(
       continue;
     }
 
-    // Lanes go through the PHY one at a time, each a one-lane
-    // transmit_batch: every lane's WiFi-ACK draw from `rng` follows that
-    // lane's noise fork, and a multi-lane batch would fork all lanes'
-    // noise first, changing the run's outcomes.
+    // Lane by lane in slot order, a transmission takes its noise fork
+    // from `rng` and, when delivered to an up RX, its WiFi-ACK draw. The
+    // batch runs the lanes at once on streams forked from a copy of `rng`
+    // that predicts each lane to fare as its RX's last transmission did.
+    // A lane commits only while its real fork's seed is the seed its
+    // stream came from, which makes its outcome exact whatever the
+    // prediction; the first mismatch re-runs the rest of the slot. With a
+    // lossless uplink the ACK draws take nothing and nothing is re-run.
     const SlotJobs slot_jobs = assemble_slot(lanes, faulted_channel(t),
                                              controller_.allocation());
-    for (std::size_t li = 0; li < lanes.size(); ++li) {
-      const SlotLane& lane = lanes[li];
-      ++report.rx[lane.rx].transmissions;
-      TransmissionOutcome outcome;
-      data_path_.transmit_batch({&slot_jobs.jobs[li], 1}, rng, {&outcome, 1},
-                                phy_lane);
-      bool acked = false;
-      if (outcome.delivered && !cfg_.faults.rx_down(lane.rx, t)) {
-        const auto decoded = mac::decode_segment(lane.frame.payload);
-        const auto rx_outcome = receivers[lane.rx].on_segment(*decoded);
-        if (!rx_outcome.deliver_to_app) {
-          ++report.rx[lane.rx].duplicates;
-        }
-        // The ACK rides the lossy WiFi uplink.
-        if (!rng.bernoulli(cfg_.wifi.loss_probability)) {
-          acked = senders[lane.rx].on_ack(rx_outcome.ack_seq);
+    const std::size_t n = lanes.size();
+    if (noise.size() < n) noise.resize(n, Rng{0});
+    outcomes.resize(n);
+    for (std::size_t first = 0; first < n;) {
+      Rng speculative = rng;
+      for (std::size_t li = first; li < n; ++li) {
+        if (slot_jobs.jobs[li].servers.empty()) continue;  // never delivered
+        noise[li] = speculative.fork();
+        if (delivered_last[lanes[li].rx] &&
+            !cfg_.faults.rx_down(lanes[li].rx, t)) {
+          (void)speculative.bernoulli(cfg_.wifi.loss_probability);
         }
       }
-      if (!acked) {
-        // A give-up is the transmitter's typed notice that the retry
-        // budget is gone; the controller tallies delivery failures here.
-        if (senders[lane.rx].on_timeout()) {
-          ++report.rx[lane.rx].give_ups;
+      const std::size_t count = n - first;
+      data_path_.transmit_batch(
+          std::span{slot_jobs.jobs}.subspan(first),
+          std::span<const Rng>{noise}.subspan(first, count),
+          std::span{outcomes}.subspan(first, count), phy_batch);
+
+      std::size_t li = first;
+      for (; li < n; ++li) {
+        if (!slot_jobs.jobs[li].servers.empty()) {
+          Rng after = rng;
+          if (after.fork().seed() != noise[li].seed()) break;
+          rng = after;
+        }
+        const SlotLane& lane = lanes[li];
+        ++report.rx[lane.rx].transmissions;
+        delivered_last[lane.rx] = outcomes[li].delivered;
+        bool acked = false;
+        if (outcomes[li].delivered && !cfg_.faults.rx_down(lane.rx, t)) {
+          const auto decoded = mac::decode_segment(lane.frame.payload);
+          const auto rx_outcome = receivers[lane.rx].on_segment(*decoded);
+          if (!rx_outcome.deliver_to_app) {
+            ++report.rx[lane.rx].duplicates;
+          }
+          // The ACK rides the lossy WiFi uplink.
+          if (!rng.bernoulli(cfg_.wifi.loss_probability)) {
+            acked = senders[lane.rx].on_ack(rx_outcome.ack_seq);
+          }
+        }
+        if (!acked) {
+          // A give-up is the transmitter's typed notice that the retry
+          // budget is gone; the controller tallies delivery failures here.
+          if (senders[lane.rx].on_timeout()) {
+            ++report.rx[lane.rx].give_ups;
+          }
         }
       }
+      first = li;
     }
     t += timing.slot_s;
   }

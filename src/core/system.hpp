@@ -151,10 +151,11 @@ class DenseVlcSystem {
   const Controller& controller() const { return controller_; }
   const SystemConfig& config() const { return cfg_; }
 
-  /// Empirical NLOS sync error samples gathered at construction [signed s].
-  const std::vector<double>& nlos_error_samples() const {
-    return nlos_errors_;
-  }
+  /// Empirical NLOS sync error samples [signed s], empty unless the sync
+  /// mode is kNlosVlc. The 32-pilot characterization behind them runs on
+  /// the first call (draw_tx_offsets makes it), on a stream forked at
+  /// construction, so the samples do not depend on when it runs.
+  const std::vector<double>& nlos_error_samples() const;
 
  private:
   void measure_and_decide(double t_s, Rng& rng);
@@ -165,7 +166,12 @@ class DenseVlcSystem {
   ChannelProber prober_;
   JointTransmission data_path_;
   Rng master_rng_;
-  std::vector<double> nlos_errors_;
+  // The NLOS characterization, built on first use from the stream seeded
+  // by nlos_seed_. mutable: nlos_error_samples() is logically const; the
+  // system is driven from a single thread.
+  std::uint64_t nlos_seed_ = 0;
+  mutable std::vector<double> nlos_errors_;
+  mutable bool nlos_ready_ = false;
   // Last measured gains per RX (columns survive lost reports).
   std::vector<std::vector<double>> last_reports_;
   std::uint8_t epoch_counter_ = 0;

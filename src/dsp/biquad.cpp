@@ -4,10 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 
-#include "common/contracts.hpp"
 #include "common/units.hpp"
-#include "dsp/dsp_kernels.hpp"
 
 namespace densevlc::dsp {
 
@@ -24,56 +23,93 @@ double BiquadCascade::step(double x) {
 
 namespace {
 
-/// N consecutive sections over one block, sample-major. The delay lines
-/// live in locals rather than in members the output could alias, so no
-/// sample waits on a store-to-load round trip, and with N fixed the
-/// sections unroll into independent recurrences that overlap.
+constexpr std::size_t kNoGain = SIZE_MAX;
+
+/// N sections in series over one block, sample-major, with each sample
+/// multiplied by `gain` before section `gain_at` (after the last one when
+/// gain_at == N; never when it is kNoGain). The delay lines live in
+/// locals rather than in members the output could alias, so no sample
+/// waits on a store-to-load round trip, and with N fixed the sections
+/// unroll into independent recurrences that overlap.
 template <std::size_t N>
-void run_sections(Biquad* sec, std::span<double> x) {
+void run_sections(Biquad* const* sec, std::span<double> x,
+                  std::size_t gain_at, double gain) {
   double b0[N], b1[N], b2[N], a1[N], a2[N], s1[N], s2[N];
   for (std::size_t s = 0; s < N; ++s) {
-    const BiquadCoeffs& c = sec[s].coeffs();
+    const BiquadCoeffs& c = sec[s]->coeffs();
     b0[s] = c.b0;
     b1[s] = c.b1;
     b2[s] = c.b2;
     a1[s] = c.a1;
     a2[s] = c.a2;
-    s1[s] = sec[s].state_s1();
-    s2[s] = sec[s].state_s2();
+    s1[s] = sec[s]->state_s1();
+    s2[s] = sec[s]->state_s2();
   }
   for (double& v : x) {
     double u = v;
     for (std::size_t s = 0; s < N; ++s) {
+      if (s == gain_at) u = gain * u;
       // Biquad::step, operation for operation.
       const double y = b0[s] * u + s1[s];
       s1[s] = b1[s] * u - a1[s] * y + s2[s];
       s2[s] = b2[s] * u - a2[s] * y;
       u = y;
     }
-    v = u;
+    v = gain_at == N ? gain * u : u;
   }
-  for (std::size_t s = 0; s < N; ++s) sec[s].set_state(s1[s], s2[s]);
+  for (std::size_t s = 0; s < N; ++s) sec[s]->set_state(s1[s], s2[s]);
+}
+
+/// Sections [0, count) of `section(i)` in series over x, with the gain
+/// multiply before section gain_at (after the last when gain_at ==
+/// count). Each section's output depends only on its own state and input
+/// stream, so a chain deeper than kMaxBiquadSections runs exactly as one
+/// block pass per group of sections.
+template <class Section>
+void run_chain(std::size_t count, Section section, std::span<double> x,
+               std::size_t gain_at, double gain) {
+  for (std::size_t first = 0; first < count; first += kMaxBiquadSections) {
+    const std::size_t n = std::min(kMaxBiquadSections, count - first);
+    Biquad* sec[kMaxBiquadSections];
+    for (std::size_t s = 0; s < n; ++s) sec[s] = &section(first + s);
+    // The gain belongs to the group holding section gain_at, or to the
+    // last group when it comes after every section.
+    const bool here = (gain_at >= first && gain_at < first + n) ||
+                      (gain_at == count && first + n == count);
+    const std::size_t at = here ? gain_at - first : kNoGain;
+    switch (n) {
+      case 1: run_sections<1>(sec, x, at, gain); break;
+      case 2: run_sections<2>(sec, x, at, gain); break;
+      case 3: run_sections<3>(sec, x, at, gain); break;
+      case 4: run_sections<4>(sec, x, at, gain); break;
+      case 5: run_sections<5>(sec, x, at, gain); break;
+      case 6: run_sections<6>(sec, x, at, gain); break;
+      case 7: run_sections<7>(sec, x, at, gain); break;
+      default: run_sections<kMaxBiquadSections>(sec, x, at, gain); break;
+    }
+  }
 }
 
 }  // namespace
 
 void BiquadCascade::process_block(std::span<double> x) {
-  // Each section's output depends only on its own state and input
-  // stream, so running the groups one after another is exact.
-  for (std::size_t first = 0; first < sections_.size();
-       first += kMaxBiquadSections) {
-    Biquad* sec = sections_.data() + first;
-    switch (std::min(kMaxBiquadSections, sections_.size() - first)) {
-      case 1: run_sections<1>(sec, x); break;
-      case 2: run_sections<2>(sec, x); break;
-      case 3: run_sections<3>(sec, x); break;
-      case 4: run_sections<4>(sec, x); break;
-      case 5: run_sections<5>(sec, x); break;
-      case 6: run_sections<6>(sec, x); break;
-      case 7: run_sections<7>(sec, x); break;
-      default: run_sections<kMaxBiquadSections>(sec, x); break;
-    }
+  run_chain(
+      sections_.size(), [&](std::size_t i) -> Biquad& { return sections_[i]; },
+      x, kNoGain, 1.0);
+}
+
+void process_gain_chain(BiquadCascade& first, double gain,
+                        BiquadCascade& second, std::span<double> x) {
+  const std::size_t split = first.section_count();
+  const auto section = [&](std::size_t i) -> Biquad& {
+    return i < split ? first.section(i) : second.section(i - split);
+  };
+  const std::size_t count = split + second.section_count();
+  if (count == 0) {
+    for (double& v : x) v = gain * v;
+    return;
   }
+  run_chain(count, section, x, split, gain);
 }
 
 Waveform BiquadCascade::process(const Waveform& in) {
@@ -84,49 +120,6 @@ Waveform BiquadCascade::process(const Waveform& in) {
 
 void BiquadCascade::reset() {
   for (auto& s : sections_) s.reset();
-}
-
-void process_cascades_x4(BiquadCascade* const cascades[4],
-                         std::span<double> interleaved) {
-  DVLC_EXPECT(interleaved.size() % 4 == 0,
-              "x4 block must be 4-lane interleaved");
-  const std::size_t sections = cascades[0]->section_count();
-  DVLC_EXPECT(sections <= kMaxBiquadSections,
-              "cascade too deep for the x4 kernel");
-  for (std::size_t l = 1; l < 4; ++l) {
-    DVLC_EXPECT(cascades[l]->section_count() == sections,
-                "x4 lanes must share the cascade shape");
-  }
-  // Stage coefficients and delay-line state into lane-major groups of 4.
-  double coeffs[kMaxBiquadSections * 20];
-  double states[kMaxBiquadSections * 8];
-  for (std::size_t s = 0; s < sections; ++s) {
-    for (std::size_t l = 0; l < 4; ++l) {
-      const Biquad& sec = cascades[l]->section(s);
-      const BiquadCoeffs& c = sec.coeffs();
-      coeffs[s * 20 + 0 + l] = c.b0;
-      coeffs[s * 20 + 4 + l] = c.b1;
-      coeffs[s * 20 + 8 + l] = c.b2;
-      coeffs[s * 20 + 12 + l] = c.a1;
-      coeffs[s * 20 + 16 + l] = c.a2;
-      states[s * 8 + 0 + l] = sec.state_s1();
-      states[s * 8 + 4 + l] = sec.state_s2();
-    }
-  }
-  const std::size_t samples = interleaved.size() / 4;
-  if (simd::use_vector_kernels()) {
-    detail::biquad_x4_vec(coeffs, states, sections, interleaved.data(),
-                          samples);
-  } else {
-    detail::biquad_x4_kernel<simd::ScalarBackend>(
-        coeffs, states, sections, interleaved.data(), samples);
-  }
-  for (std::size_t s = 0; s < sections; ++s) {
-    for (std::size_t l = 0; l < 4; ++l) {
-      cascades[l]->section(s).set_state(states[s * 8 + 0 + l],
-                                        states[s * 8 + 4 + l]);
-    }
-  }
 }
 
 double BiquadCascade::magnitude_at(double freq_hz,

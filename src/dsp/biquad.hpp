@@ -39,8 +39,8 @@ class Biquad {
 
   const BiquadCoeffs& coeffs() const { return c_; }
 
-  /// DF2T delay-line state, exposed so the x4 batch kernel can stage
-  /// lanes into struct-of-arrays form and write the state back.
+  /// DF2T delay-line state, exposed so the front end's quad kernel can
+  /// stage four lanes into struct-of-arrays form and write the state back.
   double state_s1() const { return s1_; }
   double state_s2() const { return s2_; }
   void set_state(double s1, double s2) {
@@ -53,8 +53,9 @@ class Biquad {
   double s1_ = 0.0, s2_ = 0.0;
 };
 
-/// Deepest cascade process_cascades_x4 accepts; callers route deeper
-/// cascades through BiquadCascade::process_block.
+/// Most sections one sample-major pass keeps in locals: process_block and
+/// process_gain_chain take deeper chains in groups of this many, and the
+/// front end's quad kernel accepts at most this many.
 inline constexpr std::size_t kMaxBiquadSections = 8;
 
 /// A cascade of biquad sections applied in series.
@@ -86,7 +87,7 @@ class BiquadCascade {
 
   std::size_t section_count() const { return sections_.size(); }
 
-  /// Section access for the x4 batch kernel's state staging.
+  /// Section access for the quad kernel's state staging.
   Biquad& section(std::size_t i) { return sections_[i]; }
   const Biquad& section(std::size_t i) const { return sections_[i]; }
 
@@ -94,15 +95,12 @@ class BiquadCascade {
   std::vector<Biquad> sections_;
 };
 
-/// Filters four equally-shaped cascades in lockstep over a 4-lane
-/// interleaved block (`interleaved[t*4 + lane]`, length a multiple of 4),
-/// each at most kMaxBiquadSections deep.
-/// Stateful like process_block: each cascade's delay lines continue from
-/// and are written back to the cascade objects, so callers may finish a
-/// ragged tail per lane with process_block afterwards. Bit-identical per
-/// lane to calling cascades[lane]->process_block on that lane's samples.
-/// Dispatches to the SIMD backend unless DVLC_FORCE_SCALAR is set.
-void process_cascades_x4(BiquadCascade* const cascades[4],
-                         std::span<double> interleaved);
+/// Filters `x` in place through `first`, a multiply by `gain`, then
+/// `second`, in one pass: each sample runs through the whole chain before
+/// the next enters. Bit-identical, output and final state, to
+/// first.process_block(x), then x[i] = gain * x[i], then
+/// second.process_block(x).
+void process_gain_chain(BiquadCascade& first, double gain,
+                        BiquadCascade& second, std::span<double> x);
 
 }  // namespace densevlc::dsp

@@ -2,14 +2,14 @@
 //
 // Each kernel is a template over a simd backend (common/simd.hpp) and is
 // instantiated twice: for `simd::ScalarBackend` inside the regular TUs
-// (adc.cpp, biquad.cpp, correlate.cpp, phy/frontend.cpp) and for
+// (adc.cpp, correlate.cpp, phy/frontend.cpp) and for
 // `simd::VectorBackend` inside dsp_simd.cpp, which is the only DSP TU
 // compiled with the vector ISA flags. Call sites pick between the two at
 // runtime via `simd::use_vector_kernels()`. (window_moments_kernel serves
 // only the unpruned scan and has just the scalar instantiation.)
 //
 // Bit-exactness: the float kernels vectorize ACROSS independent streams
-// (4 cascade lanes, 4 correlation window positions, 16 tap-sum
+// (4 filter lanes, 4 correlation window positions, 16 tap-sum
 // positions, 4 samples or search positions of the elementwise kernels),
 // never within one accumulation chain, and the backends use separate
 // mul/add (no FMA), so every per-lane operation sequence matches the
@@ -21,53 +21,112 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <type_traits>
 
 #include "common/simd.hpp"
 #include "dsp/biquad.hpp"
 
 namespace densevlc::dsp::detail {
 
-/// Four equally-shaped DF2T cascades advanced in lockstep.
-///
-/// Layouts (lane-major groups of 4):
-///   coeffs[s*20 + {b0,b1,b2,a1,a2}*4 + lane]
-///   states[s*8 + {s1,s2}*4 + lane]
-///   x[t*4 + lane]  (interleaved samples, filtered in place)
-///
-/// Per lane this performs exactly Biquad::step's operation sequence for
-/// each sample through each section, in the same sample-major schedule as
-/// BiquadCascade::process_block, hence bit-identical. At most
-/// kMaxBiquadSections sections (dsp/biquad.hpp).
-template <class B>
-void biquad_x4_kernel(const double* coeffs, double* states,
-                      std::size_t sections, double* x,
-                      std::size_t samples) {
+/// Sections [0, N) of four equally-shaped DF2T cascades over one sample
+/// of each lane, with the lane's gain multiplied in before section
+/// `gain_at` (after the last one when gain_at == N): per lane exactly
+/// Biquad::step's operations, section by section, and the gain multiply.
+template <class B, std::size_t N>
+struct QuadChain {
   using V = typename B::f64x4;
-  V b0[kMaxBiquadSections], b1[kMaxBiquadSections], b2[kMaxBiquadSections];
-  V a1[kMaxBiquadSections], a2[kMaxBiquadSections];
-  V s1[kMaxBiquadSections], s2[kMaxBiquadSections];
-  for (std::size_t s = 0; s < sections; ++s) {
-    b0[s] = B::load4(coeffs + s * 20 + 0);
-    b1[s] = B::load4(coeffs + s * 20 + 4);
-    b2[s] = B::load4(coeffs + s * 20 + 8);
-    a1[s] = B::load4(coeffs + s * 20 + 12);
-    a2[s] = B::load4(coeffs + s * 20 + 16);
-    s1[s] = B::load4(states + s * 8 + 0);
-    s2[s] = B::load4(states + s * 8 + 4);
-  }
-  for (std::size_t t = 0; t < samples; ++t) {
-    V v = B::load4(x + t * 4);
-    for (std::size_t s = 0; s < sections; ++s) {
+  V b0[N], b1[N], b2[N], a1[N], a2[N], s1[N], s2[N];
+
+  V step(V v, std::size_t gain_at, V gain) {
+    for (std::size_t s = 0; s < N; ++s) {
+      if (s == gain_at) v = B::mul4(gain, v);
       const V y = B::add4(B::mul4(b0[s], v), s1[s]);
       s1[s] = B::add4(B::sub4(B::mul4(b1[s], v), B::mul4(a1[s], y)), s2[s]);
       s2[s] = B::sub4(B::mul4(b2[s], v), B::mul4(a2[s], y));
       v = y;
     }
-    B::store4(x + t * 4, v);
+    return gain_at == N ? B::mul4(gain, v) : v;
   }
-  for (std::size_t s = 0; s < sections; ++s) {
-    B::store4(states + s * 8 + 0, s1[s]);
-    B::store4(states + s * 8 + 4, s2[s]);
+};
+
+template <class B, std::size_t N>
+void filter_quad_sections(double* const x[4], std::size_t n,
+                          const double* coeffs, double* states,
+                          std::size_t gain_at, const double* gains) {
+  using V = typename B::f64x4;
+  QuadChain<B, N> c;
+  for (std::size_t s = 0; s < N; ++s) {
+    c.b0[s] = B::load4(coeffs + s * 20 + 0);
+    c.b1[s] = B::load4(coeffs + s * 20 + 4);
+    c.b2[s] = B::load4(coeffs + s * 20 + 8);
+    c.a1[s] = B::load4(coeffs + s * 20 + 12);
+    c.a2[s] = B::load4(coeffs + s * 20 + 16);
+    c.s1[s] = B::load4(states + s * 8 + 0);
+    c.s2[s] = B::load4(states + s * 8 + 4);
+  }
+  const V gain = B::load4(gains);
+  std::size_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    // Rows in: r_l holds samples t..t+3 of lane l. Transposed, r_k holds
+    // sample t+k of every lane, so the samples enter in order.
+    V r0 = B::load4(x[0] + t);
+    V r1 = B::load4(x[1] + t);
+    V r2 = B::load4(x[2] + t);
+    V r3 = B::load4(x[3] + t);
+    B::transpose4(r0, r1, r2, r3);
+    r0 = c.step(r0, gain_at, gain);
+    r1 = c.step(r1, gain_at, gain);
+    r2 = c.step(r2, gain_at, gain);
+    r3 = c.step(r3, gain_at, gain);
+    B::transpose4(r0, r1, r2, r3);
+    B::store4(x[0] + t, r0);
+    B::store4(x[1] + t, r1);
+    B::store4(x[2] + t, r2);
+    B::store4(x[3] + t, r3);
+  }
+  for (; t < n; ++t) {
+    double v[4] = {x[0][t], x[1][t], x[2][t], x[3][t]};
+    B::store4(v, c.step(B::load4(v), gain_at, gain));
+    for (std::size_t l = 0; l < 4; ++l) x[l][t] = v[l];
+  }
+  for (std::size_t s = 0; s < N; ++s) {
+    B::store4(states + s * 8 + 0, c.s1[s]);
+    B::store4(states + s * 8 + 4, c.s2[s]);
+  }
+}
+
+/// The front end's filter stages over four lanes in place: each of the
+/// first n samples of x[lane] runs through sections [0, gain_at), is
+/// multiplied by gains[lane], and runs through sections
+/// [gain_at, sections). Per lane this is the one-lane pass
+/// (dsp::process_gain_chain) operation for operation, hence bit-identical.
+///
+/// Layouts (lane-major groups of 4):
+///   coeffs[s*20 + {b0,b1,b2,a1,a2}*4 + lane]
+///   states[s*8 + {s1,s2}*4 + lane]  (read, then written back)
+///
+/// Whole groups of four samples go through a 4x4 transpose in and out;
+/// the last n % 4 are gathered lane by lane. At most kMaxBiquadSections
+/// sections (dsp/biquad.hpp).
+template <class B>
+void filter_quad_kernel(double* const x[4], std::size_t n,
+                        const double* coeffs, double* states,
+                        std::size_t sections, std::size_t gain_at,
+                        const double* gains) {
+  const auto run = [&](auto width) {
+    filter_quad_sections<B, decltype(width)::value>(x, n, coeffs, states,
+                                                    gain_at, gains);
+  };
+  using std::integral_constant;
+  switch (sections) {
+    case 1: return run(integral_constant<std::size_t, 1>{});
+    case 2: return run(integral_constant<std::size_t, 2>{});
+    case 3: return run(integral_constant<std::size_t, 3>{});
+    case 4: return run(integral_constant<std::size_t, 4>{});
+    case 5: return run(integral_constant<std::size_t, 5>{});
+    case 6: return run(integral_constant<std::size_t, 6>{});
+    case 7: return run(integral_constant<std::size_t, 7>{});
+    default: return run(integral_constant<std::size_t, kMaxBiquadSections>{});
   }
 }
 
@@ -335,8 +394,9 @@ double search_bounds_kernel(double* means, double* vars, double* bounds,
 
 // --- Vector-backend entry points (defined in dsp_simd.cpp) ---------------
 
-void biquad_x4_vec(const double* coeffs, double* states,
-                   std::size_t sections, double* x, std::size_t samples);
+void filter_quad_vec(double* const x[4], std::size_t n, const double* coeffs,
+                     double* states, std::size_t sections,
+                     std::size_t gain_at, const double* gains);
 void correlate_scores_vec(const double* signal, const double* pat,
                           std::size_t m, const double* means,
                           const double* vars, double pat_energy,

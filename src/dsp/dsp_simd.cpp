@@ -9,10 +9,11 @@
 
 namespace densevlc::dsp::detail {
 
-void biquad_x4_vec(const double* coeffs, double* states,
-                   std::size_t sections, double* x, std::size_t samples) {
-  biquad_x4_kernel<simd::VectorBackend>(coeffs, states, sections, x,
-                                        samples);
+void filter_quad_vec(double* const x[4], std::size_t n, const double* coeffs,
+                     double* states, std::size_t sections,
+                     std::size_t gain_at, const double* gains) {
+  filter_quad_kernel<simd::VectorBackend>(x, n, coeffs, states, sections,
+                                          gain_at, gains);
 }
 
 void correlate_scores_vec(const double* signal, const double* pat,

@@ -71,14 +71,10 @@ void ReceiverFrontEnd::front_half_into(const dsp::Waveform& optical,
   }
 }
 
-void ReceiverFrontEnd::filters_into(dsp::Waveform& out) {
-  // Pass 2: AC-coupled gain stage. Scaling the filter output afterwards
-  // commutes bitwise with scaling inside the per-sample loop.
-  ac_stage_.process_block(out.samples);
-  for (double& v : out.samples) v = cfg_.ac_gain * v;
-
-  // Pass 3: anti-aliasing low-pass.
-  lowpass_.process_block(out.samples);
+void ReceiverFrontEnd::filters_into(std::span<double> x) {
+  // Passes 2 and 3 in one: the AC-coupled gain stage (the filter, then
+  // the gain), then the anti-aliasing low-pass.
+  dsp::process_gain_chain(ac_stage_, cfg_.ac_gain, lowpass_, x);
 }
 
 void ReceiverFrontEnd::process_batch_into(
@@ -96,7 +92,7 @@ void ReceiverFrontEnd::process_batch_into(
 void ReceiverFrontEnd::analog_batch_into(
     std::span<ReceiverFrontEnd* const> fes,
     std::span<const dsp::Waveform* const> optical,
-    std::span<dsp::Waveform* const> out, BatchScratch& scratch) {
+    std::span<dsp::Waveform* const> out, BatchScratch& /*scratch*/) {
   const std::size_t n = fes.size();
   DVLC_EXPECT(optical.size() == n && out.size() == n,
               "process_batch_into: span sizes must match");
@@ -108,57 +104,66 @@ void ReceiverFrontEnd::analog_batch_into(
 
   const auto run_quad = [&](const std::size_t lane[4]) {
     ReceiverFrontEnd* fe[4];
+    double* x[4];
+    double gains[4];
     std::size_t min_len = SIZE_MAX;
-    // Cascades deeper than the x4 kernel's staging take the scalar path.
-    bool same_shape =
-        fes[lane[0]]->ac_stage_.section_count() <= dsp::kMaxBiquadSections &&
-        fes[lane[0]]->lowpass_.section_count() <= dsp::kMaxBiquadSections;
+    const std::size_t ac = fes[lane[0]]->ac_stage_.section_count();
+    const std::size_t sections = ac + fes[lane[0]]->lowpass_.section_count();
+    // Chains deeper than the quad kernel stages take the scalar path.
+    bool same_shape = sections >= 1 && sections <= dsp::kMaxBiquadSections;
     for (std::size_t l = 0; l < 4; ++l) {
       fe[l] = fes[lane[l]];
+      x[l] = out[lane[l]]->samples.data();
+      gains[l] = fe[l]->cfg_.ac_gain;
       min_len = std::min(min_len, out[lane[l]]->samples.size());
-      same_shape = same_shape &&
-                   fe[l]->ac_stage_.section_count() ==
-                       fe[0]->ac_stage_.section_count() &&
-                   fe[l]->lowpass_.section_count() ==
-                       fe[0]->lowpass_.section_count();
+      same_shape = same_shape && fe[l]->ac_stage_.section_count() == ac &&
+                   fe[l]->lowpass_.section_count() == sections - ac;
     }
     if (!same_shape) {
-      for (std::size_t l = 0; l < 4; ++l) fe[l]->filters_into(*out[lane[l]]);
+      for (std::size_t l = 0; l < 4; ++l) {
+        fe[l]->filters_into(out[lane[l]]->samples);
+      }
       return;
     }
-    // Shared prefix through the 4-lane kernel; ragged tails finish on the
-    // scalar cascades, whose delay lines continue from the written-back
-    // kernel state.
-    arena_resize(scratch.lanes, min_len * 4);
-    for (std::size_t l = 0; l < 4; ++l) {
-      const std::vector<double>& src = out[lane[l]]->samples;
-      for (std::size_t t = 0; t < min_len; ++t) {
-        scratch.lanes[t * 4 + l] = src[t];
+    // Stage the lanes' AC and low-pass sections, in chain order, into
+    // the kernel's lane-major groups of 4.
+    double coeffs[dsp::kMaxBiquadSections * 20];
+    double states[dsp::kMaxBiquadSections * 8];
+    const auto section = [&](std::size_t l, std::size_t s) -> dsp::Biquad& {
+      return s < ac ? fe[l]->ac_stage_.section(s)
+                    : fe[l]->lowpass_.section(s - ac);
+    };
+    for (std::size_t s = 0; s < sections; ++s) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        const dsp::Biquad& sec = section(l, s);
+        const dsp::BiquadCoeffs& c = sec.coeffs();
+        coeffs[s * 20 + 0 + l] = c.b0;
+        coeffs[s * 20 + 4 + l] = c.b1;
+        coeffs[s * 20 + 8 + l] = c.b2;
+        coeffs[s * 20 + 12 + l] = c.a1;
+        coeffs[s * 20 + 16 + l] = c.a2;
+        states[s * 8 + 0 + l] = sec.state_s1();
+        states[s * 8 + 4 + l] = sec.state_s2();
       }
     }
-    const std::span<double> block{scratch.lanes.data(), min_len * 4};
-    dsp::BiquadCascade* ac[4] = {&fe[0]->ac_stage_, &fe[1]->ac_stage_,
-                                 &fe[2]->ac_stage_, &fe[3]->ac_stage_};
-    dsp::process_cascades_x4(ac, block);
-    for (std::size_t l = 0; l < 4; ++l) {
-      const double gain = fe[l]->cfg_.ac_gain;
-      for (std::size_t t = 0; t < min_len; ++t) {
-        scratch.lanes[t * 4 + l] = gain * scratch.lanes[t * 4 + l];
+    // The shared prefix runs in place through the quad kernel.
+    if (simd::use_vector_kernels()) {
+      dsp::detail::filter_quad_vec(x, min_len, coeffs, states, sections, ac,
+                                   gains);
+    } else {
+      dsp::detail::filter_quad_kernel<simd::ScalarBackend>(
+          x, min_len, coeffs, states, sections, ac, gains);
+    }
+    for (std::size_t s = 0; s < sections; ++s) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        section(l, s).set_state(states[s * 8 + 0 + l], states[s * 8 + 4 + l]);
       }
     }
-    dsp::BiquadCascade* lp[4] = {&fe[0]->lowpass_, &fe[1]->lowpass_,
-                                 &fe[2]->lowpass_, &fe[3]->lowpass_};
-    dsp::process_cascades_x4(lp, block);
+    // Ragged tails finish on the one-lane pass, whose delay lines continue
+    // from the written-back kernel state.
     for (std::size_t l = 0; l < 4; ++l) {
-      std::vector<double>& dst = out[lane[l]]->samples;
-      for (std::size_t t = 0; t < min_len; ++t) {
-        dst[t] = scratch.lanes[t * 4 + l];
-      }
-      const std::span<double> tail =
-          std::span<double>{dst}.subspan(min_len);
-      fe[l]->ac_stage_.process_block(tail);
-      for (double& v : tail) v = fe[l]->cfg_.ac_gain * v;
-      fe[l]->lowpass_.process_block(tail);
+      fe[l]->filters_into(
+          std::span<double>{out[lane[l]]->samples}.subspan(min_len));
     }
   };
 
@@ -173,7 +178,7 @@ void ReceiverFrontEnd::analog_batch_into(
     }
   }
   for (std::size_t j = 0; j < filled; ++j) {
-    fes[group[j]]->filters_into(*out[group[j]]);
+    fes[group[j]]->filters_into(out[group[j]]->samples);
   }
 }
 

@@ -13,7 +13,6 @@
 
 #include <span>
 
-#include "common/arena.hpp"
 #include "common/quantity.hpp"
 #include "common/rng.hpp"
 #include "dsp/adc.hpp"
@@ -61,22 +60,21 @@ class ReceiverFrontEnd {
   /// (and reallocating) the filters.
   void restart(Rng rng);
 
-  /// Batch workspace for process_batch_into: 4-lane interleaved staging
-  /// for the vector biquad kernel (see common/arena.hpp).
-  struct BatchScratch {
-    AlignedVector<double> lanes;
-  };
+  /// Batch workspace parameter of process_batch_into. Empty: the quad
+  /// kernel filters the lanes in place, so a call needs no staging.
+  struct BatchScratch {};
 
   /// Processes many independent front-ends in one call: *out[i] is
   /// fes[i] processing *optical[i] alone. Per lane: zero-order-hold
   /// resample, photocurrent noise drawn per sample from the lane's own
   /// stream, TIA, AC-coupled gain, anti-aliasing low-pass, ADC round trip.
-  /// The filter stages run four lanes at a time through the vector biquad
-  /// kernel, bit-identical to the scalar cascades. Lanes are grouped in
-  /// encounter order; groups with mismatched filter shapes or cascades
-  /// deeper than dsp::kMaxBiquadSections, and ragged tails and leftover
-  /// lanes, run the scalar cascades, whose state continues seamlessly.
-  /// Zero heap allocations once the outputs and `scratch` have warmed up.
+  /// The filter stages (AC section, gain, low-pass) run four lanes at a
+  /// time, in place, through one quad kernel, bit-identical to the
+  /// one-lane pass. Lanes are grouped in encounter order; groups with
+  /// mismatched filter shapes or chains deeper than
+  /// dsp::kMaxBiquadSections, and ragged tails and leftover lanes, run the
+  /// one-lane pass, whose state continues seamlessly. Zero heap
+  /// allocations once the outputs have warmed up.
   static void process_batch_into(std::span<ReceiverFrontEnd* const> fes,
                                  std::span<const dsp::Waveform* const> optical,
                                  std::span<dsp::Waveform* const> out,
@@ -100,9 +98,9 @@ class ReceiverFrontEnd {
  private:
   // The analog stages, split so analog_batch_into can run them per lane
   // / per quad: ZOH resample + noise + TIA, then the AC-coupled gain and
-  // anti-aliasing filters.
+  // anti-aliasing filters in one one-lane pass over `x`.
   void front_half_into(const dsp::Waveform& optical, dsp::Waveform& out);
-  void filters_into(dsp::Waveform& out);
+  void filters_into(std::span<double> x);
 
   FrontEndConfig cfg_;
   Rng rng_;

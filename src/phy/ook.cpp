@@ -180,7 +180,7 @@ std::size_t OokDemodulator::receive_batch_into(
   DVLC_EXPECT(out.size() == n && ok.size() == n,
               "receive_batch_into: span sizes must match");
   preamble_template_into(scratch.preamble_tpl);
-  arena_resize(scratch.lane_bytes, n);
+  arena_grow(scratch.lane_bytes, n);
   arena_resize(scratch.wire_views, n);
   arena_resize(scratch.parse_out, n);
   arena_resize(scratch.parse_ok, n);

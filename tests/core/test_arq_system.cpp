@@ -19,6 +19,24 @@ SystemConfig fast_config() {
   return cfg;
 }
 
+// segments_offered, _delivered, _dropped, transmissions, duplicates,
+// give_ups of each RX.
+using Counters = std::array<std::array<std::uint64_t, 6>, 4>;
+
+void expect_counters(const DenseVlcSystem::ArqReport& report,
+                     const Counters& pins) {
+  ASSERT_EQ(report.rx.size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    const auto& rx = report.rx[k];
+    EXPECT_EQ((std::array<std::uint64_t, 6>{
+                  rx.segments_offered, rx.segments_delivered,
+                  rx.segments_dropped, rx.transmissions, rx.duplicates,
+                  rx.give_ups}),
+              pins[k])
+        << "RX " << k;
+  }
+}
+
 TEST(ArqSystem, DeliversAllSegmentsOnCleanLink) {
   SystemConfig cfg = fast_config();
   cfg.wifi.loss_probability = 0.0;
@@ -99,6 +117,43 @@ TEST(ArqSystem, CountersArePinned) {
               pins[k])
         << "RX " << k;
   }
+}
+
+TEST(ArqSystem, CountersArePinnedWithoutSync) {
+  // The Fig. 7 scene without TX synchronization, so most frames fail and
+  // lanes that were not delivered take no WiFi-ACK draw: run_arq's
+  // speculative batch mispredicts in most slots and must re-run them.
+  const Counters pins{{
+      {20, 10, 7, 26, 6, 7},
+      {20, 19, 1, 25, 5, 1},
+      {20, 1, 12, 26, 0, 12},
+      {20, 5, 9, 26, 1, 9},
+  }};
+  SystemConfig cfg;
+  cfg.sync_mode = SyncMode::kNone;
+  cfg.wifi.loss_probability = 0.3;
+  auto system =
+      DenseVlcSystem::with_static_rxs(cfg, scenario::fig7_rx_positions());
+  const auto report = system.run_arq(3.0, 600, 20, 2);
+  expect_counters(report, pins);
+}
+
+TEST(ArqSystem, CountersArePinnedWithRxDropout) {
+  // As CountersArePinned, with RX 1 dropped out for the middle of the
+  // run: its lanes are still transmitted, but never ACKed.
+  const Counters pins{{
+      {20, 17, 2, 26, 7, 2},
+      {20, 6, 9, 26, 5, 9},
+      {20, 10, 1, 17, 5, 1},
+      {20, 12, 2, 17, 3, 2},
+  }};
+  SystemConfig cfg;
+  cfg.wifi.loss_probability = 0.3;
+  cfg.faults.add({fault::FaultKind::kRxDropout, 0.8, 2.0, 1, 1.0});
+  auto system =
+      DenseVlcSystem::with_static_rxs(cfg, scenario::fig7_rx_positions());
+  const auto report = system.run_arq(3.0, 600, 20, 2);
+  expect_counters(report, pins);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -49,6 +50,24 @@ TEST(System, NlosErrorsCharacterizedAtStartup) {
   ASSERT_FALSE(system.nlos_error_samples().empty());
   for (double e : system.nlos_error_samples()) {
     EXPECT_LT(std::fabs(e), 5e-6);  // all within a few ADC samples
+  }
+}
+
+TEST(System, NlosErrorSamplesArePinned) {
+  // The NLOS characterization's sample count and first samples, bit for
+  // bit: building it on first use must draw exactly the stream the
+  // constructor used to.
+  const std::size_t count = 32;
+  const std::array<std::uint64_t, 4> first_bits{
+      0x3E98ED3687091300, 0x3EA13B9117CBE900,
+      0x3E93361424D91600, 0x3EA28D44F74EE880};
+  auto system =
+      DenseVlcSystem::with_static_rxs(fast_config(), {{1.25, 0.75, 0.0}});
+  const auto& samples = system.nlos_error_samples();
+  ASSERT_EQ(samples.size(), count);
+  for (std::size_t i = 0; i < first_bits.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(samples[i]), first_bits[i])
+        << "sample " << i;
   }
 }
 

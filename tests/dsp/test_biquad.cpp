@@ -7,10 +7,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "dsp/dsp_kernels.hpp"
 
 namespace densevlc::dsp {
 namespace {
@@ -96,15 +100,91 @@ TEST(Cascade, MagnitudeOfMovingAverageNullsNyquist) {
   EXPECT_NEAR(cas.magnitude_at(0.0, 48000.0), 1.0, 1e-12);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Runs `block`'s sections through the front end's quad kernel, on both
+/// backends, as four lanes with their own inputs and gains, the gain
+/// before each possible section and after the last, and holds every lane
+/// to a Biquad::step chain with that gain multiply: samples and the
+/// written-back states, bit for bit. `block` is left unchanged.
+void expect_quad_matches_steps(const BiquadCascade& block,
+                               const std::vector<double>& x, Rng& rng) {
+  const std::size_t depth = block.section_count();
+  double coeffs[kMaxBiquadSections * 20];
+  double states[kMaxBiquadSections * 8];
+  for (std::size_t gain_at = 0; gain_at <= depth; ++gain_at) {
+    std::vector<double> lanes[4];
+    double gains[4];
+    std::vector<double> expect[4];
+    std::vector<Biquad> chains[4];
+    for (std::size_t l = 0; l < 4; ++l) {
+      gains[l] = rng.uniform(0.5, 30.0);
+      lanes[l] = x;
+      std::rotate(lanes[l].begin(), lanes[l].begin() + 37 * l,
+                  lanes[l].end());
+      for (std::size_t s = 0; s < depth; ++s) {
+        chains[l].push_back(block.section(s));
+        const BiquadCoeffs& c = block.section(s).coeffs();
+        const double row[5] = {c.b0, c.b1, c.b2, c.a1, c.a2};
+        for (std::size_t k = 0; k < 5; ++k) coeffs[s * 20 + k * 4 + l] = row[k];
+      }
+      expect[l] = lanes[l];
+      for (double& v : expect[l]) {
+        for (std::size_t s = 0; s < depth; ++s) {
+          if (s == gain_at) v = gains[l] * v;
+          v = chains[l][s].step(v);
+        }
+        if (gain_at == depth) v = gains[l] * v;
+      }
+    }
+    const bool was_forced = simd::force_scalar();
+    for (const bool force : {false, true}) {
+      simd::set_force_scalar(force);
+      std::vector<double> got[4] = {lanes[0], lanes[1], lanes[2], lanes[3]};
+      double* const ptrs[4] = {got[0].data(), got[1].data(), got[2].data(),
+                               got[3].data()};
+      for (std::size_t s = 0; s < depth; ++s) {
+        for (std::size_t l = 0; l < 4; ++l) {
+          states[s * 8 + l] = block.section(s).state_s1();
+          states[s * 8 + 4 + l] = block.section(s).state_s2();
+        }
+      }
+      if (simd::use_vector_kernels()) {
+        detail::filter_quad_vec(ptrs, x.size(), coeffs, states, depth,
+                                gain_at, gains);
+      } else {
+        detail::filter_quad_kernel<simd::ScalarBackend>(
+            ptrs, x.size(), coeffs, states, depth, gain_at, gains);
+      }
+      const char* leg = force ? " forced scalar" : " native";
+      for (std::size_t l = 0; l < 4; ++l) {
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          ASSERT_EQ(bits(got[l][i]), bits(expect[l][i]))
+              << "depth " << depth << " gain at " << gain_at << " lane " << l
+              << " i " << i << leg;
+        }
+        for (std::size_t s = 0; s < depth; ++s) {
+          EXPECT_EQ(bits(states[s * 8 + l]), bits(chains[l][s].state_s1()))
+              << "depth " << depth << " lane " << l << " section " << s << leg;
+          EXPECT_EQ(bits(states[s * 8 + 4 + l]),
+                    bits(chains[l][s].state_s2()))
+              << "depth " << depth << " lane " << l << " section " << s << leg;
+        }
+      }
+    }
+    simd::set_force_scalar(was_forced);
+  }
+}
+
 TEST(Cascade, ProcessBlockMatchesStepChain) {
   // The sample-major block kernel against a per-sample step() chain, at
   // depths on both sides of the kernel's section-group size, from random
   // (stable) coefficients and a non-zero starting state, over blocks split
   // at arbitrary points so the delay lines carry across calls, and over
-  // the whole input in one call. Cascades the x4 kernel takes also run as
-  // all four of its lanes, under both SIMD dispatch legs. Every sample is
-  // compared before any quantization, so one ulp of drift fails.
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  // the whole input in one call. Cascades the front end's quad kernel
+  // takes also run through it as all four of its lanes, under both SIMD
+  // dispatch legs. Every sample is compared before any quantization, so
+  // one ulp of drift fails.
   Rng rng{0xB1C0};
   for (const std::size_t depth : {0u, 1u, 4u, 8u, 9u, 12u}) {
     std::vector<BiquadCoeffs> coeffs(depth);
@@ -139,25 +219,8 @@ TEST(Cascade, ProcessBlockMatchesStepChain) {
       ASSERT_EQ(bits(whole[i]), bits(expect[i]))
           << "depth " << depth << " one call, i " << i;
     }
-    if (depth <= kMaxBiquadSections) {
-      const bool was_forced = simd::force_scalar();
-      for (const bool force : {false, true}) {
-        simd::set_force_scalar(force);
-        BiquadCascade lanes[4] = {block, block, block, block};
-        BiquadCascade* const quad[4] = {&lanes[0], &lanes[1], &lanes[2],
-                                        &lanes[3]};
-        std::vector<double> interleaved(4 * x.size());
-        for (std::size_t i = 0; i < interleaved.size(); ++i) {
-          interleaved[i] = x[i / 4];
-        }
-        process_cascades_x4(quad, interleaved);
-        for (std::size_t i = 0; i < interleaved.size(); ++i) {
-          ASSERT_EQ(bits(interleaved[i]), bits(expect[i / 4]))
-              << "depth " << depth << " x4 lane " << i % 4 << " i " << i / 4
-              << (force ? " forced scalar" : " native");
-        }
-      }
-      simd::set_force_scalar(was_forced);
+    if (depth >= 1 && depth <= kMaxBiquadSections) {
+      expect_quad_matches_steps(block, x, rng);
     }
 
     std::size_t at = 0;
@@ -175,6 +238,72 @@ TEST(Cascade, ProcessBlockMatchesStepChain) {
           << "depth " << depth << " section " << s;
       EXPECT_EQ(bits(block.section(s).state_s2()), bits(chain[s].state_s2()))
           << "depth " << depth << " section " << s;
+    }
+  }
+}
+
+TEST(Cascade, GainChainMatchesThreePasses) {
+  // The one-lane fused pass against its definition: the first cascade's
+  // block pass, the gain multiply, the second cascade's block pass. Splits
+  // put the gain inside, at the edge of and past the kernel's section
+  // groups, and leave either cascade empty; the pass is cut at arbitrary
+  // points so the delay lines carry across calls.
+  Rng rng{0xB1C1};
+  const auto random_cascade = [&](std::size_t depth) {
+    std::vector<BiquadCoeffs> coeffs(depth);
+    for (auto& c : coeffs) {
+      c.b0 = rng.uniform(-1.0, 1.0);
+      c.b1 = rng.uniform(-1.0, 1.0);
+      c.b2 = rng.uniform(-1.0, 1.0);
+      c.a1 = rng.uniform(-0.5, 0.5);
+      c.a2 = rng.uniform(-0.5, 0.5);
+    }
+    BiquadCascade cascade{coeffs};
+    for (std::size_t s = 0; s < depth; ++s) {
+      cascade.section(s).set_state(rng.uniform(-1.0, 1.0),
+                                   rng.uniform(-1.0, 1.0));
+    }
+    return cascade;
+  };
+  const std::size_t splits[][2] = {{1, 4}, {0, 5}, {3, 0}, {0, 0},
+                                   {8, 1}, {7, 2}, {1, 12}, {9, 3}};
+  for (const auto& split : splits) {
+    BiquadCascade first = random_cascade(split[0]);
+    BiquadCascade second = random_cascade(split[1]);
+    const double gain = rng.uniform(0.5, 30.0);
+    std::vector<double> x(301);
+    for (double& v : x) v = rng.uniform(-2.0, 2.0);
+
+    BiquadCascade ref_first = first;
+    BiquadCascade ref_second = second;
+    std::vector<double> expect = x;
+    ref_first.process_block(expect);
+    for (double& v : expect) v = gain * v;
+    ref_second.process_block(expect);
+
+    std::size_t at = 0;
+    while (at < x.size()) {
+      const auto len = std::min<std::size_t>(
+          x.size() - at, static_cast<std::size_t>(rng.uniform_int(0, 90)));
+      process_gain_chain(first, gain, second,
+                         std::span<double>{x}.subspan(at, len));
+      at += len;
+    }
+    const std::string where = "split " + std::to_string(split[0]) + "+" +
+                              std::to_string(split[1]);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(bits(x[i]), bits(expect[i])) << where << " i " << i;
+    }
+    for (const auto& [got, ref] :
+         {std::pair{&first, &ref_first}, std::pair{&second, &ref_second}}) {
+      for (std::size_t s = 0; s < got->section_count(); ++s) {
+        EXPECT_EQ(bits(got->section(s).state_s1()),
+                  bits(ref->section(s).state_s1()))
+            << where << " section " << s;
+        EXPECT_EQ(bits(got->section(s).state_s2()),
+                  bits(ref->section(s).state_s2()))
+            << where << " section " << s;
+      }
     }
   }
 }

@@ -4,8 +4,8 @@
 // The frame layer (serialize, codec encode/decode, corrupt lanes) and the
 // modulator are held bit-for-bit against the frozen scalar reference in
 // bench/phy_reference. The demodulator, front-end quads and joint
-// transmission are held against one-lane calls in sequence — the x4
-// vector kernels against the scalar cascades — with the same accept/
+// transmission are held against one-lane calls in sequence — the quad
+// filter kernel against the one-lane filter pass — with the same accept/
 // reject decisions and the same Rng stream. Like test_fastpath, the
 // whole suite is parameterized over the SIMD dispatch so both backends
 // are pinned to the same outputs transitively.
@@ -385,95 +385,130 @@ bool same_bits(std::span<const double> a, std::span<const double> b) {
          });
 }
 
+/// The lanes of the pre-ADC front-end checks, at a TX rate the
+/// zero-order hold resamples from. Four quads whose lane lengths differ by
+/// 1-7 samples, so each ragged tail continues from the quad kernel's
+/// written-back state, and whose shared prefixes take every length mod 4,
+/// so the kernel's last, lane-gathered samples take every count; then an
+/// empty lane and a leftover. Every lane has its own AC gain.
+struct PreAdcLanes {
+  static constexpr double kRate = 1.7e6;
+  static constexpr std::size_t kLens[] = {
+      3000, 3001, 3004, 3007,  // prefix 3000 = 0 mod 4
+      3005, 3002, 3001, 3003,  // prefix 3001 = 1 mod 4
+      3002, 3008, 3006, 3003,  // prefix 3002 = 2 mod 4
+      3010, 3004, 3003, 3005,  // prefix 3003 = 3 mod 4
+      0,    2001};
+  std::vector<dsp::Waveform> optical;
+  std::vector<phy::FrontEndConfig> cfgs;
+
+  explicit PreAdcLanes(Rng& rng) {
+    const double fs = phy::FrontEndConfig{}.adc.sample_rate_hz;
+    for (std::size_t i = 0; i < std::size(kLens); ++i) {
+      // The fewest TX-rate samples the front end resamples to kLens[i].
+      std::size_t n = kLens[i] * 17 / 10;
+      while (n > 0 && static_cast<std::size_t>(
+                          static_cast<double>(n) / kRate * fs) >= kLens[i]) {
+        --n;
+      }
+      while (static_cast<std::size_t>(static_cast<double>(n) / kRate * fs) <
+             kLens[i]) {
+        ++n;
+      }
+      optical.push_back(make_optical(n, kRate, rng));
+      phy::FrontEndConfig cfg{};
+      cfg.ac_gain = 20.0 + 0.37 * static_cast<double>(i);
+      cfgs.push_back(cfg);
+    }
+  }
+
+  /// Runs analog_batch_into over all lanes of `fes` into `out`, then
+  /// checks every lane came out at its planned length.
+  void run(std::vector<phy::ReceiverFrontEnd>& fes,
+           std::vector<dsp::Waveform>& out) const {
+    std::vector<phy::ReceiverFrontEnd*> fe_ptrs;
+    std::vector<const dsp::Waveform*> in;
+    std::vector<dsp::Waveform*> outs;
+    for (std::size_t i = 0; i < optical.size(); ++i) {
+      fe_ptrs.push_back(&fes[i]);
+      in.push_back(&optical[i]);
+      outs.push_back(&out[i]);
+    }
+    phy::ReceiverFrontEnd::BatchScratch scratch;
+    phy::ReceiverFrontEnd::analog_batch_into(fe_ptrs, in, outs, scratch);
+    for (std::size_t i = 0; i < optical.size(); ++i) {
+      ASSERT_EQ(out[i].samples.size(), kLens[i]) << "lane " << i;
+    }
+  }
+};
+
 TEST_P(Batch, FrontEndQuadMatchesOneLaneBeforeAdc) {
   // The ADC's 12-bit grid hides an ulp of drift between the quad and
-  // one-lane paths (the x4 filters, the AC-gain multiply), so they are
-  // compared on the converter's input.
+  // one-lane paths (the quad kernel's filters, the AC-gain multiply), so
+  // they are compared on the converter's input, over two back-to-back
+  // calls: the second starts from the first's filter state.
   Rng rng{0xBA};
-  const phy::FrontEndConfig cfg{};
+  const PreAdcLanes lanes{rng};
   Rng quad_rng{78};
   Rng lane_rng{78};
-  // One full quad, a ragged lane, an empty lane and a leftover, at a TX
-  // rate the zero-order hold resamples from.
-  const std::size_t lens[] = {5000, 5000, 5000, 5000, 5003, 0, 2001};
-  std::vector<dsp::Waveform> optical;
-  for (const std::size_t n : lens) {
-    optical.push_back(make_optical(n, 1.7e6, rng));
-  }
   std::vector<phy::ReceiverFrontEnd> quad_fes;
   std::vector<phy::ReceiverFrontEnd> lane_fes;
-  for (std::size_t i = 0; i < optical.size(); ++i) {
+  for (const phy::FrontEndConfig& cfg : lanes.cfgs) {
     quad_fes.emplace_back(cfg, quad_rng.fork());
     lane_fes.emplace_back(cfg, lane_rng.fork());
   }
-  std::vector<dsp::Waveform> quad_out(optical.size());
-  std::vector<dsp::Waveform> lane_out(optical.size());
+  std::vector<dsp::Waveform> quad_out(lanes.optical.size());
+  std::vector<dsp::Waveform> lane_out(lanes.optical.size());
   phy::ReceiverFrontEnd::BatchScratch scratch;
   for (int round = 0; round < 2; ++round) {
-    std::vector<phy::ReceiverFrontEnd*> fes;
-    std::vector<const dsp::Waveform*> in;
-    std::vector<dsp::Waveform*> out;
-    for (std::size_t i = 0; i < optical.size(); ++i) {
-      fes.push_back(&quad_fes[i]);
-      in.push_back(&optical[i]);
-      out.push_back(&quad_out[i]);
+    for (std::size_t i = 0; i < lanes.optical.size(); ++i) {
       phy::ReceiverFrontEnd* const one_fe[] = {&lane_fes[i]};
-      const dsp::Waveform* const one_in[] = {&optical[i]};
+      const dsp::Waveform* const one_in[] = {&lanes.optical[i]};
       dsp::Waveform* const one_out[] = {&lane_out[i]};
       phy::ReceiverFrontEnd::analog_batch_into(one_fe, one_in, one_out,
                                                scratch);
     }
-    phy::ReceiverFrontEnd::analog_batch_into(fes, in, out, scratch);
-    for (std::size_t i = 0; i < optical.size(); ++i) {
+    lanes.run(quad_fes, quad_out);
+    for (std::size_t i = 0; i < lanes.optical.size(); ++i) {
       EXPECT_TRUE(same_bits(quad_out[i].samples, lane_out[i].samples))
           << "round " << round << " lane " << i;
     }
-    EXPECT_FALSE(quad_out[0].samples.empty());
   }
 }
 
 TEST(SimdLegs, FrontEndAnalogMatchesBeforeAdc) {
   // Each Batch leg is held to its own one-lane calls, and the ADC's grid
   // hides an ulp, so a drift between the vector and scalar ZOH/TIA or
-  // filter arithmetic shows only on the converter's input.
-  const phy::FrontEndConfig cfg{};
-  const std::size_t lens[] = {5000, 5000, 5000, 5000, 5003, 0, 2001};
-  const auto run = [&](bool force_scalar) {
+  // quad-kernel arithmetic shows only on the converter's input. Two
+  // back-to-back calls per leg.
+  const auto run = [](bool force_scalar) {
     simd::set_force_scalar(force_scalar);
     Rng rng{0xBB};
+    const PreAdcLanes lanes{rng};
     Rng fe_rng{79};
-    std::vector<dsp::Waveform> optical;
-    std::vector<phy::ReceiverFrontEnd> fe_store;
-    for (const std::size_t n : lens) {
-      optical.push_back(make_optical(n, 1.7e6, rng));
-      fe_store.emplace_back(cfg, fe_rng.fork());
+    std::vector<phy::ReceiverFrontEnd> fes;
+    for (const phy::FrontEndConfig& cfg : lanes.cfgs) {
+      fes.emplace_back(cfg, fe_rng.fork());
     }
-    std::vector<dsp::Waveform> out(optical.size());
-    std::vector<phy::ReceiverFrontEnd*> fes;
-    std::vector<const dsp::Waveform*> in;
-    std::vector<dsp::Waveform*> outs;
-    for (std::size_t i = 0; i < optical.size(); ++i) {
-      fes.push_back(&fe_store[i]);
-      in.push_back(&optical[i]);
-      outs.push_back(&out[i]);
-    }
-    phy::ReceiverFrontEnd::BatchScratch scratch;
-    phy::ReceiverFrontEnd::analog_batch_into(fes, in, outs, scratch);
+    std::vector<std::vector<dsp::Waveform>> rounds(
+        2, std::vector<dsp::Waveform>(lanes.optical.size()));
+    for (auto& out : rounds) lanes.run(fes, out);
     simd::set_force_scalar(false);
-    return out;
+    return rounds;
   };
   const auto scalar = run(true);
   const auto vector = run(false);
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_TRUE(same_bits(scalar[i].samples, vector[i].samples))
-        << "lane " << i;
+  for (std::size_t r = 0; r < scalar.size(); ++r) {
+    for (std::size_t i = 0; i < scalar[r].size(); ++i) {
+      EXPECT_TRUE(same_bits(scalar[r][i].samples, vector[r][i].samples))
+          << "round " << r << " lane " << i;
+    }
   }
-  EXPECT_FALSE(vector[0].samples.empty());
 }
 
 TEST_P(Batch, DeepCascadeMatchesScalar) {
-  // An order-24 Butterworth is 12 sections, deeper than the x4 kernel
-  // stages: such quads must take the scalar cascades, bit for bit.
+  // An order-24 Butterworth is 12 sections, deeper than the quad kernel
+  // stages: such quads must take the one-lane pass, bit for bit.
   Rng rng{0xB6};
   phy::FrontEndConfig cfg{};
   cfg.butterworth_order = 24;
@@ -766,9 +801,86 @@ TEST_P(Batch, TransmitBatchSteadyStateIsAllocationFree) {
   EXPECT_EQ(bench::alloc_count() - before, 0u);
 }
 
+TEST_P(Batch, TransmitOnGivenStreamsMatchesForking) {
+  // The per-lane-stream overload against the forking one, lane for lane:
+  // given the streams the forking overload takes from `rng`, every
+  // outcome is the same. run_arq re-runs the tail of a slot this way, so
+  // a tail on its own streams must match too, and once both shapes have
+  // been seen, calls on a kept scratch allocate nothing.
+  core::Testbed tb = core::make_experimental_testbed();
+  const core::JointTransmission jt{tb.led, phy::OokParams{},
+                                   phy::FrontEndConfig{}};
+  Rng frame_rng{0xBA};
+  const auto frame_a = make_frame(120, frame_rng);
+  const auto frame_b = make_frame(600, frame_rng);
+  const std::vector<core::ServingTx> spot_a{{7, 6e-7, 0.9, 0.0},
+                                            {13, 4e-7, 0.9, -0.3e-6}};
+  const std::vector<core::ServingTx> spot_b{{21, 8e-7, 0.9, 0.2e-6}};
+  const std::vector<core::ServingTx> weak{{3, 2e-8, 0.9, 0.0}};
+  std::vector<core::InterfererGroup> groups(1);
+  groups[0].txs = {{21, 2e-8, 0.9, 14e-6}};
+  groups[0].frame = frame_b;
+  // Delivered, interfered, no servers (no stream), undelivered.
+  const std::vector<core::JointTransmission::TransmitJob> jobs = {
+      {spot_a, &frame_a, groups, 0.0},
+      {spot_b, &frame_b, {}, 0.0},
+      {{}, &frame_a, {}, 0.0},
+      {weak, &frame_a, groups, 0.0},
+      {spot_b, &frame_a, groups, 1e-6},
+  };
+  const std::size_t n = jobs.size();
+
+  Rng forking_rng{95};
+  std::vector<core::TransmissionOutcome> expect(n);
+  core::JointTransmission::TransmitBatchScratch forking_scratch;
+  jt.transmit_batch(jobs, forking_rng, expect, forking_scratch);
+
+  Rng stream_rng{95};
+  std::vector<Rng> noise(n, Rng{0xDEAD});  // lane 2's is never read
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!jobs[i].servers.empty()) noise[i] = stream_rng.fork();
+  }
+  EXPECT_EQ(stream_rng.uniform(), forking_rng.uniform())
+      << "the forking overload takes one fork per lane with servers";
+
+  const auto expect_lanes = [&](std::size_t first,
+                                std::span<const core::TransmissionOutcome>
+                                    got) {
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      const auto& e = expect[first + j];
+      EXPECT_EQ(got[j].delivered, e.delivered) << "lane " << first + j;
+      EXPECT_EQ(got[j].preamble_found, e.preamble_found)
+          << "lane " << first + j;
+      EXPECT_EQ(got[j].corrected_bytes, e.corrected_bytes)
+          << "lane " << first + j;
+      EXPECT_EQ(got[j].correlation, e.correlation) << "lane " << first + j;
+      EXPECT_EQ(got[j].snr_estimate_db, e.snr_estimate_db)
+          << "lane " << first + j;
+    }
+  };
+  std::vector<core::TransmissionOutcome> got(n);
+  core::JointTransmission::TransmitBatchScratch scratch;
+  const std::span<const core::JointTransmission::TransmitJob> all{jobs};
+  const std::span<const Rng> streams{noise};
+  const auto run_all_then_tail = [&] {
+    jt.transmit_batch(all, streams, got, scratch);
+    expect_lanes(0, got);
+    jt.transmit_batch(all.subspan(3), streams.subspan(3),
+                      std::span{got}.first(2), scratch);
+    expect_lanes(3, std::span{got}.first(2));
+  };
+  run_all_then_tail();  // warm-up: both slot shapes have been seen once
+  EXPECT_TRUE(expect[0].delivered);
+  EXPECT_FALSE(expect[2].delivered);
+  EXPECT_FALSE(expect[3].delivered);
+  const std::uint64_t before = bench::alloc_count();
+  run_all_then_tail();
+  EXPECT_EQ(bench::alloc_count() - before, 0u);
+}
+
 TEST_P(Batch, TransmitOneLaneSteadyStateIsAllocationFree) {
-  // The ARQ loop's path: one lane per transmit_batch call on a scratch
-  // kept across calls, lanes of different frame sizes and interference.
+  // One lane per transmit_batch call on a scratch kept across calls,
+  // lanes of different frame sizes and interference.
   core::Testbed tb = core::make_experimental_testbed();
   const core::JointTransmission jt{tb.led, phy::OokParams{},
                                    phy::FrontEndConfig{}};

@@ -1,17 +1,30 @@
-// The paper's Sec. 3.4 and Sec. 9 claims, checked on the committed
-// extension campaigns at each file's full `instances`.
+// The paper's claims, each held by one named test.
 //
-// Each test loads one scenarios/ext_*.ini, runs it through run_campaign
-// exactly as `bench/campaign scenarios/ext_*.ini` does (which prints the
-// full tables), and asserts the claim the campaign was written to test.
+// ExtClaims: the Sec. 3.4 and Sec. 9 claims, checked on the committed
+// extension campaigns at each file's full `instances`. Each test loads
+// one scenarios/ext_*.ini, runs it through run_campaign exactly as
+// `bench/campaign scenarios/ext_*.ini` does (which prints the full
+// tables), and asserts the claim the campaign was written to test.
+//
+// Claims: the evaluation's rows, through the same library calls and
+// seeds as the bench that prints them, asserting the shape the row
+// states rather than its digits.
+//
 // A failing claim is a finding about the model, recorded in
 // EXPERIMENTS.md, not a bound to widen.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "core/beamspot.hpp"
+#include "core/testbed.hpp"
 #include "scenario/campaign.hpp"
+#include "sync/nlos_sync.hpp"
+#include "sync/timesync.hpp"
 
 namespace densevlc::scenario {
 namespace {
@@ -143,6 +156,96 @@ TEST(ExtClaims, TenPercentLedFailureRetainsSixtyPercent) {
     ++checked;
   }
   EXPECT_GT(checked, 0u) << "no 10% fail-fraction instance";
+}
+
+// One Table 5 scenario as bench_table5_iperf runs it: `frames` 100-byte
+// frames to one RX at the centre of TX2/TX3/TX8/TX9, from `txs`. TX2 and
+// TX8 share BBB A, which anchors the timeline; TX3 and TX9 hang off BBB
+// B, offset per frame by the unsynchronized start spread or by an NLOS
+// sync error sample.
+struct IperfResult {
+  double goodput_kbps = 0.0;
+  double per_percent = 0.0;
+};
+
+IperfResult run_iperf(const core::Testbed& tb,
+                      const std::vector<std::size_t>& txs, bool bbb_b_synced,
+                      bool bbb_b_used, const std::vector<double>& nlos_errors,
+                      std::size_t frames, Rng& rng) {
+  const core::JointTransmission jt{tb.led, phy::OokParams{},
+                                   phy::FrontEndConfig{}};
+  const auto h = tb.channel_for({{1.0, 0.5, 0.0}});
+  const sync::TimeSyncConfig ts;
+  phy::MacFrame frame;
+  frame.dst = 0;
+  frame.src = 0xC0;
+  frame.payload.resize(100);
+  for (std::size_t i = 0; i < frame.payload.size(); ++i) {
+    frame.payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  const double mac_gap_s = 3e-3;  // guard + multicast + ACK turnaround
+  std::size_t delivered = 0;
+  for (std::size_t f = 0; f < frames; ++f) {
+    double bbb_b_offset = 0.0;
+    if (bbb_b_used && !bbb_b_synced) {
+      double u;
+      do {
+        u = rng.uniform();
+      } while (u <= 0.0);
+      bbb_b_offset = -ts.delivery_jitter_mean_s * std::log(u) +
+                     rng.uniform(0.0, ts.stack_start_spread_s) +
+                     rng.gaussian(0.0, ts.event_jitter_sigma_s);
+    } else if (bbb_b_used) {
+      const auto idx = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(nlos_errors.size()) - 1));
+      bbb_b_offset = nlos_errors[idx];
+    }
+    std::vector<core::ServingTx> servers;
+    for (const std::size_t tx : txs) {
+      const bool on_bbb_a = tx == 1 || tx == 7;  // TX2, TX8
+      servers.push_back(
+          {tx, h.gain(tx, 0), 0.9, on_bbb_a ? 0.0 : bbb_b_offset});
+    }
+    delivered += jt.transmit(servers, frame, rng).delivered ? 1 : 0;
+  }
+  const double elapsed =
+      static_cast<double>(frames) * (jt.frame_airtime_s(frame) + mac_gap_s);
+  return {static_cast<double>(delivered) * 100.0 * 8.0 / elapsed / 1e3,
+          100.0 * (1.0 - static_cast<double>(delivered) /
+                             static_cast<double>(frames))};
+}
+
+TEST(Claims, Table5SyncRestoresGoodput) {
+  // Table 5: a 4-TX beamspot across two BBBs loses (nearly) every frame
+  // without synchronization, and NLOS VLC sync restores the goodput of
+  // the inherently aligned 2-TX beamspot. bench_table5_iperf's shape
+  // check, on its seed and frame count.
+  const auto tb = core::make_experimental_testbed();
+  Rng rng{0x7AB'5};
+  // The NLOS sync error of TX2 leading TX3, characterized once.
+  sync::NlosSyncConfig nc;
+  nc.leader_pose = geom::ceiling_pose(0.75, 0.25, 2.0);
+  nc.follower_pose = geom::ceiling_pose(1.25, 0.25, 2.0);
+  sync::NlosSynchronizer nlos{nc};
+  std::vector<double> nlos_errors;
+  for (int t = 0; t < 40; ++t) {
+    const auto d = nlos.simulate_once(rng);
+    if (d.detected && d.id_matches) nlos_errors.push_back(d.start_error_s);
+  }
+  if (nlos_errors.empty()) nlos_errors.push_back(1e-6);
+
+  const std::size_t frames = 80;
+  const auto two_tx =
+      run_iperf(tb, {1, 7}, false, false, nlos_errors, frames, rng);
+  const auto four_nosync =
+      run_iperf(tb, {1, 2, 7, 8}, false, true, nlos_errors, frames, rng);
+  const auto four_sync =
+      run_iperf(tb, {1, 2, 7, 8}, true, true, nlos_errors, frames, rng);
+  EXPECT_GT(four_nosync.per_percent, 90.0);
+  EXPECT_LT(two_tx.per_percent, 5.0);
+  EXPECT_LT(four_sync.per_percent, 5.0);
+  EXPECT_GT(four_sync.goodput_kbps, 0.9 * two_tx.goodput_kbps)
+      << "Kbit/s, 4 TXs synced vs 2 TXs";
 }
 
 }  // namespace
