@@ -3,7 +3,10 @@
 //
 //   $ ./custom_scenario myroom.ini
 //
-// Recognized keys (all optional; defaults are the paper's testbed):
+// The file is a scenario spec (docs/scenarios.md, "Spec schema"), read
+// and compiled by the same scenario::load_spec_file + compile that the
+// campaign runner uses. Every key is optional except the receivers;
+// defaults are the paper's testbed:
 //
 //   [room]    width, depth, height          (meters)
 //   [grid]    rows, cols, pitch, mount_height
@@ -11,18 +14,20 @@
 //   [system]  kappa, power_budget_w, bandwidth_mhz
 //   [rx]      count, and then x1,y1 .. x<count>,y<count>
 //
-// With no argument, a documented sample file is written to
-// ./sample_scenario.ini and evaluated.
+// A malformed file prints the spec's typed errors and exits 1. With no
+// argument, a documented sample file is written to ./sample_scenario.ini
+// and evaluated.
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "alloc/assignment.hpp"
-#include "common/ini.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "illum/illuminance_map.hpp"
 #include "core/testbed.hpp"
+#include "illum/illuminance_map.hpp"
+#include "scenario/compile.hpp"
+#include "scenario/spec.hpp"
 
 namespace {
 
@@ -75,50 +80,17 @@ int main(int argc, char** argv) {
     std::cout << "(no scenario given; wrote and using " << path << ")\n\n";
   }
 
-  const auto config = IniConfig::load(path);
-  if (!config) {
-    std::cerr << "cannot read " << path << '\n';
+  const auto parsed = scenario::load_spec_file(path);
+  if (!parsed.ok()) {
+    std::cerr << "scenario file problems:\n" << parsed.error_text();
     return 1;
   }
-  if (!config->errors().empty()) {
-    std::cerr << "scenario file problems:\n" << config->errors();
-  }
-
-  // Assemble the testbed from the file, defaulting to Table 1.
-  core::Testbed tb = core::make_simulation_testbed();
-  tb.room = geom::Room{config->get_double("room.width", 3.0),
-                       config->get_double("room.depth", 3.0),
-                       config->get_double("room.height", 2.8)};
-  tb.grid = geom::GridSpec{
-      static_cast<std::size_t>(config->get_int("grid.rows", 6)),
-      static_cast<std::size_t>(config->get_int("grid.cols", 6)),
-      config->get_double("grid.pitch", 0.5),
-      config->get_double("grid.mount_height", tb.room.height_m)};
-  const double bias = units::mA(config->get_double("led.bias_ma", 450.0));
-  const double swing =
-      units::mA(config->get_double("led.max_swing_ma", 900.0));
-  tb.led = optics::LedModel{optics::LedElectrical{},
-                            optics::LedOperatingPoint{bias, swing}};
-  tb.emitter.half_power_semi_angle_rad =
-      units::deg_to_rad(config->get_double("led.half_angle_deg", 15.0));
-  tb.budget = channel::LinkBudget::from_led(
-      tb.led, AmperesPerWatt{0.4}, AmpsSquaredPerHertz{7.02e-23},
-      Hertz{units::MHz(config->get_double("system.bandwidth_mhz", 1.0))});
-
-  std::vector<geom::Vec3> rx_xy;
-  const long count = config->get_int("rx.count", 0);
-  for (long k = 1; k <= count; ++k) {
-    const std::string i = std::to_string(k);
-    rx_xy.push_back({config->get_double("rx.x" + i, 0.0),
-                     config->get_double("rx.y" + i, 0.0), 0.0});
-  }
-  if (rx_xy.empty()) {
-    std::cerr << "scenario has no receivers ([rx] count = ...)\n";
-    return 1;
-  }
-
-  const double kappa = config->get_double("system.kappa", 1.3);
-  const double budget_w = config->get_double("system.power_budget_w", 1.2);
+  const scenario::CompiledScenario compiled = scenario::compile(*parsed.spec);
+  const core::Testbed& tb = compiled.system.testbed;
+  const auto rx_xy =
+      scenario::instance_rx_positions(compiled, parsed.spec->seed);
+  const double kappa = compiled.kappa;
+  const double budget_w = compiled.power_budget_w;
 
   std::cout << "Scenario: " << tb.room.width << " x " << tb.room.depth
             << " m room, " << tb.grid.count() << " TXs, " << rx_xy.size()
@@ -140,10 +112,8 @@ int main(int argc, char** argv) {
 
   // Allocation + throughput report.
   const auto h = tb.channel_for(rx_xy);
-  alloc::AssignmentOptions opts;
-  opts.max_swing_a = swing;
-  const auto res = alloc::heuristic_allocate(h, kappa, Watts{budget_w}, tb.budget,
-                                             opts);
+  const auto res = alloc::heuristic_allocate(h, kappa, Watts{budget_w},
+                                             tb.budget, compiled.alloc_options);
   const auto tput = channel::throughput_bps(h, res.allocation, tb.budget);
 
   TablePrinter table{{"RX", "position", "throughput [Mbit/s]",

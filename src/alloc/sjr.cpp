@@ -53,12 +53,6 @@ std::vector<RankedTx> rank(const channel::ChannelMatrix& h,
 
 }  // namespace
 
-std::vector<double> sjr_matrix(const channel::ChannelMatrix& h,
-                               double kappa) {
-  DVLC_EXPECT(kappa >= 0.0, "SJR exponent kappa must be non-negative");
-  return score(h, [kappa](std::size_t) { return kappa; });
-}
-
 std::vector<RankedTx> rank_transmitters(const channel::ChannelMatrix& h,
                                         double kappa) {
   DVLC_EXPECT(kappa >= 0.0, "SJR exponent kappa must be non-negative");

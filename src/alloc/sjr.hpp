@@ -28,13 +28,11 @@ struct RankedTx {
   double sjr = 0.0;  ///< the score at selection time
 };
 
-/// Computes the full N x M SJR matrix (row-major, entry tx * M + rx).
-/// TXs with no channel to any RX (all-zero row) score 0 everywhere.
-std::vector<double> sjr_matrix(const channel::ChannelMatrix& h, double kappa);
-
 /// Algorithm 1: produces the ranked TX list (length = num_tx), best first.
-/// Score ties break toward the lower TX index, then lower RX index. A TX
-/// whose scores are all NaN (a +inf gain) ranks last with score -1.
+/// Each TX carries its row's best SJR score; a TX with no channel to any
+/// RX (all-zero row) scores 0. Score ties break toward the lower TX
+/// index, then lower RX index. A TX whose scores are all NaN (a +inf
+/// gain) ranks last with score -1.
 std::vector<RankedTx> rank_transmitters(const channel::ChannelMatrix& h,
                                         double kappa);
 

@@ -67,21 +67,4 @@ ChannelMatrix apply_blockage(const ChannelMatrix& h,
   return out;
 }
 
-std::size_t count_blocked_links(const std::vector<geom::Pose>& tx_poses,
-                                const std::vector<geom::Pose>& rx_poses,
-                                std::span<const CylinderBlocker> blockers) {
-  std::size_t count = 0;
-  for (const auto& tx : tx_poses) {
-    for (const auto& rx : rx_poses) {
-      for (const auto& blocker : blockers) {
-        if (segment_blocked(tx.position, rx.position, blocker)) {
-          ++count;
-          break;
-        }
-      }
-    }
-  }
-  return count;
-}
-
 }  // namespace densevlc::channel

@@ -37,9 +37,4 @@ ChannelMatrix apply_blockage(const ChannelMatrix& h,
                              const std::vector<geom::Pose>& rx_poses,
                              std::span<const CylinderBlocker> blockers);
 
-/// Number of (TX, RX) links a set of blockers interrupts.
-std::size_t count_blocked_links(const std::vector<geom::Pose>& tx_poses,
-                                const std::vector<geom::Pose>& rx_poses,
-                                std::span<const CylinderBlocker> blockers);
-
 }  // namespace densevlc::channel

@@ -93,11 +93,4 @@ inline std::vector<T, A>& arena_clear(std::vector<T, A>& buf) {
   return buf;
 }
 
-/// True once `buf` can hold `n` elements without allocating — the
-/// steady-state condition the allocation-count assertions rely on.
-template <class T, class A>
-inline bool arena_warm(const std::vector<T, A>& buf, std::size_t n) {
-  return buf.capacity() >= n;
-}
-
 }  // namespace densevlc

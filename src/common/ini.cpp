@@ -1,7 +1,5 @@
 #include "common/ini.hpp"
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 namespace densevlc {
@@ -59,53 +57,10 @@ IniConfig IniConfig::parse(const std::string& text) {
   return cfg;
 }
 
-std::optional<IniConfig> IniConfig::load(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str());
-}
-
 std::optional<std::string> IniConfig::get(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
-}
-
-bool IniConfig::has(const std::string& key) const {
-  return values_.contains(key);
-}
-
-double IniConfig::get_double(const std::string& key, double fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  return end != v->c_str() && end != nullptr && *end == '\0' ? parsed
-                                                             : fallback;
-}
-
-long IniConfig::get_int(const std::string& key, long fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v->c_str(), &end, 10);
-  return end != v->c_str() && end != nullptr && *end == '\0' ? parsed
-                                                             : fallback;
-}
-
-bool IniConfig::get_bool(const std::string& key, bool fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
-  if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
-  return fallback;
-}
-
-std::string IniConfig::get_string(const std::string& key,
-                                  const std::string& fallback) const {
-  return get(key).value_or(fallback);
 }
 
 }  // namespace densevlc

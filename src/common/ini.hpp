@@ -1,14 +1,16 @@
-// Minimal INI-style configuration parser.
+// Minimal INI-style syntax layer under the scenario spec parser.
 //
-// Examples and tools accept scenario files so users can describe their
-// own rooms without recompiling. Supported syntax:
+// Scenario and campaign files (scenario/spec.hpp) are INI text; this
+// class only splits it into keys and raw values. The spec parser owns
+// the schema: it types every value and rejects unknown keys. Supported
+// syntax:
 //
 //   ; comment      # comment
 //   [section]
 //   key = value
 //
 // Keys are addressed as "section.key" ("" section for keys before any
-// header). Values keep their raw text; typed getters parse on demand.
+// header). Values keep their raw text.
 #pragma once
 
 #include <map>
@@ -17,36 +19,20 @@
 
 namespace densevlc {
 
-/// Parsed INI content with typed accessors.
+/// Parsed INI content: raw values by full key.
 class IniConfig {
  public:
   /// Parses text. Malformed lines (no '=', unterminated section) are
   /// reported via the error string; parsing continues past them.
   static IniConfig parse(const std::string& text);
 
-  /// Loads a file; nullopt when it cannot be read.
-  [[nodiscard]] static std::optional<IniConfig> load(const std::string& path);
-
   /// Raw text value of "section.key".
   std::optional<std::string> get(const std::string& key) const;
-
-  /// Typed getters; return the fallback when missing or unparsable.
-  double get_double(const std::string& key, double fallback) const;
-  long get_int(const std::string& key, long fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
-  std::string get_string(const std::string& key,
-                         const std::string& fallback) const;
-
-  /// Whether the key exists.
-  bool has(const std::string& key) const;
 
   /// All key-value pairs, ordered by full key name. Schema-checking
   /// consumers (the scenario spec parser) iterate this to reject unknown
   /// keys instead of silently ignoring them.
   const std::map<std::string, std::string>& items() const { return values_; }
-
-  /// Number of key-value pairs.
-  std::size_t size() const { return values_.size(); }
 
   /// Parse diagnostics (one line per problem; empty when clean).
   const std::string& errors() const { return errors_; }

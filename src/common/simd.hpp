@@ -67,6 +67,7 @@ namespace densevlc::simd {
 bool force_scalar() noexcept;
 
 /// Test/bench hook overriding the environment switch (both directions).
+// DVLC_LINT_WAIVE(dead-public-api): test hook; the SIMD-leg tests flip it
 void set_force_scalar(bool on) noexcept;
 
 /// True when the running CPU can execute the vector ISA the *_simd TUs

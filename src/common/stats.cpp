@@ -67,24 +67,6 @@ double max(std::span<const double> samples) {
   return *std::max_element(samples.begin(), samples.end());
 }
 
-std::vector<CdfPoint> empirical_cdf(std::span<const double> samples) {
-  std::vector<CdfPoint> out;
-  if (samples.empty()) return out;
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  const auto n = static_cast<double>(sorted.size());
-  out.reserve(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    // Collapse ties: keep only the last (highest-CDF) entry per value.
-    if (!out.empty() && out.back().value == sorted[i]) {
-      out.back().cdf = static_cast<double>(i + 1) / n;
-    } else {
-      out.push_back({sorted[i], static_cast<double>(i + 1) / n});
-    }
-  }
-  return out;
-}
-
 Histogram histogram(std::span<const double> samples, double lo, double hi,
                     std::size_t bins) {
   Histogram h;

@@ -41,16 +41,6 @@ double min(std::span<const double> samples);
 /// Maximum value; 0 for empty input.
 double max(std::span<const double> samples);
 
-/// One point of an empirical CDF.
-struct CdfPoint {
-  double value = 0.0;  ///< sample value (x axis)
-  double cdf = 0.0;    ///< fraction of samples <= value (y axis)
-};
-
-/// Empirical CDF: sorted sample values paired with cumulative fractions
-/// i/n. Ties collapse to the highest fraction.
-std::vector<CdfPoint> empirical_cdf(std::span<const double> samples);
-
 /// A histogram over equal-width bins spanning [lo, hi].
 struct Histogram {
   double lo = 0.0;

@@ -90,6 +90,7 @@ ThreadPool& global_pool();
 void set_global_threads(std::size_t num_threads);
 
 /// Thread count of the current global pool.
+// DVLC_LINT_WAIVE(dead-public-api): perfbench's replay calls it
 std::size_t global_threads();
 
 namespace detail {

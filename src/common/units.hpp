@@ -40,29 +40,14 @@ namespace units {
 /// Converts degrees to radians.
 constexpr double deg_to_rad(double deg) { return deg * kPi / 180.0; }
 
-/// Converts radians to degrees.
-constexpr double rad_to_deg(double rad) { return rad * 180.0 / kPi; }
-
 /// Converts milliamperes to amperes.
 constexpr double mA(double milliamps) { return milliamps * 1e-3; }
-
-/// Converts amperes to milliamperes (for display).
-constexpr double to_mA(double amps) { return amps * 1e3; }
-
-/// Converts milliwatts to watts.
-constexpr double mW(double milliwatts) { return milliwatts * 1e-3; }
 
 /// Converts watts to milliwatts (for display).
 constexpr double to_mW(double watts) { return watts * 1e3; }
 
 /// Converts megahertz to hertz.
 constexpr double MHz(double megahertz) { return megahertz * 1e6; }
-
-/// Converts kilohertz to hertz.
-constexpr double kHz(double kilohertz) { return kilohertz * 1e3; }
-
-/// Converts square millimeters to square meters.
-constexpr double mm2(double square_mm) { return square_mm * 1e-6; }
 
 /// Converts microseconds to seconds.
 constexpr double us(double microseconds) { return microseconds * 1e-6; }
@@ -73,17 +58,11 @@ constexpr double to_us(double seconds) { return seconds * 1e6; }
 // Typed overloads: the display-side converters accept the Quantity alias
 // directly so call sites never unwrap just to format a number.
 
-/// Converts a typed current to milliamperes (for display).
-constexpr double to_mA(Amperes amps) { return amps.value() * 1e3; }
-
 /// Converts a typed power to milliwatts (for display).
 constexpr double to_mW(Watts watts) { return watts.value() * 1e3; }
 
 /// Converts a typed duration to microseconds (for display).
 constexpr double to_us(Seconds seconds) { return seconds.value() * 1e6; }
-
-/// Converts a typed throughput to Mbit/s (for display).
-constexpr double to_Mbps(BitsPerSecond bps) { return bps.value() * 1e-6; }
 
 }  // namespace units
 }  // namespace densevlc

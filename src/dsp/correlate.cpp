@@ -5,29 +5,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <utility>
 
 #include "common/arena.hpp"
 #include "dsp/dsp_kernels.hpp"
 
 namespace densevlc::dsp {
-
-std::vector<double> correlate(std::span<const double> signal,
-                              std::span<const double> pattern) {
-  std::vector<double> out;
-  if (pattern.empty() || signal.size() < pattern.size()) return out;
-  const std::size_t n = signal.size() - pattern.size() + 1;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < pattern.size(); ++j) {
-      acc += signal[i + j] * pattern[j];
-    }
-    // DVLC_LINT_WAIVE(hot-loop-alloc): reserved above, ablation-only path
-    out.push_back(acc);
-  }
-  return out;
-}
 
 namespace {
 
@@ -146,14 +128,15 @@ SignalTotals signal_sums(std::span<const double> signal, std::size_t m,
 
 // The reference score of the window starting at `window`: the dot
 // product accumulated in pattern order, normalized by
-// sqrt(var * pat_energy); 0 when the window has no variance. The scalar
-// kernel's own per-position path.
+// sqrt(var * pat_energy); 0 when the window has no variance.
 double exact_score(const double* window, std::span<const double> pat,
                    double mean, double var, double pat_energy) {
-  double score = 0.0;
-  detail::correlate_scores_kernel<simd::ScalarBackend>(
-      window, pat.data(), pat.size(), &mean, &var, pat_energy, &score, 1);
-  return score;
+  if (!(var > 1e-30)) return 0.0;
+  double dot = 0.0;
+  for (std::size_t j = 0; j < pat.size(); ++j) {
+    dot += (window[j] - mean) * pat[j];
+  }
+  return dot / std::sqrt(var * pat_energy);
 }
 
 // gamma_k = k u / (1 - k u): the standard bound on the relative error of
@@ -165,43 +148,6 @@ double gamma_k(std::size_t k) {
 }
 
 }  // namespace
-
-void normalized_correlate_into(std::span<const double> signal,
-                               std::span<const double> pattern,
-                               CorrelateScratch& scratch) {
-  arena_clear(scratch.scores);
-  if (pattern.empty() || signal.size() < pattern.size()) return;
-  const std::size_t m = pattern.size();
-  stage_template(pattern, scratch);
-  const double pat_energy = scratch.pat_sumsq;
-  const std::size_t n = signal.size() - m + 1;
-  arena_resize(scratch.scores, n);
-  if (pat_energy <= 0.0) {
-    for (double& s : scratch.scores) s = 0.0;
-    return;
-  }
-  // Only the independent per-position dot products are vectorized.
-  signal_sums(signal, m, scratch);
-  detail::window_moments_kernel<simd::ScalarBackend>(
-      scratch.means.data(), scratch.vars.data(), n, m);
-  const std::vector<double>& pat = scratch.pattern;
-  if (simd::use_vector_kernels()) {
-    detail::correlate_scores_vec(signal.data(), pat.data(), m,
-                                 scratch.means.data(), scratch.vars.data(),
-                                 pat_energy, scratch.scores.data(), n);
-  } else {
-    detail::correlate_scores_kernel<simd::ScalarBackend>(
-        signal.data(), pat.data(), m, scratch.means.data(),
-        scratch.vars.data(), pat_energy, scratch.scores.data(), n);
-  }
-}
-
-std::vector<double> normalized_correlate(std::span<const double> signal,
-                                         std::span<const double> pattern) {
-  CorrelateScratch scratch;
-  normalized_correlate_into(signal, pattern, scratch);
-  return std::move(scratch.scores);
-}
 
 std::optional<PeakDetection> detect_pattern_into(
     std::span<const double> signal, std::span<const double> pattern,

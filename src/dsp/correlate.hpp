@@ -14,18 +14,6 @@
 
 namespace densevlc::dsp {
 
-/// Raw sliding-dot-product correlation of `pattern` against `signal`.
-/// Output length is signal.size() - pattern.size() + 1; empty if the
-/// pattern is longer than the signal.
-std::vector<double> correlate(std::span<const double> signal,
-                              std::span<const double> pattern);
-
-/// Normalized cross-correlation in [-1, 1]: each window of the signal is
-/// mean-removed and scaled by its energy, as is the pattern. Windows with
-/// no variance correlate as 0.
-std::vector<double> normalized_correlate(std::span<const double> signal,
-                                         std::span<const double> pattern);
-
 /// Result of a pattern search.
 struct PeakDetection {
   std::size_t index = 0;   ///< sample offset of the best alignment
@@ -33,8 +21,11 @@ struct PeakDetection {
 };
 
 /// Finds the best normalized-correlation alignment of `pattern` within
-/// `signal`, requiring the peak to reach `threshold`. Returns nullopt when
-/// nothing crosses the threshold (e.g. pilot absent / blocked).
+/// `signal`, requiring the peak to reach `threshold`. The score of a
+/// window is in [-1, 1]: the window is mean-removed and scaled by its
+/// energy, as is the pattern; a window or pattern with no variance scores
+/// 0. Returns nullopt when nothing crosses the threshold (e.g. pilot
+/// absent / blocked) or the pattern is longer than the signal.
 std::optional<PeakDetection> detect_pattern(std::span<const double> signal,
                                             std::span<const double> pattern,
                                             double threshold);
@@ -50,8 +41,8 @@ std::optional<PeakDetection> detect_pattern(std::span<const double> signal,
 /// the same template as the last one skips the staging and a different
 /// template can never find it stale. The rest holds one search's
 /// per-position arrays: the rolling window statistics the SIMD kernels
-/// consume (aligned for vector loads), the signal's running sums, the
-/// per-position score upper bounds and the score vector.
+/// consume (aligned for vector loads), the signal's running sums and the
+/// per-position score upper bounds.
 struct CorrelateScratch {
   std::vector<double> source;       ///< raw template the staging is of
   std::vector<double> pattern;      ///< mean-removed template
@@ -62,19 +53,12 @@ struct CorrelateScratch {
   double w_abs = 0.0;               ///< sum of |tap_w[t]|
   std::vector<std::size_t> tap_at;  ///< run-boundary offsets in the pattern
   std::vector<double> tap_w;        ///< pattern jump at each boundary
-  std::vector<double> scores;
   AlignedVector<double> means;
   AlignedVector<double> vars;
   AlignedVector<double> prefix;     ///< prefix[k] = sum of signal[0..k)
   AlignedVector<double> bounds;     ///< approximate dots, then score bounds
   std::size_t rescored = 0;  ///< positions the last search scored exactly
 };
-
-/// normalized_correlate into `scratch.scores`. Bit-identical to the
-/// value-returning function, which now wraps this.
-void normalized_correlate_into(std::span<const double> signal,
-                               std::span<const double> pattern,
-                               CorrelateScratch& scratch);
 
 /// detect_pattern running off a reused workspace. Bit-identical to the
 /// full scan (score every position, keep the first maximum that reaches

@@ -5,12 +5,11 @@
 // (adc.cpp, correlate.cpp, phy/frontend.cpp) and for
 // `simd::VectorBackend` inside dsp_simd.cpp, which is the only DSP TU
 // compiled with the vector ISA flags. Call sites pick between the two at
-// runtime via `simd::use_vector_kernels()`. (window_moments_kernel serves
-// only the unpruned scan and has just the scalar instantiation.)
+// runtime via `simd::use_vector_kernels()`.
 //
 // Bit-exactness: the float kernels vectorize ACROSS independent streams
-// (4 filter lanes, 4 correlation window positions, 16 tap-sum
-// positions, 4 samples or search positions of the elementwise kernels),
+// (4 filter lanes, 16 tap-sum positions, 4 samples or search positions
+// of the elementwise kernels),
 // never within one accumulation chain, and the backends use separate
 // mul/add (no FMA), so every per-lane operation sequence matches the
 // scalar reference rounding-for-rounding. See docs/architecture.md
@@ -127,47 +126,6 @@ void filter_quad_kernel(double* const x[4], std::size_t n,
     case 6: return run(integral_constant<std::size_t, 6>{});
     case 7: return run(integral_constant<std::size_t, 7>{});
     default: return run(integral_constant<std::size_t, kMaxBiquadSections>{});
-  }
-}
-
-/// Normalized-correlation scores for `n` window positions, 4 at a time.
-/// `means[i]`/`vars[i]` are the rolling window statistics precomputed by
-/// the caller with the reference recurrence; per position the dot product
-/// accumulates over j in the same order as the scalar reference.
-template <class B>
-void correlate_scores_kernel(const double* signal, const double* pat,
-                             std::size_t m, const double* means,
-                             const double* vars, double pat_energy,
-                             double* scores, std::size_t n) {
-  using V = typename B::f64x4;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    V acc = B::broadcast4(0.0);
-    const V mean = B::load4(means + i);
-    for (std::size_t j = 0; j < m; ++j) {
-      acc = B::add4(acc, B::mul4(B::sub4(B::load4(signal + i + j), mean),
-                                 B::broadcast4(pat[j])));
-    }
-    double dots[4];
-    B::store4(dots, acc);
-    for (std::size_t l = 0; l < 4; ++l) {
-      const double var = vars[i + l];
-      scores[i + l] =
-          var > 1e-30 ? dots[l] / std::sqrt(var * pat_energy) : 0.0;
-    }
-  }
-  for (; i < n; ++i) {
-    const double var = vars[i];
-    double score = 0.0;
-    if (var > 1e-30) {
-      const double mean = means[i];
-      double dot = 0.0;
-      for (std::size_t j = 0; j < m; ++j) {
-        dot += (signal[i + j] - mean) * pat[j];
-      }
-      score = dot / std::sqrt(var * pat_energy);
-    }
-    scores[i] = score;
   }
 }
 
@@ -303,34 +261,8 @@ inline void window_moments(typename B::f64x4 sum, typename B::f64x4 sq,
   var = B::sub4(sq, B::mul4(sum, mean));
 }
 
-/// window_moments in place over n positions: means[i] holds the window
-/// sum on entry and its mean on exit, vars[i] the sum of squares and then
-/// the sum of squared deviations. Every group of four goes through a
-/// padded copy; the full scan that uses this is not a hot path.
-template <class B>
-void window_moments_kernel(double* means, double* vars, std::size_t n,
-                           std::size_t m) {
-  using V = typename B::f64x4;
-  const V vm = B::broadcast4(static_cast<double>(m));
-  for (std::size_t i = 0; i < n; i += 4) {
-    const std::size_t r = std::min<std::size_t>(4, n - i);
-    double sum[4] = {0.0, 0.0, 0.0, 0.0};
-    double sq[4] = {0.0, 0.0, 0.0, 0.0};
-    std::copy_n(means + i, r, sum);
-    std::copy_n(vars + i, r, sq);
-    V mean;
-    V var;
-    window_moments<B>(B::load4(sum), B::load4(sq), vm, mean, var);
-    B::store4(sum, mean);
-    B::store4(sq, var);
-    std::copy_n(sum, r, means + i);
-    std::copy_n(sq, r, vars + i);
-  }
-}
-
 /// The pruned preamble search's bound pass over n positions. On entry
-/// means/vars hold the rolling window sums (as for window_moments_kernel)
-/// and bounds the run-length approximate dots; on exit means/vars hold
+/// means/vars hold the rolling window sums and bounds the run-length approximate dots; on exit means/vars hold
 /// the window moments and bounds[i] the score upper bound
 /// hi = (approx + delta) / den, with delta = c0 + c1 * |mean| and
 /// den = sqrt(var * pat_energy), or 0 when var <= 1e-30 (NaN included).
@@ -397,10 +329,6 @@ double search_bounds_kernel(double* means, double* vars, double* bounds,
 void filter_quad_vec(double* const x[4], std::size_t n, const double* coeffs,
                      double* states, std::size_t sections,
                      std::size_t gain_at, const double* gains);
-void correlate_scores_vec(const double* signal, const double* pat,
-                          std::size_t m, const double* means,
-                          const double* vars, double pat_energy,
-                          double* scores, std::size_t n);
 void tap_sums_vec(const double* prefix, const std::size_t* at,
                   const double* w, std::size_t taps, double* out,
                   std::size_t n);

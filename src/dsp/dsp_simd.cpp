@@ -16,14 +16,6 @@ void filter_quad_vec(double* const x[4], std::size_t n, const double* coeffs,
                                           gain_at, gains);
 }
 
-void correlate_scores_vec(const double* signal, const double* pat,
-                          std::size_t m, const double* means,
-                          const double* vars, double pat_energy,
-                          double* scores, std::size_t n) {
-  correlate_scores_kernel<simd::VectorBackend>(signal, pat, m, means, vars,
-                                               pat_energy, scores, n);
-}
-
 void tap_sums_vec(const double* prefix, const std::size_t* at,
                   const double* w, std::size_t taps, double* out,
                   std::size_t n) {

@@ -51,10 +51,4 @@ void fft(std::vector<Complex>& data) { transform(data, false); }
 
 void ifft(std::vector<Complex>& data) { transform(data, true); }
 
-std::vector<Complex> fft_real(const std::vector<double>& data) {
-  std::vector<Complex> c(data.begin(), data.end());
-  fft(c);
-  return c;
-}
-
 }  // namespace densevlc::dsp

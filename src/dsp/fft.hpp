@@ -25,7 +25,4 @@ void fft(std::vector<Complex>& data);
 /// In-place inverse FFT with 1/N normalization.
 void ifft(std::vector<Complex>& data);
 
-/// Forward FFT of a real signal (convenience: widens to complex).
-std::vector<Complex> fft_real(const std::vector<double>& data);
-
 }  // namespace densevlc::dsp

@@ -35,9 +35,4 @@ std::optional<SnrEstimate> m2m4_snr(std::span<const double> samples) {
   return est;
 }
 
-double snr_db_from_powers(double signal_power, double noise_power) {
-  if (signal_power <= 0.0 || noise_power <= 0.0) return -300.0;
-  return 10.0 * std::log10(signal_power / noise_power);
-}
-
 }  // namespace densevlc::dsp

@@ -33,7 +33,4 @@ struct SnrEstimate {
 /// fewer than 4 samples are supplied.
 std::optional<SnrEstimate> m2m4_snr(std::span<const double> samples);
 
-/// True SNR helper for tests/benches: signal power over noise power in dB.
-double snr_db_from_powers(double signal_power, double noise_power);
-
 }  // namespace densevlc::dsp

@@ -20,22 +20,4 @@ std::vector<Pose> make_ceiling_grid(const Room& room, const GridSpec& spec) {
   return poses;
 }
 
-std::vector<Vec3> make_raster(double x0, double x1, double y0, double y1,
-                              double z, std::size_t per_axis) {
-  std::vector<Vec3> pts;
-  if (per_axis == 0) return pts;
-  pts.reserve(per_axis * per_axis);
-  const double dx =
-      per_axis > 1 ? (x1 - x0) / static_cast<double>(per_axis - 1) : 0.0;
-  const double dy =
-      per_axis > 1 ? (y1 - y0) / static_cast<double>(per_axis - 1) : 0.0;
-  for (std::size_t iy = 0; iy < per_axis; ++iy) {
-    for (std::size_t ix = 0; ix < per_axis; ++ix) {
-      pts.push_back({x0 + static_cast<double>(ix) * dx,
-                     y0 + static_cast<double>(iy) * dy, z});
-    }
-  }
-  return pts;
-}
-
 }  // namespace densevlc::geom

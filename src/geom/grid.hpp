@@ -46,10 +46,4 @@ struct GridSpec {
 /// i.e. index = row * cols + col, position x = offset + col * pitch.
 std::vector<Pose> make_ceiling_grid(const Room& room, const GridSpec& spec);
 
-/// Enumerates (x, y) sample points of a regular raster over a rectangle
-/// [x0, x1] x [y0, y1] at the given z, with `per_axis` points per axis.
-/// Used by the illuminance map and uniformity checks.
-std::vector<Vec3> make_raster(double x0, double x1, double y0, double y1,
-                              double z, std::size_t per_axis);
-
 }  // namespace densevlc::geom

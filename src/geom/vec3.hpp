@@ -58,8 +58,6 @@ struct Vec3 {
 
 constexpr Vec3 operator*(double s, const Vec3& v) { return v * s; }
 
-/// Euclidean distance between two points.
-inline double distance(const Vec3& a, const Vec3& b) { return (a - b).norm(); }
 
 /// An oriented optical element: a position plus the unit normal of its
 /// emitting (LED) or collecting (photodiode) surface.

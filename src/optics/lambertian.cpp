@@ -72,11 +72,6 @@ double LosModel::gain(const geom::Pose& tx_pose,
   return gain;
 }
 
-double los_gain(const LambertianEmitter& emitter, const Photodiode& pd,
-                const geom::Pose& tx_pose, const geom::Pose& rx_pose) {
-  return LosModel{emitter, pd}.gain(tx_pose, rx_pose);
-}
-
 double radiant_intensity_factor(const LambertianEmitter& emitter,
                                 double phi_rad) {
   const double cos_phi = std::cos(phi_rad);

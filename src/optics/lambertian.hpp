@@ -69,10 +69,6 @@ class LosModel {
   double in_fov_gain_ = 0.0;
 };
 
-/// LosModel{emitter, pd}.gain(tx_pose, rx_pose) for a single link.
-double los_gain(const LambertianEmitter& emitter, const Photodiode& pd,
-                const geom::Pose& tx_pose, const geom::Pose& rx_pose);
-
 /// Radiant intensity pattern value (m+1)/(2*pi) * cos^m(phi) [1/sr].
 /// Multiplying by emitted optical power gives W/sr toward angle phi.
 double radiant_intensity_factor(const LambertianEmitter& emitter,

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 
-#include "common/arena.hpp"
 #include "common/contracts.hpp"
 #include "phy/phy_kernels.hpp"
 
@@ -26,51 +25,18 @@ constexpr auto kUnpackLut = build_unpack_lut();
 
 }  // namespace
 
-void manchester_encode_into(std::span<const std::uint8_t> bits,
-                            std::vector<Chip>& out) {
-  arena_resize(out, bits.size() * 2);
+std::vector<Chip> manchester_encode(std::span<const std::uint8_t> bits) {
+  std::vector<Chip> chips(bits.size() * 2);
   for (std::size_t i = 0; i < bits.size(); ++i) {
     const bool one = bits[i] != 0;
-    out[2 * i] = one ? Chip::kHigh : Chip::kLow;      // 1: Ih -> Il
-    out[2 * i + 1] = one ? Chip::kLow : Chip::kHigh;  // 0: Il -> Ih
+    chips[2 * i] = one ? Chip::kHigh : Chip::kLow;      // 1: Ih -> Il
+    chips[2 * i + 1] = one ? Chip::kLow : Chip::kHigh;  // 0: Il -> Ih
   }
-}
-
-std::vector<Chip> manchester_encode(std::span<const std::uint8_t> bits) {
-  std::vector<Chip> chips;
-  manchester_encode_into(bits, chips);
   return chips;
 }
 
-bool manchester_decode_into(std::span<const Chip> chips,
-                            std::vector<std::uint8_t>& out) {
-  arena_clear(out);
-  if (chips.size() % 2 != 0) return false;
-  arena_resize(out, chips.size() / 2);
-  for (std::size_t i = 0; i < chips.size(); i += 2) {
-    if (chips[i] == Chip::kLow && chips[i + 1] == Chip::kHigh) {
-      out[i / 2] = 0;
-    } else if (chips[i] == Chip::kHigh && chips[i + 1] == Chip::kLow) {
-      out[i / 2] = 1;
-    } else {
-      arena_clear(out);
-      return false;
-    }
-  }
-  return true;
-}
-
-std::optional<std::vector<std::uint8_t>> manchester_decode(
-    std::span<const Chip> chips) {
-  std::vector<std::uint8_t> bits;
-  if (!manchester_decode_into(chips, bits)) return std::nullopt;
-  return bits;
-}
-
-void manchester_decode_lenient_into(std::span<const Chip> chips,
-                                    LenientDecode& out) {
-  out.violations = 0;
-  arena_resize(out.bits, chips.size() / 2);
+LenientDecode manchester_decode_lenient(std::span<const Chip> chips) {
+  LenientDecode out{std::vector<std::uint8_t>(chips.size() / 2)};
   std::size_t n = 0;
   for (std::size_t i = 0; i + 1 < chips.size(); i += 2) {
     if (chips[i] == Chip::kLow && chips[i + 1] == Chip::kHigh) {
@@ -83,50 +49,34 @@ void manchester_decode_lenient_into(std::span<const Chip> chips,
     }
   }
   if (chips.size() % 2 != 0) ++out.violations;
-}
-
-LenientDecode manchester_decode_lenient(std::span<const Chip> chips) {
-  LenientDecode out;
-  manchester_decode_lenient_into(chips, out);
   return out;
 }
 
-void bytes_to_bits_into(std::span<const std::uint8_t> bytes,
-                        std::vector<std::uint8_t>& out) {
-  arena_resize(out, bytes.size() * 8);
-  std::uint8_t* dst = out.data();
+std::vector<std::uint8_t> bytes_to_bits(std::span<const std::uint8_t> bytes) {
+  std::vector<std::uint8_t> bits(bytes.size() * 8);
+  std::uint8_t* dst = bits.data();
   for (std::uint8_t b : bytes) {
     const auto& row = kUnpackLut[b];
     std::copy_n(row.begin(), 8, dst);
     dst += 8;
   }
-}
-
-std::vector<std::uint8_t> bytes_to_bits(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> bits;
-  bytes_to_bits_into(bytes, bits);
   return bits;
 }
 
-bool bits_to_bytes_into(std::span<const std::uint8_t> bits,
-                        std::vector<std::uint8_t>& out) {
-  arena_clear(out);
-  if (bits.size() % 8 != 0) return false;
-  arena_resize(out, bits.size() / 8);
+// Packing directly assembles the byte that indexes the encode/unpack
+// LUTs, so this direction needs no table; the all-256-value parity test
+// in tests/phy pins it to the LUTs.
+std::optional<std::vector<std::uint8_t>> bits_to_bytes(
+    std::span<const std::uint8_t> bits) {
+  if (bits.size() % 8 != 0) return std::nullopt;
+  std::vector<std::uint8_t> bytes(bits.size() / 8);
   for (std::size_t i = 0; i < bits.size(); i += 8) {
     std::uint8_t b = 0;
     for (std::size_t j = 0; j < 8; ++j) {
       b = static_cast<std::uint8_t>((b << 1) | (bits[i + j] & 1));
     }
-    out[i / 8] = b;
+    bytes[i / 8] = b;
   }
-  return true;
-}
-
-std::optional<std::vector<std::uint8_t>> bits_to_bytes(
-    std::span<const std::uint8_t> bits) {
-  std::vector<std::uint8_t> bytes;
-  if (!bits_to_bytes_into(bits, bytes)) return std::nullopt;
   return bytes;
 }
 

@@ -23,15 +23,11 @@ enum class Chip : std::uint8_t {
 /// Encodes bits into chips; output has exactly 2 chips per bit.
 std::vector<Chip> manchester_encode(std::span<const std::uint8_t> bits);
 
-/// Decodes chips back into bits. Returns nullopt when the length is odd
-/// or any chip pair lacks a transition (LL / HH is a coding violation —
-/// either noise or loss of symbol lock).
-std::optional<std::vector<std::uint8_t>> manchester_decode(
-    std::span<const Chip> chips);
-
-/// Decodes leniently: coding violations resolve to a best guess (0) and
-/// are counted. Used by the demodulator so RS can mop up residual errors
-/// instead of dropping whole frames on one bad chip pair.
+/// Decodes chips back into bits. A chip pair without a transition (LL /
+/// HH: noise or loss of symbol lock) is a coding violation; it resolves
+/// to a best guess (0) and is counted, as is an odd trailing chip. The
+/// demodulator decodes this way so RS can mop up residual errors instead
+/// of dropping whole frames on one bad chip pair.
 struct LenientDecode {
   std::vector<std::uint8_t> bits;
   std::size_t violations = 0;
@@ -45,38 +41,6 @@ std::vector<std::uint8_t> bytes_to_bits(std::span<const std::uint8_t> bytes);
 /// bytes. Returns nullopt on ragged length.
 std::optional<std::vector<std::uint8_t>> bits_to_bytes(
     std::span<const std::uint8_t> bits);
-
-// --- Zero-allocation overloads (see common/arena.hpp) -------------------
-//
-// Each writes its result into a caller-owned buffer whose capacity is
-// reused across calls; after the first (warm-up) frame they perform no
-// heap allocation. Bit-identical to the value-returning functions above,
-// which are now thin wrappers around these.
-
-/// manchester_encode into a reused chip buffer.
-void manchester_encode_into(std::span<const std::uint8_t> bits,
-                            std::vector<Chip>& out);
-
-/// manchester_decode into a reused bit buffer; false replaces nullopt
-/// (odd length or coding violation). `out` is left empty on failure.
-[[nodiscard]] bool manchester_decode_into(std::span<const Chip> chips,
-                                          std::vector<std::uint8_t>& out);
-
-/// manchester_decode_lenient into a reused result.
-void manchester_decode_lenient_into(std::span<const Chip> chips,
-                                    LenientDecode& out);
-
-/// bytes_to_bits into a reused bit buffer (LUT-driven: one 8-entry row
-/// copy per byte).
-void bytes_to_bits_into(std::span<const std::uint8_t> bytes,
-                        std::vector<std::uint8_t>& out);
-
-/// bits_to_bytes into a reused byte buffer; false replaces nullopt on
-/// ragged length. Packing directly assembles the byte that indexes the
-/// encode/unpack LUTs, so there is no separate table for this direction;
-/// the all-256-value parity test in tests/phy pins it to the LUTs.
-[[nodiscard]] bool bits_to_bytes_into(std::span<const std::uint8_t> bits,
-                                      std::vector<std::uint8_t>& out);
 
 // --- Byte-at-a-time LUT fast paths --------------------------------------
 //

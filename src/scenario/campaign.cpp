@@ -1,7 +1,6 @@
 #include "scenario/campaign.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -254,18 +253,10 @@ CampaignParseResult parse_campaign(const std::string& text) {
 }
 
 CampaignParseResult load_campaign_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
+  std::string text;
+  if (auto error = read_spec_text(path, text)) {
     CampaignParseResult result;
-    result.errors.push_back(
-        {path, "cannot open campaign file (missing or unreadable)"});
-    return result;
-  }
-  std::string text{std::istreambuf_iterator<char>{in},
-                   std::istreambuf_iterator<char>{}};
-  if (in.bad()) {
-    CampaignParseResult result;
-    result.errors.push_back({path, "read error while loading campaign file"});
+    result.errors.push_back(std::move(*error));
     return result;
   }
   return parse_campaign(text);

@@ -143,6 +143,7 @@ struct CampaignSummary {
   std::size_t instance_count = 0;
 };
 
+// DVLC_LINT_WAIVE(dead-public-api): perfbench's replay calls it
 CampaignSummary summarize_records(const CampaignSpec& campaign,
                                   std::size_t instances_per_point,
                                   std::vector<InstanceRecord> records);

@@ -495,19 +495,27 @@ SpecParseResult parse_spec(const std::string& text) {
   return result;
 }
 
-SpecParseResult load_spec_file(const std::string& path) {
+std::optional<SpecError> read_spec_text(const std::string& path,
+                                        std::string& text) {
+  text.clear();
   std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    SpecParseResult result;
-    result.errors.push_back(
-        {path, "cannot open scenario file (missing or unreadable)"});
-    return result;
+  // istream::read turns a failed read (EISDIR on a directory) into
+  // badbit instead of letting the streambuf's exception escape.
+  char chunk[4096];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
   }
-  std::string text{std::istreambuf_iterator<char>{in},
-                   std::istreambuf_iterator<char>{}};
-  if (in.bad()) {
+  if (in.eof() && !in.bad()) return std::nullopt;
+  text.clear();
+  return SpecError{path, "cannot read file (missing or unreadable, or a "
+                         "directory)"};
+}
+
+SpecParseResult load_spec_file(const std::string& path) {
+  std::string text;
+  if (auto error = read_spec_text(path, text)) {
     SpecParseResult result;
-    result.errors.push_back({path, "read error while loading scenario file"});
+    result.errors.push_back(std::move(*error));
     return result;
   }
   return parse_spec(text);

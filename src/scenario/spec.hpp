@@ -127,6 +127,13 @@ struct SpecParseResult {
 /// out-of-range fields are typed errors; nothing is silently defaulted.
 [[nodiscard]] SpecParseResult parse_spec(const std::string& text);
 
+/// Reads the whole file at `path` into `text` with one open and one read
+/// pass. A missing or unreadable path, a directory included, returns the
+/// typed "cannot read" SpecError whose key carries the path. Every
+/// scenario and campaign file reader goes through this.
+[[nodiscard]] std::optional<SpecError> read_spec_text(const std::string& path,
+                                                      std::string& text);
+
 /// Reads and parses a scenario file. A missing or unreadable path is a
 /// typed SpecError whose key carries the path — never an empty parse.
 [[nodiscard]] SpecParseResult load_spec_file(const std::string& path);

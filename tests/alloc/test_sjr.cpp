@@ -25,20 +25,20 @@ channel::ChannelMatrix paper_channel() {
 }
 
 TEST(Sjr, MatrixDefinition) {
-  // SJR_{i,j} = H^kappa / sum_j' H_{i,j'}.
-  const channel::ChannelMatrix h{1, 2, {4e-7, 1e-7}};
-  const auto sjr = sjr_matrix(h, 1.0);
-  EXPECT_NEAR(sjr[0], 4e-7 / 5e-7, 1e-12);
-  EXPECT_NEAR(sjr[1], 1e-7 / 5e-7, 1e-12);
-  const auto sjr2 = sjr_matrix(h, 2.0);
-  EXPECT_NEAR(sjr2[0], 4e-7 * 4e-7 / 5e-7, 1e-18);
+  // SJR_{i,j} = H^kappa / sum_j' H_{i,j'}; a TX ranks at its row's best.
+  const channel::ChannelMatrix h{1, 2, {1e-7, 4e-7}};
+  const auto ranking = rank_transmitters(h, 1.0);
+  EXPECT_EQ(ranking[0].rx, 1u);
+  EXPECT_NEAR(ranking[0].sjr, 4e-7 / 5e-7, 1e-12);
+  const auto ranking2 = rank_transmitters(h, 2.0);
+  EXPECT_NEAR(ranking2[0].sjr, 4e-7 * 4e-7 / 5e-7, 1e-18);
 }
 
 TEST(Sjr, DeadTxScoresZero) {
   const channel::ChannelMatrix h{2, 2, {1e-6, 1e-7, 0.0, 0.0}};
-  const auto sjr = sjr_matrix(h, 1.3);
-  EXPECT_DOUBLE_EQ(sjr[2], 0.0);
-  EXPECT_DOUBLE_EQ(sjr[3], 0.0);
+  const auto ranking = rank_transmitters(h, 1.3);
+  EXPECT_EQ(ranking[1].tx, 1u);
+  EXPECT_DOUBLE_EQ(ranking[1].sjr, 0.0);
 }
 
 void expect_permutation(const std::vector<RankedTx>& ranking,

@@ -435,5 +435,20 @@ TEST(ProjectIndex, ExternalUsesExcludesOwnPair) {
   EXPECT_GT(index.external_uses("helper", "src/phy/helper.hpp"), 0u);
 }
 
+TEST(ProjectIndex, ExternalUsesSkipsTests) {
+  ProjectIndex index;
+  const auto add = [&index](const std::string& text, const std::string& rel) {
+    const SourceFile f = indexed(text, rel);
+    index.files.push_back(summarize(f, build_scope_tree(f.tokens)));
+  };
+  add("double helper(double x);\n", "src/phy/helper.hpp");
+  add("TEST(H, H) { EXPECT_EQ(helper(1.0), 1.0); }\n",
+      "tests/phy/test_helper.cpp");
+  // A test is not a caller: the helper has no external use yet.
+  EXPECT_EQ(index.external_uses("helper", "src/phy/helper.hpp"), 0u);
+  add("void go() { helper(1.0); }\n", "bench/use.cpp");
+  EXPECT_EQ(index.external_uses("helper", "src/phy/helper.hpp"), 1u);
+}
+
 }  // namespace
 }  // namespace densevlc::analyze

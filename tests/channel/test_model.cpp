@@ -298,13 +298,14 @@ void expect_matches_reference(const std::vector<geom::Pose>& tx,
   for (std::size_t k = 0; k < rx.size(); k += 2) dirty.push_back(k);
   partial.update_columns_from_geometry(tx, rx, emitter, pd, dirty);
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const optics::LosModel one_link{emitter, pd};
   std::size_t lit = 0;
   for (std::size_t j = 0; j < tx.size(); ++j) {
     for (std::size_t k = 0; k < rx.size(); ++k) {
       const std::uint64_t want =
           bits(los_gain_reference(emitter, pd, tx[j], rx[k]));
       EXPECT_EQ(bits(full.gain(j, k)), want) << "j=" << j << " k=" << k;
-      EXPECT_EQ(bits(optics::los_gain(emitter, pd, tx[j], rx[k])), want)
+      EXPECT_EQ(bits(one_link.gain(tx[j], rx[k])), want)
           << "j=" << j << " k=" << k;
       EXPECT_EQ(bits(partial.gain(j, k)), k % 2 == 0 ? want : bits(-7.0))
           << "j=" << j << " k=" << k;

@@ -17,22 +17,16 @@ namespace {
 
 TEST(Units, MilliampRoundTrip) {
   EXPECT_DOUBLE_EQ(units::mA(450.0), 0.45);
-  EXPECT_DOUBLE_EQ(units::to_mA(units::mA(450.0)), 450.0);
-  EXPECT_DOUBLE_EQ(units::to_mA(Amperes{0.036}), 36.0);
 }
 
 TEST(Units, MilliwattRoundTrip) {
-  EXPECT_DOUBLE_EQ(units::mW(2000.0), 2.0);
-  EXPECT_DOUBLE_EQ(units::to_mW(units::mW(123.0)), 123.0);
+  EXPECT_DOUBLE_EQ(units::to_mW(0.123), 123.0);
   EXPECT_DOUBLE_EQ(units::to_mW(Watts{1.5}), 1500.0);
 }
 
 TEST(Units, DegreeRadianRoundTrip) {
   EXPECT_DOUBLE_EQ(units::deg_to_rad(180.0), kPi);
-  EXPECT_DOUBLE_EQ(units::rad_to_deg(kPi / 2.0), 90.0);
-  for (double deg : {-60.0, 0.0, 12.5, 45.0, 120.0}) {
-    EXPECT_NEAR(units::rad_to_deg(units::deg_to_rad(deg)), deg, 1e-12);
-  }
+  EXPECT_DOUBLE_EQ(units::deg_to_rad(90.0), kPi / 2.0);
 }
 
 TEST(Units, TimeAndFrequencyHelpers) {
@@ -40,9 +34,6 @@ TEST(Units, TimeAndFrequencyHelpers) {
   EXPECT_DOUBLE_EQ(units::to_us(units::us(7.0)), 7.0);
   EXPECT_DOUBLE_EQ(units::to_us(Seconds{1e-3}), 1000.0);
   EXPECT_DOUBLE_EQ(units::MHz(1.0), 1e6);
-  EXPECT_DOUBLE_EQ(units::kHz(200.0), 2e5);
-  EXPECT_DOUBLE_EQ(units::mm2(1.0), 1e-6);
-  EXPECT_DOUBLE_EQ(units::to_Mbps(BitsPerSecond{2.5e6}), 2.5);
 }
 
 // ---------------------------------------------------------------------
@@ -152,10 +143,9 @@ TEST(Quantity, LiteralsProduceBaseUnits) {
 }
 
 TEST(Quantity, LiteralsComposeWithUnitsHelpers) {
-  // Literal and helper agree: 450 mA both ways.
+  // Literal and helper agree: 450 mA and 5 ms both ways.
   EXPECT_DOUBLE_EQ((450.0_mA).value(), units::mA(450.0));
-  EXPECT_DOUBLE_EQ(units::to_mA(450.0_mA), 450.0);
-  EXPECT_DOUBLE_EQ(units::to_Mbps(1.5_Mbps), 1.5);
+  EXPECT_DOUBLE_EQ(units::to_us(5.0_ms), 5000.0);
 }
 
 // The wrapper adds no storage: a Quantity is exactly one double.

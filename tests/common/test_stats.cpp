@@ -55,25 +55,6 @@ TEST(Stats, Ci95KnownFormula) {
   EXPECT_DOUBLE_EQ(ci95_halfwidth(v), expected);
 }
 
-TEST(Stats, EmpiricalCdfMonotoneAndEndsAtOne) {
-  const std::vector<double> v{3.0, 1.0, 2.0, 2.0, 5.0};
-  const auto cdf = empirical_cdf(v);
-  ASSERT_FALSE(cdf.empty());
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GT(cdf[i].value, cdf[i - 1].value);
-    EXPECT_GE(cdf[i].cdf, cdf[i - 1].cdf);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().cdf, 1.0);
-}
-
-TEST(Stats, EmpiricalCdfCollapsesTies) {
-  const std::vector<double> v{2.0, 2.0, 2.0};
-  const auto cdf = empirical_cdf(v);
-  ASSERT_EQ(cdf.size(), 1u);
-  EXPECT_DOUBLE_EQ(cdf[0].value, 2.0);
-  EXPECT_DOUBLE_EQ(cdf[0].cdf, 1.0);
-}
-
 TEST(Stats, HistogramBinsAndClamps) {
   const std::vector<double> v{-1.0, 0.1, 0.5, 0.9, 2.0};
   const auto h = histogram(v, 0.0, 1.0, 2);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -10,21 +11,10 @@
 namespace densevlc::dsp {
 namespace {
 
-TEST(Correlate, RawDotProducts) {
-  const std::vector<double> signal{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> pattern{1.0, 1.0};
-  const auto out = correlate(signal, pattern);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_DOUBLE_EQ(out[0], 3.0);
-  EXPECT_DOUBLE_EQ(out[1], 5.0);
-  EXPECT_DOUBLE_EQ(out[2], 7.0);
-}
-
 TEST(Correlate, PatternLongerThanSignalIsEmpty) {
   const std::vector<double> signal{1.0};
   const std::vector<double> pattern{1.0, 2.0};
-  EXPECT_TRUE(correlate(signal, pattern).empty());
-  EXPECT_TRUE(normalized_correlate(signal, pattern).empty());
+  EXPECT_FALSE(detect_pattern(signal, pattern, -2.0).has_value());
 }
 
 TEST(NormalizedCorrelate, PerfectMatchScoresOne) {
@@ -32,41 +22,52 @@ TEST(NormalizedCorrelate, PerfectMatchScoresOne) {
   std::vector<double> signal{0.0, 0.0};
   signal.insert(signal.end(), pattern.begin(), pattern.end());
   signal.insert(signal.end(), {0.0, 0.0});
-  const auto scores = normalized_correlate(signal, pattern);
-  EXPECT_NEAR(scores[2], 1.0, 1e-12);
+  const auto peak = detect_pattern(signal, pattern, 0.5);
+  ASSERT_TRUE(peak.has_value());
+  EXPECT_EQ(peak->index, 2u);
+  EXPECT_NEAR(peak->score, 1.0, 1e-12);
 }
 
 TEST(NormalizedCorrelate, InvariantToGainAndOffset) {
   const std::vector<double> pattern{1.0, -1.0, 1.0, -1.0, 1.0, 1.0};
   std::vector<double> signal;
   for (double p : pattern) signal.push_back(3.7 + 0.01 * p);  // tiny + offset
-  const auto scores = normalized_correlate(signal, pattern);
-  ASSERT_EQ(scores.size(), 1u);
-  EXPECT_NEAR(scores[0], 1.0, 1e-9);
+  const auto peak = detect_pattern(signal, pattern, 0.5);
+  ASSERT_TRUE(peak.has_value());
+  EXPECT_EQ(peak->index, 0u);
+  EXPECT_NEAR(peak->score, 1.0, 1e-9);
 }
 
 TEST(NormalizedCorrelate, AntiCorrelatedScoresMinusOne) {
   const std::vector<double> pattern{1.0, -1.0, 1.0, -1.0};
   std::vector<double> signal;
   for (double p : pattern) signal.push_back(-p);
-  const auto scores = normalized_correlate(signal, pattern);
-  EXPECT_NEAR(scores[0], -1.0, 1e-12);
+  const auto peak = detect_pattern(signal, pattern, -2.0);
+  ASSERT_TRUE(peak.has_value());
+  EXPECT_NEAR(peak->score, -1.0, 1e-12);
+}
+
+// A window or pattern with no variance scores exactly 0: the first
+// position qualifies at threshold 0 and none at the next double up.
+void expect_all_scores_zero(const std::vector<double>& signal,
+                            const std::vector<double>& pattern) {
+  const auto peak = detect_pattern(signal, pattern, 0.0);
+  ASSERT_TRUE(peak.has_value());
+  EXPECT_EQ(peak->index, 0u);
+  EXPECT_DOUBLE_EQ(peak->score, 0.0);
+  EXPECT_FALSE(detect_pattern(signal, pattern,
+                              std::numeric_limits<double>::denorm_min())
+                   .has_value());
 }
 
 TEST(NormalizedCorrelate, FlatWindowScoresZero) {
-  const std::vector<double> pattern{1.0, -1.0, 1.0, -1.0};
-  const std::vector<double> signal(10, 2.5);
-  for (double s : normalized_correlate(signal, pattern)) {
-    EXPECT_DOUBLE_EQ(s, 0.0);
-  }
+  expect_all_scores_zero(std::vector<double>(10, 2.5),
+                         {1.0, -1.0, 1.0, -1.0});
 }
 
 TEST(NormalizedCorrelate, FlatPatternScoresZero) {
-  const std::vector<double> pattern(4, 1.0);
-  const std::vector<double> signal{1.0, -1.0, 1.0, -1.0, 1.0, -1.0};
-  for (double s : normalized_correlate(signal, pattern)) {
-    EXPECT_DOUBLE_EQ(s, 0.0);
-  }
+  expect_all_scores_zero({1.0, -1.0, 1.0, -1.0, 1.0, -1.0},
+                         std::vector<double>(4, 1.0));
 }
 
 TEST(DetectPattern, FindsEmbeddedPatternInNoise) {

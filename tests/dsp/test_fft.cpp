@@ -98,16 +98,5 @@ TEST(Fft, LinearityHolds) {
   }
 }
 
-TEST(Fft, RealHelperMatchesComplexPath) {
-  const std::vector<double> signal{1.0, 2.0, -1.0, 0.5, 0.0, 3.0, -2.0, 1.5};
-  const auto spec = fft_real(signal);
-  std::vector<Complex> manual(signal.begin(), signal.end());
-  fft(manual);
-  ASSERT_EQ(spec.size(), manual.size());
-  for (std::size_t i = 0; i < spec.size(); ++i) {
-    EXPECT_NEAR(std::abs(spec[i] - manual[i]), 0.0, 1e-12);
-  }
-}
-
 }  // namespace
 }  // namespace densevlc::dsp

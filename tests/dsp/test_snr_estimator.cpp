@@ -73,13 +73,6 @@ TEST(M2M4, PureNoiseRejectedOrVeryLow) {
   }
 }
 
-TEST(SnrHelpers, DbFromPowers) {
-  EXPECT_NEAR(snr_db_from_powers(10.0, 1.0), 10.0, 1e-12);
-  EXPECT_NEAR(snr_db_from_powers(1.0, 1.0), 0.0, 1e-12);
-  EXPECT_LT(snr_db_from_powers(0.0, 1.0), -100.0);
-  EXPECT_LT(snr_db_from_powers(1.0, 0.0), -100.0);
-}
-
 // Property sweep: estimator bias stays under 0.5 dB from 3 dB to 20 dB.
 class SnrSweep : public ::testing::TestWithParam<double> {};
 

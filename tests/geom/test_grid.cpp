@@ -53,20 +53,5 @@ TEST(Room, ContainsXy) {
   EXPECT_FALSE(room.contains_xy(1.0, 3.1));
 }
 
-TEST(Raster, CoversCornersInclusive) {
-  const auto pts = make_raster(0.0, 1.0, 0.0, 2.0, 0.8, 3);
-  ASSERT_EQ(pts.size(), 9u);
-  EXPECT_EQ(pts.front(), (Vec3{0.0, 0.0, 0.8}));
-  EXPECT_EQ(pts.back(), (Vec3{1.0, 2.0, 0.8}));
-  EXPECT_EQ(pts[4], (Vec3{0.5, 1.0, 0.8}));  // center
-}
-
-TEST(Raster, ZeroAndOnePoints) {
-  EXPECT_TRUE(make_raster(0, 1, 0, 1, 0, 0).empty());
-  const auto one = make_raster(0.0, 1.0, 0.0, 1.0, 0.5, 1);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0], (Vec3{0.0, 0.0, 0.5}));
-}
-
 }  // namespace
 }  // namespace densevlc::geom

@@ -42,7 +42,7 @@ TEST(Vec3, CrossProductOrthogonal) {
 }
 
 TEST(Vec3, Distance) {
-  EXPECT_DOUBLE_EQ(distance({0, 0, 0}, {3, 4, 0}), 5.0);
+  EXPECT_DOUBLE_EQ((Vec3{3, 4, 0} - Vec3{0, 0, 0}).norm(), 5.0);
 }
 
 TEST(Pose, CeilingFacesDown) {

@@ -241,7 +241,7 @@ TEST(Fuzz, IniParserTotalOnGarbage) {
       text.push_back(static_cast<char>(rng.uniform_int(1, 127)));
     }
     const auto cfg = IniConfig::parse(text);
-    (void)cfg.size();
+    (void)cfg.items().size();
   }
   SUCCEED();
 }

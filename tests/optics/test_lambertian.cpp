@@ -43,8 +43,8 @@ TEST(Lambertian, GainFollowsInverseSquare) {
   const geom::Pose rx1 = geom::floor_pose(0.0, 0.0, 0.0);
   const geom::Pose tx1 = geom::ceiling_pose(0.0, 0.0, 1.0);
   const geom::Pose tx2 = geom::ceiling_pose(0.0, 0.0, 2.0);
-  const double g1 = los_gain(e, pd, tx1, rx1);
-  const double g2 = los_gain(e, pd, tx2, rx1);
+  const double g1 = LosModel{e, pd}.gain(tx1, rx1);
+  const double g2 = LosModel{e, pd}.gain(tx2, rx1);
   EXPECT_NEAR(g1 / g2, 4.0, 1e-9);
 }
 
@@ -55,8 +55,8 @@ TEST(Lambertian, OnAxisGainClosedForm) {
   const double d = 2.0;
   const double expected = (e.order() + 1.0) * pd.collection_area_m2 /
                           (2.0 * kPi * d * d);
-  const double g = los_gain(e, pd, geom::ceiling_pose(1.0, 1.0, 2.8),
-                            geom::floor_pose(1.0, 1.0, 0.8));
+  const double g = LosModel{e, pd}.gain(geom::ceiling_pose(1.0, 1.0, 2.8),
+                                        geom::floor_pose(1.0, 1.0, 0.8));
   EXPECT_NEAR(g, expected, expected * 1e-12);
 }
 
@@ -64,9 +64,10 @@ TEST(Lambertian, GainDecreasesOffAxis) {
   const auto e = paper_emitter();
   const Photodiode pd;
   const geom::Pose tx = geom::ceiling_pose(1.0, 1.0, 2.8);
-  double prev = los_gain(e, pd, tx, geom::floor_pose(1.0, 1.0, 0.8));
+  double prev = LosModel{e, pd}.gain(tx, geom::floor_pose(1.0, 1.0, 0.8));
   for (double off : {0.2, 0.4, 0.6, 0.8}) {
-    const double g = los_gain(e, pd, tx, geom::floor_pose(1.0 + off, 1.0, 0.8));
+    const double g =
+        LosModel{e, pd}.gain(tx, geom::floor_pose(1.0 + off, 1.0, 0.8));
     EXPECT_LT(g, prev);
     prev = g;
   }
@@ -77,8 +78,8 @@ TEST(Lambertian, OutsideFieldOfViewIsZero) {
   Photodiode pd;
   pd.field_of_view_rad = units::deg_to_rad(20.0);
   // 45 deg incidence: outside a 20 deg FoV.
-  const double g = los_gain(e, pd, geom::ceiling_pose(0.0, 0.0, 1.0),
-                            geom::floor_pose(1.0, 0.0, 0.0));
+  const double g = LosModel{e, pd}.gain(geom::ceiling_pose(0.0, 0.0, 1.0),
+                                        geom::floor_pose(1.0, 0.0, 0.0));
   EXPECT_DOUBLE_EQ(g, 0.0);
 }
 
@@ -86,21 +87,21 @@ TEST(Lambertian, FacingAwayIsZero) {
   const auto e = paper_emitter();
   const Photodiode pd;
   // Receiver above the emitter: the emitter faces down, so no light.
-  const double g = los_gain(e, pd, geom::ceiling_pose(0.0, 0.0, 1.0),
-                            geom::floor_pose(0.0, 0.0, 2.0));
+  const double g = LosModel{e, pd}.gain(geom::ceiling_pose(0.0, 0.0, 1.0),
+                                        geom::floor_pose(0.0, 0.0, 2.0));
   EXPECT_DOUBLE_EQ(g, 0.0);
   // Receiver facing down as well (back side): also dark.
   geom::Pose back = geom::floor_pose(0.0, 0.0, 0.0);
   back.normal = {0.0, 0.0, -1.0};
   EXPECT_DOUBLE_EQ(
-      los_gain(e, pd, geom::ceiling_pose(0.0, 0.0, 1.0), back), 0.0);
+      (LosModel{e, pd}.gain(geom::ceiling_pose(0.0, 0.0, 1.0), back)), 0.0);
 }
 
 TEST(Lambertian, ZeroDistanceIsZero) {
   const auto e = paper_emitter();
   const Photodiode pd;
   const geom::Pose p = geom::ceiling_pose(1.0, 1.0, 1.0);
-  EXPECT_DOUBLE_EQ(los_gain(e, pd, p, p), 0.0);
+  EXPECT_DOUBLE_EQ((LosModel{e, pd}.gain(p, p)), 0.0);
 }
 
 TEST(Photodiode, BareDiodeGainIsOne) {
@@ -151,8 +152,8 @@ TEST_P(LambertianAngleSweep, AxialGainMonotoneInDistance) {
   const Photodiode pd;
   double prev = 1e9;
   for (double d = 0.5; d <= 3.0; d += 0.25) {
-    const double g = los_gain(e, pd, geom::ceiling_pose(0.0, 0.0, d),
-                              geom::floor_pose(0.0, 0.0, 0.0));
+    const double g = LosModel{e, pd}.gain(geom::ceiling_pose(0.0, 0.0, d),
+                                          geom::floor_pose(0.0, 0.0, 0.0));
     EXPECT_LT(g, prev);
     EXPECT_GT(g, 0.0);
     prev = g;

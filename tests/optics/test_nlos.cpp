@@ -33,8 +33,8 @@ TEST(Nlos, MuchWeakerThanLos) {
                                       geom::ceiling_pose(1.25, 1.25, 2.8),
                                       geom::ceiling_pose(1.75, 1.25, 2.8),
                                       default_floor());
-  const double los = los_gain(e, pd, geom::ceiling_pose(1.25, 1.25, 2.8),
-                              geom::floor_pose(1.25, 1.25, 0.8));
+  const double los = LosModel{e, pd}.gain(
+      geom::ceiling_pose(1.25, 1.25, 2.8), geom::floor_pose(1.25, 1.25, 0.8));
   EXPECT_LT(nlos, los / 10.0);
 }
 

@@ -351,6 +351,16 @@ TEST(Campaign, LoadCampaignFileMissingPathIsTypedError) {
       << result.error_text();
 }
 
+TEST(Campaign, LoadCampaignFileDirectoryIsTypedError) {
+  const std::string path = DVLC_SCENARIO_DIR;
+  const auto result = load_campaign_file(path);
+  ASSERT_FALSE(result.ok());
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_EQ(result.errors[0].key, path);
+  EXPECT_NE(result.errors[0].message.find("cannot read"), std::string::npos)
+      << result.error_text();
+}
+
 TEST(Campaign, LoadCampaignFileReadsCommittedCampaign) {
   const auto result = load_campaign_file(
       std::string{DVLC_SCENARIO_DIR} + "/campaign_quick.ini");

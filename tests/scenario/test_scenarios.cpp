@@ -38,8 +38,8 @@ TEST(Scenario, Scenario1IsWellSeparated) {
   const auto rx = scenario1_rx_positions();
   ASSERT_EQ(rx.size(), 4u);
   // 2 m inter-RX spacing (interference-free by design).
-  EXPECT_NEAR(geom::distance(rx[0], rx[1]), 2.0, 1e-12);
-  EXPECT_NEAR(geom::distance(rx[0], rx[2]), 2.0, 1e-12);
+  EXPECT_NEAR((rx[0] - rx[1]).norm(), 2.0, 1e-12);
+  EXPECT_NEAR((rx[0] - rx[2]).norm(), 2.0, 1e-12);
 }
 
 TEST(Scenario, Scenario3IsUnderTxs) {
@@ -67,7 +67,7 @@ TEST(Scenario, RandomInstancesRespectAnchorsAndRoom) {
   for (const auto& inst : instances) {
     ASSERT_EQ(inst.size(), 4u);
     for (std::size_t k = 0; k < 4; ++k) {
-      EXPECT_LE(geom::distance(inst[k], anchors[k]), 0.3 + 1e-9);
+      EXPECT_LE((inst[k] - anchors[k]).norm(), 0.3 + 1e-9);
       EXPECT_TRUE(tb.room.contains_xy(inst[k].x, inst[k].y));
     }
   }

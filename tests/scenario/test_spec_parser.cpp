@@ -281,6 +281,17 @@ TEST(SpecParser, LoadSpecFileMissingPathIsTypedError) {
       << result.error_text();
 }
 
+TEST(SpecParser, LoadSpecFileDirectoryIsTypedError) {
+  // A directory opens but cannot be read; that is the same typed error.
+  const std::string path = DVLC_SCENARIO_DIR;
+  const SpecParseResult result = load_spec_file(path);
+  ASSERT_FALSE(result.ok());
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_EQ(result.errors[0].key, path);
+  EXPECT_NE(result.errors[0].message.find("cannot read"), std::string::npos)
+      << result.error_text();
+}
+
 TEST(SpecParser, LoadSpecFileRoundTripsSerializedSpec) {
   const SpecParseResult parsed = parse_spec(valid_text());
   ASSERT_TRUE(parsed.ok()) << parsed.error_text();

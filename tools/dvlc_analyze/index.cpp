@@ -96,6 +96,7 @@ std::size_t ProjectIndex::external_uses(const std::string& name,
   std::size_t total = 0;
   for (const FileSummary& f : files) {
     if (stem_of(f.rel) == stem) continue;  // own header/source pair
+    if (f.module == "tests") continue;     // a test is not a caller
     const auto it = f.ident_uses.find(name);
     if (it != f.ident_uses.end()) total += it->second;
   }

@@ -48,7 +48,8 @@ struct ProjectIndex {
   std::vector<FileSummary> files;
 
   /// Occurrences of `name` outside the header/source pair that declares
-  /// it (same directory + same stem are "its own TU").
+  /// it (same directory + same stem are "its own TU") and outside
+  /// tests/: code that only its own tests call is not live.
   std::size_t external_uses(const std::string& name,
                             const std::string& decl_rel) const;
 

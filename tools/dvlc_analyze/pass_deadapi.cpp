@@ -6,9 +6,10 @@
 //                    for non-inline functions, the one definition in the
 //                    paired .cpp). "Used by its own header" (an inline
 //                    helper another inline function calls) clears it, as
-//                    does any mention anywhere else in the analyzed tree,
-//                    so run the pass over tests/ too or a test-only API
-//                    will look dead.
+//                    does any mention elsewhere in the analyzed tree
+//                    outside tests/. A mention in tests/ is not a use:
+//                    library code that only its own tests call is dead
+//                    too, and a deliberate test hook carries a waiver.
 //
 // The rule is name-based and conservative: overloads share liveness, and
 // all-caps (macro-like) names and operator/main entry points are exempt.
@@ -80,8 +81,8 @@ class DeadApiPass final : public Pass {
         sink.report(f, d.line, "dead-public-api", d.name,
                     "'" + d.name +
                         "' is declared in a src/ header but never used "
-                        "outside its own translation unit; delete it or "
-                        "move it into the .cpp");
+                        "outside its own translation unit (or used only "
+                        "from tests/); delete it or move it into the .cpp");
       }
     }
   }

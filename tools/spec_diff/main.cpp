@@ -10,40 +10,26 @@
 // Exit status: 0 semantically identical, 1 different, 2 error (missing
 // file, parse failure, schema mismatch).
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "scenario/spec.hpp"
 #include "spec_diff.hpp"
-
-namespace {
-
-bool read_file(const char* path, std::string& out) {
-  std::ifstream in{path};
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   if (argc != 3) {
     std::fprintf(stderr, "usage: spec_diff <a.ini> <b.ini>\n");
     return 2;
   }
+  const auto read = [](const char* path, std::string& text) {
+    const auto error = densevlc::scenario::read_spec_text(path, text);
+    if (error) {
+      std::fprintf(stderr, "spec_diff: %s\n", error->to_string().c_str());
+    }
+    return !error;
+  };
   std::string text_a;
   std::string text_b;
-  if (!read_file(argv[1], text_a)) {
-    std::fprintf(stderr, "spec_diff: cannot read %s\n", argv[1]);
-    return 2;
-  }
-  if (!read_file(argv[2], text_b)) {
-    std::fprintf(stderr, "spec_diff: cannot read %s\n", argv[2]);
-    return 2;
-  }
+  if (!read(argv[1], text_a) || !read(argv[2], text_b)) return 2;
 
   using densevlc::specdiff::Canonical;
   const Canonical a = densevlc::specdiff::canonicalize(text_a);
