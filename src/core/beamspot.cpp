@@ -6,6 +6,8 @@
 
 #include "common/arena.hpp"
 #include "common/contracts.hpp"
+#include "common/simd.hpp"
+#include "dsp/dsp_kernels.hpp"
 #include "dsp/snr_estimator.hpp"
 
 namespace densevlc::core {
@@ -16,6 +18,15 @@ JointTransmission::JointTransmission(const optics::LedModel& led,
     : led_{led}, ook_{ook}, frontend_{frontend} {}
 
 namespace {
+
+// Floor division and its non-negative remainder, for b > 0.
+std::ptrdiff_t floor_div(std::ptrdiff_t a, std::ptrdiff_t b) {
+  return a / b - (a % b < 0 ? 1 : 0);
+}
+
+std::ptrdiff_t floor_mod(std::ptrdiff_t a, std::ptrdiff_t b) {
+  return a - floor_div(a, b) * b;
+}
 
 // On-air chips of a frame (preamble + Manchester-coded serialized bytes),
 // counted without building them.
@@ -59,6 +70,8 @@ void JointTransmission::render_optical_into(
   optical.sample_rate_hz = tx_rate;
   arena_resize(optical.samples, total);
 
+  const auto end = static_cast<std::ptrdiff_t>(total);
+  const auto run = static_cast<std::ptrdiff_t>(spc);
   const double eta = led_.electrical().wall_plug_efficiency;
   const double bias = led_.operating_point().bias_current_a;
   const double p_bias = eta * led_.power_at_current(Amperes{bias}).value();
@@ -93,6 +106,13 @@ void JointTransmission::render_optical_into(
         static_cast<double>(std::llround(server.start_offset_s * tx_rate)));
     st.chip_at = chip_at;
     st.chip_count = chip_count;
+    // A frame wholly off the timeline (a NaN offset's start is far
+    // before it) leaves the stream idle throughout, with no phase.
+    if (st.start >= end ||
+        st.start + static_cast<std::ptrdiff_t>(chip_count) * run <= 0) {
+      st.start = 0;
+      st.chip_count = 0;
+    }
     st.idle = server.gain * p_bias;
     st.high = server.gain * p_high;
     st.low = server.gain * p_low;
@@ -106,50 +126,92 @@ void JointTransmission::render_optical_into(
     for (const auto& itx : group.txs) add_stream(itx, at, count);
   }
 
-  // Each stream covers the timeline in three parts: idle illumination
-  // before the frame, one run of samples_per_chip per chip, idle after.
-  // The timeline is rendered tile by tile, every stream added to a tile
-  // in stream order, so each sample still sees ambient followed by the
-  // same sequence of additions. Within a tile only a stream's first and
-  // last chip runs can cross the tile's edges; the runs between them are
-  // whole.
+  // Phase render. Each stream covers the timeline with idle light
+  // before its frame, one run of samples_per_chip per chip, and idle
+  // light after, so its level changes only on its phase: its start
+  // modulo samples_per_chip. With the distinct phases q_0 < ... <
+  // q_{m-1}, the timeline splits into chip periods of samples_per_chip
+  // samples, the first starting at q_0 - samples_per_chip (or at 0 when
+  // q_0 is 0), and each period into m segments from q_i to q_{i+1}
+  // (q_m = q_0 + samples_per_chip) on which every stream holds one
+  // level. A segment's sum is formed once, ambient then each stream's
+  // level in stream order, which are the additions a per-sample render
+  // makes for each of its samples. With every phase distinct each
+  // segment is one sample, and the adds are as many as per sample.
+  auto& offsets = arena_clear(scratch.offsets);
+  for (const RenderStream& st : scratch.streams) {
+    if (st.chip_count > 0) offsets.push_back(floor_mod(st.start, run));
+  }
+  std::sort(offsets.begin(), offsets.end());
+  offsets.erase(std::unique(offsets.begin(), offsets.end()), offsets.end());
+  if (offsets.empty()) offsets.push_back(0);
+  const std::ptrdiff_t q0 = offsets.front();
+  for (std::ptrdiff_t& q : offsets) q -= q0;
+  offsets.push_back(run);
+  const std::size_t segments = offsets.size() - 1;
+  const std::ptrdiff_t origin = q0 == 0 ? 0 : q0 - run;
+  const auto periods = static_cast<std::size_t>((end - origin + run - 1) / run);
+
+  // Block row x of a stream holds its level in the block's period x in
+  // segment 0; a later segment of the same period reads row x, or row
+  // x + 1 where the stream has passed its own boundary (hence one level
+  // more per row than periods per block).
+  constexpr std::size_t kBlock = kRenderBlockPeriods;
+  constexpr std::size_t kRow = kBlock + 1;
+  const std::size_t n = scratch.streams.size();
+  arena_resize(scratch.levels, n * kRow);
+  arena_resize(scratch.sums, segments * kBlock);
+  arena_resize(scratch.segment_rows, segments * n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::ptrdiff_t lead = origin - scratch.streams[s].start;
+    const std::ptrdiff_t first = floor_div(lead, run);
+    for (std::size_t i = 0; i < segments; ++i) {
+      const std::ptrdiff_t shift = floor_div(lead + offsets[i], run) - first;
+      scratch.segment_rows[i * n + s] =
+          scratch.levels.data() + s * kRow + static_cast<std::size_t>(shift);
+    }
+  }
+
+  const bool vector = simd::use_vector_kernels();
   double* const out = optical.samples.data();
-  const auto add_level = [out](std::ptrdiff_t from, std::ptrdiff_t to,
-                               double level) {
-    for (std::ptrdiff_t s = from; s < to; ++s) out[s] += level;
-  };
-  const auto end = static_cast<std::ptrdiff_t>(total);
-  const auto run = static_cast<std::ptrdiff_t>(spc);
-  const auto tile = static_cast<std::ptrdiff_t>(kRenderTileSamples);
-  for (std::ptrdiff_t lo = 0; lo < end; lo += tile) {
-    const std::ptrdiff_t hi = std::min(end, lo + tile);
-    std::fill(out + lo, out + hi, ambient_optical_w);
-    for (const RenderStream& st : scratch.streams) {
-      const phy::Chip* chips = scratch.chips.data() + st.chip_at;
-      const double levels[2] = {st.low, st.high};
-      const auto level = [&](std::size_t k) {
-        return levels[chips[k] == phy::Chip::kHigh ? 1 : 0];
-      };
-      const std::ptrdiff_t frame_end =
-          st.start + static_cast<std::ptrdiff_t>(st.chip_count) * run;
-      add_level(lo, std::min(hi, st.start), st.idle);
-      const std::ptrdiff_t a = std::max(lo, st.start);
-      const std::ptrdiff_t b = std::min(hi, frame_end);
-      if (a < b) {
-        auto k = static_cast<std::size_t>((a - st.start) / run);
-        const auto k_last = static_cast<std::size_t>((b - 1 - st.start) / run);
-        std::ptrdiff_t at = st.start + static_cast<std::ptrdiff_t>(k) * run;
-        add_level(a, std::min(b, at + run), level(k));
-        if (k < k_last) {
-          for (++k, at += run; k < k_last; ++k, at += run) {
-            double* const p = out + at;
-            const double v = level(k);
-            for (std::ptrdiff_t s = 0; s < run; ++s) p[s] += v;
-          }
-          add_level(at, b, level(k_last));
-        }
+  for (std::size_t block = 0; block < periods; block += kBlock) {
+    const std::size_t count = std::min(kBlock, periods - block);
+    const auto at = static_cast<std::ptrdiff_t>(block);
+    for (std::size_t s = 0; s < n; ++s) {
+      // Row x is chip k0 + x of the stream, idle off its frame.
+      const RenderStream& st = scratch.streams[s];
+      const std::ptrdiff_t k0 = floor_div(origin - st.start, run) + at;
+      const auto row_len = static_cast<std::ptrdiff_t>(count + 1);
+      const std::ptrdiff_t lo = std::clamp<std::ptrdiff_t>(-k0, 0, row_len);
+      const std::ptrdiff_t hi = std::clamp<std::ptrdiff_t>(
+          static_cast<std::ptrdiff_t>(st.chip_count) - k0, lo, row_len);
+      double* const row = scratch.levels.data() + s * kRow;
+      const phy::Chip* const chips = scratch.chips.data() + st.chip_at;
+      std::fill(row, row + lo, st.idle);
+      for (std::ptrdiff_t x = lo; x < hi; ++x) {
+        row[x] = chips[k0 + x] == phy::Chip::kHigh ? st.high : st.low;
       }
-      add_level(std::max(lo, frame_end), hi, st.idle);
+      std::fill(row + hi, row + row_len, st.idle);
+    }
+    for (std::size_t i = 0; i < segments; ++i) {
+      const double* const* rows = scratch.segment_rows.data() + i * n;
+      double* const sums = scratch.sums.data() + i * kBlock;
+      if (vector) {
+        dsp::detail::sum_rows_vec(rows, n, ambient_optical_w, sums, count);
+      } else {
+        dsp::detail::sum_rows_kernel<simd::ScalarBackend>(
+            rows, n, ambient_optical_w, sums, count);
+      }
+    }
+    std::ptrdiff_t period = origin + at * run;
+    for (std::size_t x = 0; x < count; ++x, period += run) {
+      for (std::size_t i = 0; i < segments; ++i) {
+        const double sum = scratch.sums[i * kBlock + x];
+        const std::ptrdiff_t from = std::max<std::ptrdiff_t>(
+            0, period + offsets[i]);
+        const std::ptrdiff_t to = std::min(end, period + offsets[i + 1]);
+        for (std::ptrdiff_t t = from; t < to; ++t) out[t] = sum;
+      }
     }
   }
 }

@@ -78,9 +78,9 @@ class JointTransmission {
   };
 
   /// One TX stream of the optical render: its first chip's timeline
-  /// sample (which may lie outside the timeline), its chips in
-  /// RenderScratch::chips, and the optical power it adds while idle and
-  /// per HIGH / LOW chip.
+  /// sample, its chips in RenderScratch::chips (none when its frame lies
+  /// wholly off the timeline, so it is idle on all of it), and the
+  /// optical power it adds while idle and per HIGH / LOW chip.
   struct RenderStream {
     std::ptrdiff_t start = 0;
     std::size_t chip_at = 0;
@@ -91,17 +91,23 @@ class JointTransmission {
   };
 
   /// Render staging: every participating frame's on-air chips, one copy
-  /// per frame, and the streams that radiate them, in addition order.
+  /// per frame, and the streams that radiate them, in addition order;
+  /// then the phase render's workspace for one block of chip periods.
   struct RenderScratch {
     std::vector<phy::Chip> chips;
     std::vector<phy::Chip> frame_chips;  ///< one frame, before appending
     phy::FrameBatch wire;
     std::vector<RenderStream> streams;
+    std::vector<std::ptrdiff_t> offsets;  ///< segment starts in a period
+    std::vector<double> levels;  ///< per stream, one level per period
+    std::vector<const double*> segment_rows;  ///< per segment and stream
+    std::vector<double> sums;    ///< per segment, one sum per period
   };
 
-  /// Timeline samples per render tile: every stream is added to one
-  /// 32 KiB tile before the next tile starts, so the tile stays in L1.
-  static constexpr std::size_t kRenderTileSamples = 4096;
+  /// Chip periods per render block: each stream's level row for a block
+  /// is built once and every segment sums across the rows, so the rows
+  /// of the Fig. 7 scene's 22 streams stay in L1.
+  static constexpr std::size_t kRenderBlockPeriods = 128;
 
   /// Batch workspace: per-lane waveforms, render staging, the noise
   /// streams forked for the lanes, the lanes' front-ends (restarted on

@@ -2,14 +2,14 @@
 //
 // Each kernel is a template over a simd backend (common/simd.hpp) and is
 // instantiated twice: for `simd::ScalarBackend` inside the regular TUs
-// (adc.cpp, correlate.cpp, phy/frontend.cpp) and for
+// (adc.cpp, correlate.cpp, phy/frontend.cpp, core/beamspot.cpp) and for
 // `simd::VectorBackend` inside dsp_simd.cpp, which is the only DSP TU
 // compiled with the vector ISA flags. Call sites pick between the two at
 // runtime via `simd::use_vector_kernels()`.
 //
 // Bit-exactness: the float kernels vectorize ACROSS independent streams
-// (4 filter lanes, 16 tap-sum positions, 4 samples or search positions
-// of the elementwise kernels),
+// (4 filter lanes, 16 tap-sum positions, 4 samples, search positions
+// or row positions of the elementwise kernels),
 // never within one accumulation chain, and the backends use separate
 // mul/add (no FMA), so every per-lane operation sequence matches the
 // scalar reference rounding-for-rounding. See docs/architecture.md
@@ -251,6 +251,47 @@ void zoh_tia_kernel(const double* optical, std::size_t len, double rate,
   });
 }
 
+/// Elementwise sums across rows: out[i] = init + rows[0][i] + ... +
+/// rows[count - 1][i], added in row order. Sixteen positions go at once
+/// on four independent accumulators, so the adds' latency overlaps; each
+/// position's chain is the scalar one.
+template <class B>
+void sum_rows_kernel(const double* const* rows, std::size_t count,
+                     double init, double* out, std::size_t n) {
+  using V = typename B::f64x4;
+  const V start = B::broadcast4(init);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    V acc0 = start;
+    V acc1 = start;
+    V acc2 = start;
+    V acc3 = start;
+    for (std::size_t r = 0; r < count; ++r) {
+      const double* const p = rows[r] + i;
+      acc0 = B::add4(acc0, B::load4(p));
+      acc1 = B::add4(acc1, B::load4(p + 4));
+      acc2 = B::add4(acc2, B::load4(p + 8));
+      acc3 = B::add4(acc3, B::load4(p + 12));
+    }
+    B::store4(out + i, acc0);
+    B::store4(out + i + 4, acc1);
+    B::store4(out + i + 8, acc2);
+    B::store4(out + i + 12, acc3);
+  }
+  for (; i + 4 <= n; i += 4) {
+    V acc = start;
+    for (std::size_t r = 0; r < count; ++r) {
+      acc = B::add4(acc, B::load4(rows[r] + i));
+    }
+    B::store4(out + i, acc);
+  }
+  for (; i < n; ++i) {
+    double acc = init;
+    for (std::size_t r = 0; r < count; ++r) acc += rows[r][i];
+    out[i] = acc;
+  }
+}
+
 /// Window mean and sum of squared deviations from the rolling sums:
 /// mean = sum / m, var = sq - sum * mean.
 template <class B>
@@ -340,5 +381,7 @@ void zoh_tia_vec(const double* optical, std::size_t len, double rate,
 double search_bounds_vec(double* means, double* vars, double* bounds,
                          std::size_t n, std::size_t m, double c0, double c1,
                          double pat_energy);
+void sum_rows_vec(const double* const* rows, std::size_t count, double init,
+                  double* out, std::size_t n);
 
 }  // namespace densevlc::dsp::detail

@@ -41,4 +41,9 @@ double search_bounds_vec(double* means, double* vars, double* bounds,
                                                    c0, c1, pat_energy);
 }
 
+void sum_rows_vec(const double* const* rows, std::size_t count, double init,
+                  double* out, std::size_t n) {
+  sum_rows_kernel<simd::VectorBackend>(rows, count, init, out, n);
+}
+
 }  // namespace densevlc::dsp::detail

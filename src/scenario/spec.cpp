@@ -79,6 +79,15 @@ KeyOutcome reject(const std::string& key, const std::string& message) {
 
 KeyOutcome accept() { return {true, std::nullopt}; }
 
+/// A numeric key's value that does not parse: reported as such, so the
+/// key's range message is kept for values that parse.
+KeyOutcome reject_unparsed(const std::string& key, const std::string& value,
+                           bool integer) {
+  return reject(key, std::string{integer ? "expected an unsigned integer"
+                                         : "expected a number"} +
+                         " (got '" + value + "')");
+}
+
 /// Ensures `v` has at least `n` elements, appending defaults.
 template <typename T>
 void grow_to(std::vector<T>& v, std::size_t n) {
@@ -113,7 +122,8 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   }
   if (key == "scenario.epochs") {
     const auto v = parse_u64(value);
-    if (!v || *v < 1 || *v > 100000) {
+    if (!v) return reject_unparsed(key, value, true);
+    if (*v < 1 || *v > 100000) {
       return reject(key, "expected an epoch count in [1, 100000]");
     }
     spec.epochs = static_cast<std::size_t>(*v);
@@ -135,13 +145,15 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   }
   if (key == "system.kappa") {
     const auto v = num();
-    if (!v || *v <= 0.0) return reject(key, "kappa must be a positive number");
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v <= 0.0) return reject(key, "kappa must be a positive number");
     spec.kappa = *v;
     return accept();
   }
   if (key == "system.power_budget_w") {
     const auto v = num();
-    if (!v || *v <= 0.0) {
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v <= 0.0) {
       return reject(key, "power budget must be a positive number of watts");
     }
     spec.power_budget_w = *v;
@@ -149,7 +161,8 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   }
   if (key == "system.bandwidth_mhz") {
     const auto v = num();
-    if (!v || *v <= 0.0) {
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v <= 0.0) {
       return reject(key, "bandwidth must be a positive number of MHz");
     }
     spec.bandwidth_mhz = *v;
@@ -165,7 +178,8 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   // --- [room] -------------------------------------------------------------
   if (key == "room.width" || key == "room.depth" || key == "room.height") {
     const auto v = num();
-    if (!v || *v <= 0.0 || *v > 1000.0) {
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v <= 0.0 || *v > 1000.0) {
       return reject(key, "room dimensions must be in (0, 1000] meters");
     }
     if (key == "room.width") spec.room_width_m = *v;
@@ -177,7 +191,8 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   // --- [grid] -------------------------------------------------------------
   if (key == "grid.rows" || key == "grid.cols") {
     const auto v = parse_u64(value);
-    if (!v || *v < 1 || *v > 64) {
+    if (!v) return reject_unparsed(key, value, true);
+    if (*v < 1 || *v > 64) {
       return reject(key, "grid dimensions must be in [1, 64]");
     }
     if (key == "grid.rows") spec.grid_rows = static_cast<std::size_t>(*v);
@@ -186,13 +201,15 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   }
   if (key == "grid.pitch") {
     const auto v = num();
-    if (!v || *v <= 0.0) return reject(key, "grid pitch must be positive");
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v <= 0.0) return reject(key, "grid pitch must be positive");
     spec.grid_pitch_m = *v;
     return accept();
   }
   if (key == "grid.mount_height") {
     const auto v = num();
-    if (!v || *v <= 0.0) {
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v <= 0.0) {
       return reject(key, "mount height must be a positive number of meters");
     }
     spec.grid_mount_height_m = *v;
@@ -202,19 +219,22 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   // --- [led] --------------------------------------------------------------
   if (key == "led.bias_ma") {
     const auto v = num();
-    if (!v || *v <= 0.0) return reject(key, "LED bias must be positive mA");
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v <= 0.0) return reject(key, "LED bias must be positive mA");
     spec.led_bias_ma = *v;
     return accept();
   }
   if (key == "led.max_swing_ma") {
     const auto v = num();
-    if (!v || *v <= 0.0) return reject(key, "max swing must be positive mA");
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v <= 0.0) return reject(key, "max swing must be positive mA");
     spec.led_max_swing_ma = *v;
     return accept();
   }
   if (key == "led.half_angle_deg") {
     const auto v = num();
-    if (!v || *v <= 0.0 || *v > 90.0) {
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v <= 0.0 || *v > 90.0) {
       return reject(key, "half angle must be in (0, 90] degrees");
     }
     spec.led_half_angle_deg = *v;
@@ -234,7 +254,8 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   }
   if (key == "rx.count") {
     const auto v = parse_u64(value);
-    if (!v || *v < 1 || *v > 64) {
+    if (!v) return reject_unparsed(key, value, true);
+    if (*v < 1 || *v > 64) {
       return reject(key, "receiver count must be in [1, 64]");
     }
     spec.rx_count = static_cast<std::size_t>(*v);
@@ -242,13 +263,15 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   }
   if (key == "rx.height") {
     const auto v = num();
-    if (!v || *v < 0.0) return reject(key, "rx height must be >= 0 meters");
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v < 0.0) return reject(key, "rx height must be >= 0 meters");
     spec.rx_height_m = *v;
     return accept();
   }
   if (key == "rx.margin") {
     const auto v = num();
-    if (!v || *v < 0.0) return reject(key, "rx margin must be >= 0 meters");
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v < 0.0) return reject(key, "rx margin must be >= 0 meters");
     spec.rx_margin_m = *v;
     return accept();
   }
@@ -269,14 +292,16 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   // --- [illum] ------------------------------------------------------------
   if (key == "illum.target_lux") {
     const auto v = num();
-    if (!v || *v <= 0.0) return reject(key, "target must be positive lux");
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v <= 0.0) return reject(key, "target must be positive lux");
     spec.dimming_enabled = true;
     spec.target_lux = *v;
     return accept();
   }
   if (key == "illum.leds_per_tx") {
     const auto v = parse_u64(value);
-    if (!v || *v < 1 || *v > 100) {
+    if (!v) return reject_unparsed(key, value, true);
+    if (*v < 1 || *v > 100) {
       return reject(key, "LEDs per TX must be in [1, 100]");
     }
     spec.dimming_enabled = true;
@@ -308,7 +333,8 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   // --- [faults] -----------------------------------------------------------
   if (key == "faults.led_fail_fraction") {
     const auto v = num();
-    if (!v || *v < 0.0 || *v > 1.0) {
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v < 0.0 || *v > 1.0) {
       return reject(key, "LED fail fraction must be in [0, 1]");
     }
     spec.faults_enabled = true;
@@ -317,7 +343,8 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
   }
   if (key == "faults.time_s") {
     const auto v = num();
-    if (!v || *v < 0.0) return reject(key, "fault time must be >= 0 seconds");
+    if (!v) return reject_unparsed(key, value, false);
+    if (*v < 0.0) return reject(key, "fault time must be >= 0 seconds");
     spec.faults_enabled = true;
     spec.fault_time_s = *v;
     return accept();

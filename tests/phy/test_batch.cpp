@@ -633,10 +633,12 @@ TEST_P(Batch, RenderMatchesReference) {
   // any finite start offset inside it, so the cases that reach its ends
   // are offsets flush against the margins and a NaN offset, whose start
   // (llround of NaN, the same value in both renders) falls before the
-  // timeline.
+  // timeline. The phase render's own edges: every phase distinct (one
+  // segment per sample), no phase at 0, no stream at all, and period
+  // counts one short of, on and one past a multiple of its block.
   core::Testbed tb = core::make_experimental_testbed();
   const phy::FrontEndConfig frontend{};
-  constexpr std::size_t kTile = core::JointTransmission::kRenderTileSamples;
+  constexpr std::size_t kBlock = core::JointTransmission::kRenderBlockPeriods;
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   Rng rng{0xB9};
   const auto served = make_frame(40, rng);
@@ -669,28 +671,61 @@ TEST_P(Batch, RenderMatchesReference) {
     interferers[1].txs = {{8, 4.7e-8, 0.9, 2.5 * sample_s}};
     const std::vector<core::ServingTx> nan_offset = {
         {1, 5.3e-7, 0.9, kNan}, {2, 3.7e-7, 0.9, 0.0}};
-
-    // Timelines of exactly a tile multiple and two samples either side
-    // (every timeline is even: chips and guards come in even counts). A
-    // margin of k samples per side comes from an offset of k - 1/2.
-    const std::size_t base = (longest_chips + 32) * spc;
-    const std::size_t multiple = (base + 2 + kTile - 1) / kTile * kTile;
-    std::vector<std::size_t> lengths;
-    std::vector<std::vector<core::ServingTx>> tiled;
-    for (const std::size_t total : {multiple - 2, multiple, multiple + 2}) {
-      const std::size_t margin = (total - base) / 2;
-      lengths.push_back(total);
-      tiled.push_back({{1, 5.3e-7, 0.9,
-                        -(static_cast<double>(margin) - 0.5) * sample_s},
-                       {2, 3.7e-7, 0.9, 0.0},
-                       {3, 1.9e-7, 0.8, 4.5 * sample_s}});
+    // One stream per residue modulo samples_per_chip: every phase taken.
+    std::vector<core::ServingTx> every_phase;
+    for (std::size_t r = 0; r < spc; ++r) {
+      every_phase.push_back({r, 1.3e-7 + 7.1e-9 * static_cast<double>(r * r),
+                             0.9, static_cast<double>(r) * sample_s});
     }
+    // Phases 4 and 6 only (for spc > 1): the first period starts on
+    // phase 4 before the timeline, so the timeline opens mid-period.
+    const std::vector<core::ServingTx> late = {
+        {1, 4.1e-7, 0.9, 2.6 * sample_s}, {2, 2.2e-7, 0.9, 1.2 * sample_s}};
+    // Gains <= 0 only: no stream, the timeline is ambient light.
+    const std::vector<core::ServingTx> dark = {{1, 0.0, 0.9, 0.0},
+                                               {2, -3e-7, 0.9, 0.0}};
+
+    // Period counts around the first block multiple past the shortest
+    // timeline. A zero-gain TX at an offset of k - 1/2 samples sets a
+    // margin of k samples per side and adds no stream; the streams sit
+    // whole chips inside it, on phase 0, so the render's periods are
+    // ceil(timeline / spc). A timeline is even, so at spc 1 only the
+    // even count occurs.
+    const std::size_t base = (longest_chips + 32) * spc;
+    const std::size_t target = ((longest_chips + 32) / kBlock + 1) * kBlock;
+    std::vector<std::size_t> periods;
+    std::vector<std::size_t> lengths;
+    std::vector<std::vector<core::ServingTx>> blocked;
+    for (std::size_t margin = 3 * spc + 1; margin <= (target + 2) * spc;
+         ++margin) {
+      const std::size_t total = base + 2 * margin;
+      const std::size_t p = (total + spc - 1) / spc;
+      if (p + 1 < target || p > target + 1 ||
+          std::find(periods.begin(), periods.end(), p) != periods.end()) {
+        continue;
+      }
+      periods.push_back(p);
+      lengths.push_back(total);
+      const auto inside = [&](std::size_t chips) {
+        return -static_cast<double>(margin - chips * spc) * sample_s;
+      };
+      blocked.push_back(
+          {{1, 0.0, 0.9, -(static_cast<double>(margin) - 0.5) * sample_s},
+           {2, 5.3e-7, 0.9, inside(1)},
+           {3, 3.7e-7, 0.9, inside(2)},
+           {4, 1.9e-7, 0.8, inside(3)}});
+    }
+    ASSERT_EQ(periods.size(), spc == 1 ? 1u : 3u) << "spc " << spc;
 
     std::vector<core::JointTransmission::TransmitJob> jobs = {
         {mixed, &served, interferers, 2.3e-6},
         {nan_offset, &served, {}, 0.0},
+        {every_phase, &served, interferers, 0.9e-6},
+        {dark, &served, {}, 1.7e-6},
+        {late, &served, {}, 0.4e-6},
     };
-    for (const auto& servers : tiled) {
+    const std::size_t first_blocked = jobs.size();
+    for (const auto& servers : blocked) {
       jobs.push_back({servers, &longer, {}, 1.1e-6});
     }
     std::vector<core::TransmissionOutcome> outcomes(jobs.size());
@@ -704,11 +739,55 @@ TEST_P(Batch, RenderMatchesReference) {
       EXPECT_EQ(scratch.optical[i].sample_rate_hz, expect.sample_rate_hz);
       EXPECT_TRUE(same_bits(scratch.optical[i].samples, expect.samples))
           << "spc " << spc << " lane " << i;
-      if (i >= 2) {
-        EXPECT_EQ(expect.samples.size(), lengths[i - 2]) << "spc " << spc;
+      if (i >= first_blocked) {
+        EXPECT_EQ(expect.samples.size(), lengths[i - first_blocked])
+            << "spc " << spc << " periods " << periods[i - first_blocked];
       }
     }
+    // The dark lane is ambient light throughout.
+    for (const double v : scratch.optical[3].samples) {
+      ASSERT_EQ(v, 1.7e-6) << "spc " << spc;
+    }
   }
+}
+
+TEST_P(Batch, RenderScratchGrowsOnceThenAllocatesNothing) {
+  // A later call brings more streams and phases than the first, so the
+  // render's level rows, segment sums and row table grow; after that,
+  // calls in either order allocate nothing.
+  core::Testbed tb = core::make_experimental_testbed();
+  const phy::OokParams ook{};
+  const core::JointTransmission jt{tb.led, ook, phy::FrontEndConfig{}};
+  const double sample_s = 1.0 / ook.sample_rate_hz();
+  Rng frame_rng{0xBB};
+  const auto frame = make_frame(120, frame_rng);
+  const std::vector<core::ServingTx> one{{1, 8e-7, 0.9, 0.0}};
+  std::vector<core::ServingTx> many;
+  for (std::size_t r = 0; r < 2 * ook.samples_per_chip; ++r) {
+    many.push_back({r, 4e-7 / static_cast<double>(r + 1), 0.9,
+                    static_cast<double>(r) * 0.5 * sample_s});
+  }
+  const std::vector<core::JointTransmission::TransmitJob> small = {
+      {one, &frame, {}, 0.0}};
+  const std::vector<core::JointTransmission::TransmitJob> large = {
+      {one, &frame, {}, 0.0}, {many, &frame, {}, 0.0}};
+  std::vector<core::TransmissionOutcome> outcomes(large.size());
+  core::JointTransmission::TransmitBatchScratch scratch;
+  Rng rng{97};
+  const auto run = [&](std::span<const core::JointTransmission::TransmitJob>
+                           jobs) {
+    jt.transmit_batch(jobs, rng, std::span{outcomes}.first(jobs.size()),
+                      scratch);
+    ASSERT_TRUE(outcomes[0].delivered);
+  };
+  run(small);
+  run(large);  // the render scratch grows here
+  const std::uint64_t before = bench::alloc_count();
+  for (int i = 0; i < 2; ++i) {
+    run(small);
+    run(large);
+  }
+  EXPECT_EQ(bench::alloc_count() - before, 0u);
 }
 
 // --- Zero-allocation steady state ----------------------------------------

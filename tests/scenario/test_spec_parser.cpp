@@ -269,6 +269,26 @@ TEST(SpecParser, BadSpecCorpusRejectsWithAnnotatedKey) {
   EXPECT_GE(cases, 8u) << "bad-spec corpus went missing";
 }
 
+TEST(SpecParser, UnparsedNumberIsNotARangeError) {
+  // A numeric value that does not parse says so; one that parses but
+  // falls outside the key's range keeps the range message.
+  const std::string dir = DVLC_BAD_SPEC_DIR;
+  const SpecParseResult malformed =
+      load_spec_file(dir + "/malformed_number.ini");
+  ASSERT_EQ(malformed.errors.size(), 1u) << malformed.error_text();
+  EXPECT_EQ(malformed.errors[0].to_string(),
+            "grid.pitch: expected a number (got 'fast')");
+  const SpecParseResult zero_rows = load_spec_file(dir + "/zero_grid_rows.ini");
+  ASSERT_EQ(zero_rows.errors.size(), 1u) << zero_rows.error_text();
+  EXPECT_EQ(zero_rows.errors[0].to_string(),
+            "grid.rows: grid dimensions must be in [1, 64]");
+  const SpecParseResult signed_rows =
+      parse_spec(valid_text("[grid]\nrows = -3\n"));
+  ASSERT_EQ(signed_rows.errors.size(), 1u) << signed_rows.error_text();
+  EXPECT_EQ(signed_rows.errors[0].to_string(),
+            "grid.rows: expected an unsigned integer (got '-3')");
+}
+
 TEST(SpecParser, LoadSpecFileMissingPathIsTypedError) {
   const std::string path = "/nonexistent_dvlc_dir/missing_scenario.ini";
   const SpecParseResult result = load_spec_file(path);
