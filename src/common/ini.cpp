@@ -1,66 +1,68 @@
 #include "common/ini.hpp"
 
-#include <sstream>
+#include <algorithm>
 
 namespace densevlc {
-namespace {
 
-std::string trim(const std::string& s) {
+std::string_view trim(std::string_view s) {
   const auto begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return {};
+  if (begin == std::string_view::npos) return {};
   const auto end = s.find_last_not_of(" \t\r\n");
   return s.substr(begin, end - begin + 1);
 }
 
-}  // namespace
-
 IniConfig IniConfig::parse(const std::string& text) {
   IniConfig cfg;
-  std::istringstream in{text};
-  std::string line;
+  const std::string_view all{text};
   std::string section;
   std::size_t line_no = 0;
-  std::ostringstream errors;
-  while (std::getline(in, line)) {
+  const auto fail = [&](std::string key, const std::string& what) {
+    cfg.errors_.push_back(
+        {std::move(key), "line " + std::to_string(line_no) + ": " + what});
+  };
+  for (std::size_t start = 0; start < all.size();) {
+    const auto eol = std::min(all.find('\n', start), all.size());
+    // A comment runs from the first ';' or '#' to the end of the line.
+    std::string_view line = all.substr(start, eol - start);
+    line = trim(line.substr(0, line.find_first_of(";#")));
+    start = eol + 1;
     ++line_no;
-    // Strip comments (outside of values containing ';' we keep simple:
-    // comment starts at the first ';' or '#').
-    const auto comment = line.find_first_of(";#");
-    if (comment != std::string::npos) line = line.substr(0, comment);
-    line = trim(line);
     if (line.empty()) continue;
 
     if (line.front() == '[') {
       if (line.back() != ']' || line.size() < 3) {
-        errors << "line " << line_no << ": malformed section header\n";
+        fail({}, "malformed section header");
         continue;
       }
       section = trim(line.substr(1, line.size() - 2));
+      cfg.sections_.push_back(section);
       continue;
     }
 
     const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      errors << "line " << line_no << ": expected key = value\n";
+    if (eq == std::string_view::npos) {
+      fail({}, "expected key = value");
       continue;
     }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
+    const std::string_view key = trim(line.substr(0, eq));
     if (key.empty()) {
-      errors << "line " << line_no << ": empty key\n";
+      fail({}, "empty key");
       continue;
     }
-    const std::string full = section.empty() ? key : section + "." + key;
-    cfg.values_[full] = value;
+    std::string full = section.empty() ? std::string{key}
+                                       : section + "." + std::string{key};
+    const auto first =
+        std::find_if(cfg.items_.begin(), cfg.items_.end(),
+                     [&](const IniEntry& e) { return e.key == full; });
+    if (first != cfg.items_.end()) {
+      fail(std::move(full), "duplicate key (first set on line " +
+                                std::to_string(first->line) + ")");
+      continue;
+    }
+    cfg.items_.push_back({section, std::move(full),
+                          std::string{trim(line.substr(eq + 1))}, line_no});
   }
-  cfg.errors_ = errors.str();
   return cfg;
-}
-
-std::optional<std::string> IniConfig::get(const std::string& key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
 }
 
 }  // namespace densevlc

@@ -1,45 +1,66 @@
-// Minimal INI-style syntax layer under the scenario spec parser.
+// The one reader of INI text under scenario and campaign files.
 //
-// Scenario and campaign files (scenario/spec.hpp) are INI text; this
-// class only splits it into keys and raw values. The spec parser owns
-// the schema: it types every value and rejects unknown keys. Supported
+// Scenario and campaign files (scenario/spec.hpp, scenario/campaign.hpp)
+// are INI text; this class is the only code that splits that text into
+// sections, keys and raw values. The spec and campaign parsers own the
+// schema: they type every value and reject unknown keys. Supported
 // syntax:
 //
 //   ; comment      # comment
-//   [section]
+//   [section]      ([ section ] names the same section)
 //   key = value
 //
 // Keys are addressed as "section.key" ("" section for keys before any
-// header). Values keep their raw text.
+// header). Values keep their raw text. Entries keep file order and the
+// line they came from; a repeated "section.key" is an error.
 #pragma once
 
-#include <map>
-#include <optional>
+#include <cstddef>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace densevlc {
 
-/// Parsed INI content: raw values by full key.
+/// `s` without leading or trailing whitespace, as the reader trims keys,
+/// values and section names.
+std::string_view trim(std::string_view s);
+
+/// One `key = value` line.
+struct IniEntry {
+  std::string section;   ///< "" for keys before any header
+  std::string key;       ///< "section.key"
+  std::string value;     ///< raw text, trimmed
+  std::size_t line = 0;  ///< 1-based line in the parsed text
+};
+
+/// One syntax problem.
+struct IniError {
+  std::string key;      ///< the repeated "section.key"; empty otherwise
+  std::string message;  ///< "line 14: expected key = value"
+};
+
+/// Parsed INI content.
 class IniConfig {
  public:
-  /// Parses text. Malformed lines (no '=', unterminated section) are
-  /// reported via the error string; parsing continues past them.
+  /// Parses text. Malformed lines (no '=', empty key, unterminated
+  /// section) and repeated keys are reported via errors(); parsing
+  /// continues past them, and a repeated key keeps its first value.
   static IniConfig parse(const std::string& text);
 
-  /// Raw text value of "section.key".
-  std::optional<std::string> get(const std::string& key) const;
+  /// Every entry, in file order.
+  const std::vector<IniEntry>& items() const { return items_; }
 
-  /// All key-value pairs, ordered by full key name. Schema-checking
-  /// consumers (the scenario spec parser) iterate this to reject unknown
-  /// keys instead of silently ignoring them.
-  const std::map<std::string, std::string>& items() const { return values_; }
+  /// Section names in the order their headers appear.
+  const std::vector<std::string>& sections() const { return sections_; }
 
-  /// Parse diagnostics (one line per problem; empty when clean).
-  const std::string& errors() const { return errors_; }
+  /// Syntax errors in file order (empty when clean).
+  const std::vector<IniError>& errors() const { return errors_; }
 
  private:
-  std::map<std::string, std::string> values_;
-  std::string errors_;
+  std::vector<IniEntry> items_;
+  std::vector<std::string> sections_;
+  std::vector<IniError> errors_;
 };
 
 }  // namespace densevlc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -9,20 +10,13 @@
 namespace densevlc::scenario {
 namespace {
 
-std::string trim(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return {};
-  const auto end = s.find_last_not_of(" \t\r\n");
-  return s.substr(begin, end - begin + 1);
-}
-
 /// Splits an axis value on '|' into trimmed legs.
-std::vector<std::string> split_legs(const std::string& value) {
+std::vector<std::string> split_legs(std::string_view value) {
   std::vector<std::string> legs;
   std::size_t start = 0;
   while (true) {
     const auto bar = value.find('|', start);
-    legs.push_back(trim(value.substr(
+    legs.emplace_back(trim(value.substr(
         start, bar == std::string::npos ? std::string::npos : bar - start)));
     if (bar == std::string::npos) break;
     start = bar + 1;
@@ -137,102 +131,52 @@ std::size_t CampaignSpec::num_instances() const {
   return num_points() * instances_per_point;
 }
 
-std::string CampaignParseResult::error_text() const {
-  std::string out;
-  for (const SpecError& e : errors) {
-    out += e.to_string();
-    out += '\n';
-  }
-  return out;
-}
-
 CampaignParseResult parse_campaign(const std::string& text) {
   CampaignParseResult result;
-  CampaignSpec campaign;
-
-  // Split the file by section: [campaign] and [sweep] are consumed here
-  // (line order preserved — axis declaration order IS the sweep-point
-  // enumeration order); everything else is scenario schema and goes to
-  // parse_spec verbatim. The line handling mirrors IniConfig::parse.
-  std::string spec_text;
-  std::istringstream in{text};
-  std::string raw;
-  std::string section;
-  bool quick_set = false;
-  while (std::getline(in, raw)) {
-    std::string line = raw;
-    const auto comment = line.find_first_of(";#");
-    if (comment != std::string::npos) line = line.substr(0, comment);
-    line = trim(line);
-    if (!line.empty() && line.front() == '[' && line.back() == ']') {
-      section = trim(line.substr(1, line.size() - 2));
-    }
-    if (section != "campaign" && section != "sweep") {
-      spec_text += raw;
-      spec_text += '\n';
-      continue;
-    }
-    if (line.empty() || line.front() == '[') continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      result.errors.push_back(
-          {"<syntax>", "[" + section + "] line without '=': " + line});
-      continue;
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) {
-      result.errors.push_back({"<syntax>", "[" + section + "] empty key"});
-      continue;
-    }
-
-    if (section == "campaign") {
-      const auto v = parse_u64(value);
-      if (key == "instances") {
-        if (!v || *v < 1 || *v > 1000000) {
-          result.errors.push_back(
-              {"campaign.instances",
-               "instances per point must be in [1, 1000000]"});
-        } else {
-          campaign.instances_per_point = static_cast<std::size_t>(*v);
-        }
-      } else if (key == "quick_instances") {
-        if (!v || *v < 1 || *v > 1000000) {
-          result.errors.push_back(
-              {"campaign.quick_instances",
-               "quick instances per point must be in [1, 1000000]"});
-        } else {
-          campaign.quick_instances_per_point = static_cast<std::size_t>(*v);
-          quick_set = true;
-        }
-      } else {
-        result.errors.push_back(
-            {"campaign." + key, "unknown campaign key"});
-      }
-      continue;
-    }
-
-    // [sweep]
-    const auto dup =
-        std::find_if(campaign.axes.begin(), campaign.axes.end(),
-                     [&](const CampaignAxis& a) { return a.key == key; });
-    if (dup != campaign.axes.end()) {
-      result.errors.push_back({"sweep." + key, "duplicate sweep axis"});
-      continue;
-    }
-    CampaignAxis axis;
-    axis.key = key;
-    axis.values = split_legs(value);
-    for (const std::string& leg : axis.values) {
-      if (leg.empty()) {
-        result.errors.push_back(
-            {"sweep." + key, "empty sweep value (check stray '|')"});
-      }
-    }
-    campaign.axes.push_back(std::move(axis));
+  const IniConfig ini = IniConfig::parse(text);
+  if (!ini.errors().empty()) {
+    result.errors = syntax_errors(ini);
+    return result;
   }
 
-  SpecParseResult base = parse_spec(spec_text);
+  // [campaign] and [sweep] entries are read here (in file order: axis
+  // declaration order IS the sweep-point enumeration order); every other
+  // entry is scenario schema and goes to the spec parser.
+  CampaignSpec campaign;
+  std::vector<IniEntry> scenario_entries;
+  bool quick_set = false;
+  for (const IniEntry& entry : ini.items()) {
+    if (entry.section == "sweep") {
+      CampaignAxis axis{entry.key.substr(6), split_legs(entry.value)};
+      for (const std::string& leg : axis.values) {
+        if (leg.empty()) {
+          result.errors.push_back(
+              {entry.key, "empty sweep value (check stray '|')"});
+        }
+      }
+      campaign.axes.push_back(std::move(axis));
+    } else if (entry.section != "campaign") {
+      scenario_entries.push_back(entry);
+    } else if (entry.key == "campaign.instances" ||
+               entry.key == "campaign.quick_instances") {
+      const bool quick = entry.key == "campaign.quick_instances";
+      const auto v = parse_u64(entry.value);
+      if (!v || *v < 1 || *v > 1000000) {
+        result.errors.push_back(
+            {entry.key, std::string{quick ? "quick instances" : "instances"} +
+                            " per point must be in [1, 1000000]"});
+      } else if (quick) {
+        campaign.quick_instances_per_point = static_cast<std::size_t>(*v);
+        quick_set = true;
+      } else {
+        campaign.instances_per_point = static_cast<std::size_t>(*v);
+      }
+    } else {
+      result.errors.push_back({entry.key, "unknown campaign key"});
+    }
+  }
+
+  SpecParseResult base = parse_spec_entries(scenario_entries);
   for (SpecError& e : base.errors) result.errors.push_back(std::move(e));
   if (!result.errors.empty()) return result;
   campaign.base = std::move(*base.spec);

@@ -64,7 +64,7 @@ struct CampaignParseResult {
   std::vector<SpecError> errors;
 
   bool ok() const { return campaign.has_value(); }
-  std::string error_text() const;
+  std::string error_text() const { return scenario::error_text(errors); }
 };
 
 /// Parses campaign INI text ([campaign] and [sweep] on top of the

@@ -83,7 +83,6 @@ CompiledScenario compile(const ScenarioSpec& spec) {
   out.system.kappa = spec.kappa;
   out.system.power_budget_w = spec.power_budget_w;
   out.system.max_swing_a = out.alloc_options.max_swing_a;
-  out.system.incremental_probing = spec.incremental_probing;
   out.system.seed = spec.seed;  // placeholder; run_instance re-seeds
   if (spec.faults_enabled) {
     out.system.faults = chaos_schedule(

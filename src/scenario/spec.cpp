@@ -6,10 +6,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
+#include <limits>
 #include <sstream>
-
-#include "common/ini.hpp"
+#include <type_traits>
+#include <variant>
 
 namespace densevlc::scenario {
 namespace {
@@ -24,16 +24,6 @@ std::optional<double> parse_double(const std::string& text) {
   if (end != text.c_str() + text.size()) return std::nullopt;
   if (!std::isfinite(v)) return std::nullopt;
   return v;
-}
-
-std::optional<bool> parse_bool(const std::string& text) {
-  if (text == "true" || text == "yes" || text == "on" || text == "1") {
-    return true;
-  }
-  if (text == "false" || text == "no" || text == "off" || text == "0") {
-    return false;
-  }
-  return std::nullopt;
 }
 
 /// Shortest round-trip decimal form of a double ("0.5", not "0.500000").
@@ -64,300 +54,181 @@ std::size_t split_index(const std::string& leaf, std::string& stem) {
 }
 
 // ---------------------------------------------------------------------------
-// Key dispatch. One function handles one "key = value" pair against a
-// spec; the INI parse, sweep overrides, and CLI overrides all funnel
-// through it so every entry point rejects the same malformed inputs.
+// The scalar keys, one row each: the ScenarioSpec member a key sets, the
+// range its value must fall in with the message a value outside it
+// gets, and the optional section it switches on. apply_override parses
+// through the rows and serialize_spec writes them back in row order, so
+// a new scalar key is one new row.
 
-struct KeyOutcome {
-  bool known = false;                ///< key belongs to the schema
-  std::optional<SpecError> error;    ///< set when the value is rejected
+/// A seed member: parsed like a count, written in hex, never range-checked.
+struct SeedMember {
+  std::uint64_t ScenarioSpec::*member = nullptr;
 };
 
-KeyOutcome reject(const std::string& key, const std::string& message) {
-  return {true, SpecError{key, message}};
+using Member =
+    std::variant<std::string ScenarioSpec::*, EvalKind ScenarioSpec::*,
+                 TestbedKind ScenarioSpec::*, RxPlacement ScenarioSpec::*,
+                 SeedMember, std::size_t ScenarioSpec::*,
+                 double ScenarioSpec::*>;
+
+/// [lo, hi], or (lo, hi] when `lo_open`; applies to counts and numbers.
+struct Range {
+  double lo = 0.0;
+  bool lo_open = false;
+  double hi = std::numeric_limits<double>::infinity();
+
+  bool contains(double v) const {
+    return v >= lo && !(lo_open && v == lo) && v <= hi;
+  }
+};
+
+constexpr Range kPositive{0.0, true};
+constexpr Range kNonNegative{};
+
+struct ScalarKey {
+  std::string_view key;  ///< "section.key"
+  Member member;
+  Range range;
+  /// Rejects a parsed value outside `range`, an empty name, or a seed
+  /// that does not parse.
+  std::string_view message;
+  bool ScenarioSpec::*section_flag = nullptr;  ///< set by every value
+};
+
+constexpr ScalarKey kScalarKeys[] = {
+    {"scenario.name", &ScenarioSpec::name, {},
+     "scenario name must not be empty"},
+    {"scenario.kind", &ScenarioSpec::kind, {}, {}},
+    {"scenario.seed", SeedMember{&ScenarioSpec::seed}, {},
+     "expected an unsigned integer seed"},
+    {"scenario.epochs", &ScenarioSpec::epochs, {1, false, 100000},
+     "expected an epoch count in [1, 100000]"},
+    {"system.testbed", &ScenarioSpec::testbed, {}, {}},
+    {"system.kappa", &ScenarioSpec::kappa, kPositive,
+     "kappa must be a positive number"},
+    {"system.power_budget_w", &ScenarioSpec::power_budget_w, kPositive,
+     "power budget must be a positive number of watts"},
+    {"system.bandwidth_mhz", &ScenarioSpec::bandwidth_mhz, kPositive,
+     "bandwidth must be a positive number of MHz"},
+    {"room.width", &ScenarioSpec::room_width_m, {0, true, 1000},
+     "room dimensions must be in (0, 1000] meters"},
+    {"room.depth", &ScenarioSpec::room_depth_m, {0, true, 1000},
+     "room dimensions must be in (0, 1000] meters"},
+    {"room.height", &ScenarioSpec::room_height_m, {0, true, 1000},
+     "room dimensions must be in (0, 1000] meters"},
+    {"grid.rows", &ScenarioSpec::grid_rows, {1, false, 64},
+     "grid dimensions must be in [1, 64]"},
+    {"grid.cols", &ScenarioSpec::grid_cols, {1, false, 64},
+     "grid dimensions must be in [1, 64]"},
+    {"grid.pitch", &ScenarioSpec::grid_pitch_m, kPositive,
+     "grid pitch must be positive"},
+    {"grid.mount_height", &ScenarioSpec::grid_mount_height_m, kPositive,
+     "mount height must be a positive number of meters"},
+    {"led.bias_ma", &ScenarioSpec::led_bias_ma, kPositive,
+     "LED bias must be positive mA"},
+    {"led.max_swing_ma", &ScenarioSpec::led_max_swing_ma, kPositive,
+     "max swing must be positive mA"},
+    {"led.half_angle_deg", &ScenarioSpec::led_half_angle_deg, {0, true, 90},
+     "half angle must be in (0, 90] degrees"},
+    {"rx.placement", &ScenarioSpec::placement, {}, {}},
+    {"rx.count", &ScenarioSpec::rx_count, {1, false, 64},
+     "receiver count must be in [1, 64]"},
+    {"rx.height", &ScenarioSpec::rx_height_m, kNonNegative,
+     "rx height must be >= 0 meters"},
+    {"rx.margin", &ScenarioSpec::rx_margin_m, kNonNegative,
+     "rx margin must be >= 0 meters"},
+    {"illum.target_lux", &ScenarioSpec::target_lux, kPositive,
+     "target must be positive lux", &ScenarioSpec::dimming_enabled},
+    {"illum.leds_per_tx", &ScenarioSpec::leds_per_tx, {1, false, 100},
+     "LEDs per TX must be in [1, 100]", &ScenarioSpec::dimming_enabled},
+    {"faults.led_fail_fraction", &ScenarioSpec::led_fail_fraction,
+     {0, false, 1}, "LED fail fraction must be in [0, 1]",
+     &ScenarioSpec::faults_enabled},
+    {"faults.time_s", &ScenarioSpec::fault_time_s, kNonNegative,
+     "fault time must be >= 0 seconds", &ScenarioSpec::faults_enabled},
+    {"faults.seed", SeedMember{&ScenarioSpec::fault_seed}, {},
+     "expected an unsigned integer seed", &ScenarioSpec::faults_enabled},
+};
+
+/// Parses `value` into the row's member; a rejected value leaves the
+/// spec untouched.
+std::optional<SpecError> apply_scalar(ScenarioSpec& spec,
+                                      const ScalarKey& row,
+                                      const std::string& value) {
+  const auto reject = [&](std::string_view message) {
+    return std::optional<SpecError>{
+        SpecError{std::string{row.key}, std::string{message}}};
+  };
+  std::optional<SpecError> error = std::visit(
+      [&](auto member) -> std::optional<SpecError> {
+        if constexpr (std::is_same_v<decltype(member), SeedMember>) {
+          const auto v = parse_u64(value);
+          if (!v) return reject(row.message);
+          spec.*(member.member) = *v;
+        } else {
+          auto& field = spec.*member;
+          using T = std::remove_reference_t<decltype(field)>;
+          if constexpr (std::is_same_v<T, std::string>) {
+            if (value.empty()) return reject(row.message);
+            field = value;
+          } else if constexpr (std::is_enum_v<T>) {
+            // Every scenario enum has exactly two values.
+            const T first{};
+            const auto second = static_cast<T>(1);
+            if (value == to_string(first)) {
+              field = first;
+            } else if (value == to_string(second)) {
+              field = second;
+            } else {
+              return reject(std::string{"expected '"} + to_string(first) +
+                            "' or '" + to_string(second) + "' (got '" +
+                            value + "')");
+            }
+          } else if constexpr (std::is_same_v<T, double>) {
+            const auto v = parse_double(value);
+            if (!v) return reject("expected a number (got '" + value + "')");
+            if (!row.range.contains(*v)) return reject(row.message);
+            field = *v;
+          } else {
+            const auto v = parse_u64(value);
+            if (!v) {
+              return reject("expected an unsigned integer (got '" + value +
+                            "')");
+            }
+            if (!row.range.contains(static_cast<double>(*v))) {
+              return reject(row.message);
+            }
+            field = static_cast<std::size_t>(*v);
+          }
+        }
+        return std::nullopt;
+      },
+      row.member);
+  if (!error && row.section_flag != nullptr) spec.*row.section_flag = true;
+  return error;
 }
 
-KeyOutcome accept() { return {true, std::nullopt}; }
-
-/// A numeric key's value that does not parse: reported as such, so the
-/// key's range message is kept for values that parse.
-KeyOutcome reject_unparsed(const std::string& key, const std::string& value,
-                           bool integer) {
-  return reject(key, std::string{integer ? "expected an unsigned integer"
-                                         : "expected a number"} +
-                         " (got '" + value + "')");
-}
-
-/// Ensures `v` has at least `n` elements, appending defaults.
-template <typename T>
-void grow_to(std::vector<T>& v, std::size_t n) {
-  if (v.size() < n) v.resize(n);
-}
-
-KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
-                     const std::string& value) {
-  const auto num = [&]() { return parse_double(value); };
-
-  // --- [scenario] ---------------------------------------------------------
-  if (key == "scenario.name") {
-    if (value.empty()) return reject(key, "scenario name must not be empty");
-    spec.name = value;
-    return accept();
-  }
-  if (key == "scenario.kind") {
-    if (value == "analytic") {
-      spec.kind = EvalKind::kAnalytic;
-    } else if (value == "soak") {
-      spec.kind = EvalKind::kSoak;
-    } else {
-      return reject(key, "expected 'analytic' or 'soak' (got '" + value + "')");
-    }
-    return accept();
-  }
-  if (key == "scenario.seed") {
-    const auto v = parse_u64(value);
-    if (!v) return reject(key, "expected an unsigned integer seed");
-    spec.seed = *v;
-    return accept();
-  }
-  if (key == "scenario.epochs") {
-    const auto v = parse_u64(value);
-    if (!v) return reject_unparsed(key, value, true);
-    if (*v < 1 || *v > 100000) {
-      return reject(key, "expected an epoch count in [1, 100000]");
-    }
-    spec.epochs = static_cast<std::size_t>(*v);
-    return accept();
-  }
-
-  // --- [system] -----------------------------------------------------------
-  if (key == "system.testbed") {
-    if (value == "simulation") {
-      spec.testbed = TestbedKind::kSimulation;
-    } else if (value == "experimental") {
-      spec.testbed = TestbedKind::kExperimental;
-    } else {
-      return reject(key,
-                    "expected 'simulation' or 'experimental' (got '" + value +
-                        "')");
-    }
-    return accept();
-  }
-  if (key == "system.kappa") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v <= 0.0) return reject(key, "kappa must be a positive number");
-    spec.kappa = *v;
-    return accept();
-  }
-  if (key == "system.power_budget_w") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v <= 0.0) {
-      return reject(key, "power budget must be a positive number of watts");
-    }
-    spec.power_budget_w = *v;
-    return accept();
-  }
-  if (key == "system.bandwidth_mhz") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v <= 0.0) {
-      return reject(key, "bandwidth must be a positive number of MHz");
-    }
-    spec.bandwidth_mhz = *v;
-    return accept();
-  }
-  if (key == "system.incremental_probing") {
-    const auto v = parse_bool(value);
-    if (!v) return reject(key, "expected a boolean (true/false)");
-    spec.incremental_probing = *v;
-    return accept();
-  }
-
-  // --- [room] -------------------------------------------------------------
-  if (key == "room.width" || key == "room.depth" || key == "room.height") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v <= 0.0 || *v > 1000.0) {
-      return reject(key, "room dimensions must be in (0, 1000] meters");
-    }
-    if (key == "room.width") spec.room_width_m = *v;
-    if (key == "room.depth") spec.room_depth_m = *v;
-    if (key == "room.height") spec.room_height_m = *v;
-    return accept();
-  }
-
-  // --- [grid] -------------------------------------------------------------
-  if (key == "grid.rows" || key == "grid.cols") {
-    const auto v = parse_u64(value);
-    if (!v) return reject_unparsed(key, value, true);
-    if (*v < 1 || *v > 64) {
-      return reject(key, "grid dimensions must be in [1, 64]");
-    }
-    if (key == "grid.rows") spec.grid_rows = static_cast<std::size_t>(*v);
-    if (key == "grid.cols") spec.grid_cols = static_cast<std::size_t>(*v);
-    return accept();
-  }
-  if (key == "grid.pitch") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v <= 0.0) return reject(key, "grid pitch must be positive");
-    spec.grid_pitch_m = *v;
-    return accept();
-  }
-  if (key == "grid.mount_height") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v <= 0.0) {
-      return reject(key, "mount height must be a positive number of meters");
-    }
-    spec.grid_mount_height_m = *v;
-    return accept();
-  }
-
-  // --- [led] --------------------------------------------------------------
-  if (key == "led.bias_ma") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v <= 0.0) return reject(key, "LED bias must be positive mA");
-    spec.led_bias_ma = *v;
-    return accept();
-  }
-  if (key == "led.max_swing_ma") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v <= 0.0) return reject(key, "max swing must be positive mA");
-    spec.led_max_swing_ma = *v;
-    return accept();
-  }
-  if (key == "led.half_angle_deg") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v <= 0.0 || *v > 90.0) {
-      return reject(key, "half angle must be in (0, 90] degrees");
-    }
-    spec.led_half_angle_deg = *v;
-    return accept();
-  }
-
-  // --- [rx] ---------------------------------------------------------------
-  if (key == "rx.placement") {
-    if (value == "fixed") {
-      spec.placement = RxPlacement::kFixed;
-    } else if (value == "uniform") {
-      spec.placement = RxPlacement::kUniform;
-    } else {
-      return reject(key, "expected 'fixed' or 'uniform' (got '" + value + "')");
-    }
-    return accept();
-  }
-  if (key == "rx.count") {
-    const auto v = parse_u64(value);
-    if (!v) return reject_unparsed(key, value, true);
-    if (*v < 1 || *v > 64) {
-      return reject(key, "receiver count must be in [1, 64]");
-    }
-    spec.rx_count = static_cast<std::size_t>(*v);
-    return accept();
-  }
-  if (key == "rx.height") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v < 0.0) return reject(key, "rx height must be >= 0 meters");
-    spec.rx_height_m = *v;
-    return accept();
-  }
-  if (key == "rx.margin") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v < 0.0) return reject(key, "rx margin must be >= 0 meters");
-    spec.rx_margin_m = *v;
-    return accept();
-  }
-  if (key.rfind("rx.", 0) == 0) {
-    std::string stem;
-    const std::size_t idx = split_index(key.substr(3), stem);
-    if (idx >= 1 && idx <= 64 && (stem == "x" || stem == "y")) {
-      const auto v = num();
-      if (!v) return reject(key, "expected a coordinate in meters");
-      grow_to(spec.rx_fixed, idx);
-      if (stem == "x") spec.rx_fixed[idx - 1].x = *v;
-      if (stem == "y") spec.rx_fixed[idx - 1].y = *v;
-      return accept();
-    }
-    return {false, std::nullopt};
-  }
-
-  // --- [illum] ------------------------------------------------------------
-  if (key == "illum.target_lux") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v <= 0.0) return reject(key, "target must be positive lux");
-    spec.dimming_enabled = true;
-    spec.target_lux = *v;
-    return accept();
-  }
-  if (key == "illum.leds_per_tx") {
-    const auto v = parse_u64(value);
-    if (!v) return reject_unparsed(key, value, true);
-    if (*v < 1 || *v > 100) {
-      return reject(key, "LEDs per TX must be in [1, 100]");
-    }
-    spec.dimming_enabled = true;
-    spec.leds_per_tx = static_cast<std::size_t>(*v);
-    return accept();
-  }
-
-  // --- [blockage] ---------------------------------------------------------
-  if (key.rfind("blockage.", 0) == 0) {
-    std::string stem;
-    const std::size_t idx = split_index(key.substr(9), stem);
-    if (idx >= 1 && idx <= 16 &&
-        (stem == "x" || stem == "y" || stem == "radius" || stem == "height")) {
-      const auto v = num();
-      if (!v) return reject(key, "expected a number (meters)");
-      if ((stem == "radius" || stem == "height") && *v <= 0.0) {
-        return reject(key, "blocker " + stem + " must be positive");
-      }
-      grow_to(spec.blockers, idx);
-      if (stem == "x") spec.blockers[idx - 1].x = *v;
-      if (stem == "y") spec.blockers[idx - 1].y = *v;
-      if (stem == "radius") spec.blockers[idx - 1].radius = *v;
-      if (stem == "height") spec.blockers[idx - 1].height_m = *v;
-      return accept();
-    }
-    return {false, std::nullopt};
-  }
-
-  // --- [faults] -----------------------------------------------------------
-  if (key == "faults.led_fail_fraction") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v < 0.0 || *v > 1.0) {
-      return reject(key, "LED fail fraction must be in [0, 1]");
-    }
-    spec.faults_enabled = true;
-    spec.led_fail_fraction = *v;
-    return accept();
-  }
-  if (key == "faults.time_s") {
-    const auto v = num();
-    if (!v) return reject_unparsed(key, value, false);
-    if (*v < 0.0) return reject(key, "fault time must be >= 0 seconds");
-    spec.faults_enabled = true;
-    spec.fault_time_s = *v;
-    return accept();
-  }
-  if (key == "faults.seed") {
-    const auto v = parse_u64(value);
-    if (!v) return reject(key, "expected an unsigned integer seed");
-    spec.faults_enabled = true;
-    spec.fault_seed = *v;
-    return accept();
-  }
-
-  return {false, std::nullopt};
+/// The row's member in its canonical spelling.
+std::string value_text(const ScenarioSpec& spec, const ScalarKey& row) {
+  return std::visit(
+      [&](auto member) -> std::string {
+        if constexpr (std::is_same_v<decltype(member), SeedMember>) {
+          return format_hex(spec.*(member.member));
+        } else {
+          const auto& field = spec.*member;
+          using T = std::remove_cvref_t<decltype(field)>;
+          if constexpr (std::is_same_v<T, std::string>) {
+            return field;
+          } else if constexpr (std::is_enum_v<T>) {
+            return to_string(field);
+          } else if constexpr (std::is_same_v<T, double>) {
+            return format_double(field);
+          } else {
+            return std::to_string(field);
+          }
+        }
+      },
+      row.member);
 }
 
 }  // namespace
@@ -386,7 +257,7 @@ ScenarioSpec spec_defaults(TestbedKind testbed) {
   return spec;
 }
 
-std::string SpecParseResult::error_text() const {
+std::string error_text(std::span<const SpecError> errors) {
   std::string out;
   for (const SpecError& e : errors) {
     out += e.to_string();
@@ -398,11 +269,38 @@ std::string SpecParseResult::error_text() const {
 std::optional<SpecError> apply_override(ScenarioSpec& spec,
                                         const std::string& key,
                                         const std::string& value) {
-  const KeyOutcome out = apply_key(spec, key, value);
-  if (!out.known) {
-    return SpecError{key, "unknown scenario key"};
+  for (const ScalarKey& row : kScalarKeys) {
+    if (row.key == key) return apply_scalar(spec, row, value);
   }
-  return out.error;
+  std::string stem;
+  if (key.starts_with("rx.")) {
+    const std::size_t idx = split_index(key.substr(3), stem);
+    if (idx >= 1 && idx <= 64 && (stem == "x" || stem == "y")) {
+      const auto v = parse_double(value);
+      if (!v) return SpecError{key, "expected a coordinate in meters"};
+      if (spec.rx_fixed.size() < idx) spec.rx_fixed.resize(idx);
+      if (stem == "x") spec.rx_fixed[idx - 1].x = *v;
+      if (stem == "y") spec.rx_fixed[idx - 1].y = *v;
+      return std::nullopt;
+    }
+  } else if (key.starts_with("blockage.")) {
+    const std::size_t idx = split_index(key.substr(9), stem);
+    if (idx >= 1 && idx <= 16 &&
+        (stem == "x" || stem == "y" || stem == "radius" || stem == "height")) {
+      const auto v = parse_double(value);
+      if (!v) return SpecError{key, "expected a number (meters)"};
+      if ((stem == "radius" || stem == "height") && *v <= 0.0) {
+        return SpecError{key, "blocker " + stem + " must be positive"};
+      }
+      if (spec.blockers.size() < idx) spec.blockers.resize(idx);
+      if (stem == "x") spec.blockers[idx - 1].x = *v;
+      if (stem == "y") spec.blockers[idx - 1].y = *v;
+      if (stem == "radius") spec.blockers[idx - 1].radius = *v;
+      if (stem == "height") spec.blockers[idx - 1].height_m = *v;
+      return std::nullopt;
+    }
+  }
+  return SpecError{key, "unknown scenario key"};
 }
 
 std::vector<SpecError> validate_spec(const ScenarioSpec& spec) {
@@ -480,38 +378,36 @@ std::vector<SpecError> validate_spec(const ScenarioSpec& spec) {
   return errors;
 }
 
-SpecParseResult parse_spec(const std::string& text) {
-  SpecParseResult result;
-  const IniConfig ini = IniConfig::parse(text);
-  if (!ini.errors().empty()) {
-    std::istringstream lines{ini.errors()};
-    std::string line;
-    while (std::getline(lines, line)) {
-      result.errors.push_back({"<syntax>", line});
-    }
-    return result;
+std::vector<SpecError> syntax_errors(const IniConfig& ini) {
+  std::vector<SpecError> errors;
+  for (const IniError& e : ini.errors()) {
+    errors.push_back({e.key.empty() ? "<syntax>" : e.key, e.message});
   }
+  return errors;
+}
 
-  // The testbed choice re-bases every default, so resolve it first —
-  // std::map iteration would otherwise hand us [system] after [grid].
-  TestbedKind testbed = TestbedKind::kSimulation;
-  if (const auto declared = ini.get("system.testbed")) {
-    ScenarioSpec probe;
-    const KeyOutcome out = apply_key(probe, "system.testbed", *declared);
-    if (out.error) {
-      result.errors.push_back(*out.error);
+SpecParseResult parse_spec(const std::string& text) {
+  const IniConfig ini = IniConfig::parse(text);
+  if (!ini.errors().empty()) return {std::nullopt, syntax_errors(ini)};
+  return parse_spec_entries(ini.items());
+}
+
+SpecParseResult parse_spec_entries(std::span<const IniEntry> entries) {
+  SpecParseResult result;
+  // The testbed choice re-bases every default, so resolve it before
+  // applying any key, wherever the file declares it.
+  ScenarioSpec spec;
+  for (const IniEntry& entry : entries) {
+    if (entry.key != "system.testbed") continue;
+    if (auto error = apply_override(spec, entry.key, entry.value)) {
+      result.errors.push_back(std::move(*error));
       return result;
     }
-    testbed = probe.testbed;
   }
-
-  ScenarioSpec spec = spec_defaults(testbed);
-  for (const auto& [key, value] : ini.items()) {
-    const KeyOutcome out = apply_key(spec, key, value);
-    if (!out.known) {
-      result.errors.push_back({key, "unknown scenario key"});
-    } else if (out.error) {
-      result.errors.push_back(*out.error);
+  spec = spec_defaults(spec.testbed);
+  for (const IniEntry& entry : entries) {
+    if (auto error = apply_override(spec, entry.key, entry.value)) {
+      result.errors.push_back(std::move(*error));
     }
   }
 
@@ -550,57 +446,33 @@ SpecParseResult load_spec_file(const std::string& path) {
 
 std::string serialize_spec(const ScenarioSpec& spec) {
   std::ostringstream out;
-  out << "[scenario]\n";
-  out << "name = " << spec.name << '\n';
-  out << "kind = " << to_string(spec.kind) << '\n';
-  out << "seed = " << format_hex(spec.seed) << '\n';
-  out << "epochs = " << spec.epochs << '\n';
+  const auto header = [&](std::string_view section) {
+    if (out.tellp() > 0) out << '\n';
+    out << '[' << section << "]\n";
+  };
+  const auto scalars = [&](std::string_view section) {
+    header(section);
+    for (const ScalarKey& row : kScalarKeys) {
+      const auto dot = row.key.find('.');
+      if (row.key.substr(0, dot) != section) continue;
+      out << row.key.substr(dot + 1) << " = " << value_text(spec, row)
+          << '\n';
+    }
+  };
 
-  out << "\n[system]\n";
-  out << "testbed = " << to_string(spec.testbed) << '\n';
-  out << "kappa = " << format_double(spec.kappa) << '\n';
-  out << "power_budget_w = " << format_double(spec.power_budget_w) << '\n';
-  out << "bandwidth_mhz = " << format_double(spec.bandwidth_mhz) << '\n';
-  out << "incremental_probing = "
-      << (spec.incremental_probing ? "true" : "false") << '\n';
-
-  out << "\n[room]\n";
-  out << "width = " << format_double(spec.room_width_m) << '\n';
-  out << "depth = " << format_double(spec.room_depth_m) << '\n';
-  out << "height = " << format_double(spec.room_height_m) << '\n';
-
-  out << "\n[grid]\n";
-  out << "rows = " << spec.grid_rows << '\n';
-  out << "cols = " << spec.grid_cols << '\n';
-  out << "pitch = " << format_double(spec.grid_pitch_m) << '\n';
-  out << "mount_height = " << format_double(spec.grid_mount_height_m) << '\n';
-
-  out << "\n[led]\n";
-  out << "bias_ma = " << format_double(spec.led_bias_ma) << '\n';
-  out << "max_swing_ma = " << format_double(spec.led_max_swing_ma) << '\n';
-  out << "half_angle_deg = " << format_double(spec.led_half_angle_deg)
-      << '\n';
-
-  out << "\n[rx]\n";
-  out << "placement = " << to_string(spec.placement) << '\n';
-  out << "count = " << spec.rx_count << '\n';
-  out << "height = " << format_double(spec.rx_height_m) << '\n';
-  out << "margin = " << format_double(spec.rx_margin_m) << '\n';
+  for (const std::string_view section :
+       {"scenario", "system", "room", "grid", "led", "rx"}) {
+    scalars(section);
+  }
   for (std::size_t i = 0; i < spec.rx_fixed.size(); ++i) {
     out << "x" << (i + 1) << " = " << format_double(spec.rx_fixed[i].x)
         << '\n';
     out << "y" << (i + 1) << " = " << format_double(spec.rx_fixed[i].y)
         << '\n';
   }
-
-  if (spec.dimming_enabled) {
-    out << "\n[illum]\n";
-    out << "target_lux = " << format_double(spec.target_lux) << '\n';
-    out << "leds_per_tx = " << spec.leds_per_tx << '\n';
-  }
-
+  if (spec.dimming_enabled) scalars("illum");
   if (!spec.blockers.empty()) {
-    out << "\n[blockage]\n";
+    header("blockage");
     for (std::size_t i = 0; i < spec.blockers.size(); ++i) {
       const auto& b = spec.blockers[i];
       out << "x" << (i + 1) << " = " << format_double(b.x) << '\n';
@@ -610,14 +482,7 @@ std::string serialize_spec(const ScenarioSpec& spec) {
           << '\n';
     }
   }
-
-  if (spec.faults_enabled) {
-    out << "\n[faults]\n";
-    out << "led_fail_fraction = " << format_double(spec.led_fail_fraction)
-        << '\n';
-    out << "time_s = " << format_double(spec.fault_time_s) << '\n';
-    out << "seed = " << format_hex(spec.fault_seed) << '\n';
-  }
+  if (spec.faults_enabled) scalars("faults");
   return out.str();
 }
 

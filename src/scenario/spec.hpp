@@ -15,11 +15,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "channel/blockage.hpp"
+#include "common/ini.hpp"
 #include "geom/vec3.hpp"
 
 namespace densevlc::scenario {
@@ -51,6 +53,9 @@ struct SpecError {
   std::string to_string() const { return key + ": " + message; }
 };
 
+/// Every error's to_string(), one per line (for CLI diagnostics).
+std::string error_text(std::span<const SpecError> errors);
+
 /// The declarative scenario description. Field defaults are the
 /// simulation testbed of paper Table 1; `spec_defaults(kExperimental)`
 /// re-bases them on the Sec. 8 hardware. All lengths are meters, currents
@@ -67,7 +72,6 @@ struct ScenarioSpec {
   double kappa = 1.3;
   double power_budget_w = 1.2;
   double bandwidth_mhz = 1.0;
-  bool incremental_probing = false;
 
   // [room]
   double room_width_m = 3.0;
@@ -119,13 +123,22 @@ struct SpecParseResult {
   std::vector<SpecError> errors;
 
   bool ok() const { return spec.has_value(); }
-  /// All errors joined with newlines (for CLI diagnostics).
-  std::string error_text() const;
+  std::string error_text() const { return scenario::error_text(errors); }
 };
 
 /// Parses scenario INI text. Unknown keys, malformed values and
 /// out-of-range fields are typed errors; nothing is silently defaulted.
 [[nodiscard]] SpecParseResult parse_spec(const std::string& text);
+
+/// parse_spec after the text is split: types INI entries against the
+/// scenario schema. parse_campaign hands it every entry outside its own
+/// [campaign] and [sweep] sections.
+[[nodiscard]] SpecParseResult parse_spec_entries(
+    std::span<const IniEntry> entries);
+
+/// The reader's syntax errors as typed errors: a repeated key names
+/// itself, any other problem is keyed "<syntax>".
+[[nodiscard]] std::vector<SpecError> syntax_errors(const IniConfig& ini);
 
 /// Reads the whole file at `path` into `text` with one open and one read
 /// pass. A missing or unreadable path, a directory included, returns the

@@ -1,4 +1,4 @@
-// Tests for the INI configuration parser.
+// Tests for the INI reader under scenario and campaign files.
 #include "common/ini.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,10 @@ namespace densevlc {
 namespace {
 
 std::string raw(const IniConfig& cfg, const std::string& key) {
-  return cfg.get(key).value_or("<missing>");
+  for (const IniEntry& entry : cfg.items()) {
+    if (entry.key == key) return entry.value;
+  }
+  return "<missing>";
 }
 
 TEST(Ini, ParsesSectionsAndKeys) {
@@ -25,6 +28,7 @@ TEST(Ini, ParsesSectionsAndKeys) {
   EXPECT_EQ(raw(cfg, "room.width"), "3.5");
   EXPECT_EQ(raw(cfg, "room.depth"), "4");
   EXPECT_EQ(raw(cfg, "system.kappa"), "1.3");
+  EXPECT_EQ(cfg.sections(), (std::vector<std::string>{"room", "system"}));
 }
 
 TEST(Ini, CommentsAndWhitespace) {
@@ -33,9 +37,12 @@ TEST(Ini, CommentsAndWhitespace) {
       "# another\n"
       "  key1 =  spaced value \n"
       "key2 = 7 ; trailing comment\n"
+      "[ spaced ]\n"
+      "key3 = x\r\n"
       "\n");
   EXPECT_EQ(raw(cfg, "key1"), "spaced value");
   EXPECT_EQ(raw(cfg, "key2"), "7");
+  EXPECT_EQ(raw(cfg, "spaced.key3"), "x");
 }
 
 TEST(Ini, MalformedLinesReportedButSkipped) {
@@ -48,19 +55,41 @@ TEST(Ini, MalformedLinesReportedButSkipped) {
   EXPECT_EQ(raw(cfg, "good"), "1");
   EXPECT_EQ(raw(cfg, "still_good"), "2");
   EXPECT_EQ(cfg.items().size(), 2u);
-  EXPECT_FALSE(cfg.errors().empty());
+  ASSERT_EQ(cfg.errors().size(), 3u);
+  EXPECT_EQ(cfg.errors()[0].message, "line 2: expected key = value");
+  EXPECT_EQ(cfg.errors()[1].message, "line 3: malformed section header");
+  EXPECT_EQ(cfg.errors()[2].message, "line 4: empty key");
+  EXPECT_TRUE(cfg.errors()[0].key.empty());
 }
 
-TEST(Ini, HasAndGet) {
-  const auto cfg = IniConfig::parse("[s]\nk = v\n");
-  EXPECT_FALSE(cfg.get("s.other").has_value());
-  ASSERT_TRUE(cfg.get("s.k").has_value());
-  EXPECT_EQ(*cfg.get("s.k"), "v");
+TEST(Ini, EntriesKeepFileOrderAndLines) {
+  const auto cfg =
+      IniConfig::parse("[s]\nz = 1\n\n; note\na = 2\n[r]\nm = 3\n");
+  ASSERT_EQ(cfg.items().size(), 3u);
+  EXPECT_EQ(cfg.items()[0].section, "s");
+  EXPECT_EQ(cfg.items()[0].key, "s.z");
+  EXPECT_EQ(cfg.items()[0].line, 2u);
+  EXPECT_EQ(cfg.items()[1].key, "s.a");
+  EXPECT_EQ(cfg.items()[1].line, 5u);
+  EXPECT_EQ(cfg.items()[2].section, "r");
+  EXPECT_EQ(cfg.items()[2].key, "r.m");
+  EXPECT_EQ(cfg.items()[2].value, "3");
+  EXPECT_EQ(cfg.items()[2].line, 7u);
+  EXPECT_EQ(raw(cfg, "s.other"), "<missing>");
 }
 
-TEST(Ini, LastDuplicateWins) {
-  const auto cfg = IniConfig::parse("k = 1\nk = 2\n");
-  EXPECT_EQ(raw(cfg, "k"), "2");
+TEST(Ini, DuplicateKeyIsAnError) {
+  // The same key in another section is a different key; the same
+  // section.key twice is an error naming both lines, in whatever
+  // spelling the section header reopens it.
+  const auto cfg =
+      IniConfig::parse("[s]\nk = 1\n[t]\nk = 2\n[ s ]\nk = 3\n");
+  ASSERT_EQ(cfg.errors().size(), 1u);
+  EXPECT_EQ(cfg.errors()[0].key, "s.k");
+  EXPECT_EQ(cfg.errors()[0].message,
+            "line 6: duplicate key (first set on line 2)");
+  EXPECT_EQ(cfg.items().size(), 2u);
+  EXPECT_EQ(raw(cfg, "s.k"), "1");
 }
 
 }  // namespace

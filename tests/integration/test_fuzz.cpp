@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/ini.hpp"
@@ -14,6 +16,8 @@
 #include "phy/frame.hpp"
 #include "phy/frame_batch.hpp"
 #include "phy/frame_codec.hpp"
+#include "scenario/campaign.hpp"
+#include "scenario/spec.hpp"
 
 namespace densevlc {
 namespace {
@@ -233,6 +237,14 @@ TEST(Fuzz, SegmentDecoderTotal) {
 }
 
 TEST(Fuzz, IniParserTotalOnGarbage) {
+  // Every reader of scenario text is total: random bytes, and
+  // schema-shaped files (known keys, random values, extreme indices).
+  const auto read_all = [](const std::string& text) {
+    const auto cfg = IniConfig::parse(text);
+    (void)cfg.items().size();
+    (void)scenario::parse_spec(text);
+    (void)scenario::parse_campaign(text);
+  };
   Rng rng{0xF027};
   for (int trial = 0; trial < 300; ++trial) {
     std::string text;
@@ -240,10 +252,40 @@ TEST(Fuzz, IniParserTotalOnGarbage) {
     for (std::size_t i = 0; i < size; ++i) {
       text.push_back(static_cast<char>(rng.uniform_int(1, 127)));
     }
-    const auto cfg = IniConfig::parse(text);
-    (void)cfg.items().size();
+    read_all(text);
   }
-  SUCCEED();
+
+  const char* const keys[] = {
+      "scenario.name", "scenario.kind", "scenario.seed", "scenario.epochs",
+      "system.testbed", "system.kappa", "room.width", "grid.rows",
+      "grid.pitch", "grid.mount_height", "led.half_angle_deg",
+      "rx.placement", "rx.count", "rx.height", "rx.margin", "rx.x1",
+      "rx.y2", "rx.x0", "rx.x65", "rx.x99999999999999999999", "rx.x",
+      "illum.target_lux", "illum.leds_per_tx", "blockage.radius1",
+      "blockage.height16", "blockage.x17", "faults.led_fail_fraction",
+      "faults.seed", "campaign.instances", "campaign.quick_instances",
+      "sweep.system.kappa", "sweep.grid", "sweep.rx.count", "bogus.key"};
+  const char* const values[] = {
+      "", "0", "1", "2", "-1", "0x", "0x10", "1e308", "nan", "inf", "0.5",
+      "2.5", "1000", "65", "18446744073709551616", "soak", "uniform",
+      "experimental", "2 | 3", "1.0 | | 2.0", "grid.rows=4 grid.cols=4",
+      "grid.rows=", "=", "a b c"};
+  const auto pick = [&rng](const auto& list) {
+    const auto n = static_cast<std::int64_t>(std::size(list));
+    return std::string{list[rng.uniform_int(0, n - 1)]};
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string text;
+    const auto lines = rng.uniform_int(0, 12);
+    for (std::int64_t line = 0; line < lines; ++line) {
+      const std::string key = pick(keys);
+      const auto dot = key.find('.');
+      text += "[" + key.substr(0, dot) + "]\n" + key.substr(dot + 1) +
+              " = " + pick(values) + "\n";
+    }
+    read_all(text);
+  }
+  SUCCEED();  // no crash is the assertion
 }
 
 }  // namespace

@@ -340,6 +340,41 @@ TEST(Campaign, RejectsDuplicateAxisAndEmptyLeg) {
   EXPECT_NE(empty.error_text().find("empty sweep value"), std::string::npos);
 }
 
+TEST(Campaign, SyntaxErrorsNameTheFileLine) {
+  // A malformed line reports the line it sits on in the file, whether
+  // it follows [campaign]/[sweep] inside them or in a scenario section.
+  const std::string head =
+      "[scenario]\n"           // 1
+      "name = t\n"             // 2
+      "[rx]\n"                 // 3
+      "placement = uniform\n"  // 4
+      "count = 2\n"            // 5
+      "[campaign]\n"           // 6
+      "instances = 2\n"        // 7
+      "[sweep]\n"              // 8
+      "rx.count = 2 | 3\n";    // 9
+  const auto in_sweep = parse_campaign(head + "grid.rows 4\n");
+  ASSERT_EQ(in_sweep.errors.size(), 1u) << in_sweep.error_text();
+  EXPECT_EQ(in_sweep.errors[0].to_string(),
+            "<syntax>: line 10: expected key = value");
+  const auto in_scenario = parse_campaign(head + "[grid]\nrows 4\n");
+  ASSERT_EQ(in_scenario.errors.size(), 1u) << in_scenario.error_text();
+  EXPECT_EQ(in_scenario.errors[0].to_string(),
+            "<syntax>: line 11: expected key = value");
+}
+
+TEST(Campaign, OnlyItsOwnSectionsHoldCampaignKeys) {
+  // A dotted key before any header is a scenario key, even when it reads
+  // like a sweep axis, so parse_campaign and spec_diff agree on what a
+  // campaign file is: one with a [campaign] or [sweep] section.
+  const auto parsed = parse_campaign(
+      "sweep.system.kappa = 1.0 | 2.0\n"
+      "[scenario]\nname = t\n[rx]\nplacement = uniform\ncount = 2\n");
+  ASSERT_EQ(parsed.errors.size(), 1u) << parsed.error_text();
+  EXPECT_EQ(parsed.errors[0].to_string(),
+            "sweep.system.kappa: unknown scenario key");
+}
+
 TEST(Campaign, LoadCampaignFileMissingPathIsTypedError) {
   const std::string path = "/nonexistent_dvlc_dir/missing_campaign.ini";
   const auto result = load_campaign_file(path);

@@ -97,6 +97,23 @@ TEST(SpecDiff, CampaignSchemaDetectedAndFlattened) {
   EXPECT_EQ(c.items.at("scenario.name"), "sweep-demo");
 }
 
+TEST(SpecDiff, SpacedSectionHeaderIsACampaign) {
+  // "[ sweep ]" names the same section as "[sweep]", as for any header.
+  const Canonical c = canonicalize(
+      "[ sweep ]\n"
+      "system.kappa = 1.0 | 2.0\n"
+      "[scenario]\n"
+      "name = spaced\n"
+      "[rx]\n"
+      "count = 1\n"
+      "x1 = 1.0\n"
+      "y1 = 1.0\n");
+  ASSERT_TRUE(c.ok) << c.error;
+  EXPECT_TRUE(c.is_campaign);
+  EXPECT_EQ(c.items.at("sweep.system.kappa"), "1.0 | 2.0");
+  EXPECT_EQ(c.items.at("campaign.instances"), "1");
+}
+
 TEST(SpecDiff, ParseFailureIsAnError) {
   const Canonical c = canonicalize("[scenario]\nkind = bogus\n");
   EXPECT_FALSE(c.ok);

@@ -1,56 +1,15 @@
 #include "spec_diff.hpp"
 
+#include <algorithm>
 #include <sstream>
 
+#include "common/ini.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/spec.hpp"
 
 namespace densevlc::specdiff {
 
 namespace {
-
-std::string trim(const std::string& s) {
-  const std::size_t b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const std::size_t e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-
-/// True when the text declares a [campaign] or [sweep] section.
-bool looks_like_campaign(const std::string& text) {
-  std::istringstream in{text};
-  std::string raw;
-  while (std::getline(in, raw)) {
-    std::string line = raw;
-    const auto comment = line.find_first_of(";#");
-    if (comment != std::string::npos) line = line.substr(0, comment);
-    line = trim(line);
-    if (line == "[campaign]" || line == "[sweep]") return true;
-  }
-  return false;
-}
-
-/// Flattens canonical INI text ("[section]\nkey = value") into
-/// `section.key -> value` entries.
-void flatten_ini(const std::string& text,
-                 std::map<std::string, std::string>& items) {
-  std::istringstream in{text};
-  std::string raw;
-  std::string section;
-  while (std::getline(in, raw)) {
-    const std::string line = trim(raw);
-    if (line.empty()) continue;
-    if (line.front() == '[' && line.back() == ']') {
-      section = trim(line.substr(1, line.size() - 2));
-      continue;
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    items[section.empty() ? key : section + "." + key] = value;
-  }
-}
 
 std::string join(const std::vector<std::string>& values) {
   std::string out;
@@ -65,7 +24,10 @@ std::string join(const std::vector<std::string>& values) {
 
 Canonical canonicalize(const std::string& text) {
   Canonical out;
-  out.is_campaign = looks_like_campaign(text);
+  out.is_campaign = std::ranges::any_of(
+      IniConfig::parse(text).sections(),
+      [](const std::string& s) { return s == "campaign" || s == "sweep"; });
+  std::string canonical;
   if (out.is_campaign) {
     const scenario::CampaignParseResult parsed =
         scenario::parse_campaign(text);
@@ -74,7 +36,7 @@ Canonical canonicalize(const std::string& text) {
       return out;
     }
     const scenario::CampaignSpec& c = *parsed.campaign;
-    flatten_ini(scenario::serialize_spec(c.base), out.items);
+    canonical = scenario::serialize_spec(c.base);
     out.items["campaign.instances"] = std::to_string(c.instances_per_point);
     out.items["campaign.quick_instances"] =
         std::to_string(c.quick_instances_per_point);
@@ -87,7 +49,11 @@ Canonical canonicalize(const std::string& text) {
       out.error = parsed.error_text();
       return out;
     }
-    flatten_ini(scenario::serialize_spec(*parsed.spec), out.items);
+    canonical = scenario::serialize_spec(*parsed.spec);
+  }
+  const IniConfig flat = IniConfig::parse(canonical);
+  for (const IniEntry& entry : flat.items()) {
+    out.items[entry.key] = entry.value;
   }
   out.ok = true;
   return out;
