@@ -12,7 +12,6 @@
 #include "common/table.hpp"
 #include "phy/frame.hpp"
 #include "phy/frame_codec.hpp"
-#include "phy/interleaver.hpp"
 
 namespace {
 
@@ -57,8 +56,8 @@ int main() {
   Rng rng{0xAB1E};
   TablePrinter table{{"burst [bytes]", "no interleaver", "interleaved",
                       "analytic bound"}};
-  const std::size_t depth = 4;
-  const std::size_t tolerance = phy::burst_tolerance(depth, 8);
+  const std::size_t depth = phy::FrameCodec::matched_depth(800);
+  const std::size_t tolerance = phy::FrameCodec::matched_burst_tolerance(800);
   for (std::size_t burst : {4u, 8u, 12u, 16u, 24u, 32u, 40u, 64u}) {
     const double without = survival(burst, phy::FrameCodec{0}, rng, 200);
     const double with = survival(burst, phy::FrameCodec{depth}, rng, 200);
@@ -71,8 +70,10 @@ int main() {
 
   std::cout << "\nRS alone corrects 8 bytes per block: bursts beyond ~8 "
                "bytes start killing frames.\nWith a depth-4 interleaver "
-               "the analytic protection extends to "
+               "every burst of up to "
             << tolerance
-            << " bytes, and the measured survival follows.\n";
+            << " bytes decodes wherever it starts: each block's parity\n"
+               "trails the payload, so a burst can reach a block in two "
+               "rows.\n";
   return 0;
 }

@@ -1,8 +1,8 @@
 // Runtime backend selection for the SIMD wrapper (see common/simd.hpp).
 //
-// The decision is process-global so every dispatch site (Manchester,
-// GF(256), correlator, biquad) flips together: either all kernels run the
-// compiled vector backend or all run the scalar one. That keeps the
+// The decision is process-global so every dispatch site (front-end
+// filters, ADC, correlator, optical render) flips together: either all
+// kernels run the compiled vector backend or all run the scalar one. That keeps the
 // differential story simple — one switch, two bit-identical universes.
 #include "common/simd.hpp"
 

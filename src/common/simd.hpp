@@ -1,35 +1,31 @@
-// Portable fixed-width SIMD wrapper for the PHY/DSP vector kernels.
+// Portable fixed-width SIMD wrapper for the DSP float kernels.
 //
 // Three backends with one contract:
 //
 //   ScalarBackend   plain C++ loops, always available, bit-identical to
-//                   the vector backends by construction (byte kernels are
-//                   exact; float kernels vectorize across independent
-//                   streams with per-lane operation order unchanged).
+//                   the vector backends by construction (the kernels
+//                   vectorize across independent streams with per-lane
+//                   operation order unchanged).
 //   Avx2Backend     x86-64, compiled only in TUs built with -mavx2 (the
-//                   dedicated *_simd.cpp TUs; see src/dsp/CMakeLists.txt
-//                   and src/phy/CMakeLists.txt).
+//                   dedicated dsp_simd.cpp TU; see src/dsp/CMakeLists.txt).
 //   NeonBackend     aarch64, compiled wherever __ARM_NEON is on (default
 //                   for aarch64 targets).
 //
 // This header is the ONLY file in the repo allowed to touch raw ISA
 // intrinsics — the dvlc_analyze `simd-raw-intrinsic` rule flags
 // `_mm*`/`vld1q_*` anywhere else. Kernels are written once as templates
-// over a backend (src/dsp/dsp_kernels.hpp, src/phy/phy_kernels.hpp) and
-// instantiated for ScalarBackend in the regular TUs and for
-// `simd::VectorBackend` in the *_simd.cpp TUs.
+// over a backend (src/dsp/dsp_kernels.hpp) and instantiated for
+// ScalarBackend in the regular TUs and for `simd::VectorBackend` in
+// dsp_simd.cpp.
 //
 // Runtime selection (common/simd.cpp): `use_vector_kernels()` is true
 // when the CPU supports the compiled vector ISA and the escape hatch is
 // off. `DVLC_FORCE_SCALAR=1` in the environment — or
 // `set_force_scalar(true)` from tests — forces every dispatch site onto
 // the scalar kernels; outputs are bit-identical either way (the
-// differential suite in tests/phy pins this).
+// differential suites in tests/phy and tests/dsp pin this).
 //
 // Vector type groups:
-//   u8v    native-width unsigned byte vector (kU8Lanes bytes)
-//   row16  fixed 16-byte lane group (LUT row copies)
-//   tbl16  a 16-entry byte table for nibble lookups (PSHUFB / TBL)
 //   f64x4  fixed group of 4 doubles (lane-parallel IIR / correlation)
 //   m64x4  per-lane compare result over an f64x4, consumed by select4
 //
@@ -47,7 +43,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -80,85 +75,12 @@ bool use_vector_kernels() noexcept;
 // --- Scalar backend ------------------------------------------------------
 
 struct ScalarBackend {
-  static constexpr std::size_t kU8Lanes = 16;
-
-  struct u8v {
-    std::array<std::uint8_t, 16> b;
-  };
-  struct row16 {
-    std::array<std::uint8_t, 16> b;
-  };
-  struct tbl16 {
-    std::array<std::uint8_t, 16> t;
-  };
   struct f64x4 {
     std::array<double, 4> d;
   };
   struct m64x4 {
     std::array<bool, 4> m;
   };
-
-  static u8v loadu(const std::uint8_t* p) {
-    u8v v;
-    std::memcpy(v.b.data(), p, 16);
-    return v;
-  }
-  static void storeu(std::uint8_t* p, u8v v) { std::memcpy(p, v.b.data(), 16); }
-  static u8v broadcast(std::uint8_t x) {
-    u8v v;
-    v.b.fill(x);
-    return v;
-  }
-  static u8v xor_(u8v a, u8v b) {
-    u8v r;
-    for (std::size_t i = 0; i < 16; ++i) {
-      r.b[i] = static_cast<std::uint8_t>(a.b[i] ^ b.b[i]);
-    }
-    return r;
-  }
-  static u8v and_(u8v a, u8v b) {
-    u8v r;
-    for (std::size_t i = 0; i < 16; ++i) {
-      r.b[i] = static_cast<std::uint8_t>(a.b[i] & b.b[i]);
-    }
-    return r;
-  }
-  /// Per-byte logical shift right by 4 (high nibble, zero-extended).
-  static u8v srl4(u8v a) {
-    u8v r;
-    for (std::size_t i = 0; i < 16; ++i) {
-      r.b[i] = static_cast<std::uint8_t>(a.b[i] >> 4);
-    }
-    return r;
-  }
-  static tbl16 load_table(const std::uint8_t* t16) {
-    tbl16 t;
-    std::memcpy(t.t.data(), t16, 16);
-    return t;
-  }
-  /// Table lookup; every index byte must be < 16.
-  static u8v lookup(const tbl16& t, u8v idx) {
-    u8v r;
-    for (std::size_t i = 0; i < 16; ++i) r.b[i] = t.t[idx.b[i] & 0x0F];
-    return r;
-  }
-  /// Bit i of the result is set iff byte i is nonzero.
-  static std::uint32_t movemask_nonzero(u8v v) {
-    std::uint32_t m = 0;
-    for (std::size_t i = 0; i < 16; ++i) {
-      if (v.b[i] != 0) m |= (1u << i);
-    }
-    return m;
-  }
-
-  static row16 load16(const std::uint8_t* p) {
-    row16 r;
-    std::memcpy(r.b.data(), p, 16);
-    return r;
-  }
-  static void store16(std::uint8_t* p, row16 r) {
-    std::memcpy(p, r.b.data(), 16);
-  }
 
   // The double ops spell out their four lanes so the compiler keeps an
   // f64x4 in registers; a loop per op leaves it in memory, half packed by
@@ -247,50 +169,8 @@ struct ScalarBackend {
 #if defined(DVLC_SIMD_HAVE_AVX2)
 
 struct Avx2Backend {
-  static constexpr std::size_t kU8Lanes = 32;
-
-  using u8v = __m256i;
-  using row16 = __m128i;
-  using tbl16 = __m256i;  // 16-byte table broadcast to both 128-bit halves
   using f64x4 = __m256d;
   using m64x4 = __m256d;  // all-ones / all-zeros lanes
-
-  static u8v loadu(const std::uint8_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void storeu(std::uint8_t* p, u8v v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-  static u8v broadcast(std::uint8_t x) {
-    return _mm256_set1_epi8(static_cast<char>(x));
-  }
-  static u8v xor_(u8v a, u8v b) { return _mm256_xor_si256(a, b); }
-  static u8v and_(u8v a, u8v b) { return _mm256_and_si256(a, b); }
-  static u8v srl4(u8v a) {
-    // No per-byte shift on AVX2: shift 16-bit lanes, mask cross-byte bleed.
-    return _mm256_and_si256(_mm256_srli_epi16(a, 4),
-                            _mm256_set1_epi8(0x0F));
-  }
-  static tbl16 load_table(const std::uint8_t* t16) {
-    const __m128i t = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t16));
-    return _mm256_broadcastsi128_si256(t);
-  }
-  static u8v lookup(const tbl16& t, u8v idx) {
-    // PSHUFB within each 128-bit half; the table is replicated, so both
-    // halves index the same 16 entries. Indices are < 16 (bit 7 clear).
-    return _mm256_shuffle_epi8(t, idx);
-  }
-  static std::uint32_t movemask_nonzero(u8v v) {
-    const __m256i eq0 = _mm256_cmpeq_epi8(v, _mm256_setzero_si256());
-    return ~static_cast<std::uint32_t>(_mm256_movemask_epi8(eq0));
-  }
-
-  static row16 load16(const std::uint8_t* p) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  }
-  static void store16(std::uint8_t* p, row16 r) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), r);
-  }
 
   static f64x4 load4(const double* p) { return _mm256_loadu_pd(p); }
   static void store4(double* p, f64x4 v) { _mm256_storeu_pd(p, v); }
@@ -343,11 +223,6 @@ struct Avx2Backend {
 #if defined(DVLC_SIMD_HAVE_NEON)
 
 struct NeonBackend {
-  static constexpr std::size_t kU8Lanes = 16;
-
-  using u8v = uint8x16_t;
-  using row16 = uint8x16_t;
-  using tbl16 = uint8x16_t;
   struct f64x4 {
     float64x2_t lo;
     float64x2_t hi;
@@ -356,29 +231,6 @@ struct NeonBackend {
     uint64x2_t lo;
     uint64x2_t hi;
   };
-
-  static u8v loadu(const std::uint8_t* p) { return vld1q_u8(p); }
-  static void storeu(std::uint8_t* p, u8v v) { vst1q_u8(p, v); }
-  static u8v broadcast(std::uint8_t x) { return vdupq_n_u8(x); }
-  static u8v xor_(u8v a, u8v b) { return veorq_u8(a, b); }
-  static u8v and_(u8v a, u8v b) { return vandq_u8(a, b); }
-  static u8v srl4(u8v a) { return vshrq_n_u8(a, 4); }
-  static tbl16 load_table(const std::uint8_t* t16) { return vld1q_u8(t16); }
-  static u8v lookup(const tbl16& t, u8v idx) { return vqtbl1q_u8(t, idx); }
-  static std::uint32_t movemask_nonzero(u8v v) {
-    // 0xFF where nonzero, AND per-lane bit weights, horizontal add per
-    // half (weights are disjoint, so add == or).
-    static const std::uint8_t kWeights[16] = {1, 2, 4, 8, 16, 32, 64, 128,
-                                              1, 2, 4, 8, 16, 32, 64, 128};
-    const uint8x16_t mask = vtstq_u8(v, v);
-    const uint8x16_t weighted = vandq_u8(mask, vld1q_u8(kWeights));
-    const std::uint32_t lo = vaddv_u8(vget_low_u8(weighted));
-    const std::uint32_t hi = vaddv_u8(vget_high_u8(weighted));
-    return lo | (hi << 8);
-  }
-
-  static row16 load16(const std::uint8_t* p) { return vld1q_u8(p); }
-  static void store16(std::uint8_t* p, row16 r) { vst1q_u8(p, r); }
 
   static f64x4 load4(const double* p) {
     return f64x4{vld1q_f64(p), vld1q_f64(p + 2)};

@@ -17,7 +17,6 @@
 #include "common/rng.hpp"
 #include "optics/led_model.hpp"
 #include "phy/frame.hpp"
-#include "phy/frame_batch.hpp"
 #include "phy/frontend.hpp"
 #include "phy/ook.hpp"
 
@@ -66,7 +65,7 @@ class JointTransmission {
   /// On-air duration of a frame [s] (chips / chip rate), excluding guards.
   double frame_airtime_s(const phy::MacFrame& frame) const;
 
-  // --- Batch transmission path (see phy/frame_batch.hpp) ----------------
+  // --- Batch transmission path ------------------------------------------
 
   /// One lane of transmit_batch: the arguments of one transmit() call.
   /// Referenced spans/frames must stay alive for the call.
@@ -96,7 +95,7 @@ class JointTransmission {
   struct RenderScratch {
     std::vector<phy::Chip> chips;
     std::vector<phy::Chip> frame_chips;  ///< one frame, before appending
-    phy::FrameBatch wire;
+    std::vector<std::uint8_t> wire;      ///< that frame's serialized bytes
     std::vector<RenderStream> streams;
     std::vector<std::ptrdiff_t> offsets;  ///< segment starts in a period
     std::vector<double> levels;  ///< per stream, one level per period

@@ -85,22 +85,13 @@ struct FrameHeader {
   std::uint16_t protocol = 0;
 };
 
-/// Writes the SFD and the header of `frame` into out[0, kHeaderBytes).
-/// The caller has checked the payload against kMaxPayload.
-void write_frame_header(const MacFrame& frame, std::span<std::uint8_t> out);
-
 /// Reads the header at the start of `bytes`. Returns nullopt when fewer
 /// than kHeaderBytes are given, the SFD is wrong, or the length field
 /// exceeds kMaxPayload. The body is not checked.
 [[nodiscard]] std::optional<FrameHeader> read_frame_header(
     std::span<const std::uint8_t> bytes);
 
-/// The shared RS(.., 16-parity) codec instance the frame layer encodes
-/// and decodes blocks with (exposed for the batch codec in frame_batch).
-const ReedSolomon& frame_rs_codec();
-
-/// Serializes SFD..parity: a one-lane serialize_frames_batch
-/// (phy/frame_batch.hpp). Throws std::invalid_argument when the payload
+/// Serializes SFD..parity. Throws std::invalid_argument when the payload
 /// exceeds kMaxPayload.
 std::vector<std::uint8_t> serialize_frame(const MacFrame& frame);
 
@@ -110,16 +101,40 @@ struct ParsedFrame {
   std::size_t corrected_bytes = 0;  ///< RS corrections applied
 };
 
-/// Parses bytes produced by serialize_frame (possibly corrupted): a
-/// one-lane parse_frames_batch. Returns nullopt when the SFD is wrong,
-/// the length field is implausible, or any RS block fails to decode.
+/// Parses bytes produced by serialize_frame (possibly corrupted). Returns
+/// nullopt when the SFD is wrong, the length field is implausible, or any
+/// RS block fails to decode.
 [[nodiscard]] std::optional<ParsedFrame> parse_frame(std::span<const std::uint8_t> bytes);
 
 /// Full on-air chip sequence for a frame: preamble chips followed by the
 /// Manchester coding of the serialized bytes. (The pilot is prepended
-/// separately by the leading TX only.) See frame_to_chips_into in
-/// phy/frame_batch.hpp for the reused-buffer form.
+/// separately by the leading TX only.)
 std::vector<Chip> frame_to_chips(const MacFrame& frame);
+
+// --- Zero-allocation overloads (see common/arena.hpp) -------------------
+
+/// serialize_frame into a reused buffer: the header and payload, then
+/// each block's parity. Throws like serialize_frame.
+void serialize_frame_into(const MacFrame& frame, std::vector<std::uint8_t>& out);
+
+/// Workspace for parse_frame_into: one block's codeword, its decode and
+/// the RS decoder's buffers.
+struct FrameParseScratch {
+  std::array<std::uint8_t, kRsBlockData + kRsBlockParity> codeword{};
+  RsDecodeResult block;
+  RsScratch rs;
+};
+
+/// parse_frame into a reused result; false replaces nullopt, and `out`
+/// must then not be read.
+[[nodiscard]] bool parse_frame_into(std::span<const std::uint8_t> bytes,
+                                    ParsedFrame& out,
+                                    FrameParseScratch& scratch);
+
+/// frame_to_chips into a reused chip buffer; the serialized bytes are
+/// staged in `staging`.
+void frame_to_chips_into(const MacFrame& frame, std::vector<Chip>& out,
+                         std::vector<std::uint8_t>& staging);
 
 /// Controller -> TX Ethernet encapsulation (Sec. 7.2): 64-bit mask of TX
 /// ids that must transmit, the appointed leading TX, and the MAC frame.

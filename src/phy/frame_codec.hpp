@@ -16,9 +16,8 @@
 
 namespace densevlc::phy {
 
-/// Stateless codec configured once per link. The batch bodies are
-/// encode_frames_batch / decode_frames_batch (phy/frame_batch.hpp);
-/// encode and decode are one-lane calls into them.
+/// Stateless codec configured once per link: serialize_frame /
+/// parse_frame with the body (de)interleaved in between.
 class FrameCodec {
  public:
   /// `interleave_depth` of 0 or 1 disables interleaving (paper format).
@@ -35,14 +34,23 @@ class FrameCodec {
   std::optional<ParsedFrame> decode(
       std::span<const std::uint8_t> bytes) const;
 
-  /// Depth that aligns interleaver rows with RS codewords for a given
-  /// payload size — the configuration with the clean analytic burst
-  /// bound (see phy::burst_tolerance). Returns 1 when the payload fits a
-  /// single RS block (interleaving cannot help within one block).
+  /// Depth that gives each RS codeword one interleaver row's share of a
+  /// burst for a given payload size: one row per block. Returns 1 when
+  /// the payload fits a single RS block (interleaving cannot help within
+  /// one block).
   static std::size_t matched_depth(std::size_t payload_bytes) {
     const std::size_t blocks = rs_block_count(payload_bytes);
     return blocks <= 1 ? 1 : blocks;
   }
+
+  /// Longest burst of body bytes that a codec at matched_depth decodes
+  /// wherever the burst starts. Table 3 puts every block's parity after
+  /// the payload, so rows do not hold one codeword each: a burst can hit
+  /// a block's data in one row and its parity in another. Each codeword
+  /// then takes up to two rows' share, half of phy::burst_tolerance's
+  /// one-row-per-codeword bound (depth x 4 bytes, e.g. 16 at 800 B). A
+  /// single block takes the whole burst: its 8-byte capacity.
+  static std::size_t matched_burst_tolerance(std::size_t payload_bytes);
 
  private:
   std::size_t depth_;

@@ -75,15 +75,6 @@ MulRow mul_row(std::uint8_t c) {
   return row;
 }
 
-NibbleTables nibble_tables(std::uint8_t c) {
-  NibbleTables t;
-  for (unsigned n = 0; n < 16; ++n) {
-    t.lo[n] = mul(c, static_cast<std::uint8_t>(n));
-    t.hi[n] = mul(c, static_cast<std::uint8_t>(n << 4));
-  }
-  return t;
-}
-
 std::vector<std::uint8_t> poly_mul(std::span<const std::uint8_t> a,
                                    std::span<const std::uint8_t> b) {
   if (a.empty() || b.empty()) return {};

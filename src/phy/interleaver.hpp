@@ -45,8 +45,9 @@ void deinterleave_into(std::span<const std::uint8_t> data, std::size_t depth,
 /// Longest wire burst a depth-D interleaver converts into at most
 /// `rs_capacity` errors per RS block, assuming the canonical pairing of
 /// one matrix row per RS codeword (depth == number of codewords, so a
-/// burst of L wire bytes puts at most ceil(L / D) errors in each).
-/// Exposed for the ablation bench's analytical cross-check.
+/// burst of L wire bytes puts at most ceil(L / D) errors in each). The
+/// Table 3 frame does not pair rows with codewords that way; see
+/// FrameCodec::matched_burst_tolerance for its bound.
 std::size_t burst_tolerance(std::size_t depth, std::size_t rs_capacity);
 
 }  // namespace densevlc::phy

@@ -2,16 +2,14 @@
 #include "phy/manchester.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/contracts.hpp"
-#include "phy/phy_kernels.hpp"
 
 namespace densevlc::phy {
 namespace {
 
-// Row b holds the 8 MSB-first bit values of byte b (bytes_to_bits). The
-// chip-level encode/decode LUTs moved to phy/phy_kernels.hpp so the SIMD
-// kernels and this TU share one table.
+// Row b holds the 8 MSB-first bit values of byte b (bytes_to_bits).
 constexpr std::array<std::array<std::uint8_t, 8>, 256> build_unpack_lut() {
   std::array<std::array<std::uint8_t, 8>, 256> lut{};
   for (unsigned b = 0; b < 256; ++b) {
@@ -22,6 +20,54 @@ constexpr std::array<std::array<std::uint8_t, 8>, 256> build_unpack_lut() {
   return lut;
 }
 constexpr auto kUnpackLut = build_unpack_lut();
+
+// Row b holds the 16 chips of byte b, MSB-first: bit 1 = (HIGH, LOW),
+// bit 0 = (LOW, HIGH).
+constexpr std::array<std::array<Chip, 16>, 256> build_encode_lut() {
+  std::array<std::array<Chip, 16>, 256> lut{};
+  for (unsigned b = 0; b < 256; ++b) {
+    for (unsigned i = 0; i < 8; ++i) {
+      const bool bit = ((b >> (7 - i)) & 1u) != 0;
+      lut[b][2 * i] = bit ? Chip::kHigh : Chip::kLow;      // 1: Ih -> Il
+      lut[b][2 * i + 1] = bit ? Chip::kLow : Chip::kHigh;  // 0: Il -> Ih
+    }
+  }
+  return lut;
+}
+constexpr auto kEncodeLut = build_encode_lut();
+
+// Lenient decode of 8 chips (4 Manchester pairs) at once: the decoded
+// nibble plus the number of coding violations (violating pairs resolve
+// to bit 0, matching manchester_decode_lenient).
+struct HalfDecode {
+  std::uint8_t nibble = 0;
+  std::uint8_t violations = 0;
+};
+
+// Index = 8 chips packed MSB-first (chip i at bit 7-i), as pack8 builds.
+constexpr std::array<HalfDecode, 256> build_decode_lut() {
+  std::array<HalfDecode, 256> lut{};
+  for (unsigned idx = 0; idx < 256; ++idx) {
+    HalfDecode& half = lut[idx];
+    for (unsigned p = 0; p < 4; ++p) {
+      const unsigned pair = (idx >> (6 - 2 * p)) & 3u;
+      const unsigned bit = pair == 2u ? 1u : 0u;  // (HIGH, LOW) is a 1
+      if (pair == 0u || pair == 3u) ++half.violations;
+      half.nibble = static_cast<std::uint8_t>((half.nibble << 1) | bit);
+    }
+  }
+  return lut;
+}
+constexpr auto kDecodeLut = build_decode_lut();
+
+// Packs 8 chips into a kDecodeLut index, MSB-first.
+unsigned pack8(const Chip* chips) {
+  unsigned idx = 0;
+  for (unsigned i = 0; i < 8; ++i) {
+    idx = (idx << 1) | static_cast<unsigned>(chips[i]);
+  }
+  return idx;
+}
 
 }  // namespace
 
@@ -84,14 +130,9 @@ void manchester_encode_bytes(std::span<const std::uint8_t> bytes,
                              std::span<Chip> out_chips) {
   DVLC_EXPECT(out_chips.size() == bytes.size() * 16,
               "manchester_encode_bytes: output must hold 16 chips per byte");
-  // Chip is a uint8-backed enum with values {0, 1}; the kernels work on
-  // the raw byte stream.
-  auto* dst = reinterpret_cast<std::uint8_t*>(out_chips.data());
-  if (simd::use_vector_kernels()) {
-    detail::manchester_encode_bytes_vec(bytes.data(), bytes.size(), dst);
-  } else {
-    detail::manchester_encode_bytes_kernel<simd::ScalarBackend>(
-        bytes.data(), bytes.size(), dst);
+  Chip* out = out_chips.data();
+  for (const std::uint8_t b : bytes) {
+    out = std::copy(kEncodeLut[b].begin(), kEncodeLut[b].end(), out);
   }
 }
 
@@ -99,13 +140,14 @@ std::size_t manchester_decode_bytes_lenient(std::span<const Chip> chips,
                                             std::span<std::uint8_t> out_bytes) {
   DVLC_EXPECT(chips.size() == out_bytes.size() * 16,
               "manchester_decode_bytes_lenient: need 16 chips per byte");
-  const auto* src = reinterpret_cast<const std::uint8_t*>(chips.data());
-  if (simd::use_vector_kernels()) {
-    return detail::manchester_decode_bytes_vec(src, out_bytes.size(),
-                                               out_bytes.data());
+  std::size_t violations = 0;
+  for (std::size_t i = 0; i < out_bytes.size(); ++i) {
+    const HalfDecode hi = kDecodeLut[pack8(&chips[16 * i])];
+    const HalfDecode lo = kDecodeLut[pack8(&chips[16 * i + 8])];
+    out_bytes[i] = static_cast<std::uint8_t>((hi.nibble << 4) | lo.nibble);
+    violations += hi.violations + lo.violations;
   }
-  return detail::manchester_decode_bytes_kernel<simd::ScalarBackend>(
-      src, out_bytes.size(), out_bytes.data());
+  return violations;
 }
 
 }  // namespace densevlc::phy

@@ -81,34 +81,25 @@ dsp::Waveform OokModulator::modulate_frame(const MacFrame& frame,
                                            std::uint8_t tx_id,
                                            std::size_t guard_chips) const {
   // Assemble the on-air chip sequence: [pilot + id] preamble + data.
-  const std::vector<std::uint8_t> wire = serialize_frame(frame);
-  const auto pilot = pilot_pattern();
-  const auto pre = preamble_pattern();
-  const std::size_t pilot_chips =
-      include_pilot ? pilot.size() + 16 : 0;  // 16 chips: Manchester id byte
-  std::vector<Chip> chips(pilot_chips + pre.size() + wire.size() * 16);
-  std::span<Chip> at{chips};
+  std::vector<Chip> chips;
   if (include_pilot) {
-    std::copy(pilot.begin(), pilot.end(), at.begin());
+    const auto pilot = pilot_pattern();
     const std::array<std::uint8_t, 1> id_byte{tx_id};
-    manchester_encode_bytes(id_byte, at.subspan(pilot.size(), 16));
-    at = at.subspan(pilot_chips);
+    std::array<Chip, 16> id_chips{};  // the Manchester-coded id byte
+    manchester_encode_bytes(id_byte, id_chips);
+    chips.assign(pilot.begin(), pilot.end());
+    chips.insert(chips.end(), id_chips.begin(), id_chips.end());
   }
-  std::copy(pre.begin(), pre.end(), at.begin());
-  manchester_encode_bytes(wire, at.subspan(pre.size()));
+  const std::vector<Chip> frame_chips = frame_to_chips(frame);
+  chips.insert(chips.end(), frame_chips.begin(), frame_chips.end());
 
-  // Render guard + data + guard in one buffer.
-  dsp::Waveform wf;
-  wf.sample_rate_hz = params_.sample_rate_hz();
-  const std::size_t spc = params_.samples_per_chip;
-  const std::size_t guard_samples = guard_chips * spc;
-  wf.samples.assign(guard_samples * 2 + chips.size() * spc,
-                    params_.bias_current_a);
-  std::size_t w = guard_samples;
-  for (Chip c : chips) {
-    const double level = chip_current(c);
-    for (std::size_t s = 0; s < spc; ++s) wf.samples[w++] = level;
-  }
+  // Bias guard, the chips, bias guard.
+  const dsp::Waveform guard = idle(guard_chips);
+  dsp::Waveform wf = modulate(chips);
+  wf.samples.insert(wf.samples.begin(), guard.samples.begin(),
+                    guard.samples.end());
+  wf.samples.insert(wf.samples.end(), guard.samples.begin(),
+                    guard.samples.end());
   return wf;
 }
 
@@ -180,38 +171,15 @@ std::size_t OokDemodulator::receive_batch_into(
   DVLC_EXPECT(out.size() == n && ok.size() == n,
               "receive_batch_into: span sizes must match");
   preamble_template_into(scratch.preamble_tpl);
-  arena_grow(scratch.lane_bytes, n);
-  arena_resize(scratch.wire_views, n);
-  arena_resize(scratch.parse_out, n);
-  arena_resize(scratch.parse_ok, n);
-  arena_resize(scratch.lane_of, n);
-
-  // Lanes whose front half succeeds collect their wire bytes (kept per
-  // lane so spans stay stable) for one combined parse_frames_batch call.
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    ok[i] = 0;
-    std::vector<std::uint8_t>& bytes = scratch.lane_bytes[k];
-    if (!receive_wire_into(*this, signals[i], scratch.preamble_tpl,
-                           min_correlation, scratch.correlate, scratch.chips,
-                           bytes, out[i])) {
-      continue;
-    }
-    scratch.wire_views[k] = {bytes.data(), bytes.size()};
-    scratch.parse_out[k] = &out[i].parsed;
-    scratch.lane_of[k] = static_cast<std::uint32_t>(i);
-    ++k;
-  }
-
-  parse_frames_batch(
-      std::span<const std::span<const std::uint8_t>>{scratch.wire_views.data(),
-                                                     k},
-      std::span<ParsedFrame* const>{scratch.parse_out.data(), k},
-      std::span<std::uint8_t>{scratch.parse_ok.data(), k}, scratch.batch);
   std::size_t decoded = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    ok[scratch.lane_of[j]] = scratch.parse_ok[j];
-    decoded += scratch.parse_ok[j];
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool good =
+        receive_wire_into(*this, signals[i], scratch.preamble_tpl,
+                          min_correlation, scratch.correlate, scratch.chips,
+                          scratch.bytes, out[i]) &&
+        parse_frame_into(scratch.bytes, out[i].parsed, scratch.parse);
+    ok[i] = good ? 1 : 0;
+    decoded += ok[i];
   }
   return decoded;
 }

@@ -16,7 +16,6 @@
 #include "dsp/correlate.hpp"
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
-#include "phy/frame_batch.hpp"
 #include "phy/manchester.hpp"
 
 namespace densevlc::phy {
@@ -112,29 +111,23 @@ class OokDemodulator {
   /// call (cheap), so the scratch can never go stale across demodulators.
   void preamble_template_into(std::vector<double>& tpl) const;
 
-  // --- Batch-of-frames path (see phy/frame_batch.hpp) -------------------
+  // --- Batch path -------------------------------------------------------
 
-  /// Batch RX workspace: the per-lane front half (template, correlation,
-  /// chip slicing) shares one set of buffers; decoded wire bytes are kept
-  /// per lane so every surviving lane's parse runs through the batch
-  /// Reed-Solomon path at once.
+  /// Receive workspace shared by every lane: template, correlation, chip
+  /// slicing, the decoded wire bytes and the frame parse.
   struct BatchRxScratch {
     std::vector<double> preamble_tpl;
     dsp::CorrelateScratch correlate;
     std::vector<Chip> chips;
-    std::vector<std::vector<std::uint8_t>> lane_bytes;
-    std::vector<std::span<const std::uint8_t>> wire_views;
-    std::vector<ParsedFrame*> parse_out;
-    std::vector<std::uint8_t> parse_ok;
-    std::vector<std::uint32_t> lane_of;  ///< parse slot -> lane index
-    FrameBatch batch;
+    std::vector<std::uint8_t> bytes;
+    FrameParseScratch parse;
   };
 
-  /// Receives one frame per signal lane: preamble search, header peek,
-  /// chip slicing and lenient byte-at-a-time Manchester decode per lane,
-  /// then every surviving lane parsed in one parse_frames_batch. Each
-  /// lane's out[i]/ok[i] depend on signals[i] alone; failed lanes
-  /// (ok[i] == 0) must not be read. Returns the number of decoded lanes.
+  /// Receives one frame per signal lane, one lane at a time: preamble
+  /// search, header peek, chip slicing, lenient byte-at-a-time Manchester
+  /// decode and parse_frame_into. Each lane's out[i]/ok[i] depend on
+  /// signals[i] alone; failed lanes (ok[i] == 0) must not be read.
+  /// Returns the number of decoded lanes.
   std::size_t receive_batch_into(
       std::span<const std::span<const double>> signals,
       std::span<RxResult> out, std::span<std::uint8_t> ok,

@@ -7,54 +7,10 @@
 #include "common/arena.hpp"
 #include "common/contracts.hpp"
 #include "phy/gf256.hpp"
-#include "phy/phy_kernels.hpp"
 
 namespace densevlc::phy {
 
 namespace gf = gf256;
-
-namespace {
-
-// Column staging width granularity: a multiple of every backend's byte
-// lane count (scalar/NEON 16, AVX2 32), so one padded width fits all.
-constexpr std::size_t kBatchWidthAlign = 32;
-// Below this many equal-length lanes the transpose overhead outweighs the
-// column kernel; fall back to the scalar per-codeword paths.
-constexpr std::size_t kMinBatchWidth = 4;
-
-constexpr std::size_t round_up(std::size_t n, std::size_t align) {
-  return (n + align - 1) / align * align;
-}
-
-// Length-grouped stable order of `n` items via counting sort over the
-// 0..255 byte-length domain. `starts[len]` is the first slot of length
-// `len`'s group in `order`; items where `include` is false are skipped
-// (their count is zero). No allocations beyond the arena order buffer.
-template <class LenFn, class IncludeFn>
-void group_by_length(std::size_t n, LenFn len, IncludeFn include,
-                     std::vector<std::uint32_t>& order,
-                     std::array<std::uint32_t, 257>& starts) {
-  std::array<std::uint32_t, 256> count{};
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!include(i)) continue;
-    ++count[len(i)];
-    ++kept;
-  }
-  starts[0] = 0;
-  for (std::size_t l = 0; l < 256; ++l) {
-    starts[l + 1] = starts[l] + count[l];
-  }
-  densevlc::arena_resize(order, kept);
-  std::array<std::uint32_t, 256> cursor{};
-  for (std::size_t l = 0; l < 256; ++l) cursor[l] = starts[l];
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!include(i)) continue;
-    order[cursor[len(i)]++] = static_cast<std::uint32_t>(i);
-  }
-}
-
-}  // namespace
 
 ReedSolomon::ReedSolomon(std::size_t parity_symbols)
     : n_parity_{parity_symbols} {
@@ -74,18 +30,11 @@ ReedSolomon::ReedSolomon(std::size_t parity_symbols)
               "RS generator polynomial must be monic of degree 2t");
   encode_rows_.reserve(n_parity_);
   syndrome_rows_.reserve(n_parity_);
-  encode_ntabs_.reserve(n_parity_);
-  syndrome_ntabs_.reserve(n_parity_);
   for (std::size_t i = 0; i < n_parity_; ++i) {
     // DVLC_LINT_WAIVE(hot-loop-alloc): one-time construction, reserved above
     encode_rows_.push_back(gf::mul_row(generator_[i + 1]));
     // DVLC_LINT_WAIVE(hot-loop-alloc): one-time construction, reserved above
     syndrome_rows_.push_back(gf::mul_row(gf::pow_alpha(static_cast<int>(i))));
-    // DVLC_LINT_WAIVE(hot-loop-alloc): one-time construction, reserved above
-    encode_ntabs_.push_back(gf::nibble_tables(generator_[i + 1]));
-    // DVLC_LINT_WAIVE(hot-loop-alloc): one-time construction, reserved above
-    syndrome_ntabs_.push_back(
-        gf::nibble_tables(gf::pow_alpha(static_cast<int>(i))));
   }
 }
 
@@ -109,29 +58,32 @@ void ReedSolomon::encode_parity_into(std::span<const std::uint8_t> message,
   }
 }
 
-std::vector<std::uint8_t> ReedSolomon::encode_parity(
+std::vector<std::uint8_t> ReedSolomon::encode(
     std::span<const std::uint8_t> message) const {
-  std::vector<std::uint8_t> parity(n_parity_, 0);
-  encode_parity_into(message, parity);
-  return parity;
-}
-
-void ReedSolomon::encode_into(std::span<const std::uint8_t> message,
-                              std::vector<std::uint8_t>& out) const {
   if (message.size() + n_parity_ > 255) {
     throw std::invalid_argument{"ReedSolomon: message too long for GF(256)"};
   }
-  arena_resize(out, message.size() + n_parity_);
-  std::copy(message.begin(), message.end(), out.begin());
+  std::vector<std::uint8_t> codeword(message.size() + n_parity_);
+  std::copy(message.begin(), message.end(), codeword.begin());
   encode_parity_into(
-      message, std::span<std::uint8_t>{out}.subspan(message.size()));
+      message, std::span<std::uint8_t>{codeword}.subspan(message.size()));
+  return codeword;
 }
 
-std::vector<std::uint8_t> ReedSolomon::encode(
-    std::span<const std::uint8_t> message) const {
-  std::vector<std::uint8_t> codeword;
-  encode_into(message, codeword);
-  return codeword;
+bool ReedSolomon::syndromes_into(std::span<const std::uint8_t> codeword,
+                                 std::uint8_t* out) const {
+  // One pass over the codeword runs 2t independent Horner chains,
+  // acc_i = alpha^i * acc_i + byte, each step one row-table load and one
+  // XOR. The row pointer is a local so the byte stores cannot alias it.
+  const gf::MulRow* rows = syndrome_rows_.data();
+  std::fill_n(out, n_parity_, 0);
+  for (const std::uint8_t c : codeword) {
+    for (std::size_t i = 0; i < n_parity_; ++i) {
+      out[i] = gf::add(rows[i][out[i]], c);
+    }
+  }
+  return std::all_of(out, out + n_parity_,
+                     [](std::uint8_t s) { return s == 0; });
 }
 
 bool ReedSolomon::decode_into(std::span<const std::uint8_t> codeword,
@@ -142,17 +94,7 @@ bool ReedSolomon::decode_into(std::span<const std::uint8_t> codeword,
   const std::size_t n = codeword.size();
   const std::size_t k = n - n_parity_;
 
-  // Syndromes S_i = c(alpha^i), i = 0 .. 2t-1. Horner with the per-point
-  // row table: acc = alpha^i * acc + byte is one load and one XOR.
-  bool all_zero = true;
-  for (std::size_t i = 0; i < n_parity_; ++i) {
-    const gf::MulRow& row = syndrome_rows_[i];
-    std::uint8_t acc = 0;
-    for (std::uint8_t c : codeword) acc = gf::add(row[acc], c);
-    scr.syndromes[i] = acc;
-    all_zero = all_zero && acc == 0;
-  }
-  if (all_zero) {
+  if (syndromes_into(codeword, scr.syndromes.data())) {
     arena_resize(out.data, k);
     std::copy_n(codeword.begin(), k, out.data.begin());
     return true;
@@ -278,11 +220,8 @@ bool ReedSolomon::decode_into(std::span<const std::uint8_t> codeword,
   }
 
   // Verify: all syndromes of the corrected word must vanish.
-  for (std::size_t i = 0; i < n_parity_; ++i) {
-    const gf::MulRow& row = syndrome_rows_[i];
-    std::uint8_t acc = 0;
-    for (std::size_t p = 0; p < n; ++p) acc = gf::add(row[acc], scr.corrected[p]);
-    if (acc != 0) return false;
+  if (!syndromes_into({scr.corrected.data(), n}, scr.syndromes.data())) {
+    return false;
   }
 
   arena_resize(out.data, k);
@@ -297,125 +236,6 @@ std::optional<RsDecodeResult> ReedSolomon::decode(
   RsDecodeResult out;
   if (!decode_into(codeword, out, scratch)) return std::nullopt;
   return out;
-}
-
-void ReedSolomon::encode_parity_batch(std::span<const RsParityJob> jobs,
-                                      RsBatchScratch& scr) const {
-  const bool kernel_ok = n_parity_ <= detail::kMaxRsParity;
-  std::array<std::uint32_t, 257> starts{};
-  group_by_length(
-      jobs.size(), [&](std::size_t i) { return jobs[i].message.size(); },
-      [&](std::size_t i) {
-        DVLC_EXPECT(jobs[i].message.size() + n_parity_ <= 255,
-                    "encode_parity_batch: message too long for GF(256)");
-        DVLC_EXPECT(jobs[i].parity.size() == n_parity_,
-                    "encode_parity_batch: parity span size mismatch");
-        return true;
-      },
-      scr.order, starts);
-  for (std::size_t len = 0; len < 256; ++len) {
-    const std::size_t g0 = starts[len];
-    const std::size_t g1 = starts[len + 1];
-    const std::size_t lanes = g1 - g0;
-    if (lanes == 0) continue;
-    if (!kernel_ok || lanes < kMinBatchWidth) {
-      for (std::size_t s = g0; s < g1; ++s) {
-        const RsParityJob& job = jobs[scr.order[s]];
-        encode_parity_into(job.message, job.parity);
-      }
-      continue;
-    }
-    const std::size_t width = round_up(lanes, kBatchWidthAlign);
-    arena_resize(scr.cols, len * width);
-    arena_resize(scr.out_cols, n_parity_ * width);
-    std::fill(scr.cols.begin(), scr.cols.end(), 0);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::span<const std::uint8_t> msg = jobs[scr.order[g0 + l]].message;
-      for (std::size_t r = 0; r < len; ++r) {
-        scr.cols[r * width + l] = msg[r];
-      }
-    }
-    if (simd::use_vector_kernels()) {
-      detail::rs_parity_cols_vec(scr.cols.data(), len, encode_ntabs_.data(),
-                                 n_parity_, scr.out_cols.data(), width);
-    } else {
-      detail::rs_parity_cols_kernel<simd::ScalarBackend>(
-          scr.cols.data(), len, encode_ntabs_.data(), n_parity_,
-          scr.out_cols.data(), width);
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::span<std::uint8_t> parity = jobs[scr.order[g0 + l]].parity;
-      for (std::size_t i = 0; i < n_parity_; ++i) {
-        parity[i] = scr.out_cols[i * width + l];
-      }
-    }
-  }
-}
-
-void ReedSolomon::syndrome_screen_batch(
-    std::span<const std::span<const std::uint8_t>> codewords,
-    std::span<std::uint8_t> clean, RsBatchScratch& scr) const {
-  DVLC_EXPECT(clean.size() == codewords.size(),
-              "syndrome_screen_batch: clean span size mismatch");
-  const bool kernel_ok = n_parity_ <= detail::kMaxRsParity;
-  // Structurally invalid sizes can never be clean (decode_into rejects
-  // them up front); exclude them from the kernel groups.
-  const auto valid = [&](std::size_t i) {
-    return codewords[i].size() > n_parity_ && codewords[i].size() <= 255;
-  };
-  for (std::size_t i = 0; i < codewords.size(); ++i) {
-    clean[i] = 0;
-  }
-  std::array<std::uint32_t, 257> starts{};
-  group_by_length(
-      codewords.size(), [&](std::size_t i) { return codewords[i].size(); },
-      valid, scr.order, starts);
-  for (std::size_t len = 0; len < 256; ++len) {
-    const std::size_t g0 = starts[len];
-    const std::size_t g1 = starts[len + 1];
-    const std::size_t lanes = g1 - g0;
-    if (lanes == 0) continue;
-    if (!kernel_ok || lanes < kMinBatchWidth) {
-      for (std::size_t s = g0; s < g1; ++s) {
-        const std::span<const std::uint8_t> cw = codewords[scr.order[s]];
-        bool all_zero = true;
-        for (std::size_t i = 0; all_zero && i < n_parity_; ++i) {
-          const gf::MulRow& row = syndrome_rows_[i];
-          std::uint8_t acc = 0;
-          for (std::uint8_t c : cw) acc = gf::add(row[acc], c);
-          all_zero = acc == 0;
-        }
-        clean[scr.order[s]] = all_zero ? 1 : 0;
-      }
-      continue;
-    }
-    const std::size_t width = round_up(lanes, kBatchWidthAlign);
-    arena_resize(scr.cols, len * width);
-    arena_resize(scr.out_cols, n_parity_ * width);
-    std::fill(scr.cols.begin(), scr.cols.end(), 0);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::span<const std::uint8_t> cw = codewords[scr.order[g0 + l]];
-      for (std::size_t r = 0; r < len; ++r) {
-        scr.cols[r * width + l] = cw[r];
-      }
-    }
-    if (simd::use_vector_kernels()) {
-      detail::rs_syndrome_cols_vec(scr.cols.data(), len,
-                                   syndrome_ntabs_.data(), n_parity_,
-                                   scr.out_cols.data(), width);
-    } else {
-      detail::rs_syndrome_cols_kernel<simd::ScalarBackend>(
-          scr.cols.data(), len, syndrome_ntabs_.data(), n_parity_,
-          scr.out_cols.data(), width);
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      bool all_zero = true;
-      for (std::size_t i = 0; all_zero && i < n_parity_; ++i) {
-        all_zero = scr.out_cols[i * width + l] == 0;
-      }
-      clean[scr.order[g0 + l]] = all_zero ? 1 : 0;
-    }
-  }
 }
 
 }  // namespace densevlc::phy

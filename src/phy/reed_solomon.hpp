@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "phy/gf256.hpp"
 
 namespace densevlc::phy {
@@ -42,22 +41,6 @@ struct RsScratch {
   std::array<std::uint8_t, 256> sigma_deriv{};
   std::array<std::size_t, 128> error_positions{};
   std::array<std::uint8_t, 255> corrected{};
-};
-
-/// One batch-encode work item: read `message`, write parity_symbols()
-/// bytes to `parity`. The spans must not alias each other.
-struct RsParityJob {
-  std::span<const std::uint8_t> message;
-  std::span<std::uint8_t> parity;
-};
-
-/// Reusable workspace for the batch column kernels (see common/arena.hpp):
-/// column-major codeword staging plus the length-grouped job order. The
-/// staging buffers are 32-byte aligned for the SIMD loads.
-struct RsBatchScratch {
-  AlignedVector<std::uint8_t> cols;      ///< input bytes, column-major
-  AlignedVector<std::uint8_t> out_cols;  ///< parity/syndromes, column-major
-  std::vector<std::uint32_t> order;      ///< job indices grouped by length
 };
 
 /// A Reed-Solomon code with a fixed number of parity symbols.
@@ -97,41 +80,11 @@ class ReedSolomon {
   void encode_parity_into(std::span<const std::uint8_t> message,
                           std::span<std::uint8_t> parity) const;
 
-  /// Value-returning wrapper: the parity bytes of `message` as a fresh
-  /// vector of parity_symbols() bytes.
-  std::vector<std::uint8_t> encode_parity(
-      std::span<const std::uint8_t> message) const;
-
-  /// encode() into a reused buffer (message followed by parity). Throws
-  /// like encode() on over-long messages. `out` must not alias `message`.
-  void encode_into(std::span<const std::uint8_t> message,
-                   std::vector<std::uint8_t>& out) const;
-
   /// decode() into a reused result + fixed workspace; false replaces
   /// nullopt. Bit-identical outcomes to decode(), which now wraps this.
   [[nodiscard]] bool decode_into(std::span<const std::uint8_t> codeword,
                                  RsDecodeResult& out,
                                  RsScratch& scratch) const;
-
-  // --- Batch column APIs (SIMD across codewords; see phy_kernels.hpp) ---
-
-  /// Computes parity for many messages in one call by staging
-  /// equal-length groups column-major and running the encoder LFSR over
-  /// all lanes at once. Bit-identical per job to encode_parity_into
-  /// (which small groups fall back to). Zero allocations once `scratch`
-  /// has warmed up.
-  void encode_parity_batch(std::span<const RsParityJob> jobs,
-                           RsBatchScratch& scratch) const;
-
-  /// Batch syndrome screen: clean[i] = 1 iff codewords[i] is a valid
-  /// codeword with every syndrome zero (the error-free fast path of
-  /// decode_into), else 0 — including structurally invalid sizes, which
-  /// a subsequent decode_into rejects the same way. Never a false
-  /// positive or negative: the syndrome bytes match the scalar Horner
-  /// exactly. Zero allocations once `scratch` has warmed up.
-  void syndrome_screen_batch(
-      std::span<const std::span<const std::uint8_t>> codewords,
-      std::span<std::uint8_t> clean, RsBatchScratch& scratch) const;
 
  private:
   std::size_t n_parity_;
@@ -141,10 +94,11 @@ class ReedSolomon {
   // alpha^i (Horner step of syndrome i).
   std::vector<gf256::MulRow> encode_rows_;
   std::vector<gf256::MulRow> syndrome_rows_;
-  // Split-nibble variants of the same constants for the SIMD column
-  // kernels (see gf256::NibbleTables).
-  std::vector<gf256::NibbleTables> encode_ntabs_;
-  std::vector<gf256::NibbleTables> syndrome_ntabs_;
+
+  // Writes the syndromes S_i = c(alpha^i), i = 0 .. 2t-1, of `codeword`
+  // to out[0, 2t); true when every one is zero.
+  bool syndromes_into(std::span<const std::uint8_t> codeword,
+                      std::uint8_t* out) const;
 };
 
 }  // namespace densevlc::phy

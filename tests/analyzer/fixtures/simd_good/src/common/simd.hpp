@@ -4,15 +4,18 @@
 namespace densevlc::simd {
 
 struct Avx2Backend {
-  using u8v = __m256i;
-  static u8v loadu(const unsigned char* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
+  using f64x4 = __m256d;
+  static f64x4 load4(const double* p) { return _mm256_loadu_pd(p); }
 };
 
 struct NeonBackend {
-  using u8v = uint8x16_t;
-  static u8v loadu(const unsigned char* p) { return vld1q_u8(p); }
+  struct f64x4 {
+    float64x2_t lo;
+    float64x2_t hi;
+  };
+  static f64x4 load4(const double* p) {
+    return f64x4{vld1q_f64(p), vld1q_f64(p + 2)};
+  }
 };
 
 }  // namespace densevlc::simd

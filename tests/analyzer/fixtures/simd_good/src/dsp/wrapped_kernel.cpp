@@ -5,8 +5,8 @@
 namespace densevlc::dsp {
 
 template <class B>
-typename B::u8v load_head(const unsigned char* p) {
-  return B::loadu(p);
+typename B::f64x4 load_head(const double* p) {
+  return B::load4(p);
 }
 
 double variance_quotient(double vq_u, double _mean) {

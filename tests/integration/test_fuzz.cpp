@@ -14,8 +14,8 @@
 #include "mac/arq.hpp"
 #include "mac/report.hpp"
 #include "phy/frame.hpp"
-#include "phy/frame_batch.hpp"
 #include "phy/frame_codec.hpp"
+#include "phy_reference.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/spec.hpp"
 
@@ -139,25 +139,20 @@ TEST(Fuzz, FrameCodecDecodeTotal) {
   EXPECT_GT(accepted, 0u);  // the valid-frame cases must get through
 }
 
-TEST(Fuzz, ParseBatchLaneIndependence) {
-  // Mixed batches of valid, mutated and random wires through one kept
-  // FrameBatch: every lane's outcome must equal a one-lane parse of the
-  // same bytes, whatever the other lanes hold.
+TEST(Fuzz, ParseFrameMatchesReference) {
+  // Valid, mutated and random wires: the parser must agree with the
+  // frozen reference parser on every one, corrections included.
   Rng rng{0xF029};
-  phy::FrameBatch batch;
   std::size_t accepted = 0;
   std::size_t rejected = 0;
-  for (int round = 0; round < 60; ++round) {
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
-    std::vector<std::vector<std::uint8_t>> wires;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto kind = rng.uniform_int(0, 2);
-      if (kind == 2) {
-        wires.push_back(random_bytes(
-            static_cast<std::size_t>(rng.uniform_int(0, 700)), rng));
-        continue;
-      }
-      auto wire = phy::serialize_frame(random_frame(700, rng));
+  for (int round = 0; round < 400; ++round) {
+    const auto kind = rng.uniform_int(0, 2);
+    std::vector<std::uint8_t> wire;
+    if (kind == 2) {
+      wire = random_bytes(static_cast<std::size_t>(rng.uniform_int(0, 700)),
+                          rng);
+    } else {
+      wire = phy::serialize_frame(random_frame(700, rng));
       if (kind == 1) {
         const auto hits = rng.uniform_int(1, 20);
         for (std::int64_t h = 0; h < hits; ++h) {
@@ -166,30 +161,16 @@ TEST(Fuzz, ParseBatchLaneIndependence) {
           wire[at] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
         }
       }
-      wires.push_back(std::move(wire));
     }
 
-    std::vector<std::span<const std::uint8_t>> views(wires.begin(),
-                                                     wires.end());
-    std::vector<phy::ParsedFrame> out(n);
-    std::vector<phy::ParsedFrame*> out_ptrs;
-    for (auto& pf : out) out_ptrs.push_back(&pf);
-    std::vector<std::uint8_t> ok(n, 0xEE);
-    const std::size_t decoded =
-        phy::parse_frames_batch(views, out_ptrs, ok, batch);
-
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto one = phy::parse_frame(wires[i]);
-      ASSERT_EQ(ok[i], one ? 1 : 0) << "round " << round << " lane " << i;
-      (one ? accepted : rejected) += 1;
-      if (!one) continue;
-      ++expected;
-      EXPECT_EQ(out[i].frame, one->frame) << "round " << round << " lane " << i;
-      EXPECT_EQ(out[i].corrected_bytes, one->corrected_bytes)
-          << "round " << round << " lane " << i;
-    }
-    EXPECT_EQ(decoded, expected) << "round " << round;
+    const auto got = phy::parse_frame(wire);
+    const auto expect = bench::ref::parse_frame(wire);
+    ASSERT_EQ(got.has_value(), expect.has_value()) << "round " << round;
+    (got ? accepted : rejected) += 1;
+    if (!got) continue;
+    EXPECT_EQ(got->frame, expect->frame) << "round " << round;
+    EXPECT_EQ(got->corrected_bytes, expect->corrected_bytes)
+        << "round " << round;
   }
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);

@@ -1,14 +1,15 @@
-// Differential suite for the batch-of-frames PHY path, the only
-// implementation of every frame data-path step.
+// Differential suite for the batch PHY path: many lanes per call through
+// the receive front end, the demodulator and joint transmission.
 //
-// The frame layer (serialize, codec encode/decode, corrupt lanes) and the
-// modulator are held bit-for-bit against the frozen scalar reference in
-// bench/phy_reference. The demodulator, front-end quads and joint
-// transmission are held against one-lane calls in sequence — the quad
-// filter kernel against the one-lane filter pass — with the same accept/
-// reject decisions and the same Rng stream. Like test_fastpath, the
-// whole suite is parameterized over the SIMD dispatch so both backends
-// are pinned to the same outputs transitively.
+// The frame layer (serialize, codec encode/decode, corrupt frames) and
+// the modulator are held bit-for-bit against the frozen scalar reference
+// in bench/phy_reference, one frame at a time. The demodulator, front-end
+// quads and joint transmission are held against one-lane calls in
+// sequence — the quad filter kernel against the one-lane filter pass —
+// with the same accept/reject decisions and the same Rng stream. Like
+// test_fastpath, the whole suite is parameterized over the SIMD dispatch
+// so both backends of the float kernels are pinned to the same outputs
+// transitively.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +31,6 @@
 #include "core/testbed.hpp"
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
-#include "phy/frame_batch.hpp"
 #include "phy/frame_codec.hpp"
 #include "phy/frontend.hpp"
 #include "phy/ook.hpp"
@@ -74,13 +74,6 @@ std::vector<phy::MacFrame> make_frames(Rng& rng) {
   return frames;
 }
 
-std::vector<const phy::MacFrame*> frame_ptrs(
-    const std::vector<phy::MacFrame>& frames) {
-  std::vector<const phy::MacFrame*> ptrs;
-  for (const auto& f : frames) ptrs.push_back(&f);
-  return ptrs;
-}
-
 // The frozen scalar codec: reference serializer, body (everything after
 // the clear header) through the reference permutation.
 std::vector<std::uint8_t> ref_encode(const phy::MacFrame& f,
@@ -104,46 +97,28 @@ std::optional<phy::ParsedFrame> ref_decode(
   return bench::ref::parse_frame(bytes);
 }
 
-// --- Batch codec ---------------------------------------------------------
+// --- Frame codec ---------------------------------------------------------
 
 TEST_P(Batch, SerializeFramesMatchesScalar) {
   Rng rng{0xB0};
-  const auto frames = make_frames(rng);
-  const auto ptrs = frame_ptrs(frames);
-  phy::FrameBatch batch;
-  phy::serialize_frames_batch(ptrs, batch);
-  ASSERT_EQ(batch.lanes.size(), frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const auto expect = bench::ref::serialize_frame(frames[i]);
-    const auto got = batch.lane_wire(i);
-    ASSERT_EQ(got.size(), expect.size()) << "lane " << i;
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin()))
-        << "lane " << i;
+  for (const auto& frame : make_frames(rng)) {
+    EXPECT_EQ(phy::serialize_frame(frame), bench::ref::serialize_frame(frame))
+        << "payload " << frame.payload.size();
   }
 
   phy::MacFrame overlong;
   overlong.payload.resize(phy::kMaxPayload + 1);
-  const phy::MacFrame* bad[] = {&overlong};
-  EXPECT_THROW(phy::serialize_frames_batch(bad, batch),
-               std::invalid_argument);
+  EXPECT_THROW(phy::serialize_frame(overlong), std::invalid_argument);
 }
 
 TEST_P(Batch, EncodeFramesMatchesScalarAcrossDepths) {
   Rng rng{0xB1};
   const auto frames = make_frames(rng);
-  const auto ptrs = frame_ptrs(frames);
   for (const std::size_t depth : {0, 1, 2, 4, 8}) {
     const phy::FrameCodec codec{depth};
-    phy::FrameBatch batch;
-    phy::encode_frames_batch(codec, ptrs, batch);
     for (std::size_t i = 0; i < frames.size(); ++i) {
-      const auto expect = ref_encode(frames[i], depth);
-      EXPECT_EQ(codec.encode(frames[i]), expect)
-          << "depth " << depth << " lane " << i;
-      const auto got = batch.lane_wire(i);
-      ASSERT_EQ(got.size(), expect.size()) << "depth " << depth << " lane " << i;
-      EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin()))
-          << "depth " << depth << " lane " << i;
+      EXPECT_EQ(codec.encode(frames[i]), ref_encode(frames[i], depth))
+          << "depth " << depth << " frame " << i;
     }
   }
 }
@@ -151,20 +126,14 @@ TEST_P(Batch, EncodeFramesMatchesScalarAcrossDepths) {
 TEST_P(Batch, DecodeFramesMatchesScalarIncludingCorruptLanes) {
   Rng rng{0xB2};
   const auto frames = make_frames(rng);
-  const auto ptrs = frame_ptrs(frames);
   for (const std::size_t depth : {0, 1, 2, 4, 8}) {
     const phy::FrameCodec codec{depth};
-    phy::FrameBatch batch;
-    phy::encode_frames_batch(codec, ptrs, batch);
 
-    // Copy the wires out and corrupt a spread of lanes: correctable
+    // Encode every frame and corrupt a spread of them: correctable
     // single-byte hits, an error burst past the RS capacity, and a
-    // trashed header. Lanes 0 and 3 stay clean.
+    // trashed header. Frames 0 and 3 stay clean.
     std::vector<std::vector<std::uint8_t>> wires;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const auto w = batch.lane_wire(i);
-      wires.emplace_back(w.begin(), w.end());
-    }
+    for (const auto& frame : frames) wires.push_back(codec.encode(frame));
     wires[1][wires[1].size() / 2] ^= 0x5A;  // one correctable byte
     for (std::size_t j = 0; j < 40 && j < wires[2].size(); ++j) {
       wires[2][j + wires[2].size() / 3] ^= 0xFF;  // burst: uncorrectable
@@ -182,38 +151,23 @@ TEST_P(Batch, DecodeFramesMatchesScalarIncludingCorruptLanes) {
     wires.push_back(wires[0]);
     wires.back().pop_back();
 
-    std::vector<std::span<const std::uint8_t>> views;
-    for (const auto& w : wires) views.emplace_back(w);
-    std::vector<phy::ParsedFrame> out(wires.size());
-    std::vector<std::uint8_t> ok(wires.size(), 0xEE);
-    const std::size_t decoded =
-        phy::decode_frames_batch(codec, views, out, ok, batch);
-
-    std::size_t expected_decoded = 0;
     bool saw_ok = false;
     bool saw_fail = false;
     for (std::size_t i = 0; i < wires.size(); ++i) {
-      const auto expect = ref_decode(views[i], depth);
-      ASSERT_EQ(ok[i] != 0, expect.has_value())
-          << "depth " << depth << " lane " << i;
+      const auto expect = ref_decode(wires[i], depth);
+      const auto got = codec.decode(wires[i]);
+      ASSERT_EQ(got.has_value(), expect.has_value())
+          << "depth " << depth << " wire " << i;
       (expect ? saw_ok : saw_fail) = true;
       if (i >= first_reject) {
-        EXPECT_FALSE(expect.has_value()) << "lane " << i;
+        EXPECT_FALSE(expect.has_value()) << "wire " << i;
       }
-      // The one-lane form agrees with its lane in the batch.
-      const auto one = codec.decode(views[i]);
-      ASSERT_EQ(one.has_value(), expect.has_value()) << "lane " << i;
       if (expect) {
-        ++expected_decoded;
-        EXPECT_EQ(out[i].frame, expect->frame) << "lane " << i;
-        EXPECT_EQ(out[i].corrected_bytes, expect->corrected_bytes)
-            << "lane " << i;
-        EXPECT_EQ(one->frame, expect->frame) << "lane " << i;
-        EXPECT_EQ(one->corrected_bytes, expect->corrected_bytes)
-            << "lane " << i;
+        EXPECT_EQ(got->frame, expect->frame) << "wire " << i;
+        EXPECT_EQ(got->corrected_bytes, expect->corrected_bytes)
+            << "wire " << i;
       }
     }
-    EXPECT_EQ(decoded, expected_decoded);
     EXPECT_TRUE(saw_ok);    // the fixture must exercise both outcomes
     EXPECT_TRUE(saw_fail);
   }
@@ -798,14 +752,13 @@ TEST_P(Batch, BatchPipelineSteadyStateIsAllocationFree) {
                                              make_frame(120, rng),
                                              make_frame(120, rng),
                                              make_frame(120, rng)};
-  const auto ptrs = frame_ptrs(frames);
   const phy::OokParams params{};
   const phy::OokModulator mod{params};
   const phy::OokDemodulator demod{params.chip_rate_hz,
                                   params.sample_rate_hz()};
 
-  // Rendered once (ideal AC coupling): the loop is the batch encode on
-  // the TX side and the batch receive on the RX side.
+  // Rendered once (ideal AC coupling): the loop is the per-frame chip
+  // assembly on the TX side and the batch receive on the RX side.
   std::vector<std::vector<double>> rendered;
   for (const auto& f : frames) {
     dsp::Waveform wf = mod.modulate_frame(f, false, 0, 8);
@@ -814,22 +767,21 @@ TEST_P(Batch, BatchPipelineSteadyStateIsAllocationFree) {
   }
   std::vector<std::span<const double>> signals(rendered.begin(),
                                                rendered.end());
-  const phy::FrameCodec codec{4};
-  phy::FrameBatch txb;
+  std::vector<phy::Chip> chips;
+  std::vector<std::uint8_t> staging;
   phy::OokDemodulator::BatchRxScratch rxb;
   std::vector<phy::OokDemodulator::RxResult> results(frames.size());
   std::vector<std::uint8_t> ok(frames.size());
 
   const auto run_one = [&] {
-    phy::encode_frames_batch(codec, ptrs, txb);
-    ASSERT_EQ(txb.lanes.size(), frames.size());
+    for (const auto& f : frames) phy::frame_to_chips_into(f, chips, staging);
     ASSERT_EQ(demod.receive_batch_into(signals, results, ok, rxb),
               frames.size());
     for (std::size_t i = 0; i < frames.size(); ++i) {
       ASSERT_EQ(results[i].parsed.frame.payload, frames[i].payload);
     }
   };
-  run_one();  // warm-up: all batch scratch reaches steady-state capacity
+  run_one();  // warm-up: all scratch reaches steady-state capacity
   const std::uint64_t before = bench::alloc_count();
   for (int i = 0; i < 5; ++i) run_one();
   EXPECT_EQ(bench::alloc_count() - before, 0u);

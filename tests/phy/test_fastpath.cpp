@@ -10,10 +10,13 @@
 // The whole suite is parameterized over the SIMD dispatch: every test
 // runs once with the native vector backend and once forced onto the
 // scalar kernels (simd::set_force_scalar). Both legs compare against the
-// same frozen reference, so scalar and vector outputs are pinned
-// bit-identical to each other transitively.
+// same frozen reference, so the float kernels' scalar and vector outputs
+// (front end, ADC, preamble search) are pinned bit-identical to each
+// other transitively. The byte codec (Manchester, interleaver, RS, frame)
+// has no dispatch site, so its tests run the same code on both legs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -32,7 +35,6 @@
 #include "dsp/correlate.hpp"
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
-#include "phy/frame_batch.hpp"
 #include "phy/frame_codec.hpp"
 #include "phy/frontend.hpp"
 #include "phy/interleaver.hpp"
@@ -721,35 +723,31 @@ TEST_P(FastPath, RsAllByteValuesMatchScalarReference) {
 TEST_P(FastPath, CodecSteadyStateIsAllocationFree) {
   Rng rng{0xF1};
   const auto f = random_frame(600, rng);
-  const phy::FrameCodec codec{phy::FrameCodec::matched_depth(600)};
-  // The per-frame codec: one-lane batch calls on a kept FrameBatch.
-  const phy::MacFrame* const lane[] = {&f};
-  phy::FrameBatch batch;
+  // The per-frame codec bodies on kept buffers: serialize, Manchester
+  // encode and decode, parse.
+  std::vector<std::uint8_t> wire;
   std::vector<phy::Chip> chips;
   std::vector<std::uint8_t> bytes;
   phy::ParsedFrame parsed;
-  std::uint8_t ok = 0;
+  phy::FrameParseScratch parse_scratch;
   // And one RS(216, 200) codeword corrected through a 4-byte error burst.
   const phy::ReedSolomon rs{phy::kRsBlockParity};
   const auto msg = random_bytes(200, rng);
-  std::vector<std::uint8_t> cw;
+  std::vector<std::uint8_t> cw(msg.size() + phy::kRsBlockParity);
   std::vector<std::uint8_t> bad;
   phy::RsDecodeResult dec;
   phy::RsScratch rs_scratch;
   const auto run_one = [&] {
-    phy::encode_frames_batch(codec, lane, batch);
-    const auto wire = batch.lane_wire(0);
+    phy::serialize_frame_into(f, wire);
     arena_resize(chips, wire.size() * 16);
     phy::manchester_encode_bytes(wire, chips);
     arena_resize(bytes, chips.size() / 16);
     phy::manchester_decode_bytes_lenient(chips, bytes);
-    const std::span<const std::uint8_t> in[] = {bytes};
-    ASSERT_EQ(
-        phy::decode_frames_batch(codec, in, {&parsed, 1}, {&ok, 1}, batch),
-        1u);
+    ASSERT_TRUE(phy::parse_frame_into(bytes, parsed, parse_scratch));
     ASSERT_EQ(parsed.frame, f);
 
-    rs.encode_into(msg, cw);
+    std::copy(msg.begin(), msg.end(), cw.begin());
+    rs.encode_parity_into(msg, std::span{cw}.subspan(msg.size()));
     bad = cw;
     for (std::size_t e = 0; e < 4; ++e) {
       const std::size_t at = 11 + 53 * e;
@@ -760,7 +758,7 @@ TEST_P(FastPath, CodecSteadyStateIsAllocationFree) {
     ASSERT_EQ(dec.data, msg);
   };
   run_one();  // warm-up: buffers reach steady-state capacity here
-  ASSERT_GE(chips.capacity(), batch.lane_wire(0).size() * 16);
+  ASSERT_GE(chips.capacity(), wire.size() * 16);
   ASSERT_GE(bytes.capacity(), chips.size() / 16);
   const std::uint64_t before = bench::alloc_count();
   for (int i = 0; i < 10; ++i) run_one();
@@ -779,7 +777,7 @@ TEST_P(FastPath, ReceiveChainSteadyStateIsAllocationFree) {
   const std::span<const double> signal[] = {wf.samples};
   // TX chips and RX decode of one frame, each on kept buffers.
   std::vector<phy::Chip> chips;
-  phy::FrameBatch tx_staging;
+  std::vector<std::uint8_t> tx_staging;
   phy::OokDemodulator::BatchRxScratch rxs;
   phy::OokDemodulator::RxResult rx;
   std::uint8_t ok = 0;

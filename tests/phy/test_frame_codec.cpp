@@ -89,6 +89,39 @@ TEST(FrameCodec, MatchedDepthSurvivesBurstPlainFormatDoesNot) {
   EXPECT_GT(decoded->corrected_bytes, 0u);
 }
 
+TEST(FrameCodec, MatchedBurstToleranceIsTight) {
+  // At matched depth, a burst of the bound's length decodes wherever it
+  // starts in the body, and one byte more fails somewhere. Each block's
+  // parity trails the payload in another interleaver row, so the bound is
+  // half of the one-row-per-codeword burst_tolerance. A single block
+  // takes the whole burst.
+  EXPECT_EQ(FrameCodec::matched_burst_tolerance(200), 8u);
+  Rng rng{6};
+  for (const std::size_t payload : {400u, 600u, 800u, 1000u}) {
+    const auto f = make_frame(payload, rng);
+    const FrameCodec codec{FrameCodec::matched_depth(payload)};
+    const std::size_t bound = FrameCodec::matched_burst_tolerance(payload);
+    EXPECT_EQ(bound, 4 * codec.interleave_depth()) << "payload " << payload;
+    const auto clean = codec.encode(f);
+    std::size_t longer_failed = 0;
+    for (const std::size_t len : {bound, bound + 1}) {
+      for (std::size_t start = kHeaderBytes; start + len <= clean.size();
+           ++start) {
+        auto wire = clean;
+        for (std::size_t i = start; i < start + len; ++i) wire[i] ^= 0x77;
+        const auto decoded = codec.decode(wire);
+        const bool ok = decoded && decoded->frame == f;
+        if (len == bound) {
+          ASSERT_TRUE(ok) << "payload " << payload << " start " << start;
+        } else {
+          longer_failed += ok ? 0 : 1;
+        }
+      }
+    }
+    EXPECT_GT(longer_failed, 0u) << "payload " << payload;
+  }
+}
+
 TEST(FrameCodec, MatchedDepthSingleBlockIsOne) {
   EXPECT_EQ(FrameCodec::matched_depth(0), 1u);
   EXPECT_EQ(FrameCodec::matched_depth(200), 1u);
