@@ -18,7 +18,6 @@ using densevlc::phy::kMaxPayload;
 using densevlc::phy::kRsBlockData;
 using densevlc::phy::kRsBlockParity;
 using densevlc::phy::kSfd;
-using densevlc::phy::LenientDecode;
 using densevlc::phy::MacFrame;
 using densevlc::phy::ParsedFrame;
 using densevlc::phy::RsDecodeResult;

@@ -7,10 +7,12 @@
 // interleaver, and the allocating frame serializer as they stood before
 // the LUT/zero-allocation rework, plus the full-scan preamble search as
 // it stood before the pruned search and the joint-transmission optical
-// render as it stood before the tiled render. They must NOT be
-// "improved": their
-// whole value is staying exactly what the production code used to
-// compute, so old-vs-new comparisons are bit-for-bit meaningful.
+// render as it stood before the tiled render. The bit-level Manchester
+// coder and its LenientDecode result exist only here: the library codes
+// a byte at a time. They must NOT be
+// "improved": their whole value is staying exactly what the production
+// code used to compute, so old-vs-new comparisons are bit-for-bit
+// meaningful.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +32,16 @@ namespace densevlc::bench::ref {
 
 // --- Manchester (bit-level loops) ---------------------------------------
 
+/// Bits decoded from chips plus the coding-violation count: a pair
+/// without a transition (LL / HH) decodes as 0 and counts, as does an
+/// odd trailing chip.
+struct LenientDecode {
+  std::vector<std::uint8_t> bits;
+  std::size_t violations = 0;
+};
+
 std::vector<phy::Chip> manchester_encode(std::span<const std::uint8_t> bits);
-phy::LenientDecode manchester_decode_lenient(std::span<const phy::Chip> chips);
+LenientDecode manchester_decode_lenient(std::span<const phy::Chip> chips);
 std::vector<std::uint8_t> bytes_to_bits(std::span<const std::uint8_t> bytes);
 std::optional<std::vector<std::uint8_t>> bits_to_bytes(
     std::span<const std::uint8_t> bits);

@@ -7,7 +7,6 @@
 //      PER 100%;
 //   3. 4 TXs with the NLOS VLC synchronization: ~33.8 Kbit/s, PER 0.55%.
 // Every frame is rendered, superimposed, filtered, digitized and decoded.
-#include <cmath>
 #include <iostream>
 #include <vector>
 
@@ -54,13 +53,7 @@ ScenarioResult run_scenario(const core::Testbed& tb,
     // per the scenario.
     double bbb_b_offset = 0.0;
     if (second_bbb_used && !second_bbb_synced) {
-      double u;
-      do {
-        u = rng.uniform();
-      } while (u <= 0.0);
-      bbb_b_offset = -ts.delivery_jitter_mean_s * std::log(u) +
-                     rng.uniform(0.0, ts.stack_start_spread_s) +
-                     rng.gaussian(0.0, ts.event_jitter_sigma_s);
+      bbb_b_offset = sync::streaming_start_offset_s(ts, rng);
     } else if (second_bbb_used && second_bbb_synced) {
       const auto idx = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(nlos_errors.size()) - 1));

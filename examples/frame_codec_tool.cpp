@@ -14,7 +14,6 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "phy/frame.hpp"
-#include "phy/manchester.hpp"
 
 int main(int argc, char** argv) {
   using namespace densevlc;
@@ -48,10 +47,9 @@ int main(int argc, char** argv) {
 
   // Show the first Manchester chips.
   std::cout << "\nFirst 48 data chips (H = Ib+Isw/2, L = Ib-Isw/2): ";
-  const auto body = phy::manchester_encode(phy::bytes_to_bits(
-      std::vector<std::uint8_t>(wire.begin(), wire.begin() + 3)));
-  for (const auto chip : body) {
-    std::cout << (chip == phy::Chip::kHigh ? 'H' : 'L');
+  for (std::size_t i = phy::kPreambleChips; i < phy::kPreambleChips + 48;
+       ++i) {
+    std::cout << (chips[i] == phy::Chip::kHigh ? 'H' : 'L');
   }
   std::cout << "\n\n";
 

@@ -92,9 +92,6 @@ struct LinkBudget {
   /// designated-initializer call sites stay terse).
   Ohms dynamic_resistance() const { return Ohms{dynamic_resistance_ohm}; }
   Hertz bandwidth() const { return Hertz{bandwidth_hz}; }
-  AmpsSquaredPerHertz noise_psd() const {
-    return AmpsSquaredPerHertz{noise_psd_a2_per_hz};
-  }
 };
 
 /// A swing-current allocation: entry (j, k) is TX j's swing dedicated to

@@ -147,6 +147,11 @@ void Rng::fill_gaussian(std::span<double> out, double mean, double stddev) {
   if (i < out.size()) out[i] = gaussian(mean, stddev);
 }
 
+double Rng::exponential() {
+  const double u = nonzero_uniform();
+  return -std::log(u);
+}
+
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

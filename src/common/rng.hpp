@@ -66,6 +66,12 @@ class Rng {
   /// the block, so the libm calls of different pairs overlap.
   void fill_gaussian(std::span<double> out, double mean, double stddev);
 
+  /// Unit-mean exponential deviate -log(u), with u drawn by uniform()
+  /// until it is nonzero (usually one draw). Scale it for other means.
+  /// The draws are part of the determinism contract: every caller's
+  /// stream depends on this exact sequence.
+  double exponential();
+
   /// Bernoulli trial: true with probability p (p clamped to [0,1]).
   bool bernoulli(double p);
 

@@ -116,15 +116,9 @@ ProbeResult ChannelProber::estimate(std::span<const double> rx) {
   for (std::size_t i = 0; i < pattern.size(); ++i) {
     const double start =
         static_cast<double>(peak->index) + static_cast<double>(i) * spc;
-    const auto lo = static_cast<std::size_t>(start + 0.25 * spc);
-    const auto hi = static_cast<std::size_t>(start + 0.75 * spc);
-    double acc = 0.0;
-    std::size_t n = 0;
-    for (std::size_t s = lo; s <= hi && s < rx.size(); ++s) {
-      acc += rx[s];
-      ++n;
+    if (const auto mean = phy::central_chip_mean(rx, start, spc)) {
+      chip_values.push_back(*mean);
     }
-    if (n > 0) chip_values.push_back(acc / static_cast<double>(n));
   }
   double amplitude = 0.0;
   for (std::size_t i = 0; i < chip_values.size(); ++i) {

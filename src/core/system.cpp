@@ -212,18 +212,6 @@ std::vector<double> DenseVlcSystem::draw_tx_offsets(const Beamspot& spot,
   }
   const std::size_t leader_bbb = bbb_of(spot.leader);
 
-  // An unsynchronized start: the TX free-runs on multicast arrival
-  // (exponential delivery jitter, stack start spread, event jitter).
-  const auto unsynchronized_offset = [&] {
-    double u;
-    do {
-      u = rng.uniform();
-    } while (u <= 0.0);
-    return -cfg_.timesync.delivery_jitter_mean_s * std::log(u) +
-           rng.uniform(0.0, cfg_.timesync.stack_start_spread_s) +
-           rng.gaussian(0.0, cfg_.timesync.event_jitter_sigma_s);
-  };
-
   // Draw one offset per distinct BBB.
   std::vector<std::pair<std::size_t, double>> bbb_offsets;
   auto offset_for_bbb = [&](std::size_t bbb) -> double {
@@ -233,11 +221,11 @@ std::vector<double> DenseVlcSystem::draw_tx_offsets(const Beamspot& spot,
     double drawn = 0.0;
     switch (cfg_.sync_mode) {
       case SyncMode::kNone:
-        drawn = unsynchronized_offset();
+        // The TX free-runs on multicast arrival.
+        drawn = sync::streaming_start_offset_s(cfg_.timesync, rng);
         break;
       case SyncMode::kNtpPtp:
-        drawn = rng.gaussian(0.0, cfg_.timesync.ntp_ptp_residual_sigma_s) +
-                rng.gaussian(0.0, cfg_.timesync.event_jitter_sigma_s);
+        drawn = sync::ntp_ptp_offset_s(cfg_.timesync, rng);
         break;
       case SyncMode::kNlosVlc:
         if (bbb == leader_bbb) {
@@ -245,7 +233,7 @@ std::vector<double> DenseVlcSystem::draw_tx_offsets(const Beamspot& spot,
         } else if (cfg_.faults.sync_pilot_lost(t_s)) {
           // The follower never saw the pilot: it free-runs on multicast
           // arrival, i.e. the unsynchronized spread of SyncMode::kNone.
-          drawn = unsynchronized_offset();
+          drawn = sync::streaming_start_offset_s(cfg_.timesync, rng);
         } else {
           const std::vector<double>& errors = nlos_error_samples();
           const auto idx = static_cast<std::size_t>(rng.uniform_int(

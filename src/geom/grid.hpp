@@ -22,11 +22,6 @@ struct Room {
   constexpr bool contains_xy(double x, double y) const {
     return x >= 0.0 && x <= width && y >= 0.0 && y <= depth;
   }
-
-  /// Center of the floor plane.
-  constexpr Vec3 floor_center() const {
-    return {width / 2.0, depth / 2.0, 0.0};
-  }
 };
 
 /// Parameters of a regular n x n ceiling grid of luminaires.

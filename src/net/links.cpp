@@ -1,16 +1,11 @@
 #include "net/links.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace densevlc::net {
 
 double SimLink::draw_latency() {
-  double u;
-  do {
-    u = rng_.uniform();
-  } while (u <= 0.0);
-  return cfg_.base_latency_s - cfg_.jitter_mean_s * std::log(u);
+  return cfg_.base_latency_s + cfg_.jitter_mean_s * rng_.exponential();
 }
 
 bool SimLink::send(std::vector<std::uint8_t> payload, Handler handler) {
@@ -39,12 +34,8 @@ std::size_t EthernetMulticast::subscribe(Handler handler) {
 
 void EthernetMulticast::send(const std::vector<std::uint8_t>& payload) {
   for (std::size_t id = 0; id < handlers_.size(); ++id) {
-    double u;
-    do {
-      u = rng_.uniform();
-    } while (u <= 0.0);
-    const double latency = cfg_.base_latency_s - cfg_.jitter_mean_s *
-                                                     std::log(u);
+    const double latency =
+        cfg_.base_latency_s + cfg_.jitter_mean_s * rng_.exponential();
     ++stats_.sent;
     sim_->schedule_in(SimTime::from_seconds(latency),
                       [this, id, latency, payload] {

@@ -40,11 +40,7 @@ UplinkLoadReport analyze_uplink(const UplinkTraffic& traffic,
     if (rate_hz <= 0.0) return;
     double t = 0.0;
     while (true) {
-      double u;
-      do {
-        u = rng.uniform();
-      } while (u <= 0.0);
-      t += -std::log(u) / rate_hz;
+      t += rng.exponential() / rate_hz;
       if (t >= duration_s) break;
       arrivals.push_back({t, airtime_s});
     }

@@ -32,7 +32,6 @@ class FifoQueue {
 
   std::size_t dropped() const { return dropped_; }
   std::size_t served() const { return sojourns_.size(); }
-  std::size_t backlog_at_last_arrival() const { return backlog_; }
 
  private:
   double service_time_s_;

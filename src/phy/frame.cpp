@@ -60,6 +60,15 @@ std::uint16_t get_u16(std::span<const std::uint8_t> in, std::size_t at) {
 
 std::span<const Chip> pilot_pattern() { return pilot_chips(); }
 
+std::vector<Chip> leader_chips(std::uint8_t tx_id) {
+  std::vector<Chip> chips(kPilotChips + 16);
+  std::copy(pilot_chips().begin(), pilot_chips().end(), chips.begin());
+  const std::uint8_t id_byte[1] = {tx_id};
+  manchester_encode_bytes(id_byte,
+                          std::span<Chip>{chips}.subspan(kPilotChips));
+  return chips;
+}
+
 std::span<const Chip> preamble_pattern() { return preamble_chips(); }
 
 std::size_t serialized_frame_bytes(std::size_t payload_bytes) {

@@ -70,6 +70,10 @@ struct MacFrame {
 /// detection of Sec. 6.2.
 std::span<const Chip> pilot_pattern();
 
+/// The leading TX's synchronization chips: the pilot pattern followed by
+/// the Manchester coding of its `tx_id` byte (kPilotChips + 16 chips).
+std::vector<Chip> leader_chips(std::uint8_t tx_id);
+
 /// The fixed preamble chip pattern used for frame alignment at data RXs.
 std::span<const Chip> preamble_pattern();
 

@@ -82,14 +82,7 @@ dsp::Waveform OokModulator::modulate_frame(const MacFrame& frame,
                                            std::size_t guard_chips) const {
   // Assemble the on-air chip sequence: [pilot + id] preamble + data.
   std::vector<Chip> chips;
-  if (include_pilot) {
-    const auto pilot = pilot_pattern();
-    const std::array<std::uint8_t, 1> id_byte{tx_id};
-    std::array<Chip, 16> id_chips{};  // the Manchester-coded id byte
-    manchester_encode_bytes(id_byte, id_chips);
-    chips.assign(pilot.begin(), pilot.end());
-    chips.insert(chips.end(), id_chips.begin(), id_chips.end());
-  }
+  if (include_pilot) chips = leader_chips(tx_id);
   const std::vector<Chip> frame_chips = frame_to_chips(frame);
   chips.insert(chips.end(), frame_chips.begin(), frame_chips.end());
 
@@ -110,19 +103,8 @@ void OokDemodulator::slice_chips_into(std::span<const double> signal,
   const double spc = samples_per_chip();
   for (std::size_t i = 0; i < count; ++i) {
     const double start = offset_samples + static_cast<double>(i) * spc;
-    // Integrate the central half of the chip to dodge edge transients.
-    const auto lo = static_cast<std::size_t>(
-        std::max(0.0, start + 0.25 * spc));
-    const auto hi = static_cast<std::size_t>(
-        std::max(0.0, start + 0.75 * spc));
-    double acc = 0.0;
-    std::size_t n = 0;
-    for (std::size_t s = lo; s <= hi && s < signal.size(); ++s) {
-      acc += signal[s];
-      ++n;
-    }
-    const double mean = n > 0 ? acc / static_cast<double>(n) : 0.0;
-    out[i] = mean > 0.0 ? Chip::kHigh : Chip::kLow;
+    const auto mean = central_chip_mean(signal, start, spc);
+    out[i] = mean && *mean > 0.0 ? Chip::kHigh : Chip::kLow;
   }
 }
 

@@ -8,6 +8,7 @@
 // voltage by mid-chip integration and sign slicing, then rebuilds frames.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -60,6 +61,25 @@ class OokModulator {
   OokParams params_;
 };
 
+/// Mean of the central half of the chip that starts at sample `start`
+/// and spans `spc` samples: samples start + spc/4 through
+/// start + 3 spc/4 (truncated, clamped at 0), which dodges the edge
+/// transients. nullopt when the chip lies past the end of `signal`.
+/// Inline: the data path calls it once per chip.
+inline std::optional<double> central_chip_mean(std::span<const double> signal,
+                                               double start, double spc) {
+  const auto lo = static_cast<std::size_t>(std::max(0.0, start + 0.25 * spc));
+  const auto hi = static_cast<std::size_t>(std::max(0.0, start + 0.75 * spc));
+  double acc = 0.0;
+  std::size_t n = 0;
+  for (std::size_t s = lo; s <= hi && s < signal.size(); ++s) {
+    acc += signal[s];
+    ++n;
+  }
+  if (n == 0) return std::nullopt;
+  return acc / static_cast<double>(n);
+}
+
 /// Chip-level and frame-level demodulation of AC-coupled RX voltages.
 class OokDemodulator {
  public:
@@ -69,8 +89,8 @@ class OokDemodulator {
       : chip_rate_hz_{chip_rate_hz}, sample_rate_hz_{sample_rate_hz} {}
 
   /// Slices `count` chips from `signal` starting at sample `offset`.
-  /// Decision: mean of the central half of each chip period, sign-sliced
-  /// around zero (valid after AC coupling).
+  /// Decision: the sign of each chip's central_chip_mean around zero
+  /// (valid after AC coupling); a chip past the signal is kLow.
   std::vector<Chip> slice_chips(std::span<const double> signal,
                                 double offset_samples,
                                 std::size_t count) const;

@@ -8,20 +8,6 @@
 #include "phy/manchester.hpp"
 
 namespace densevlc::sync {
-namespace {
-
-/// Chip sequence the leader radiates: pilot pattern then Manchester ID.
-std::vector<phy::Chip> leader_chips(std::uint8_t leader_id) {
-  std::vector<phy::Chip> chips;
-  const auto pilot = phy::pilot_pattern();
-  chips.insert(chips.end(), pilot.begin(), pilot.end());
-  const std::uint8_t id_byte[1] = {leader_id};
-  const auto id_chips = phy::manchester_encode(phy::bytes_to_bits(id_byte));
-  chips.insert(chips.end(), id_chips.begin(), id_chips.end());
-  return chips;
-}
-
-}  // namespace
 
 NlosSynchronizer::NlosSynchronizer(const NlosSyncConfig& cfg) : cfg_{cfg} {
   // The reflected pilot is very weak; restrict the anti-aliasing corner
@@ -45,7 +31,10 @@ NlosSynchronizer::NlosSynchronizer(const NlosSyncConfig& cfg) : cfg_{cfg} {
   dsp::Waveform optical = wf;
   for (double& s : optical.samples) s *= gain_;
   const dsp::Waveform digitized = fe.process(optical);
-  const auto tpl = pilot_template();
+  const auto tpl =
+      phy::OokDemodulator{cfg_.pilot_chip_rate_hz,
+                          cfg_.frontend.adc.sample_rate_hz}
+          .pattern_template(phy::pilot_pattern());
   const auto peak = dsp::detect_pattern(digitized.samples, tpl, 0.2);
   const double true_start =
       lead_in / cfg_.pilot_chip_rate_hz;
@@ -65,7 +54,7 @@ dsp::Waveform NlosSynchronizer::pilot_waveform(double lead_in_chips,
   params.swing_current_a = cfg_.swing_current_a;
   const phy::OokModulator mod{params};
 
-  const auto chips = leader_chips(cfg_.leader_id);
+  const auto chips = phy::leader_chips(cfg_.leader_id);
   const dsp::Waveform data = mod.modulate(chips);
 
   dsp::Waveform wf;
@@ -88,22 +77,6 @@ dsp::Waveform NlosSynchronizer::pilot_waveform(double lead_in_chips,
         cfg_.led.power_at_current(Amperes{s}).value();
   }
   return wf;
-}
-
-std::vector<double> NlosSynchronizer::pilot_template() const {
-  const auto pilot = phy::pilot_pattern();
-  const double spc =
-      cfg_.frontend.adc.sample_rate_hz / cfg_.pilot_chip_rate_hz;
-  const auto total = static_cast<std::size_t>(
-      std::ceil(static_cast<double>(pilot.size()) * spc));
-  std::vector<double> tpl(total);
-  for (std::size_t s = 0; s < total; ++s) {
-    const auto idx = std::min<std::size_t>(
-        static_cast<std::size_t>(static_cast<double>(s) / spc),
-        pilot.size() - 1);
-    tpl[s] = pilot[idx] == phy::Chip::kHigh ? 1.0 : -1.0;
-  }
-  return tpl;
 }
 
 NlosDetection NlosSynchronizer::simulate_once(Rng& rng) {
@@ -130,7 +103,9 @@ NlosDetection NlosSynchronizer::simulate_once(Rng& rng) {
   phy::ReceiverFrontEnd fe{cfg_.frontend, rng.fork()};
   const dsp::Waveform digitized = fe.process(optical);
 
-  const auto tpl = pilot_template();
+  const double frx = cfg_.frontend.adc.sample_rate_hz;
+  const phy::OokDemodulator demod{cfg_.pilot_chip_rate_hz, frx};
+  const auto tpl = demod.pattern_template(phy::pilot_pattern());
   const auto peak =
       dsp::detect_pattern(digitized.samples, tpl, cfg_.detect_threshold);
   if (!peak) return out;
@@ -138,18 +113,14 @@ NlosDetection NlosSynchronizer::simulate_once(Rng& rng) {
   out.correlation = peak->score;
 
   // Verify the leader ID: slice the 16 Manchester chips after the pilot.
-  const double frx = cfg_.frontend.adc.sample_rate_hz;
-  const double spc = frx / cfg_.pilot_chip_rate_hz;
-  phy::OokDemodulator demod{cfg_.pilot_chip_rate_hz, frx};
   const auto id_chips = demod.slice_chips(
       digitized.samples,
       static_cast<double>(peak->index) +
-          static_cast<double>(phy::kPilotChips) * spc,
+          static_cast<double>(phy::kPilotChips) * demod.samples_per_chip(),
       16);
-  const auto id_bits = phy::manchester_decode_lenient(id_chips);
-  const auto id_bytes = phy::bits_to_bytes(id_bits.bits);
-  out.id_matches =
-      id_bytes && id_bytes->size() == 1 && (*id_bytes)[0] == cfg_.leader_id;
+  std::uint8_t id_byte[1] = {};
+  phy::manchester_decode_bytes_lenient(id_chips, id_byte);
+  out.id_matches = id_byte[0] == cfg_.leader_id;
 
   const double true_start =
       (lead_in + frac) / cfg_.pilot_chip_rate_hz;

@@ -85,9 +85,6 @@ class NlosSynchronizer {
   /// bias ahead of it (sub-chip alignment comes from `frac` in [0,1)).
   dsp::Waveform pilot_waveform(double lead_in_chips, double frac) const;
 
-  /// Pilot template (+1/-1) at the follower ADC rate.
-  std::vector<double> pilot_template() const;
-
   NlosSyncConfig cfg_;
   double gain_ = 0.0;
   double group_delay_s_ = 0.0;  ///< calibrated constant chain delay

@@ -1,17 +1,11 @@
 #include "sync/ptp.hpp"
 
-#include <cmath>
-
 namespace densevlc::sync {
 namespace {
 
 double exp_draw(double mean, Rng& rng) {
   if (mean <= 0.0) return 0.0;
-  double u;
-  do {
-    u = rng.uniform();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
+  return mean * rng.exponential();
 }
 
 }  // namespace

@@ -15,27 +15,35 @@ PairStart draw_pair_start(SyncMethod method, const TimeSyncConfig& cfg,
   switch (method) {
     case SyncMethod::kNone: {
       // Fire on multicast arrival: exponential delivery tails dominate.
-      auto exp_draw = [&] {
-        double u;
-        do {
-          u = rng.uniform();
-        } while (u <= 0.0);
-        return -cfg.delivery_jitter_mean_s * std::log(u);
+      const auto fire_on_arrival = [&] {
+        const double delay = cfg.delivery_jitter_mean_s * rng.exponential();
+        const double event = rng.gaussian(0.0, cfg.event_jitter_sigma_s);
+        return delay + event;
       };
-      out.tx_a_s = exp_draw() + rng.gaussian(0.0, cfg.event_jitter_sigma_s);
-      out.tx_b_s = exp_draw() + rng.gaussian(0.0, cfg.event_jitter_sigma_s);
+      out.tx_a_s = fire_on_arrival();
+      out.tx_b_s = fire_on_arrival();
       break;
     }
-    case SyncMethod::kNtpPtp: {
+    case SyncMethod::kNtpPtp:
       // Fire at an absolute local timestamp: residual clock offsets.
-      out.tx_a_s = rng.gaussian(0.0, cfg.ntp_ptp_residual_sigma_s) +
-                   rng.gaussian(0.0, cfg.event_jitter_sigma_s);
-      out.tx_b_s = rng.gaussian(0.0, cfg.ntp_ptp_residual_sigma_s) +
-                   rng.gaussian(0.0, cfg.event_jitter_sigma_s);
+      out.tx_a_s = ntp_ptp_offset_s(cfg, rng);
+      out.tx_b_s = ntp_ptp_offset_s(cfg, rng);
       break;
-    }
   }
   return out;
+}
+
+double streaming_start_offset_s(const TimeSyncConfig& cfg, Rng& rng) {
+  const double delay = cfg.delivery_jitter_mean_s * rng.exponential();
+  const double spread = rng.uniform(0.0, cfg.stack_start_spread_s);
+  const double event = rng.gaussian(0.0, cfg.event_jitter_sigma_s);
+  return delay + spread + event;
+}
+
+double ntp_ptp_offset_s(const TimeSyncConfig& cfg, Rng& rng) {
+  const double residual = rng.gaussian(0.0, cfg.ntp_ptp_residual_sigma_s);
+  const double event = rng.gaussian(0.0, cfg.event_jitter_sigma_s);
+  return residual + event;
 }
 
 double measure_sync_delay(SyncMethod method, const TimeSyncConfig& cfg,

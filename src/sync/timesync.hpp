@@ -62,9 +62,25 @@ struct PairStart {
   double drift_b_ppm = 0.0;
 };
 
-/// Draws the start-time errors for one joint frame under `method`.
+/// Draws the start-time errors for one joint frame under `method`: both
+/// drifts, then TX A's start, then TX B's. A kNone start draws its
+/// delivery delay, then its event jitter; a kNtpPtp start is
+/// ntp_ptp_offset_s. This draw order is part of the determinism
+/// contract.
 PairStart draw_pair_start(SyncMethod method, const TimeSyncConfig& cfg,
                           Rng& rng);
+
+/// Start offset of a TX streaming with no time reference at all [s]:
+/// delivery delay (delivery_jitter_mean_s * Exp(1)), then
+/// uniform(0, stack_start_spread_s), then gaussian(0,
+/// event_jitter_sigma_s), drawn in that order and summed left to right.
+/// The order is part of the determinism contract.
+double streaming_start_offset_s(const TimeSyncConfig& cfg, Rng& rng);
+
+/// Start offset of a TX firing at an NTP/PTP timestamp [s]: gaussian(0,
+/// ntp_ptp_residual_sigma_s), then gaussian(0, event_jitter_sigma_s),
+/// drawn in that order. The order is part of the determinism contract.
+double ntp_ptp_offset_s(const TimeSyncConfig& cfg, Rng& rng);
 
 /// Paper's measurement: median over `symbols_per_frame` of the absolute
 /// edge-time difference between corresponding symbols of the two TXs

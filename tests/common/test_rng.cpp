@@ -238,6 +238,21 @@ TEST(Rng, StreamIsPinned) {
   }
 }
 
+TEST(Rng, ExponentialIsMinusLogOfNonzeroUniform) {
+  // exponential() draws u by the reject-zero loop and returns -log u:
+  // bit for bit the hand loop on a copy of the stream.
+  Rng rng{0xE4};
+  Rng hand = rng;
+  for (int i = 0; i < 4000; ++i) {
+    double u;
+    do {
+      u = hand.uniform();
+    } while (u <= 0.0);
+    EXPECT_EQ(rng.exponential(), -std::log(u)) << "draw " << i;
+  }
+  EXPECT_EQ(rng.uniform(), hand.uniform());
+}
+
 // The raw engine output: the full-range uniform_int returns it unchanged.
 std::uint64_t raw_draw(Rng& rng) {
   return static_cast<std::uint64_t>(

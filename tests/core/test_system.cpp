@@ -107,6 +107,74 @@ TEST(System, NoSyncOffsetsAreLarge) {
   EXPECT_GT(max_spread, 5e-6);  // multiple microseconds of skew
 }
 
+// Unit-mean exponential deviate by the reject-zero loop: -log u, u > 0.
+double exponential_by_hand(Rng& rng) {
+  double u;
+  do {
+    u = rng.uniform();
+  } while (u <= 0.0);
+  return -std::log(u);
+}
+
+TEST(System, TxOffsetsDrawInDocumentedOrder) {
+  // Each distinct BBB draws once, in the order its first TX appears in
+  // the beamspot. An unsynchronized start draws the delivery delay, the
+  // stack start spread, then the event jitter; an NTP/PTP start draws the
+  // residual offset, then the event jitter. Replayed by hand on a copy
+  // of the stream, every offset must match bit for bit.
+  const sync::TimeSyncConfig ts = fast_config().timesync;
+  const auto streaming = [&](Rng& hand) {
+    const double delay = ts.delivery_jitter_mean_s * exponential_by_hand(hand);
+    const double spread = hand.uniform(0.0, ts.stack_start_spread_s);
+    const double event = hand.gaussian(0.0, ts.event_jitter_sigma_s);
+    return delay + spread + event;
+  };
+  const auto ntp_ptp = [&](Rng& hand) {
+    const double residual = hand.gaussian(0.0, ts.ntp_ptp_residual_sigma_s);
+    const double event = hand.gaussian(0.0, ts.event_jitter_sigma_s);
+    return residual + event;
+  };
+  Beamspot spot;
+  spot.rx = 0;
+  spot.txs = {1, 7, 2};  // TX2+TX8 (the leader's BBB), TX3 (another)
+  spot.leader = 1;
+
+  const auto check = [&](SyncMode mode, double t_s, auto expected) {
+    SystemConfig cfg = fast_config();
+    cfg.sync_mode = mode;
+    cfg.faults.add({fault::FaultKind::kSyncPilotLoss, 1.0, 2.0});
+    auto system = DenseVlcSystem::with_static_rxs(cfg, {{1.25, 0.75, 0.0}});
+    Rng rng{0xD7A};
+    for (int trial = 0; trial < 25; ++trial) {
+      Rng hand = rng;
+      const auto offsets = system.draw_tx_offsets(spot, rng, t_s);
+      const std::array<double, 3> want = expected(hand);
+      ASSERT_EQ(offsets.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(offsets[i], want[i])
+            << "mode " << static_cast<int>(mode) << " trial " << trial
+            << " tx " << i;
+      }
+      EXPECT_EQ(rng.gaussian(), hand.gaussian()) << "trial " << trial;
+    }
+  };
+  check(SyncMode::kNone, 0.0, [&](Rng& hand) {
+    const double a = streaming(hand);
+    const double b = streaming(hand);
+    return std::array<double, 3>{a, a, b};
+  });
+  check(SyncMode::kNtpPtp, 0.0, [&](Rng& hand) {
+    const double a = ntp_ptp(hand);
+    const double b = ntp_ptp(hand);
+    return std::array<double, 3>{a, a, b};
+  });
+  // Inside the pilot-loss window the follower BBB free-runs; the leader's
+  // BBB draws nothing.
+  check(SyncMode::kNlosVlc, 1.5, [&](Rng& hand) {
+    return std::array<double, 3>{0.0, 0.0, streaming(hand)};
+  });
+}
+
 TEST(System, IncrementalProbingMatchesFullWhenAllRxsMove) {
   // Every RX moves between epochs, so every truth column is dirty every
   // epoch — the one regime where incremental probing is guaranteed

@@ -112,18 +112,6 @@ TEST_P(FastPath, ManchesterLenientDecodeMatchesScalarOnCorruptChips) {
   }
 }
 
-TEST_P(FastPath, BitHelpersMatchScalarReference) {
-  Rng rng{0xA3};
-  const auto bytes = random_bytes(513, rng);
-  EXPECT_EQ(phy::bytes_to_bits(bytes), bench::ref::bytes_to_bits(bytes));
-  const auto bits = bench::ref::bytes_to_bits(bytes);
-  const auto packed = phy::bits_to_bytes(bits);
-  const auto ref_packed = bench::ref::bits_to_bytes(bits);
-  ASSERT_TRUE(packed.has_value());
-  ASSERT_TRUE(ref_packed.has_value());
-  EXPECT_EQ(*packed, *ref_packed);
-}
-
 // --- Interleaver ---------------------------------------------------------
 
 TEST_P(FastPath, InterleaverMatchesScalarReference) {

@@ -41,9 +41,13 @@ TEST(OokModulator, WaveformShape) {
 TEST(OokModulator, AverageCurrentIsBiasForManchesterData) {
   const OokModulator mod{params()};
   Rng rng{5};
-  std::vector<std::uint8_t> bits(400);
-  for (auto& b : bits) b = rng.bernoulli(0.5) ? 1 : 0;
-  const auto wf = mod.modulate(manchester_encode(bits));
+  std::vector<std::uint8_t> bytes(50);
+  for (auto& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  std::vector<Chip> chips(16 * bytes.size());
+  manchester_encode_bytes(bytes, chips);
+  const auto wf = mod.modulate(chips);
   double sum = 0.0;
   for (double s : wf.samples) sum += s;
   EXPECT_NEAR(sum / static_cast<double>(wf.samples.size()), 0.45, 1e-12);

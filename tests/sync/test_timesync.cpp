@@ -72,6 +72,44 @@ TEST(TimeSync, NoSyncDelaysAreNonNegativeDeliveryTimes) {
   }
 }
 
+TEST(TimeSync, PairStartDrawsInDocumentedOrder) {
+  // Both drifts first; then per TX, A before B: the delivery delay and
+  // the event jitter (kNone), or the residual offset and the event
+  // jitter (kNtpPtp). Replayed by hand on a copy of the stream, every
+  // field must match bit for bit.
+  const TimeSyncConfig cfg;
+  const auto exponential_by_hand = [](Rng& rng) {
+    double u;
+    do {
+      u = rng.uniform();
+    } while (u <= 0.0);
+    return -std::log(u);
+  };
+  Rng rng{6};
+  for (int trial = 0; trial < 50; ++trial) {
+    for (const SyncMethod method : {SyncMethod::kNone, SyncMethod::kNtpPtp}) {
+      Rng hand = rng;
+      const PairStart p = draw_pair_start(method, cfg, rng);
+      const double drift_a = hand.gaussian(0.0, cfg.drift_stddev_ppm);
+      const double drift_b = hand.gaussian(0.0, cfg.drift_stddev_ppm);
+      double start[2];
+      for (double& s : start) {
+        const double first =
+            method == SyncMethod::kNone
+                ? cfg.delivery_jitter_mean_s * exponential_by_hand(hand)
+                : hand.gaussian(0.0, cfg.ntp_ptp_residual_sigma_s);
+        const double event = hand.gaussian(0.0, cfg.event_jitter_sigma_s);
+        s = first + event;
+      }
+      EXPECT_EQ(p.drift_a_ppm, drift_a) << "trial " << trial;
+      EXPECT_EQ(p.drift_b_ppm, drift_b) << "trial " << trial;
+      EXPECT_EQ(p.tx_a_s, start[0]) << "trial " << trial;
+      EXPECT_EQ(p.tx_b_s, start[1]) << "trial " << trial;
+      EXPECT_EQ(rng.gaussian(), hand.gaussian()) << "trial " << trial;
+    }
+  }
+}
+
 TEST(TimeSync, MaxSymbolRateCriterion) {
   // Paper: with <=10% symbol overlap and the NTP/PTP delay, the max rate
   // is 14.28 Ksymbols/s — i.e. overlap / delay with delay ~7 us.
