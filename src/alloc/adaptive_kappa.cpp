@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace densevlc::alloc {
+namespace {
+
+/// The search halts when its step shrinks below this.
+constexpr double kMinStep = 0.02;
+
+}  // namespace
 
 AdaptiveKappaResult personalize_kappa(const channel::ChannelMatrix& h,
                                       Watts power_budget,
@@ -47,7 +53,7 @@ AdaptiveKappaResult personalize_kappa(const channel::ChannelMatrix& h,
     }
     if (!improved) {
       step /= 2.0;
-      if (step < cfg.min_step) break;
+      if (step < kMinStep) break;
     }
   }
 

@@ -28,7 +28,6 @@ namespace densevlc::alloc {
 struct AdaptiveKappaConfig {
   double initial_kappa = 1.3;  ///< starting point for every TX
   double step = 0.15;          ///< initial perturbation size
-  double min_step = 0.02;      ///< halt when the step shrinks below this
   double kappa_min = 0.5;      ///< search box
   double kappa_max = 2.5;
   std::size_t max_rounds = 8;  ///< full passes over the TXs

@@ -9,6 +9,13 @@
 namespace densevlc::alloc {
 namespace {
 
+/// Random feasible seeds tried after the heuristic and uniform starts.
+constexpr std::size_t kRandomStarts = 4;
+/// First trial step length of the line search [A].
+constexpr double kInitialStep = 0.05;
+/// The line search stops when its step collapses below this [A].
+constexpr double kMinStep = 1e-7;
+
 /// Utility value with the same floor as channel::sum_log_utility.
 double utility_of(const channel::ChannelMatrix& h,
                   const channel::Allocation& alloc,
@@ -132,7 +139,7 @@ OptimalResult run_from(const channel::ChannelMatrix& h,
 
   channel::Allocation current = start;
   double current_utility = utility_of(h, current, budget);
-  double step = cfg.initial_step;
+  double step = kInitialStep;
   std::vector<double> grad;
   std::size_t iters = 0;
 
@@ -147,7 +154,7 @@ OptimalResult run_from(const channel::ChannelMatrix& h,
 
     // Backtracking line search on the projected trial point.
     bool improved = false;
-    while (step >= cfg.min_step) {
+    while (step >= kMinStep) {
       channel::Allocation trial = current;
       auto& data = trial.data();
       for (std::size_t idx = 0; idx < n * m; ++idx) {
@@ -282,7 +289,7 @@ OptimalResult solve_optimal(const channel::ChannelMatrix& h,
   }
 
   // Random feasible seeds.
-  for (std::size_t s = 0; s < cfg.random_starts; ++s) {
+  for (std::size_t s = 0; s < kRandomStarts; ++s) {
     channel::Allocation random{n, m};
     for (std::size_t j = 0; j < n; ++j) {
       const auto k = static_cast<std::size_t>(

@@ -26,9 +26,6 @@ namespace densevlc::alloc {
 /// Solver knobs. Defaults are tuned for the 36x4 evaluation setup.
 struct OptimalSolverConfig {
   std::size_t max_iterations = 400;   ///< gradient steps per start
-  std::size_t random_starts = 4;      ///< random feasible seeds
-  double initial_step = 0.05;         ///< [A] first trial step length
-  double min_step = 1e-7;             ///< stop when line search collapses
   double max_swing_a = 0.9;           ///< Isw,max
   std::uint64_t seed = 0x5EEDBEEF;    ///< randomness for the starts
 };

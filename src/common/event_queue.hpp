@@ -2,8 +2,9 @@
 //
 // A minimal, deterministic event loop: callbacks are executed in
 // timestamp order, ties broken by scheduling order (FIFO), which makes
-// runs bit-reproducible. The MAC protocol, the network models and the
-// mobility updates all run on this engine.
+// runs bit-reproducible. The network link models (net::SimLink,
+// net::EthernetMulticast) run on this engine; the system loops step their
+// slots directly and do not.
 #pragma once
 
 #include <cstdint>

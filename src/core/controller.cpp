@@ -112,9 +112,8 @@ std::size_t Controller::update_epoch(const EpochInput& input) {
   // Watchdog: when the decision deadline was missed, or the uplink went
   // completely silent, re-deciding on garbage only thrashes the TXs —
   // hold the last-good allocation (minus any TXs that died since).
-  const bool hold =
-      cfg_.degradation.enabled && have_decision_ &&
-      (input.overrun || (!any_fresh && !input.fresh.empty()));
+  const bool hold = have_decision_ && (input.overrun ||
+                                       (!any_fresh && !input.fresh.empty()));
   if (hold) {
     ++watchdog_holds_;
     prune_dead_txs(input.dead_tx);
@@ -132,11 +131,9 @@ std::size_t Controller::update_epoch(const EpochInput& input) {
       for (std::size_t rx = 0; rx < num_rx; ++rx) view.set_gain(tx, rx, 0.0);
     }
   }
-  if (cfg_.degradation.enabled) {
-    for (std::size_t rx = 0; rx < num_rx && rx < health_.size(); ++rx) {
-      if (health_[rx].state != RxLinkState::kExpired) continue;
-      for (std::size_t tx = 0; tx < num_tx; ++tx) view.set_gain(tx, rx, 0.0);
-    }
+  for (std::size_t rx = 0; rx < num_rx && rx < health_.size(); ++rx) {
+    if (health_[rx].state != RxLinkState::kExpired) continue;
+    for (std::size_t tx = 0; tx < num_tx; ++tx) view.set_gain(tx, rx, 0.0);
   }
 
   alloc::AssignmentOptions opts;

@@ -36,7 +36,6 @@ struct Beamspot {
 /// Graceful-degradation knobs. Epoch counts are in controller decision
 /// periods (cfg.mac.epoch_period_s each).
 struct DegradationConfig {
-  bool enabled = true;
   /// Silent epochs a last-good column is trusted before it expires and
   /// the RX is released from the allocation.
   std::size_t hold_epochs = 3;

@@ -4,8 +4,10 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "common/simtime.hpp"
 #include "mac/arq.hpp"
 #include "mac/report.hpp"
+#include "net/links.hpp"
 #include "sync/nlos_sync.hpp"
 
 namespace densevlc::core {
@@ -30,6 +32,18 @@ struct SlotLane {
   std::vector<std::size_t> txs;
   std::vector<double> offsets;
 };
+
+// The lane of one beamspot: a data frame from the controller (src 0xC0)
+// to the beamspot's RX, radiated by its TXs at `offsets`.
+SlotLane data_lane(const Beamspot& spot, std::vector<std::uint8_t> payload,
+                   std::vector<double> offsets) {
+  return {spot.rx,
+          {static_cast<std::uint16_t>(spot.rx), 0xC0,
+           static_cast<std::uint16_t>(phy::Protocol::kData),
+           std::move(payload)},
+          spot.txs,
+          std::move(offsets)};
+}
 
 // The PHY arguments of every lane of a slot. jobs[i] views servers[i],
 // interferers[i] and lanes[i].frame, so the lanes must outlive it.
@@ -349,14 +363,12 @@ EpochReport DenseVlcSystem::run_epoch_analytic(double t_s) {
 }
 
 RunReport DenseVlcSystem::run(double duration_s, std::size_t payload_bytes) {
-  RunReport report;
-  report.rx.resize(num_rx());
-  report.duration_s = duration_s;
-
-  Simulator des;
+  const auto epochs = static_cast<std::size_t>(
+      std::ceil(duration_s / cfg_.mac.epoch_period_s));
+  RunReport report{std::vector<RxStats>(num_rx()), epochs, duration_s};
   Rng rng = master_rng_.fork();
-  net::EthernetMulticast eth{des, cfg_.ethernet, rng.fork()};
-  net::SimLink wifi{des, cfg_.wifi, rng.fork()};
+  Rng ethernet = rng.fork();
+  Rng wifi = rng.fork();
   Rng data_rng = rng.fork();
 
   // Fixed payload content (deterministic; receivers verify equality).
@@ -364,108 +376,57 @@ RunReport DenseVlcSystem::run(double duration_s, std::size_t payload_bytes) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i * 7 + 13);
   }
-
   const SlotTiming timing =
       slot_timing(cfg_, data_path_, num_tx(), payload_bytes);
-
-  // The TX plane: one multicast subscriber that radiates commands.
-  // Commands for one slot are batched so concurrent beamspots interfere.
-  struct SlotCommand {
-    std::vector<phy::ControllerFrame> frames;
-  };
-
-  // Reused across slots by the batched PHY pass in run_slot.
-  JointTransmission::TransmitBatchScratch phy_batch;
-
-  auto run_slot = [&](const SlotCommand& slot) {
-    const double now_s = des.now().seconds();
-    const auto truth = faulted_channel(now_s);
-    std::vector<SlotLane> lanes;
-    for (const auto& cf : slot.frames) {
-      const auto spot = controller_.beamspot_for(cf.frame.dst);
-      if (!spot) continue;
-      lanes.push_back({cf.frame.dst, cf.frame, spot->txs,
-                       draw_tx_offsets(*spot, data_rng, now_s)});
-    }
-
-    // One batched PHY pass for every beamspot of the slot. Outcomes and
-    // the data_rng stream are bit-identical to per-lane transmit() calls.
-    const SlotJobs slot_jobs =
-        assemble_slot(lanes, truth, controller_.allocation());
-    std::vector<TransmissionOutcome> outcomes(lanes.size());
-    data_path_.transmit_batch(slot_jobs.jobs, data_rng, outcomes, phy_batch);
-
-    for (std::size_t li = 0; li < lanes.size(); ++li) {
-      const SlotLane& lane = lanes[li];
-      ++report.rx[lane.rx].frames_sent;
-      if (outcomes[li].delivered && !cfg_.faults.rx_down(lane.rx, now_s)) {
-        ++report.rx[lane.rx].frames_delivered;
-        report.rx[lane.rx].payload_bits_delivered +=
-            lane.frame.payload.size() * 8;
-        // MAC acknowledgement over WiFi. A lost ACK only dents the
-        // counter (wifi.stats() keeps the tally); stop-and-wait
-        // recovery lives in run_arq().
-        const std::size_t rx_id = lane.rx;
-        (void)wifi.send({static_cast<std::uint8_t>(rx_id)},
-                        [&report, rx_id](const std::vector<std::uint8_t>&) {
-                          ++report.rx[rx_id].acks_received;
-                        });
-      }
-    }
-  };
-
-  eth.subscribe([&](std::size_t, const std::vector<std::uint8_t>& bytes) {
-    // One byte per frame count, then serialized controller frames.
-    SlotCommand slot;
-    std::size_t at = 1;
-    const std::size_t count = bytes.empty() ? 0 : bytes[0];
-    for (std::size_t i = 0; i < count && at < bytes.size(); ++i) {
-      const auto cf = phy::parse_controller_frame(
-          std::span<const std::uint8_t>{bytes}.subspan(at));
-      if (!cf) break;
-      slot.frames.push_back(*cf);
-      at += 9 + phy::serialized_frame_bytes(cf->frame.payload.size());
-    }
-    run_slot(slot);
-  });
-
-  const auto epochs = static_cast<std::size_t>(
-      std::ceil(duration_s / cfg_.mac.epoch_period_s));
-  report.epochs = epochs;
+  // ACKs still in flight 1 s after the run are not counted.
+  const SimTime ack_deadline = SimTime::from_seconds(duration_s + 1.0);
+  JointTransmission::TransmitBatchScratch phy_batch;  // reused by every slot
 
   for (std::size_t e = 0; e < epochs; ++e) {
     const double epoch_start =
         static_cast<double>(e) * cfg_.mac.epoch_period_s;
     const double epoch_end =
         std::min(duration_s, epoch_start + cfg_.mac.epoch_period_s);
-    des.schedule_at(SimTime::from_seconds(epoch_start), [&, epoch_start,
-                                                         epoch_end] {
-      measure_and_decide(epoch_start, data_rng);
-      double t = epoch_start + timing.probe_phase_s;
-      while (t + timing.slot_s <= epoch_end) {
-        des.schedule_at(SimTime::from_seconds(t), [&] {
-          // Build the slot's multicast command: one frame per beamspot.
-          std::vector<std::uint8_t> wire;
-          std::uint8_t count = 0;
-          std::vector<std::uint8_t> body;
-          for (const auto& spot : controller_.beamspots()) {
-            auto cf = controller_.make_data_command(spot.rx, payload,
-                                                    /*src=*/0xC0);
-            if (!cf) continue;
-            const auto ser = phy::serialize_controller_frame(*cf);
-            body.insert(body.end(), ser.begin(), ser.end());
-            ++count;
-          }
-          wire.push_back(count);
-          wire.insert(wire.end(), body.begin(), body.end());
-          eth.send(wire);
-        });
-        t += timing.slot_s;
-      }
-    });
-  }
+    measure_and_decide(epoch_start, data_rng);
+    for (double t = epoch_start + timing.probe_phase_s;
+         t + timing.slot_s <= epoch_end; t += timing.slot_s) {
+      // The controller multicasts the slot's frames over Ethernet at `t`;
+      // the TXs radiate them when the multicast lands.
+      const double latency = net::draw_latency(cfg_.ethernet, ethernet);
+      DVLC_EXPECT(latency < timing.slot_s,
+                  "Ethernet latency must land each slot within its period");
+      const SimTime now =
+          SimTime::from_seconds(t) + SimTime::from_seconds(latency);
+      const double now_s = now.seconds();
 
-  des.run_until(SimTime::from_seconds(duration_s + 1.0));
+      std::vector<SlotLane> lanes;
+      for (const auto& spot : controller_.beamspots()) {
+        lanes.push_back(data_lane(spot, payload,
+                                  draw_tx_offsets(spot, data_rng, now_s)));
+      }
+      const SlotJobs slot_jobs = assemble_slot(lanes, faulted_channel(now_s),
+                                               controller_.allocation());
+      std::vector<TransmissionOutcome> outcomes(lanes.size());
+      data_path_.transmit_batch(slot_jobs.jobs, data_rng, outcomes, phy_batch);
+
+      for (std::size_t li = 0; li < lanes.size(); ++li) {
+        RxStats& stats = report.rx[lanes[li].rx];
+        ++stats.frames_sent;
+        if (!outcomes[li].delivered ||
+            cfg_.faults.rx_down(lanes[li].rx, now_s)) {
+          continue;
+        }
+        ++stats.frames_delivered;
+        stats.payload_bits_delivered += payload_bytes * 8;
+        // The MAC ACK rides the lossy WiFi uplink; stop-and-wait recovery
+        // lives in run_arq().
+        if (wifi.bernoulli(cfg_.wifi.loss_probability)) continue;
+        const SimTime ack_at =
+            now + SimTime::from_seconds(net::draw_latency(cfg_.wifi, wifi));
+        if (ack_at <= ack_deadline) ++stats.acks_received;
+      }
+    }
+  }
   return report;
 }
 
@@ -519,12 +480,8 @@ DenseVlcSystem::ArqReport DenseVlcSystem::run_arq(
     for (const auto& spot : controller_.beamspots()) {
       const auto segment = senders[spot.rx].next_segment();
       if (!segment) continue;
-      SlotLane lane{spot.rx, {}, spot.txs, draw_tx_offsets(spot, rng, t)};
-      lane.frame.dst = static_cast<std::uint16_t>(spot.rx);
-      lane.frame.src = 0xC0;
-      lane.frame.protocol = static_cast<std::uint16_t>(phy::Protocol::kData);
-      lane.frame.payload = mac::encode_segment(*segment);
-      lanes.push_back(std::move(lane));
+      lanes.push_back(data_lane(spot, mac::encode_segment(*segment),
+                                draw_tx_offsets(spot, rng, t)));
     }
     if (lanes.empty()) {
       bool anything_left = false;

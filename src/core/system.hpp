@@ -1,8 +1,8 @@
 // DenseVlcSystem: the full cell-free VLC MIMO system, end to end.
 //
-// Owns the discrete-event simulator, the control-plane network models,
-// the controller, the channel prober, and the waveform data path, and
-// runs the MAC protocol of paper Sec. 3.2:
+// Owns the controller, the channel prober and the waveform data path,
+// and runs the MAC protocol of paper Sec. 3.2 as a loop over epochs and
+// their data slots:
 //
 //   1. probe phase — every TX in turn radiates the measurement pattern;
 //      all RXs estimate their downlink gains;
@@ -12,7 +12,8 @@
 //      beamspots with appointed leading TXs;
 //   4. data phase — the controller multicasts frames over Ethernet; the
 //      selected TXs transmit jointly, aligned by the configured sync
-//      method; RXs decode and acknowledge over WiFi.
+//      method; RXs decode and acknowledge over WiFi. Each control-plane
+//      link is one latency (and, for WiFi, loss) draw per message.
 //
 // Two evaluation paths exist, matching the paper's own methodology:
 // frame-accurate waveform simulation (run()) for PER/sync experiments,
@@ -30,8 +31,6 @@
 #include "core/config.hpp"
 #include "core/controller.hpp"
 #include "core/prober.hpp"
-#include "net/links.hpp"
-#include "common/event_queue.hpp"
 #include "geom/mobility.hpp"
 
 namespace densevlc::core {

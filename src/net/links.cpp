@@ -4,9 +4,11 @@
 
 namespace densevlc::net {
 
-double SimLink::draw_latency() {
-  return cfg_.base_latency_s + cfg_.jitter_mean_s * rng_.exponential();
+double draw_latency(const LinkConfig& link, Rng& rng) {
+  return link.base_latency_s + link.jitter_mean_s * rng.exponential();
 }
+
+double SimLink::draw_latency() { return net::draw_latency(cfg_, rng_); }
 
 bool SimLink::send(std::vector<std::uint8_t> payload, Handler handler) {
   ++stats_.sent;
@@ -34,8 +36,7 @@ std::size_t EthernetMulticast::subscribe(Handler handler) {
 
 void EthernetMulticast::send(const std::vector<std::uint8_t>& payload) {
   for (std::size_t id = 0; id < handlers_.size(); ++id) {
-    const double latency =
-        cfg_.base_latency_s + cfg_.jitter_mean_s * rng_.exponential();
+    const double latency = draw_latency(cfg_, rng_);
     ++stats_.sent;
     sim_->schedule_in(SimTime::from_seconds(latency),
                       [this, id, latency, payload] {

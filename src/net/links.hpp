@@ -24,6 +24,10 @@ struct LinkConfig {
   double loss_probability = 0.0;    ///< independent per-delivery loss
 };
 
+/// One delivery latency of `link` [s]: base_latency_s plus jitter_mean_s
+/// times one unit exponential draw from `rng`.
+double draw_latency(const LinkConfig& link, Rng& rng);
+
 /// Per-link delivery counters, kept by every SimLink so tests can
 /// assert loss and latency behaviour instead of ignoring send()'s
 /// verdict.

@@ -156,7 +156,9 @@ struct ControllerFrame {
 };
 
 /// Serializes / parses the Ethernet payload (mask + leading + frame bytes).
+// DVLC_LINT_WAIVE(dead-public-api): perfbench's replay calls it
 std::vector<std::uint8_t> serialize_controller_frame(const ControllerFrame& cf);
+// DVLC_LINT_WAIVE(dead-public-api): perfbench's replay calls it
 [[nodiscard]] std::optional<ControllerFrame> parse_controller_frame(
     std::span<const std::uint8_t> bytes);
 

@@ -8,6 +8,14 @@
 #include "phy/manchester.hpp"
 
 namespace densevlc::sync {
+namespace {
+
+/// Leader DAC oversampling of the pilot [samples per chip].
+constexpr std::size_t kTxSamplesPerChip = 40;
+/// Normalized correlation floor of the follower's pilot detector.
+constexpr double kDetectThreshold = 0.55;
+
+}  // namespace
 
 NlosSynchronizer::NlosSynchronizer(const NlosSyncConfig& cfg) : cfg_{cfg} {
   // The reflected pilot is very weak; restrict the anti-aliasing corner
@@ -49,7 +57,7 @@ dsp::Waveform NlosSynchronizer::pilot_waveform(double lead_in_chips,
                                                double frac) const {
   phy::OokParams params;
   params.chip_rate_hz = cfg_.pilot_chip_rate_hz;
-  params.samples_per_chip = cfg_.tx_samples_per_chip;
+  params.samples_per_chip = kTxSamplesPerChip;
   params.bias_current_a = cfg_.led.operating_point().bias_current_a;
   params.swing_current_a = cfg_.swing_current_a;
   const phy::OokModulator mod{params};
@@ -61,14 +69,14 @@ dsp::Waveform NlosSynchronizer::pilot_waveform(double lead_in_chips,
   wf.sample_rate_hz = params.sample_rate_hz();
   const auto lead_samples = static_cast<std::size_t>(
       std::llround((lead_in_chips + frac) *
-                   static_cast<double>(cfg_.tx_samples_per_chip)));
+                   static_cast<double>(kTxSamplesPerChip)));
   const double bias = params.bias_current_a;
   wf.samples.assign(lead_samples, bias);
   wf.samples.insert(wf.samples.end(), data.samples.begin(),
                     data.samples.end());
   // Bias tail so AC-coupling transients settle inside the capture.
   wf.samples.insert(wf.samples.end(),
-                    8 * cfg_.tx_samples_per_chip, bias);
+                    8 * kTxSamplesPerChip, bias);
 
   // Convert LED current to emitted optical power. Around the bias the
   // electro-optical transfer is locally linear; use the exact LED curve.
@@ -81,14 +89,6 @@ dsp::Waveform NlosSynchronizer::pilot_waveform(double lead_in_chips,
 
 NlosDetection NlosSynchronizer::simulate_once(Rng& rng) {
   NlosDetection out;
-
-  // Injected pilot loss: the follower captures only noise, so there is
-  // nothing to correlate against. (Guarded so a zero probability leaves
-  // the historical draw sequence bit-identical.)
-  if (cfg_.pilot_loss_probability > 0.0 &&
-      rng.bernoulli(cfg_.pilot_loss_probability)) {
-    return out;
-  }
 
   // Random lead-in with sub-chip fraction: the pilot lands at an arbitrary
   // phase of the follower's sampling grid, which is exactly what bounds
@@ -107,7 +107,7 @@ NlosDetection NlosSynchronizer::simulate_once(Rng& rng) {
   const phy::OokDemodulator demod{cfg_.pilot_chip_rate_hz, frx};
   const auto tpl = demod.pattern_template(phy::pilot_pattern());
   const auto peak =
-      dsp::detect_pattern(digitized.samples, tpl, cfg_.detect_threshold);
+      dsp::detect_pattern(digitized.samples, tpl, kDetectThreshold);
   if (!peak) return out;
   out.detected = true;
   out.correlation = peak->score;

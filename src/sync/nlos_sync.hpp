@@ -38,15 +38,9 @@ struct NlosSyncConfig {
   optics::FloorSurface floor{};
   optics::LedModel led{};         ///< leader's LED model
   double pilot_chip_rate_hz = 100e3;  ///< ftx
-  std::size_t tx_samples_per_chip = 40;  ///< leader DAC oversampling
   double swing_current_a = 0.9;   ///< pilot swing (full, for max range)
   phy::FrontEndConfig frontend{}; ///< follower receive chain (frx = ADC)
-  double detect_threshold = 0.55; ///< normalized correlation floor
   std::uint8_t leader_id = 2;     ///< ID byte appended to the pilot
-  /// Probability a pilot never reaches the follower at all (leader
-  /// driver glitch, transient occlusion of the bounce path): the fault
-  /// model's sync-pilot-loss knob. 0 keeps the draw stream untouched.
-  double pilot_loss_probability = 0.0;
   std::vector<optics::FloorOccluder> occluders{};  ///< people/objects on
                                                    ///< the bounce path
 };

@@ -3,6 +3,9 @@
 namespace densevlc::sync {
 namespace {
 
+/// Symmetric propagation + stack delay of each PTP message [s].
+constexpr double kBaseDelayS = 50e-6;
+
 double exp_draw(double mean, Rng& rng) {
   if (mean <= 0.0) return 0.0;
   return mean * rng.exponential();
@@ -16,11 +19,11 @@ PtpResult ptp_exchange(double true_offset_s, const PtpLinkConfig& link,
   out.true_offset_s = true_offset_s;
 
   // Master->slave (SYNC): asymmetric component applies here.
-  const double d_master_slave_s = link.base_delay_s + link.asymmetry_s +
+  const double d_master_slave_s = kBaseDelayS + link.asymmetry_s +
                       exp_draw(link.jitter_mean_s, rng);
   // Slave->master (DELAY_REQ).
   const double d_slave_master_s =
-      link.base_delay_s + exp_draw(link.jitter_mean_s, rng);
+      kBaseDelayS + exp_draw(link.jitter_mean_s, rng);
 
   auto stamp = [&](double t) {
     return t + rng.gaussian(0.0, link.timestamp_jitter_s);

@@ -26,7 +26,6 @@ namespace densevlc::sync {
 
 /// Network-path characteristics of the PTP exchanges.
 struct PtpLinkConfig {
-  double base_delay_s = 50e-6;       ///< symmetric propagation + stack
   double jitter_mean_s = 4e-6;       ///< exponential queueing jitter mean,
                                      ///< drawn independently per message
   double asymmetry_s = 1.5e-6;       ///< fixed extra delay on the

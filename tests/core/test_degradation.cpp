@@ -122,14 +122,6 @@ TEST(Degradation, WatchdogHoldsOnOverrun) {
   // A fully silent uplink holds too.
   ctl.update_epoch(f.input(std::vector<bool>(4, false)));
   EXPECT_EQ(ctl.watchdog_holds(), 2u);
-
-  // With degradation off, the controller re-decides on what it gets.
-  ControllerConfig off = f.config();
-  off.degradation.enabled = false;
-  Controller plain{off};
-  plain.update_epoch(f.input());
-  plain.update_epoch(garbage);
-  EXPECT_EQ(plain.watchdog_holds(), 0u);
 }
 
 TEST(Degradation, LeaderReelectedWhenLeadingTxDies) {

@@ -7,7 +7,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
+#include "fault/fault.hpp"
+#include "geom/mobility.hpp"
 #include "scenario/scenarios.hpp"
 
 namespace densevlc::core {
@@ -293,6 +297,59 @@ TEST(System, WaveformRunCountersArePinned) {
                                               rx.acks_received}),
                 pin.rx[k])
           << "seed " << pin.seed << " RX " << k;
+    }
+  }
+}
+
+// Exact per-RX counters of run() under faults and mobility, for both an
+// unsynchronized and an NLOS-synced system. Each slot runs at its send
+// time plus an Ethernet latency draw, and these counters hold that time
+// to the ulp: LED flicker hashes the bit pattern of the slot time into
+// every TX's output. RX 0 walks between waypoints, the RX-dropout and
+// sync-pilot-loss windows open and close inside slots, and the WiFi
+// uplink loses 30% of reports and ACKs.
+TEST(System, RunUnderFaultsAndMobilityIsPinned) {
+  struct Pin {
+    SyncMode mode;
+    // frames_sent, frames_delivered, payload_bits_delivered, acks_received
+    std::array<std::array<std::uint64_t, 4>, 4> rx;
+  };
+  const std::array<Pin, 2> pins{{
+      {SyncMode::kNone,
+       {{{84, 27, 5184, 21}, {84, 57, 10944, 41}, {63, 26, 4992, 16},
+         {84, 51, 9792, 38}}}},
+      {SyncMode::kNlosVlc,
+       {{{84, 73, 14016, 50}, {84, 61, 11712, 44}, {84, 67, 12864, 40},
+         {42, 27, 5184, 21}}}},
+  }};
+  for (const Pin& pin : pins) {
+    SystemConfig cfg;
+    cfg.sync_mode = pin.mode;
+    cfg.mac.epoch_period_s = 0.25;
+    cfg.wifi.loss_probability = 0.3;
+    for (std::size_t tx = 0; tx < cfg.testbed.grid.count(); ++tx) {
+      cfg.faults.add({fault::FaultKind::kLedFlicker, 0.0, 1.0, tx, 0.9});
+    }
+    cfg.faults.add({fault::FaultKind::kRxDropout, 0.3101, 0.5703, 1, 1.0});
+    cfg.faults.add({fault::FaultKind::kSyncPilotLoss, 0.5207, 0.8309, 0, 1.0});
+    const auto positions = scenario::fig7_rx_positions();
+    std::vector<std::unique_ptr<geom::MobilityModel>> mobility;
+    mobility.push_back(std::make_unique<geom::WaypointMobility>(
+        std::vector<geom::WaypointMobility::Waypoint>{
+            {0.0, positions[0]}, {1.0, {1.40, 1.30, 0.0}}}));
+    for (std::size_t k = 1; k < positions.size(); ++k) {
+      mobility.push_back(std::make_unique<geom::StaticMobility>(positions[k]));
+    }
+    DenseVlcSystem system{cfg, std::move(mobility)};
+    const auto report = system.run(1.0, 24);
+    ASSERT_EQ(report.rx.size(), 4u);
+    EXPECT_EQ(report.epochs, 4u);
+    for (std::size_t k = 0; k < 4; ++k) {
+      const RxStats& rx = report.rx[k];
+      EXPECT_EQ(rx.frames_sent, pin.rx[k][0]) << "RX " << k;
+      EXPECT_EQ(rx.frames_delivered, pin.rx[k][1]) << "RX " << k;
+      EXPECT_EQ(rx.payload_bits_delivered, pin.rx[k][2]) << "RX " << k;
+      EXPECT_EQ(rx.acks_received, pin.rx[k][3]) << "RX " << k;
     }
   }
 }

@@ -14,7 +14,6 @@
 // EXPERIMENTS.md, not a bound to widen.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -188,13 +187,7 @@ IperfResult run_iperf(const core::Testbed& tb,
   for (std::size_t f = 0; f < frames; ++f) {
     double bbb_b_offset = 0.0;
     if (bbb_b_used && !bbb_b_synced) {
-      double u;
-      do {
-        u = rng.uniform();
-      } while (u <= 0.0);
-      bbb_b_offset = -ts.delivery_jitter_mean_s * std::log(u) +
-                     rng.uniform(0.0, ts.stack_start_spread_s) +
-                     rng.gaussian(0.0, ts.event_jitter_sigma_s);
+      bbb_b_offset = sync::streaming_start_offset_s(ts, rng);
     } else if (bbb_b_used) {
       const auto idx = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(nlos_errors.size()) - 1));
